@@ -8,7 +8,12 @@ The feed-forward stage is either a single dense :class:`FeedForward` or an
 
 ``forward_batch`` is the one forward implementation; the per-sequence and
 per-token operations below it are thin, independently testable views used by
-gathering, metrics, and the test oracles.
+gathering, metrics, and the test oracles. It is forward-only by default:
+scoring, the frozen teacher's logits and the balance measurement compute
+activation values alone. Only a training step asks for ``need_grad=True``,
+which also computes and caches the activation derivatives the backward pass
+reads. Both modes evaluate the values in the same operation order, so their
+logits are bit-identical.
 """
 
 from __future__ import annotations
@@ -25,13 +30,49 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
 
+def _gelu(x: np.ndarray) -> np.ndarray:
+    # Tanh-form GELU value, in the operation order of _gelu_with_grad.
+    inner = x * x
+    inner *= _GELU_A
+    inner += 1.0
+    t = _GELU_C * x
+    t *= inner
+    np.tanh(t, out=t)
+    t += 1.0
+    y = 0.5 * x
+    y *= t
+    return y
+
+
 def _gelu_with_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Tanh-form GELU; value and derivative share one tanh evaluation.
+    # Tanh-form GELU; value and derivative share one tanh evaluation. Written
+    # in place, but every product and sum keeps the order of the expressions
+    #   y  = 0.5 * x * (1 + t)
+    #   dy = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3 * A * x * x)
+    # so the results are bit-identical to evaluating them directly.
     x2 = x * x
-    t = np.tanh(_GELU_C * x * (1.0 + _GELU_A * x2))
-    y = 0.5 * x * (1.0 + t)
-    dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
+    inner = _GELU_A * x2
+    inner += 1.0
+    t = _GELU_C * x
+    t *= inner
+    np.tanh(t, out=t)
+    dy = 1.0 + t
+    half_x = 0.5 * x
+    y = half_x * dy
+    dy *= 0.5
+    np.multiply(t, t, out=inner)
+    np.subtract(1.0, inner, out=inner)
+    half_x *= inner
+    half_x *= _GELU_C
+    x2 *= 3.0 * _GELU_A
+    x2 += 1.0
+    half_x *= x2
+    dy += half_x
     return y, dy
+
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x, 0.0)
 
 
 def _relu_with_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -39,30 +80,40 @@ def _relu_with_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(mask, x, 0.0), mask.astype(np.float64)
 
 
-_ACTIVATIONS = {"gelu": _gelu_with_grad, "relu": _relu_with_grad}
+_ACTIVATIONS = {"gelu": _gelu, "relu": _relu}
+_ACTIVATIONS_WITH_GRAD = {"gelu": _gelu_with_grad, "relu": _relu_with_grad}
+
+
+def _lookup(table: dict, name: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise ValueError(f"unknown activation {name!r}; expected one of {sorted(table)}")
+
+
+def activation_value(name: str):
+    """Return f(x) -> value for the named activation."""
+    return _lookup(_ACTIVATIONS, name)
 
 
 def activation_with_grad(name: str):
     """Return f(x) -> (value, derivative) for the named activation."""
-    try:
-        return _ACTIVATIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}; expected one of {sorted(_ACTIVATIONS)}")
+    return _lookup(_ACTIVATIONS_WITH_GRAD, name)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Tanh-form GELU."""
-    return _gelu_with_grad(np.asarray(x, dtype=np.float64))[0]
+    return _gelu(np.asarray(x, dtype=np.float64))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+    return _relu(np.asarray(x, dtype=np.float64))
 
 
 def activation_pair(name: str):
     """(value_fn, grad_fn) view kept for callers that need them separately."""
     with_grad = activation_with_grad(name)
-    return (lambda x: with_grad(x)[0]), (lambda x: with_grad(x)[1])
+    return activation_value(name), (lambda x: with_grad(x)[1])
 
 
 @dataclass
@@ -86,7 +137,7 @@ class FeedForward:
                 f"inconsistent feed-forward shapes: w1={self.w1.shape} b1={self.b1.shape} "
                 f"w2={self.w2.shape} b2={self.b2.shape}"
             )
-        activation_pair(self.activation)
+        activation_value(self.activation)
 
     @property
     def d_model(self) -> int:
@@ -108,8 +159,7 @@ def ffn_forward(ffn: FeedForward, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != ffn.d_model:
         raise ShapeError(f"input width {x.shape[-1]} != d_model {ffn.d_model}")
-    act, _ = activation_pair(ffn.activation)
-    return act(x @ ffn.w1 + ffn.b1) @ ffn.w2 + ffn.b2
+    return activation_value(ffn.activation)(x @ ffn.w1 + ffn.b1) @ ffn.w2 + ffn.b2
 
 
 @dataclass
@@ -245,7 +295,7 @@ class Architecture:
             raise ValueError(f"stage must be 'dense' or 'moe', got {self.stage!r}")
         if self.stage == "moe" and not 1 <= self.top_k <= self.num_experts:
             raise ValueError(f"top_k={self.top_k} out of range for {self.num_experts} experts")
-        activation_pair(self.activation)
+        activation_value(self.activation)
 
     def dense_twin(self) -> "Architecture":
         """Same shapes with the MoE stage collapsed to a single dense stage."""
@@ -393,14 +443,21 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return gain * xhat + bias, xhat, inv_std
 
 
-def _stage_forward_dense(stage: FeedForward, x: np.ndarray) -> dict:
-    act = activation_with_grad(stage.activation)
-    h_act, h_grad = act(x @ stage.w1 + stage.b1)
-    return {"kind": "dense", "x": x, "h_grad": h_grad, "h_act": h_act, "out": h_act @ stage.w2 + stage.b2}
+def _activate(name: str, pre: np.ndarray, need_grad: bool) -> tuple[np.ndarray, dict]:
+    """Activation values, plus the derivative under key ``h_grad`` when asked."""
+    if need_grad:
+        h_act, h_grad = activation_with_grad(name)(pre)
+        return h_act, {"h_grad": h_grad}
+    return activation_value(name)(pre), {}
+
+
+def _stage_forward_dense(stage: FeedForward, x: np.ndarray, need_grad: bool) -> dict:
+    h_act, grad = _activate(stage.activation, x @ stage.w1 + stage.b1, need_grad)
+    return {"kind": "dense", "x": x, **grad, "h_act": h_act, "out": h_act @ stage.w2 + stage.b2}
 
 
 def _stage_forward_moe(
-    stage: MoELayer, x: np.ndarray, rng: Rng | None, force_expert: int | None
+    stage: MoELayer, x: np.ndarray, rng: Rng | None, force_expert: int | None, need_grad: bool
 ) -> dict:
     n = x.shape[0]
     num_experts = stage.num_experts
@@ -415,7 +472,7 @@ def _stage_forward_moe(
     else:
         sel = np.full((n, 1), force_expert, dtype=np.intp)
         gates = np.ones((n, 1))
-    act = activation_with_grad(stage.experts[0].activation)
+    name = stage.experts[0].activation
     out = np.zeros_like(x)
     per_expert: dict[int, dict] = {}
     for e in range(num_experts):
@@ -424,11 +481,11 @@ def _stage_forward_moe(
             continue
         expert = stage.experts[e]
         xe = x[hits]
-        h_act, h_grad = act(xe @ expert.w1 + expert.b1)
+        h_act, grad = _activate(name, xe @ expert.w1 + expert.b1, need_grad)
         ye = h_act @ expert.w2 + expert.b2
         g = gates[hits][sel[hits] == e]
         out[hits] += g[:, None] * ye
-        per_expert[e] = {"idx": hits, "h_grad": h_grad, "h_act": h_act, "y": ye, "gate": g}
+        per_expert[e] = {"idx": hits, **grad, "h_act": h_act, "y": ye, "gate": g}
     return {
         "kind": "moe",
         "x": x,
@@ -445,12 +502,18 @@ def forward_batch(
     tokens: np.ndarray,
     rng: Rng | None = None,
     force_expert: int | None = None,
+    *,
+    need_grad: bool = False,
 ) -> tuple[np.ndarray, dict]:
     """Run a (batch, seq_len, d_model) token array through the model.
 
-    Returns (logits, cache); the cache carries every intermediate the backward
-    pass needs, plus per-MoE-stage routing arrays for the balance loss.
-    Router noise is drawn only when an rng is supplied.
+    Returns (logits, cache). The cache always carries the per-MoE-stage
+    routing arrays (``kind``, ``probs``, ``sel``) for the balance loss. With
+    ``need_grad=True`` it also holds the activation derivatives
+    (``h_grad``), so it can feed ``backward_from_logits``; the default,
+    forward-only pass skips them and is what scoring should use. The logits
+    are bit-identical either way. Router noise is drawn only when an rng is
+    supplied.
     """
     b, s, d = tokens.shape
     if s != model.arch.seq_len or d != model.arch.d_model:
@@ -459,17 +522,17 @@ def forward_batch(
         )
     x = tokens.reshape(-1, d) @ model.embed
     x = x.reshape(b, s, d)
-    cache: dict = {"tokens": tokens, "blocks": []}
+    cache: dict = {"tokens": tokens, "need_grad": need_grad, "blocks": []}
     for blk in model.blocks:
         ln1_out, ln1_xhat, ln1_inv = layer_norm(x, blk.ln1_gain, blk.ln1_bias)
-        mixed = np.einsum("ts,bsd->btd", blk.mixer, ln1_out)
+        mixed = blk.mixer @ ln1_out
         res1 = x + mixed
         ln2_out, ln2_xhat, ln2_inv = layer_norm(res1, blk.ln2_gain, blk.ln2_bias)
         flat = ln2_out.reshape(-1, d)
         if isinstance(blk.stage, MoELayer):
-            stage_cache = _stage_forward_moe(blk.stage, flat, rng, force_expert)
+            stage_cache = _stage_forward_moe(blk.stage, flat, rng, force_expert, need_grad)
         else:
-            stage_cache = _stage_forward_dense(blk.stage, flat)
+            stage_cache = _stage_forward_dense(blk.stage, flat, need_grad)
         x = res1 + stage_cache["out"].reshape(b, s, d)
         cache["blocks"].append(
             {

@@ -226,7 +226,15 @@ def _layer_norm_backward(d_y: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
 def backward_from_logits(model: ClassifierModel, cache: dict, d_logits: np.ndarray,
                          balance_coeff: float = 0.0) -> GradientSet:
     """Accumulate gradients of (loss from d_logits) + balance_coeff * balance
-    into a fresh GradientSet keyed like ``model.parameters()``."""
+    into a fresh GradientSet keyed like ``model.parameters()``.
+
+    ``cache`` must come from ``forward_batch(..., need_grad=True)``.
+    """
+    if not cache.get("need_grad"):
+        raise ValueError(
+            "backward_from_logits needs a cache from forward_batch(..., need_grad=True); "
+            "this one is forward-only"
+        )
     params = model.parameters()
     grads: GradientSet = {name: np.zeros_like(p) for name, p in params.items()}
     tokens = cache["tokens"]
@@ -255,7 +263,7 @@ def backward_from_logits(model: ClassifierModel, cache: dict, d_logits: np.ndarr
         grads[f"block{i}.ln2.gain"] += d_g2
         grads[f"block{i}.ln2.bias"] += d_b2
         d_res1 = d_res1 + d_x  # residual around the stage
-        d_ln1_out = np.einsum("ts,btd->bsd", blk.mixer, d_res1)
+        d_ln1_out = blk.mixer.T @ d_res1
         ln1_xhat, ln1_inv = blk_cache["ln1"]
         d_in, d_g1, d_b1 = _layer_norm_backward(d_ln1_out, ln1_xhat, ln1_inv, blk.ln1_gain)
         grads[f"block{i}.ln1.gain"] += d_g1
@@ -278,10 +286,10 @@ def loss_and_grads(
     compute_grads: bool = True,
 ) -> tuple[LossBreakdown, GradientSet | None]:
     """One training objective evaluation: batch-mean loss and its exact
-    gradients. Teacher logits (when distilling) are produced noise-free and
-    the teacher never appears in the gradient set."""
+    gradients. Teacher logits (when distilling) are produced noise-free by a
+    forward-only pass and the teacher never appears in the gradient set."""
     labels = np.asarray(labels)
-    logits, cache = forward_batch(model, tokens, rng=rng)
+    logits, cache = forward_batch(model, tokens, rng=rng, need_grad=compute_grads)
     b = logits.shape[0]
     ls = _log_softmax(logits)
     main = float(-ls[np.arange(b), labels].mean())
@@ -462,7 +470,10 @@ def _run_training(
         if eval_every and ((step + 1) % eval_every == 0 or step == steps - 1):
             row["heldout_acc"] = evaluate_accuracy(model, test.tokens, test.labels)
         log.append(row)
-    final_acc = evaluate_accuracy(model, test.tokens, test.labels)
+    if log and log[-1]["heldout_acc"] != "":
+        final_acc = log[-1]["heldout_acc"]  # the last step was scored; the model has not moved since
+    else:
+        final_acc = evaluate_accuracy(model, test.tokens, test.labels)
     final_balance = None
     if model.arch.stage == "moe":
         final_balance = _measure_balance(model, test.tokens)

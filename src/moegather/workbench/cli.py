@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gather", help="collapse a teacher's experts into a dense student")
     p.add_argument("--teacher", required=True)
     p.add_argument("--method", required=True, choices=GATHER_METHODS)
-    p.add_argument("--lambda", dest="svd_ratio", type=float, default=0.75,
+    p.add_argument("--lambda", "--svd-ratio", dest="svd_ratio", type=float, default=0.75,
                    help="retained singular-mass fraction (svdkg only)")
     p.add_argument("--bias", choices=("average", "matched"), default="average")
     p.add_argument("--allow-remainder", action="store_true",
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="measure accuracy on the model's task")
     p.add_argument("--model", required=True)
-    p.add_argument("--task", choices=("train", "test"), default="test",
+    p.add_argument("--task", "--split", dest="task", choices=("train", "test"), default="test",
                    help="which split of the model's task to score")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_eval)

@@ -9,6 +9,11 @@ from moegather.model import (
     MoELayer,
     Router,
     RoutingOutcome,
+    _gelu_with_grad,
+    _relu_with_grad,
+    activation_pair,
+    activation_value,
+    activation_with_grad,
     balance_loss,
     build_classifier,
     classifier_forward,
@@ -17,6 +22,7 @@ from moegather.model import (
     forward_batch,
     gelu,
     moe_forward,
+    relu,
     router_probs,
 )
 from moegather.numerics import NumericalError, Rng, ShapeError
@@ -386,3 +392,73 @@ class TestModelPlumbing:
         model = build_classifier(small_arch(), Rng(0))
         with pytest.raises(ShapeError):
             forward_batch(model, np.zeros((2, 5, 6)))
+
+
+def _gelu_with_grad_oracle(x):
+    """The direct, out-of-place expressions the in-place kernel must reproduce."""
+    c = np.sqrt(2.0 / np.pi)
+    a = 0.044715
+    x2 = x * x
+    t = np.tanh(c * x * (1.0 + a * x2))
+    y = 0.5 * x * (1.0 + t)
+    dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * a * x2)
+    return y, dy
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestActivations:
+    GRID = np.concatenate([np.linspace(-30.0, 30.0, 200_001), [0.0, -0.0], Rng(0).normal(size=1000) * 4])
+
+    def test_gelu_with_grad_bit_identical_to_direct_expressions(self):
+        y, dy = _gelu_with_grad(self.GRID.copy())
+        want_y, want_dy = _gelu_with_grad_oracle(self.GRID)
+        assert np.array_equal(_bits(y), _bits(want_y))
+        assert np.array_equal(_bits(dy), _bits(want_dy))
+
+    def test_gelu_with_grad_leaves_input_untouched(self):
+        x = self.GRID.copy()
+        _gelu_with_grad(x)
+        assert np.array_equal(_bits(x), _bits(self.GRID))
+
+    def test_value_only_gelu_bit_identical_to_training_value(self):
+        want, _ = _gelu_with_grad_oracle(self.GRID)
+        for got in (gelu(self.GRID), activation_value("gelu")(self.GRID), activation_pair("gelu")[0](self.GRID)):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_value_only_relu_matches_training_value_including_nan(self):
+        x = np.array([np.nan, -np.inf, -1.5, -0.0, 0.0, 2.5, np.inf])
+        want = np.where(x > 0.0, x, 0.0)
+        assert np.array_equal(_bits(_relu_with_grad(x)[0]), _bits(want))
+        for got in (relu(x), activation_value("relu")(x), activation_pair("relu")[0](x)):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_unknown_activation_rejected_by_both_tables(self):
+        for lookup in (activation_value, activation_with_grad):
+            with pytest.raises(ValueError, match="unknown activation"):
+                lookup("swish")
+
+
+class TestForwardOnly:
+    @pytest.mark.parametrize(
+        "stage,activation", [("moe", "gelu"), ("dense", "gelu"), ("dense", "relu")]
+    )
+    def test_default_logits_bit_identical_to_need_grad(self, stage, activation):
+        model = build_classifier(small_arch(stage=stage, activation=activation), Rng(11))
+        tokens = Rng(12).normal(size=(7, 3, 6))
+        plain, cache = forward_batch(model, tokens)  # rng=None: router noise off
+        with_grad, grad_cache = forward_batch(model, tokens, need_grad=True)
+        assert np.array_equal(plain, with_grad)
+        assert not cache["need_grad"] and grad_cache["need_grad"]
+        for blk, grad_blk in zip(cache["blocks"], grad_cache["blocks"]):
+            st, grad_st = blk["stage"], grad_blk["stage"]
+            assert st["kind"] == grad_st["kind"] == stage
+            if stage == "moe":
+                assert np.array_equal(st["probs"], grad_st["probs"])
+                assert np.array_equal(st["sel"], grad_st["sel"])
+                assert all("h_grad" not in ec for ec in st["experts"].values())
+                assert all("h_grad" in ec for ec in grad_st["experts"].values())
+            else:
+                assert "h_grad" not in st and "h_grad" in grad_st

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from moegather.model import Architecture, build_classifier, state_hash
+from moegather import training
+from moegather.model import Architecture, build_classifier, forward_batch, state_hash
 from moegather.numerics import NumericalError, Rng
 from moegather.training import (
     AdamState,
@@ -9,6 +10,7 @@ from moegather.training import (
     LinearDecaySchedule,
     TrainConfig,
     backward,
+    backward_from_logits,
     cross_entropy,
     distill_student,
     hard_kd_loss,
@@ -208,6 +210,13 @@ class TestBackward:
             assert np.abs(g1[name] - g2[name]).max() < 1e-15
 
 
+    def test_forward_only_cache_rejected_with_typed_error(self):
+        model = build_classifier(tiny_arch(), Rng(13))
+        logits, cache = forward_batch(model, Rng(14).normal(size=(3, 4, 8)))
+        with pytest.raises(ValueError, match="need_grad"):
+            backward_from_logits(model, cache, np.ones_like(logits))
+
+
 class TestOptimizer:
     def test_zero_gradients_fixed_point(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
@@ -311,3 +320,21 @@ class TestTrainingLoops:
         assert set(result.log[0]) == {"step", "main", "distill", "balance", "total", "lr", "heldout_acc"}
         assert result.log[1]["heldout_acc"] != ""  # eval at step 2
         assert result.log[0]["heldout_acc"] == ""
+
+    @pytest.mark.parametrize("steps,eval_every,calls", [(6, 2, 3), (6, 6, 1), (5, 2, 3), (6, 0, 1)])
+    def test_one_evaluation_per_eval_point(self, monkeypatch, steps, eval_every, calls):
+        real = training.evaluate_accuracy
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate_accuracy", counting)
+        data = tiny_data()
+        cfg = TrainConfig(steps=steps, batch_size=16, learning_rate=1e-2, seed=0, eval_every=eval_every)
+        result = train_teacher(tiny_arch(), cfg, data)
+        assert len(seen) == calls
+        if eval_every:
+            assert result.final_heldout_acc == result.log[-1]["heldout_acc"]
+        assert result.final_heldout_acc == real(result.model, data[1].tokens, data[1].labels)
