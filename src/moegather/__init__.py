@@ -10,23 +10,16 @@ from .model import (
     FeedForward,
     MoELayer,
     Router,
-    RoutingOutcome,
-    balance_loss,
     build_classifier,
-    classifier_forward,
     ffn_forward,
-    moe_forward,
     router_probs,
 )
 from .numerics import Rng, SvdFactors, svd, top_k_indices, truncate_svd
 from .training import (
     DistillConfig,
     TrainConfig,
-    backward,
     distill_student,
-    hard_kd_loss,
     optimizer_step,
-    soft_kd_loss,
     total_loss,
     train_classifier,
     train_teacher,
@@ -44,27 +37,20 @@ __all__ = [
     "MoELayer",
     "Rng",
     "Router",
-    "RoutingOutcome",
     "Scoreboard",
     "SvdFactors",
     "TrainConfig",
-    "backward",
-    "balance_loss",
     "build_classifier",
     "build_student",
-    "classifier_forward",
     "copy_matched",
     "distill_student",
     "ffn_forward",
     "flops_per_token",
-    "hard_kd_loss",
     "moe_benefits",
-    "moe_forward",
     "noise_decompose",
     "noise_scan",
     "optimizer_step",
     "router_probs",
-    "soft_kd_loss",
     "svd",
     "top_k_indices",
     "total_loss",

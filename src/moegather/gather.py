@@ -10,7 +10,7 @@ feed-forward stage by one of four weight-merging methods:
               paired column/row norm score and concatenate the survivors
 * ``svdkg`` - per expert, keep the smallest leading set of singular triplets
               reaching a fraction ``svd_ratio`` of the singular mass, then
-              merge the truncated factors block-wise
+              sum the truncated reconstructions
 
 Biases are averaged across experts by default; ``matched`` (top-k only)
 instead selects the first-layer bias entries belonging to the kept units.
@@ -196,28 +196,25 @@ def svdkg_merge(
     mats: list[np.ndarray],
     ratio: float,
     factors: list[numerics.SvdFactors] | None = None,
-) -> tuple[np.ndarray, list[numerics.SvdFactors]]:
-    """Merge one weight-matrix role across experts by truncated-SVD blocks.
+) -> tuple[np.ndarray, list[numerics.SvdFactors], list[np.ndarray]]:
+    """Merge one weight-matrix role across experts by truncated SVD.
 
-    Each matrix is decomposed (or reuses precomputed ``factors``), truncated
-    to the smallest rank reaching ``ratio`` of its singular mass, and the
-    truncated factors are merged as a block-column U, block-diagonal S, and
-    block-row V whose product has the original shape.
-    Returns (merged, per-expert truncated factors).
+    Each matrix is decomposed (or reuses precomputed ``factors``) and truncated
+    to the smallest rank reaching ``ratio`` of its singular mass; the merged
+    matrix is the sum of the truncated reconstructions.
+    Returns (merged, per-expert truncated factors, their reconstructions).
     """
     if factors is None:
         factors = [svd(m) for m in mats]
     truncated = [truncate_svd(f, ratio) for f in factors]
-    u_g = np.concatenate([f.U for f in truncated], axis=1)
-    s_g = np.concatenate([f.S for f in truncated])
-    v_g = np.concatenate([f.V for f in truncated], axis=1)
-    return (u_g * s_g) @ v_g.T, truncated
+    recons = [f.reconstruct() for f in truncated]
+    return np.sum(recons, axis=0), truncated, recons
 
 
 def gather_svdkg(
     experts: list[FeedForward], ratio: float
 ) -> tuple[np.ndarray, np.ndarray, LayerGatherRecord]:
-    """Merge both weight matrices of an expert bank by truncated SVD blocks."""
+    """Merge both weight matrices of an expert bank by truncated SVD."""
     if not experts:
         raise ValueError("need at least one expert")
     if not 0.0 < ratio <= 1.0:
@@ -225,15 +222,15 @@ def gather_svdkg(
     record = LayerGatherRecord(layer="", method="svdkg")
     full1 = [svd(e.w1) for e in experts]
     full2 = [svd(e.w2) for e in experts]
-    w1, trunc1 = svdkg_merge([e.w1 for e in experts], ratio, factors=full1)
-    w2, trunc2 = svdkg_merge([e.w2 for e in experts], ratio, factors=full2)
-    for e, g1, g2, f1, f2 in zip(experts, full1, full2, trunc1, trunc2):
+    w1, trunc1, recon1 = svdkg_merge([e.w1 for e in experts], ratio, factors=full1)
+    w2, trunc2, recon2 = svdkg_merge([e.w2 for e in experts], ratio, factors=full2)
+    for e, g1, g2, f1, f2, r1, r2 in zip(experts, full1, full2, trunc1, trunc2, recon1, recon2):
         record.ranks_w1.append(f1.rank)
         record.ranks_w2.append(f2.rank)
         record.singular_values_w1.append([float(x) for x in g1.S])
         record.singular_values_w2.append([float(x) for x in g2.S])
-        record.residual_w1.append(_relative_residual(e.w1, f1.reconstruct()))
-        record.residual_w2.append(_relative_residual(e.w2, f2.reconstruct()))
+        record.residual_w1.append(_relative_residual(e.w1, r1))
+        record.residual_w2.append(_relative_residual(e.w2, r2))
     return w1, w2, record
 
 

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gather import average_bias, svdkg_merge
-from .model import ClassifierModel, FeedForward, MoELayer, ffn_forward, router_probs
+from .model import FeedForward, MoELayer, ffn_forward, router_probs
 from .numerics import svd
-from .training import evaluate_accuracy
 
 # Multiply-accumulate counted as two floating point operations.
 FLOPS_PER_MAC = 2
@@ -40,19 +39,6 @@ def moe_benefits(s: Scoreboard) -> float:
     return (s.score_student - s.score_dense) / denom
 
 
-def accuracy(model: ClassifierModel, dataset) -> float:
-    """Argmax accuracy over a labeled dataset, routing noise disabled.
-
-    ``dataset`` is anything with ``tokens``/``labels`` attributes or a
-    (tokens, labels) pair.
-    """
-    if hasattr(dataset, "tokens"):
-        tokens, labels = dataset.tokens, dataset.labels
-    else:
-        tokens, labels = dataset
-    return evaluate_accuracy(model, tokens, np.asarray(labels))
-
-
 def flops_per_token(layer: FeedForward | MoELayer) -> int:
     """Floating point operations one token spends in a feed-forward or MoE
     stage. Counts the linear maps only (MAC = 2 FLOPs); activations, norms
@@ -73,16 +59,35 @@ class NoiseScanRow:
     mean_selected_gate: float
 
 
-def _select_expert(moe: MoELayer, x: np.ndarray) -> tuple[int, float]:
-    probs = router_probs(x, moe.router, rng=None)  # noise off for analysis
-    idx = int(np.argmax(probs))
-    return idx, float(probs[idx])
+def _route(moe: MoELayer, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Primary expert and its gate for each (n, d_model) token row, noise off."""
+    probs = router_probs(tokens, moe.router)
+    picks = np.argmax(probs, axis=1)
+    return picks, probs[np.arange(len(picks)), picks]
+
+
+def _split(picks: np.ndarray, merged: np.ndarray, own) -> tuple[np.ndarray, np.ndarray]:
+    """Signal is ``own(e, rows)``, the output of picked expert e's truncated
+    weights on its rows; noise is the rest of the merged output."""
+    signal = np.empty_like(merged)
+    for e in np.unique(picks):
+        rows = picks == e
+        signal[rows] = own(e, rows)
+    return signal, merged - signal
+
+
+def _first_layer_split(moe: MoELayer, tokens: np.ndarray, picks: np.ndarray,
+                       w1_g: np.ndarray, recon: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    b1_avg, _ = average_bias(moe.experts)
+    return _split(picks, tokens @ w1_g + b1_avg,
+                  lambda e, rows: tokens[rows] @ recon[e] + moe.experts[e].b1)
 
 
 def noise_decompose(
     moe: MoELayer, svd_ratio: float, x: np.ndarray, *, full_ffn: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split the SVD-gathered layer's output on one token into signal + noise.
+    """Split the SVD-gathered layer's output on a token, or on (n, d_model)
+    token rows, into signal + noise.
 
     Signal is what the routed expert alone would contribute after its own
     truncation (gate treated as 1); noise is everything the merge adds on
@@ -92,25 +97,24 @@ def noise_decompose(
     Default analyses the first linear layer only; ``full_ffn`` compares
     end-to-end feed-forward outputs instead.
     """
-    picked, _ = _select_expert(moe, x)
-    expert = moe.experts[picked]
-    b1_avg, b2_avg = average_bias(moe.experts)
+    x = np.asarray(x, dtype=np.float64)
+    tokens = np.atleast_2d(x)
+    picks, _ = _route(moe, tokens)
+    w1_g, _, recon1 = svdkg_merge([e.w1 for e in moe.experts], svd_ratio)
     if full_ffn:
-        w1_g, trunc1 = svdkg_merge([e.w1 for e in moe.experts], svd_ratio)
-        w2_g, trunc2 = svdkg_merge([e.w2 for e in moe.experts], svd_ratio)
-        student = FeedForward(w1_g, b1_avg, w2_g, b2_avg, activation=expert.activation)
-        own = FeedForward(
-            trunc1[picked].reconstruct(), expert.b1,
-            trunc2[picked].reconstruct(), expert.b2,
-            activation=expert.activation,
-        )
-        signal = ffn_forward(own, x)
-        noise = ffn_forward(student, x) - signal
-        return signal, noise
-    w1_g, trunc1 = svdkg_merge([e.w1 for e in moe.experts], svd_ratio)
-    signal = x @ trunc1[picked].reconstruct() + expert.b1
-    gathered = x @ w1_g + b1_avg
-    return signal, gathered - signal
+        w2_g, _, recon2 = svdkg_merge([e.w2 for e in moe.experts], svd_ratio)
+        b1_avg, b2_avg = average_bias(moe.experts)
+        student = FeedForward(w1_g, b1_avg, w2_g, b2_avg, activation=moe.experts[0].activation)
+
+        def own(e, rows):
+            expert = moe.experts[e]
+            ffn = FeedForward(recon1[e], expert.b1, recon2[e], expert.b2, activation=expert.activation)
+            return ffn_forward(ffn, tokens[rows])
+
+        signal, noise = _split(picks, ffn_forward(student, tokens), own)
+    else:
+        signal, noise = _first_layer_split(moe, tokens, picks, w1_g, recon1)
+    return signal.reshape(*x.shape[:-1], -1), noise.reshape(*x.shape[:-1], -1)
 
 
 def noise_scan(moe: MoELayer, svd_ratios, tokens: np.ndarray) -> list[NoiseScanRow]:
@@ -120,26 +124,15 @@ def noise_scan(moe: MoELayer, svd_ratios, tokens: np.ndarray) -> list[NoiseScanR
     if tokens.ndim != 2 or tokens.shape[1] != moe.d_model:
         raise ValueError(f"tokens must be (n, {moe.d_model})")
     ratios = sorted(float(r) for r in svd_ratios)
-    factors = [svd(e.w1) for e in moe.experts]
-    b1_avg, _ = average_bias(moe.experts)
-    selections = [_select_expert(moe, x) for x in tokens]
-    picks = np.array([s[0] for s in selections])
-    gates = np.array([s[1] for s in selections])
     mats = [e.w1 for e in moe.experts]
+    factors = [svd(m) for m in mats]
+    picks, gates = _route(moe, tokens)
     rows = []
     for ratio in ratios:
-        w1_g, trunc = svdkg_merge(mats, ratio, factors=factors)
-        recon = [f.reconstruct() for f in trunc]
-        signal_norms = np.empty(len(tokens))
-        noise_norms = np.empty(len(tokens))
-        for t, x in enumerate(tokens):
-            e = int(picks[t])
-            signal = x @ recon[e] + moe.experts[e].b1
-            noise = (x @ w1_g + b1_avg) - signal
-            signal_norms[t] = np.linalg.norm(signal)
-            noise_norms[t] = np.linalg.norm(noise)
-        mean_signal = float(signal_norms.mean())
-        mean_noise = float(noise_norms.mean())
+        w1_g, _, recon = svdkg_merge(mats, ratio, factors=factors)
+        signal, noise = _first_layer_split(moe, tokens, picks, w1_g, recon)
+        mean_signal = float(np.linalg.norm(signal, axis=1).mean())
+        mean_noise = float(np.linalg.norm(noise, axis=1).mean())
         rows.append(
             NoiseScanRow(
                 svd_ratio=ratio,

@@ -6,24 +6,24 @@ mixer followed by a per-token feed-forward stage, both behind layer norms.
 The feed-forward stage is either a single dense :class:`FeedForward` or an
 :class:`MoELayer` that routes every token to its top-k experts.
 
-``forward_batch`` is the one forward implementation; the per-sequence and
-per-token operations below it are thin, independently testable views used by
-gathering, metrics, and the test oracles. It is forward-only by default:
-scoring, the frozen teacher's logits and the balance measurement compute
-activation values alone. Only a training step asks for ``need_grad=True``,
-which also computes and caches the activation derivatives the backward pass
-reads. Both modes evaluate the values in the same operation order, so their
-logits are bit-identical.
+``forward_batch`` is the one forward implementation and ``router_probs`` the
+one router gate, for any number of token rows. The forward pass is
+forward-only by default: scoring, the frozen teacher's logits and the balance
+measurement compute activation values alone and keep only the routing arrays.
+Only a training step asks for ``need_grad=True``, which also computes the
+activation derivatives and caches every intermediate the backward pass reads.
+Both modes evaluate the values in the same operation order, so their logits
+are bit-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .numerics import NumericalError, Rng, ShapeError, top_k_indices
+from .numerics import NumericalError, Rng, ShapeError
 
 LAYER_NORM_EPS = 1e-5
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -101,21 +101,6 @@ def activation_with_grad(name: str):
     return _lookup(_ACTIVATIONS_WITH_GRAD, name)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Tanh-form GELU."""
-    return _gelu(np.asarray(x, dtype=np.float64))
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return _relu(np.asarray(x, dtype=np.float64))
-
-
-def activation_pair(name: str):
-    """(value_fn, grad_fn) view kept for callers that need them separately."""
-    with_grad = activation_with_grad(name)
-    return activation_value(name), (lambda x: with_grad(x)[1])
-
-
 @dataclass
 class FeedForward:
     """Two linear layers around a nonlinearity.
@@ -159,7 +144,7 @@ def ffn_forward(ffn: FeedForward, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != ffn.d_model:
         raise ShapeError(f"input width {x.shape[-1]} != d_model {ffn.d_model}")
-    return activation_value(ffn.activation)(x @ ffn.w1 + ffn.b1) @ ffn.w2 + ffn.b2
+    return _stage_forward_dense(ffn, x, need_grad=False)[0]
 
 
 @dataclass
@@ -191,16 +176,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def router_probs(x: np.ndarray, router: Router, rng: Rng | None = None) -> np.ndarray:
-    """Gate probabilities for one token. Noise is drawn iff enabled and an rng
-    is supplied (evaluation passes rng=None)."""
+    """Gate probabilities for a (..., d_model) array of token rows. Noise is
+    drawn iff enabled and an rng is supplied (evaluation passes rng=None)."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise NumericalError("router input contains non-finite entries")
-    if x.shape != (router.weight.shape[0],):
-        raise ShapeError(f"token width {x.shape} != router input {router.weight.shape[0]}")
+    if x.shape[-1] != router.weight.shape[0]:
+        raise ShapeError(f"token width {x.shape[-1]} != router input {router.weight.shape[0]}")
     logits = x @ router.weight
+    if not np.isfinite(logits).all():
+        raise NumericalError("router logits are non-finite: the input holds or overflows to inf/NaN")
     if router.noise_enabled and rng is not None:
-        logits = logits + rng.normal(size=router.num_experts, scale=router.noise_std)
+        logits = logits + rng.normal(size=logits.shape, scale=router.noise_std)
     return _softmax(logits)
 
 
@@ -234,46 +219,6 @@ class MoELayer:
         return self.experts[0].d_ff
 
 
-@dataclass
-class RoutingOutcome:
-    """Routing record for a single token."""
-
-    selected: tuple[int, ...]
-    probs: np.ndarray  # (num_experts,), sums to 1
-
-    @property
-    def dispatch(self) -> np.ndarray:
-        """One-hot over the primary (highest-gate) expert; ties pick the lower index."""
-        one_hot = np.zeros_like(self.probs)
-        one_hot[int(np.argmax(self.probs))] = 1.0
-        return one_hot
-
-
-def moe_forward(layer: MoELayer, x: np.ndarray, rng: Rng | None = None) -> tuple[np.ndarray, RoutingOutcome]:
-    """Route one token: y = sum of raw gate * expert output over the top-k set."""
-    probs = router_probs(x, layer.router, rng)
-    selected = top_k_indices(probs, layer.router.top_k)
-    y = np.zeros(layer.d_model)
-    for i in selected:
-        y += probs[i] * ffn_forward(layer.experts[i], x)
-    return y, RoutingOutcome(selected=tuple(selected), probs=probs)
-
-
-def balance_loss(outcomes: list[RoutingOutcome]) -> float:
-    """Load-balance penalty over a pool of routing outcomes.
-
-    num_experts * sum_i (fraction of tokens whose primary expert is i)
-                        * (mean gate probability of i).
-    Uniform dispatch and uniform gates give exactly 1.0.
-    """
-    if not outcomes:
-        raise ValueError("balance_loss needs at least one routing outcome")
-    probs = np.stack([o.probs for o in outcomes])
-    dispatch = np.stack([o.dispatch for o in outcomes])
-    num_experts = probs.shape[1]
-    return float(num_experts * (dispatch.mean(axis=0) @ probs.mean(axis=0)))
-
-
 @dataclass(frozen=True)
 class Architecture:
     """Shape description of a classifier; serializable for checkpoints."""
@@ -291,6 +236,10 @@ class Architecture:
     router_noise_std: float | None = None
 
     def __post_init__(self):
+        for name in ("d_model", "d_ff", "seq_len", "num_classes", "num_blocks", "num_experts", "top_k"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.stage not in ("dense", "moe"):
             raise ValueError(f"stage must be 'dense' or 'moe', got {self.stage!r}")
         if self.stage == "moe" and not 1 <= self.top_k <= self.num_experts:
@@ -302,19 +251,7 @@ class Architecture:
         return replace(self, stage="dense", num_experts=1, top_k=1, router_noise_std=None)
 
     def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "d_ff": self.d_ff,
-            "seq_len": self.seq_len,
-            "num_classes": self.num_classes,
-            "num_blocks": self.num_blocks,
-            "parameter_sharing": self.parameter_sharing,
-            "activation": self.activation,
-            "stage": self.stage,
-            "num_experts": self.num_experts,
-            "top_k": self.top_k,
-            "router_noise_std": self.router_noise_std,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "Architecture":
@@ -443,77 +380,63 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return gain * xhat + bias, xhat, inv_std
 
 
-def _activate(name: str, pre: np.ndarray, need_grad: bool) -> tuple[np.ndarray, dict]:
-    """Activation values, plus the derivative under key ``h_grad`` when asked."""
+def _activate(name: str, pre: np.ndarray, need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Activation values, and their derivative when a backward pass will need it."""
     if need_grad:
-        h_act, h_grad = activation_with_grad(name)(pre)
-        return h_act, {"h_grad": h_grad}
-    return activation_value(name)(pre), {}
+        return activation_with_grad(name)(pre)
+    return activation_value(name)(pre), None
 
 
-def _stage_forward_dense(stage: FeedForward, x: np.ndarray, need_grad: bool) -> dict:
-    h_act, grad = _activate(stage.activation, x @ stage.w1 + stage.b1, need_grad)
-    return {"kind": "dense", "x": x, **grad, "h_act": h_act, "out": h_act @ stage.w2 + stage.b2}
+def _stage_forward_dense(stage: FeedForward, x: np.ndarray, need_grad: bool) -> tuple[np.ndarray, dict]:
+    h_act, h_grad = _activate(stage.activation, x @ stage.w1 + stage.b1, need_grad)
+    cache = {"kind": "dense"}
+    if need_grad:
+        cache.update(x=x, h_act=h_act, h_grad=h_grad)
+    return h_act @ stage.w2 + stage.b2, cache
 
 
 def _stage_forward_moe(
-    stage: MoELayer, x: np.ndarray, rng: Rng | None, force_expert: int | None, need_grad: bool
-) -> dict:
-    n = x.shape[0]
-    num_experts = stage.num_experts
-    logits = x @ stage.router.weight
-    if stage.router.noise_enabled and rng is not None:
-        logits = logits + rng.normal(size=logits.shape, scale=stage.router.noise_std)
-    probs = _softmax(logits)
-    if force_expert is None:
-        k = stage.router.top_k
-        sel = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, :k], axis=1)
-        gates = np.take_along_axis(probs, sel, axis=1)
-    else:
-        sel = np.full((n, 1), force_expert, dtype=np.intp)
-        gates = np.ones((n, 1))
-    name = stage.experts[0].activation
+    stage: MoELayer, x: np.ndarray, rng: Rng | None, need_grad: bool
+) -> tuple[np.ndarray, dict]:
+    probs = router_probs(x, stage.router, rng)
+    sel = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, : stage.router.top_k], axis=1)
+    gates = np.take_along_axis(probs, sel, axis=1)
     out = np.zeros_like(x)
     per_expert: dict[int, dict] = {}
-    for e in range(num_experts):
+    for e, expert in enumerate(stage.experts):
         hits = np.nonzero((sel == e).any(axis=1))[0]
         if hits.size == 0:
             continue
-        expert = stage.experts[e]
         xe = x[hits]
-        h_act, grad = _activate(name, xe @ expert.w1 + expert.b1, need_grad)
+        h_act, h_grad = _activate(expert.activation, xe @ expert.w1 + expert.b1, need_grad)
         ye = h_act @ expert.w2 + expert.b2
         g = gates[hits][sel[hits] == e]
         out[hits] += g[:, None] * ye
-        per_expert[e] = {"idx": hits, **grad, "h_act": h_act, "y": ye, "gate": g}
-    return {
-        "kind": "moe",
-        "x": x,
-        "probs": probs,
-        "sel": sel,
-        "forced": force_expert is not None,
-        "experts": per_expert,
-        "out": out,
-    }
+        if need_grad:
+            per_expert[e] = {"idx": hits, "h_grad": h_grad, "h_act": h_act, "y": ye, "gate": g}
+    cache = {"kind": "moe", "probs": probs, "sel": sel}
+    if need_grad:
+        cache.update(x=x, experts=per_expert)
+    return out, cache
 
 
 def forward_batch(
     model: ClassifierModel,
     tokens: np.ndarray,
     rng: Rng | None = None,
-    force_expert: int | None = None,
     *,
     need_grad: bool = False,
 ) -> tuple[np.ndarray, dict]:
     """Run a (batch, seq_len, d_model) token array through the model.
 
-    Returns (logits, cache). The cache always carries the per-MoE-stage
-    routing arrays (``kind``, ``probs``, ``sel``) for the balance loss. With
-    ``need_grad=True`` it also holds the activation derivatives
-    (``h_grad``), so it can feed ``backward_from_logits``; the default,
-    forward-only pass skips them and is what scoring should use. The logits
-    are bit-identical either way. Router noise is drawn only when an rng is
-    supplied.
+    Returns (logits, cache). The cache always carries each block's routing
+    arrays under ``stage`` (``kind``, plus ``probs`` and ``sel`` for an MoE
+    stage) for the balance loss and load statistics. With ``need_grad=True``
+    it also holds the layer-norm statistics, the stage inputs, activations
+    and their derivatives, so it can feed ``backward_from_logits``; the
+    default, forward-only pass keeps none of them and is what scoring should
+    use. The logits are bit-identical either way. Router noise is drawn only
+    when an rng is supplied.
     """
     b, s, d = tokens.shape
     if s != model.arch.seq_len or d != model.arch.d_model:
@@ -530,45 +453,15 @@ def forward_batch(
         ln2_out, ln2_xhat, ln2_inv = layer_norm(res1, blk.ln2_gain, blk.ln2_bias)
         flat = ln2_out.reshape(-1, d)
         if isinstance(blk.stage, MoELayer):
-            stage_cache = _stage_forward_moe(blk.stage, flat, rng, force_expert, need_grad)
+            out, stage_cache = _stage_forward_moe(blk.stage, flat, rng, need_grad)
         else:
-            stage_cache = _stage_forward_dense(blk.stage, flat, need_grad)
-        x = res1 + stage_cache["out"].reshape(b, s, d)
-        cache["blocks"].append(
-            {
-                "ln1": (ln1_xhat, ln1_inv),
-                "ln2": (ln2_xhat, ln2_inv),
-                "stage": stage_cache,
-            }
-        )
+            out, stage_cache = _stage_forward_dense(blk.stage, flat, need_grad)
+        x = res1 + out.reshape(b, s, d)
+        blk_cache = {"stage": stage_cache}
+        if need_grad:
+            blk_cache.update(ln1=(ln1_xhat, ln1_inv), ln2=(ln2_xhat, ln2_inv))
+        cache["blocks"].append(blk_cache)
     pooled = x.mean(axis=1)
     logits = pooled @ model.head_w + model.head_b
     cache["pooled"] = pooled
     return logits, cache
-
-
-def routing_outcomes(cache: dict) -> list[RoutingOutcome]:
-    """Materialize per-token routing records from a forward cache, pooled
-    across every MoE stage invocation in block order."""
-    outcomes = []
-    for blk in cache["blocks"]:
-        stage = blk["stage"]
-        if stage["kind"] != "moe":
-            continue
-        probs = stage["probs"]
-        sel = stage["sel"]
-        for t in range(probs.shape[0]):
-            outcomes.append(RoutingOutcome(selected=tuple(int(i) for i in sel[t]), probs=probs[t]))
-    return outcomes
-
-
-def classifier_forward(
-    model: ClassifierModel, tokens: np.ndarray, rng: Rng | None = None
-) -> tuple[np.ndarray, list[RoutingOutcome]]:
-    """Forward one (seq_len, d_model) sequence; aux is the routing pool for
-    the balance loss (empty for dense models)."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2:
-        raise ShapeError("classifier_forward expects a single (seq_len, d_model) sequence")
-    logits, cache = forward_batch(model, tokens[None, :, :], rng=rng)
-    return logits[0], routing_outcomes(cache)

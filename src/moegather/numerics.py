@@ -20,7 +20,6 @@ __all__ = [
     "Rng",
     "as_matrix",
     "as_vector",
-    "matmul",
     "svd",
     "truncate_svd",
     "top_k_indices",
@@ -28,18 +27,12 @@ __all__ = [
     "row_norms",
 ]
 
-# One-sided Jacobi settings: relative off-diagonal threshold and sweep cap.
-# Adequate for the desk-scale shapes this package targets (dims <= 1024).
-JACOBI_REL_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 60
-
-
 class ShapeError(ValueError):
     """Operand dimensions do not compose."""
 
 
 class NumericalError(RuntimeError):
-    """Non-finite values encountered, or an iterative routine failed to converge."""
+    """Non-finite values encountered, or a decomposition failed to converge."""
 
 
 def as_matrix(data) -> np.ndarray:
@@ -62,18 +55,6 @@ def as_vector(data) -> np.ndarray:
     if not np.isfinite(v).all():
         raise NumericalError("vector contains non-finite entries")
     return v
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape checking."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    out = a @ b
-    if not np.isfinite(out).all():
-        raise NumericalError("matrix product overflowed to non-finite values")
-    return out
 
 
 def column_norms(a) -> np.ndarray:
@@ -119,111 +100,26 @@ class SvdFactors:
         return (self.U * self.S) @ self.V.T
 
 
-def _rotation_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # Round-robin tournament: n-1 rounds of disjoint column pairs. Disjoint
-    # pairs commute, so each round can be applied with vectorized updates.
-    slots = list(range(n)) + ([None] if n % 2 else [])
-    m = len(slots)
-    rounds = []
-    for _ in range(m - 1):
-        p, q = [], []
-        for i in range(m // 2):
-            a, b = slots[i], slots[m - 1 - i]
-            if a is not None and b is not None:
-                p.append(min(a, b))
-                q.append(max(a, b))
-        rounds.append((np.asarray(p, dtype=np.intp), np.asarray(q, dtype=np.intp)))
-        slots = [slots[0]] + [slots[-1]] + slots[1:-1]
-    return rounds
+def svd(a) -> SvdFactors:
+    """Thin SVD from LAPACK (``np.linalg.svd``), singular values descending.
 
+    Singular values at or below the numerical-rank tolerance of
+    ``np.linalg.matrix_rank`` (largest value times max(m, n) times machine
+    epsilon) are set to exact zero, so a rank-deficient matrix reports its
+    rank and truncation never keeps rounding noise.
 
-def _fill_missing_columns(u: np.ndarray, missing: np.ndarray) -> None:
-    # Replace flagged columns with unit vectors orthogonal to all others.
-    # Candidates are standard basis vectors; the one with the largest residual
-    # after projection is always well defined because cols <= rows here.
-    m = u.shape[0]
-    for j in np.nonzero(missing)[0]:
-        residuals = np.eye(m) - u @ (u.T @ np.eye(m))
-        norms = np.linalg.norm(residuals, axis=0)
-        best = int(np.argmax(norms))
-        cand = residuals[:, best]
-        cand = cand - u @ (u.T @ cand)  # second pass for orthogonality
-        u[:, j] = cand / np.linalg.norm(cand)
-
-
-def svd(a, *, max_sweeps: int = JACOBI_MAX_SWEEPS, rel_tol: float = JACOBI_REL_TOL) -> SvdFactors:
-    """Full thin SVD via one-sided Jacobi rotations.
-
-    Raises :class:`NumericalError` if the off-diagonal measure has not dropped
-    below ``rel_tol`` after ``max_sweeps`` sweeps.
+    No sign convention is imposed on the singular-vector pairs: every
+    consumer (reconstructions, retained ranks, spectra) is invariant to
+    flipping the sign of a matched column of U and V. Raises
+    :class:`NumericalError` when LAPACK fails to converge.
     """
     a = as_matrix(a)
-    m, n = a.shape
-    if m < n:
-        f = svd(a.T, max_sweeps=max_sweeps, rel_tol=rel_tol)
-        return SvdFactors(U=f.V, S=f.S, V=f.U)
-
-    g = a.copy()
-    v = np.eye(n)
-    schedule = _rotation_schedule(n)
-    # Columns whose norm falls below eps-scale of the largest are deflated to
-    # exact zero: a numerically parallel residue can never pass the relative
-    # orthogonality test, it only keeps shrinking.
-    deflate_rel = np.finfo(np.float64).eps * max(m, n)
-    converged = n == 1
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        norms_sq = np.einsum("ij,ij->j", g, g)
-        tiny = deflate_rel**2 * float(norms_sq.max())
-        g[:, norms_sq <= tiny] = 0.0
-        worst = 0.0
-        rotated = False
-        for p, q in schedule:
-            gp = g[:, p]
-            gq = g[:, q]
-            app = np.einsum("ij,ij->j", gp, gp)
-            aqq = np.einsum("ij,ij->j", gq, gq)
-            apq = np.einsum("ij,ij->j", gp, gq)
-            scale = np.sqrt(app * aqq)
-            rel = np.divide(np.abs(apq), scale, out=np.zeros_like(scale), where=scale > 0)
-            worst = max(worst, float(rel.max(initial=0.0)))
-            hit = rel > rel_tol
-            if not hit.any():
-                continue
-            rotated = True
-            ph, qh = p[hit], q[hit]
-            zeta = (aqq[hit] - app[hit]) / (2.0 * apq[hit])
-            with np.errstate(over="ignore", divide="ignore"):
-                denom = np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)
-                t = np.where(np.isfinite(denom), np.sign(zeta) / denom, 0.5 / zeta)
-            t = np.where(zeta == 0.0, 1.0, t)  # 45-degree rotation when norms tie
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            for mat in (g, v):
-                colp = mat[:, ph]
-                colq = mat[:, qh]
-                mat[:, ph] = c * colp - s * colq
-                mat[:, qh] = s * colp + c * colq
-        if not rotated and worst <= rel_tol:
-            converged = True
-    if not converged:
-        raise NumericalError(
-            f"one-sided Jacobi SVD did not converge within {max_sweeps} sweeps "
-            f"for a {m}x{n} matrix"
-        )
-
-    sing = np.linalg.norm(g, axis=0)
-    order = np.argsort(-sing, kind="stable")
-    sing = sing[order]
-    g = g[:, order]
-    v = v[:, order]
-    u = np.zeros_like(g)
-    nonzero = sing > 0.0
-    u[:, nonzero] = g[:, nonzero] / sing[nonzero]
-    if not nonzero.all():
-        _fill_missing_columns(u, ~nonzero)
-    return SvdFactors(U=u, S=sing, V=v)
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD of a {a.shape[0]}x{a.shape[1]} matrix failed: {exc}") from exc
+    s[s <= s[0] * max(a.shape) * np.finfo(np.float64).eps] = 0.0
+    return SvdFactors(U=u, S=s, V=vt.T)
 
 
 def truncate_svd(f: SvdFactors, ratio: float) -> SvdFactors:

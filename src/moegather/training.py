@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    ClassifierModel,
-    MoELayer,
-    forward_batch,
-    state_hash,
-)
+from .model import ClassifierModel, forward_batch, state_hash
 from .numerics import NumericalError, Rng
 
 GradientSet = dict[str, np.ndarray]
@@ -75,44 +70,6 @@ class TrainConfig:
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(z))
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """Negative log-likelihood of the true class."""
-    return float(-_log_softmax(np.asarray(logits, dtype=np.float64))[int(label)])
-
-
-def soft_kd_loss(z_s: np.ndarray, z_t: np.ndarray, temperature: float,
-                 kl_direction: str = "teacher_to_student") -> float:
-    """Temperature-scaled KL divergence between softened teacher and student
-    logits, scaled by T^2 so gradient magnitude is temperature-invariant."""
-    z_s = np.asarray(z_s, dtype=np.float64)
-    z_t = np.asarray(z_t, dtype=np.float64)
-    if z_s.shape != z_t.shape:
-        raise ValueError(f"logit shapes differ: {z_s.shape} vs {z_t.shape}")
-    if not (np.isfinite(z_s).all() and np.isfinite(z_t).all()):
-        raise NumericalError("non-finite logits in distillation loss")
-    t = temperature
-    ls_s = _log_softmax(z_s / t)
-    ls_t = _log_softmax(z_t / t)
-    if kl_direction == "teacher_to_student":
-        kl = float(np.sum(np.exp(ls_t) * (ls_t - ls_s)))
-    else:
-        kl = float(np.sum(np.exp(ls_s) * (ls_s - ls_t)))
-    return t * t * kl
-
-
-def hard_kd_loss(z_s: np.ndarray, z_t: np.ndarray) -> float:
-    """Cross-entropy of the student against the teacher's argmax decision."""
-    z_s = np.asarray(z_s, dtype=np.float64)
-    z_t = np.asarray(z_t, dtype=np.float64)
-    if z_s.shape != z_t.shape:
-        raise ValueError(f"logit shapes differ: {z_s.shape} vs {z_t.shape}")
-    return cross_entropy(z_s, int(np.argmax(z_t)))
 
 
 def total_loss(main: float, distill: float, alpha: float) -> float:
@@ -182,8 +139,6 @@ def _stage_backward(stage, stage_cache: dict, d_out: np.ndarray, grads: Gradient
         grads[f"{prefix}.b1"] += dh.sum(axis=0)
         return dh @ stage.w1.T
 
-    if stage_cache["forced"]:
-        raise NotImplementedError("backward through a forced-gate forward is unsupported")
     x, probs = stage_cache["x"], stage_cache["probs"]
     d_probs = np.zeros_like(probs)
     if balance_dp is not None:
@@ -317,24 +272,6 @@ def loss_and_grads(
         return breakdown, None
     grads = backward_from_logits(model, cache, d_logits, balance_coeff=balance_coeff)
     return breakdown, grads
-
-
-def backward(
-    model: ClassifierModel,
-    tokens: np.ndarray,
-    labels: np.ndarray,
-    *,
-    teacher: ClassifierModel | None = None,
-    distill: DistillConfig | None = None,
-    balance_coeff: float = 0.0,
-    rng: Rng | None = None,
-) -> GradientSet:
-    """Exact gradients of the configured total loss for every trainable tensor."""
-    _, grads = loss_and_grads(
-        model, tokens, labels, teacher=teacher, distill=distill,
-        balance_coeff=balance_coeff, rng=rng,
-    )
-    return grads
 
 
 @dataclass(frozen=True)

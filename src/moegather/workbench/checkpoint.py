@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -48,6 +49,10 @@ class TruncatedPayloadError(CheckpointError):
 
 class SchemaError(CheckpointError):
     """Metadata is inconsistent with itself or with the payload."""
+
+
+class NonFiniteTensorError(CheckpointError):
+    """The payload holds NaN or infinite values."""
 
 
 def _tensor_entries(model: ClassifierModel) -> list[tuple[str, np.ndarray]]:
@@ -106,12 +111,17 @@ def load_checkpoint(path) -> tuple[ClassifierModel, dict]:
         raise SchemaError(f"bad architecture block: {exc}") from exc
 
     declared = meta["tensors"]
+    if not isinstance(declared, list):
+        raise SchemaError(f"'tensors' must be a list, got {type(declared).__name__}")
     sizes = []
     for entry in declared:
         if not isinstance(entry, dict) or "name" not in entry or "shape" not in entry:
             raise SchemaError("each tensor entry needs 'name' and 'shape'")
-        sizes.append(int(np.prod(entry["shape"], dtype=np.int64)))
-    expected_payload = 8 * int(np.sum(sizes, dtype=np.int64))
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise SchemaError(f"tensor {entry['name']!r} shape {shape!r} is not a list of non-negative integers")
+        sizes.append(math.prod(shape))
+    expected_payload = 8 * sum(sizes)
     payload = raw[meta_end:]
     if len(payload) < expected_payload:
         raise TruncatedPayloadError(
@@ -135,6 +145,8 @@ def load_checkpoint(path) -> tuple[ClassifierModel, dict]:
                 f"but architecture implies {list(target.shape)}"
             )
         flat = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
+        if not np.isfinite(flat).all():
+            raise NonFiniteTensorError(f"tensor {entry['name']!r} holds NaN or infinite values")
         target[...] = flat.reshape(target.shape)
         offset += 8 * size
     user_meta = {k: v for k, v in meta.items() if k not in ("architecture", "tensors")}

@@ -23,9 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from ..gather import GATHER_METHODS, GatherConfig, StructureError, build_student
+from ..gather import GATHER_METHODS, GatherConfig, StructureError
 from ..metrics import (
     FLOPS_PER_MAC,
     Scoreboard,
@@ -35,13 +33,13 @@ from ..metrics import (
     noise_scan,
     write_noise_scan_csv,
 )
-from ..model import MoELayer, build_classifier, count_parameters
-from ..numerics import NumericalError, Rng, ShapeError
-from ..training import DistillConfig, TrainConfig, distill_student, evaluate_accuracy, train_classifier
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import SEED_ENV_VAR, ConfigError, derive_seed, load_config
+from ..model import MoELayer, count_parameters
+from ..numerics import NumericalError, ShapeError
+from ..training import DistillConfig, evaluate_accuracy
+from .checkpoint import CheckpointError, load_checkpoint
+from .config import SEED_ENV_VAR, ConfigError, load_config
 from .data import SyntheticTaskSpec, generate_dataset
-from .pipeline import PipelineError, run_pipeline, write_training_log
+from .pipeline import PipelineError, distill_stage, gather_stage, run_pipeline, train_stage
 
 
 def _fail(kind: str, message: str) -> int:
@@ -62,16 +60,8 @@ def _task_from_meta(meta: dict, path: str) -> SyntheticTaskSpec:
 def _cmd_teach(args) -> int:
     cfg = load_config(args.config)
     data = generate_dataset(cfg.task)
-    model = build_classifier(cfg.arch, Rng(cfg.teach.seed).derive("init"))
-    result = train_classifier(model, cfg.teach, data)
-    meta = {
-        "task": cfg.task.to_dict(),
-        "training": vars(cfg.teach).copy(),
-        "seed": cfg.seed,
-        "role": "teacher",
-    }
-    save_checkpoint(result.model, meta, args.out)
-    write_training_log(result.log, Path(args.out).with_suffix(".log.csv"))
+    meta = {"task": cfg.task.to_dict(), "seed": cfg.seed, "role": "teacher"}
+    result = train_stage(cfg.arch, cfg.teach, data, meta, args.out)
     print(
         json.dumps(
             {
@@ -93,16 +83,9 @@ def _cmd_gather(args) -> int:
         allow_remainder=args.allow_remainder,
         seed=_seed_override(args.seed),
     )
-    student, report = build_student(teacher, gcfg)
-    out_meta = {
-        "task": meta.get("task"),
-        "seed": gcfg.seed,
-        "role": f"gather_{args.method}",
-        "gather": {**gcfg.to_dict(), "report": report.to_dict()},
-    }
-    save_checkpoint(student, out_meta, args.out)
+    out_meta = {"task": meta.get("task"), "seed": gcfg.seed, "role": f"gather_{args.method}"}
     report_path = Path(args.out).with_suffix(".report.json")
-    report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    gather_stage(teacher, gcfg, out_meta, args.out, report_path)
     print(json.dumps({"checkpoint": args.out, "report": str(report_path)}))
     return 0
 
@@ -122,16 +105,13 @@ def _cmd_distill(args) -> int:
         seed=_seed_override(args.seed),
         eval_every=args.eval_every,
     )
-    result = distill_student(student, teacher, dcfg, data)
     meta = {
         "task": task.to_dict(),
-        "training": vars(dcfg).copy(),
         "seed": dcfg.seed,
         "role": student_meta.get("role", "student"),
         "initialized_from": args.student,
     }
-    save_checkpoint(result.model, meta, args.out)
-    write_training_log(result.log, Path(args.out).with_suffix(".log.csv"))
+    result = distill_stage(student, teacher, dcfg, data, meta, args.out)
     print(json.dumps({"checkpoint": args.out, "heldout_accuracy": result.final_heldout_acc}))
     return 0
 
@@ -305,6 +285,8 @@ def main(argv=None) -> int:
         return _fail("io", str(exc))
     except ValueError as exc:
         return _fail("argument", str(exc))
+    except RuntimeError as exc:  # after PipelineError and NumericalError, which subclass it
+        return _fail("runtime", str(exc))
 
 
 def entrypoint() -> None:

@@ -18,22 +18,17 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 
-from ..gather import build_student, copy_matched
+from ..gather import GatherConfig, GatherReport, build_student, copy_matched
 from ..metrics import Scoreboard, UndefinedMetricError, flops_per_token, moe_benefits
-from ..model import build_classifier, count_parameters
+from ..model import Architecture, ClassifierModel, build_classifier, count_parameters
 from ..numerics import Rng
-from ..training import (
-    DistillConfig,
-    TrainResult,
-    distill_student,
-    evaluate_accuracy,
-    train_classifier,
-)
+from ..training import DistillConfig, TrainConfig, TrainResult, distill_student, train_classifier
 from .checkpoint import file_sha256, save_checkpoint
 from .config import ExperimentConfig, derive_seed
 from .data import generate_dataset
@@ -72,18 +67,44 @@ def validate_summary(summary: dict) -> None:
     jsonschema.validate(summary, _load_schema("summary.schema.json"))
 
 
-class _StageRunner:
-    def __init__(self):
-        self.current = None
+def _run_stage(name: str, fn, *args):
+    try:
+        return fn(*args)
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
 
-    def run(self, name: str, fn):
-        self.current = name
-        try:
-            return fn()
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise PipelineError(name, exc) from exc
+
+def train_stage(arch: Architecture, tc: TrainConfig, data, meta: dict, path) -> TrainResult:
+    """Teach (or dense-scratch) stage: train a freshly initialised model, save
+    its checkpoint at ``path`` with ``meta`` plus the training settings, and
+    its log next to it as ``<stem>.log.csv``."""
+    model = build_classifier(arch, Rng(tc.seed).derive("init"))
+    result = train_classifier(model, tc, data)
+    save_checkpoint(result.model, {**meta, "training": vars(tc).copy()}, path)
+    write_training_log(result.log, Path(path).with_suffix(".log.csv"))
+    return result
+
+
+def gather_stage(teacher: ClassifierModel, gcfg: GatherConfig, meta: dict, path,
+                 report_path) -> tuple[ClassifierModel, GatherReport]:
+    """Gather stage: build a dense student, save it at ``path`` with ``meta``
+    plus the gather settings and report, and write the report as JSON."""
+    student, report = build_student(teacher, gcfg)
+    save_checkpoint(student, {**meta, "gather": {**gcfg.to_dict(), "report": report.to_dict()}}, path)
+    Path(report_path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    return student, report
+
+
+def distill_stage(student: ClassifierModel, teacher: ClassifierModel, dcfg: DistillConfig,
+                  data, meta: dict, path) -> TrainResult:
+    """Distill stage: refine the student, save its checkpoint at ``path`` with
+    ``meta`` plus the distillation settings, and its log as ``<stem>.log.csv``."""
+    result = distill_student(student, teacher, dcfg, data)
+    save_checkpoint(result.model, {**meta, "training": vars(dcfg).copy()}, path)
+    write_training_log(result.log, Path(path).with_suffix(".log.csv"))
+    return result
 
 
 def run_pipeline(cfg: ExperimentConfig) -> dict:
@@ -91,47 +112,24 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     checkpoints, logs, gather reports, summary.json and summary.csv."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stages = _StageRunner()
-
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
-    data = stages.run("data", lambda: generate_dataset(cfg.task))
-    train, test = data
+    data = _run_stage("data", generate_dataset, cfg.task)
+    task = cfg.task.to_dict()
 
-    def teach():
-        model = build_classifier(cfg.arch, Rng(cfg.teach.seed).derive("init"))
-        result = train_classifier(model, cfg.teach, data)
-        meta = {
-            "task": cfg.task.to_dict(),
-            "training": vars(cfg.teach).copy(),
-            "seed": cfg.seed,
-            "role": "teacher",
-        }
-        save_checkpoint(result.model, meta, out / "teacher.ckpt")
-        write_training_log(result.log, out / "teacher.log.csv")
-        return result
-
-    teacher_result = stages.run("teach", teach)
+    meta = {"task": task, "seed": cfg.seed, "role": "teacher"}
+    teacher_result = _run_stage("teach", train_stage, cfg.arch, cfg.teach, data, meta, out / "teacher.ckpt")
     teacher = teacher_result.model
     teacher_hash = file_sha256(out / "teacher.ckpt")
 
     # the dense baseline gets a training budget comparable to teach + distill
-    def dense_scratch():
-        arch = cfg.arch.dense_twin()
-        settings = vars(cfg.teach).copy()
-        settings["steps"] = cfg.teach.steps + cfg.distill.steps
-        settings["seed"] = derive_seed(cfg.seed, "dense-scratch")
-        from ..training import TrainConfig
-
-        tc = TrainConfig(**settings)
-        model = build_classifier(arch, Rng(tc.seed).derive("init"))
-        result = train_classifier(model, tc, data)
-        meta = {"task": cfg.task.to_dict(), "training": settings, "seed": cfg.seed, "role": "dense_scratch"}
-        save_checkpoint(result.model, meta, out / "dense_scratch.ckpt")
-        write_training_log(result.log, out / "dense_scratch.log.csv")
-        return result
-
-    dense_result = stages.run("dense-scratch", dense_scratch)
+    dense_tc = replace(
+        cfg.teach, steps=cfg.teach.steps + cfg.distill.steps, seed=derive_seed(cfg.seed, "dense-scratch")
+    )
+    meta = {"task": task, "seed": cfg.seed, "role": "dense_scratch"}
+    dense_result = _run_stage(
+        "dense-scratch", train_stage, cfg.arch.dense_twin(), dense_tc, data, meta, out / "dense_scratch.ckpt"
+    )
 
     students: dict[str, dict] = {}
 
@@ -142,48 +140,29 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         copy_matched(teacher, copy_student)
         for name, student in (("random_init_kd", random_student), ("matched_copy_kd", copy_student)):
             init_path = out / f"{name}.init.ckpt"
-            save_checkpoint(student, {"task": cfg.task.to_dict(), "seed": cfg.seed, "role": name}, init_path)
+            save_checkpoint(student, {"task": task, "seed": cfg.seed, "role": name}, init_path)
             students[name] = {"model": student, "init": init_path, "report": None}
 
-    stages.run("reference-inits", make_reference_inits)
+    _run_stage("reference-inits", make_reference_inits)
 
     def gather_all():
         for method in cfg.gather_methods:
-            gcfg = cfg.gather_config(method)
-            student, report = build_student(teacher, gcfg)
             name = f"gather_{method}"
             init_path = out / f"{name}.init.ckpt"
             report_path = out / f"{name}.report.json"
-            meta = {
-                "task": cfg.task.to_dict(),
-                "seed": cfg.seed,
-                "role": name,
-                "gather": {**gcfg.to_dict(), "report": report.to_dict()},
-            }
-            save_checkpoint(student, meta, init_path)
-            report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+            meta = {"task": task, "seed": cfg.seed, "role": name}
+            student, _ = gather_stage(teacher, cfg.gather_config(method), meta, init_path, report_path)
             students[name] = {"model": student, "init": init_path, "report": report_path}
 
-    stages.run("gather", gather_all)
+    _run_stage("gather", gather_all)
 
     def distill_all():
         for name, entry in students.items():
-            settings = vars(cfg.distill).copy()
-            settings["seed"] = derive_seed(cfg.seed, f"distill-{name}")
-            dcfg = DistillConfig(**settings)
-            result = distill_student(entry["model"], teacher, dcfg, data)
-            meta = {
-                "task": cfg.task.to_dict(),
-                "training": settings,
-                "seed": cfg.seed,
-                "role": name,
-                "initialized_from": entry["init"].name,
-            }
-            save_checkpoint(result.model, meta, out / f"{name}.ckpt")
-            write_training_log(result.log, out / f"{name}.log.csv")
-            entry["result"] = result
+            dcfg = replace(cfg.distill, seed=derive_seed(cfg.seed, f"distill-{name}"))
+            meta = {"task": task, "seed": cfg.seed, "role": name, "initialized_from": entry["init"].name}
+            entry["result"] = distill_stage(entry["model"], teacher, dcfg, data, meta, out / f"{name}.ckpt")
 
-    stages.run("distill", distill_all)
+    _run_stage("distill", distill_all)
 
     def evaluate():
         teacher_acc = teacher_result.final_heldout_acc
@@ -247,4 +226,4 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
                 writer.writerow([row["variant"], row["seed"], row["accuracy"], row["benefits"]])
         return summary
 
-    return stages.run("evaluate", evaluate)
+    return _run_stage("evaluate", evaluate)

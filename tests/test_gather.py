@@ -79,19 +79,21 @@ class TestCopyMatched:
             copy_matched(teacher, student)
 
     def test_forced_gate_oracle(self):
-        # teacher with gates pinned to one expert == student carrying that
-        # expert's weights in its dense stage
-        teacher = build_classifier(moe_arch(), Rng(2))
-        student = build_classifier(moe_arch().dense_twin(), Rng(3))
+        # teacher with gates pinned to one expert (a one-expert router gives
+        # every token gate 1) == student carrying that expert's weights in its
+        # dense stage
+        arch = moe_arch(num_experts=1, top_k=1)
+        teacher = build_classifier(arch, Rng(2))
+        student = build_classifier(arch.dense_twin(), Rng(3))
         copy_matched(teacher, student)
-        chosen = teacher.blocks[0].stage.experts[2]
+        chosen = teacher.blocks[0].stage.experts[0]
         stage = student.blocks[0].stage
         stage.w1[...] = chosen.w1
         stage.b1[...] = chosen.b1
         stage.w2[...] = chosen.w2
         stage.b2[...] = chosen.b2
         tokens = Rng(4).normal(size=(5, 3, 6))
-        forced, _ = forward_batch(teacher, tokens, force_expert=2)
+        forced, _ = forward_batch(teacher, tokens)
         plain, _ = forward_batch(student, tokens)
         assert np.abs(forced - plain).max() < 1e-10
 
@@ -280,7 +282,7 @@ class TestSvdKG:
     def test_monotone_approach_to_full_merge(self, seed):
         rng = Rng(seed)
         bank = make_bank(rng, num_experts=3, d=6, h=8)
-        full, _ = svdkg_merge([e.w1 for e in bank], 1.0)
+        full = svdkg_merge([e.w1 for e in bank], 1.0)[0]
         grid = [0.1 * k for k in range(1, 11)]
         dist = [np.linalg.norm(svdkg_merge([e.w1 for e in bank], lam)[0] - full) for lam in grid]
         for a, b in zip(dist, dist[1:]):

@@ -1,0 +1,125 @@
+import numpy as np
+import pytest
+
+from moegather.gather import average_bias, svdkg_merge
+from moegather.metrics import (
+    FLOPS_PER_MAC,
+    Scoreboard,
+    UndefinedMetricError,
+    flops_per_token,
+    moe_benefits,
+    noise_decompose,
+    noise_scan,
+)
+from moegather.model import FeedForward, MoELayer, Router, build_classifier, ffn_forward, router_probs
+from moegather.numerics import Rng
+from moegather.workbench.config import default_config
+
+
+def make_moe(seed=0, d=8, h=12, num_experts=4, top_k=2):
+    rng = Rng(seed)
+    experts = [
+        FeedForward(rng.normal(size=(d, h)), rng.normal(size=h), rng.normal(size=(h, d)), rng.normal(size=d))
+        for _ in range(num_experts)
+    ]
+    return MoELayer(experts=experts, router=Router(weight=rng.normal(size=(d, num_experts)), top_k=top_k))
+
+
+class TestMoeBenefits:
+    def test_arithmetic(self):
+        assert moe_benefits(Scoreboard(score_student=3.0, score_dense=1.0, score_moe=5.0)) == 0.5
+        assert moe_benefits(Scoreboard(score_student=5.0, score_dense=1.0, score_moe=5.0)) == 1.0
+        assert moe_benefits(Scoreboard(score_student=0.0, score_dense=1.0, score_moe=5.0)) == -0.25
+        assert moe_benefits(Scoreboard(84.63, 84.03, 84.71)) == pytest.approx(0.6 / 0.68)
+
+    def test_equal_moe_and_dense_is_undefined(self):
+        with pytest.raises(UndefinedMetricError):
+            moe_benefits(Scoreboard(score_student=0.9, score_dense=0.8, score_moe=0.8))
+
+
+class TestFlopsPerToken:
+    def test_dense(self):
+        ffn = make_moe().experts[0]
+        assert flops_per_token(ffn) == 2 * FLOPS_PER_MAC * 8 * 12
+
+    def test_moe_is_top_k_experts_plus_router(self):
+        for top_k in (1, 2, 4):
+            moe = make_moe(top_k=top_k)
+            assert flops_per_token(moe) == top_k * 2 * FLOPS_PER_MAC * 8 * 12 + FLOPS_PER_MAC * 8 * 4
+
+    def test_default_config_moe_to_dense_ratio(self):
+        arch = default_config(0).arch
+        teacher = build_classifier(arch, Rng(0)).blocks[0].stage
+        dense = build_classifier(arch.dense_twin(), Rng(0)).blocks[0].stage
+        assert flops_per_token(teacher) == 33024 and flops_per_token(dense) == 16384
+        assert round(flops_per_token(teacher) / flops_per_token(dense), 2) == 2.02
+
+
+def noise_scan_oracle(moe, ratios, tokens):
+    """Per-token reference: route and split one token at a time."""
+    mats = [e.w1 for e in moe.experts]
+    b1_avg, _ = average_bias(moe.experts)
+    gates = []
+    picks = []
+    for x in tokens:
+        probs = router_probs(x, moe.router)
+        picks.append(int(np.argmax(probs)))
+        gates.append(float(probs[picks[-1]]))
+    rows = []
+    for ratio in sorted(ratios):
+        w1_g, _, recon = svdkg_merge(mats, ratio)
+        signal_norms, noise_norms = [], []
+        for x, e in zip(tokens, picks):
+            signal = x @ recon[e] + moe.experts[e].b1
+            noise = (x @ w1_g + b1_avg) - signal
+            signal_norms.append(np.linalg.norm(signal))
+            noise_norms.append(np.linalg.norm(noise))
+        mean_signal, mean_noise = np.mean(signal_norms), np.mean(noise_norms)
+        rows.append((ratio, mean_signal, mean_noise, mean_noise / mean_signal, np.mean(gates)))
+    return rows
+
+
+class TestNoiseScan:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_token_oracle(self, seed):
+        moe = make_moe(seed)
+        tokens = Rng(seed + 10).normal(size=(64, 8))
+        ratios = [1.0, 0.1, 0.5, 0.75, 0.25]
+        rows = noise_scan(moe, ratios, tokens)
+        want = noise_scan_oracle(moe, ratios, tokens)
+        assert [r.svd_ratio for r in rows] == sorted(ratios)
+        for row, expected in zip(rows, want):
+            got = (row.svd_ratio, row.mean_signal_norm, row.mean_noise_norm,
+                   row.noise_signal_ratio, row.mean_selected_gate)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_noise_shrinks_to_bias_mismatch_only_for_one_expert(self):
+        # with a single expert at ratio 1.0 the merge is that expert itself
+        moe = make_moe(num_experts=1, top_k=1)
+        row, = noise_scan(moe, [1.0], Rng(1).normal(size=(16, 8)))
+        assert row.mean_noise_norm < 1e-10 and row.mean_selected_gate == 1.0
+
+    def test_rejects_wrong_token_width(self):
+        with pytest.raises(ValueError):
+            noise_scan(make_moe(), [0.5], np.ones((4, 7)))
+
+
+class TestNoiseDecompose:
+    @pytest.mark.parametrize("full_ffn", [False, True])
+    def test_rows_match_single_tokens_and_sum_to_gathered_output(self, full_ffn):
+        moe = make_moe(3)
+        tokens = Rng(4).normal(size=(32, 8))
+        signal, noise = noise_decompose(moe, 0.6, tokens, full_ffn=full_ffn)
+        for i in range(0, 32, 5):
+            one_signal, one_noise = noise_decompose(moe, 0.6, tokens[i], full_ffn=full_ffn)
+            assert one_signal.shape == signal[i].shape
+            assert np.abs(one_signal - signal[i]).max() < 1e-12
+            assert np.abs(one_noise - noise[i]).max() < 1e-12
+        w1_g = svdkg_merge([e.w1 for e in moe.experts], 0.6)[0]
+        b1_avg, b2_avg = average_bias(moe.experts)
+        if full_ffn:
+            w2_g = svdkg_merge([e.w2 for e in moe.experts], 0.6)[0]
+            gathered = ffn_forward(FeedForward(w1_g, b1_avg, w2_g, b2_avg), tokens)
+        else:
+            gathered = tokens @ w1_g + b1_avg
+        assert np.abs(signal + noise - gathered).max() < 1e-10

@@ -3,29 +3,22 @@ import pytest
 
 from moegather.model import (
     Architecture,
-    Block,
-    ClassifierModel,
     FeedForward,
     MoELayer,
     Router,
-    RoutingOutcome,
     _gelu_with_grad,
     _relu_with_grad,
-    activation_pair,
+    _stage_forward_moe,
     activation_value,
     activation_with_grad,
-    balance_loss,
     build_classifier,
-    classifier_forward,
     count_parameters,
     ffn_forward,
     forward_batch,
-    gelu,
-    moe_forward,
-    relu,
     router_probs,
 )
 from moegather.numerics import NumericalError, Rng, ShapeError
+from moegather.training import _pooled_balance
 
 
 def make_ffn(rng, d=6, h=10, activation="gelu"):
@@ -79,6 +72,31 @@ class TestRouterProbs:
         with pytest.raises(NumericalError):
             router_probs(np.array([np.inf, 0.0]), r)
 
+    def test_rows_match_one_token_at_a_time(self):
+        rng = Rng(4)
+        r = Router(weight=rng.normal(size=(6, 4)), top_k=2)
+        xs = rng.normal(size=(2, 5, 6))
+        batched = router_probs(xs, r)
+        assert batched.shape == (2, 5, 4)
+        for i, j in np.ndindex(2, 5):
+            assert np.abs(batched[i, j] - router_probs(xs[i, j], r)).max() < 1e-15
+
+    def test_noise_is_one_draw_shaped_like_the_logits(self):
+        # training draws its router noise through this call; the draw shape
+        # fixes the noise stream, so it must stay (rows, num_experts)
+        rng = Rng(5)
+        r = Router(weight=rng.normal(size=(6, 4)), top_k=2)
+        xs = rng.normal(size=(7, 6))
+        logits = xs @ r.weight + Rng(8).normal(size=(7, 4), scale=r.noise_std)
+        want = np.exp(logits - logits.max(axis=1, keepdims=True))
+        want /= want.sum(axis=1, keepdims=True)
+        assert np.array_equal(router_probs(xs, r, Rng(8)), want)
+
+    def test_width_mismatch_rejected(self):
+        r = Router(weight=np.zeros((3, 2)), top_k=1)
+        with pytest.raises(ShapeError):
+            router_probs(np.ones((4, 2)), r)
+
 
 class TestFfnForward:
     def test_zero_weights_give_bias(self):
@@ -97,7 +115,7 @@ class TestFfnForward:
         hidden = []
         for j in range(7):
             pre = ffn.b1[j] + sum(x[i] * ffn.w1[i, j] for i in range(4))
-            hidden.append(float(gelu(np.array([pre]))[0]))
+            hidden.append(float(activation_value("gelu")(np.array([pre]))[0]))
         expected = [ffn.b2[i] + sum(hidden[j] * ffn.w2[j, i] for j in range(7)) for i in range(4)]
         assert np.abs(ffn_forward(ffn, x) - np.array(expected)).max() < 1e-12
 
@@ -115,15 +133,21 @@ def make_moe(rng, d=6, h=10, num_experts=4, top_k=2, noise_enabled=False):
     return MoELayer(experts=experts, router=router)
 
 
+def moe_forward(layer, x):
+    """One token through an MoE stage via the batched stage kernel: (y, probs, selected)."""
+    y, cache = _stage_forward_moe(layer, x[None, :], None, False)
+    return y[0], cache["probs"][0], tuple(int(i) for i in cache["sel"][0])
+
+
 class TestMoeForward:
     def test_single_expert_gate_is_one(self):
         rng = Rng(1)
         layer = make_moe(rng, num_experts=1, top_k=1)
         x = rng.normal(size=6)
-        y, outcome = moe_forward(layer, x)
+        y, probs, selected = moe_forward(layer, x)
         assert np.allclose(y, ffn_forward(layer.experts[0], x), atol=1e-12)
-        assert outcome.selected == (0,)
-        assert outcome.probs[0] == 1.0
+        assert selected == (0,)
+        assert probs[0] == 1.0
 
     def test_identical_experts_top2_gates_sum_to_one(self):
         rng = Rng(2)
@@ -133,25 +157,25 @@ class TestMoeForward:
             router=Router(weight=rng.normal(size=(6, 2)), top_k=2, noise_enabled=False),
         )
         x = rng.normal(size=6)
-        y, _ = moe_forward(layer, x)
+        y, _, _ = moe_forward(layer, x)
         assert np.abs(y - ffn_forward(shared, x)).max() < 1e-12
 
     def test_top1_matches_evaluate_all_oracle(self):
         rng = Rng(3)
         layer = make_moe(rng, num_experts=4, top_k=1)
         x = rng.normal(size=6)
-        y, outcome = moe_forward(layer, x)
+        y, _, selected = moe_forward(layer, x)
         probs = router_probs(x, layer.router)
         best = int(np.argmax(probs))
         all_outputs = [ffn_forward(e, x) for e in layer.experts]
-        assert outcome.selected == (best,)
+        assert selected == (best,)
         assert np.abs(y - probs[best] * all_outputs[best]).max() < 1e-12
 
     def test_k_equals_e_matches_dense_mixture(self):
         rng = Rng(4)
         layer = make_moe(rng, num_experts=4, top_k=4)
         x = rng.normal(size=6)
-        y, _ = moe_forward(layer, x)
+        y, _, _ = moe_forward(layer, x)
         probs = router_probs(x, layer.router)
         dense = sum(probs[i] * ffn_forward(e, x) for i, e in enumerate(layer.experts))
         assert np.abs(y - dense).max() < 1e-10
@@ -160,47 +184,44 @@ class TestMoeForward:
         rng = Rng(5)
         layer = make_moe(rng)
         x = rng.normal(size=6)
-        y1, o1 = moe_forward(layer, x)
-        y2, o2 = moe_forward(layer, x)
+        y1, p1, s1 = moe_forward(layer, x)
+        y2, p2, s2 = moe_forward(layer, x)
         assert np.array_equal(y1, y2)
-        assert o1.selected == o2.selected and np.array_equal(o1.probs, o2.probs)
+        assert s1 == s2 and np.array_equal(p1, p2)
+
+
+def balance_loss(probs):
+    """Balance loss of a pool of (tokens, num_experts) gate rows, via the training kernel."""
+    return _pooled_balance({"blocks": [{"stage": {"kind": "moe", "probs": np.asarray(probs)}}]})[0]
 
 
 class TestBalanceLoss:
     def test_uniform_is_exactly_one(self):
         for num_experts in (2, 4, 8):
-            outcomes = [
-                RoutingOutcome(selected=(i,), probs=_onehotish(num_experts, i))
-                for i in range(num_experts)
-            ]
-            assert balance_loss(outcomes) == 1.0
+            assert balance_loss([_onehotish(num_experts, i) for i in range(num_experts)]) == 1.0
 
     def test_all_to_expert_zero(self):
-        probs = np.array([1.0, 0.0])
-        outcomes = [RoutingOutcome(selected=(0,), probs=probs) for _ in range(5)]
-        assert balance_loss(outcomes) == 2.0
+        assert balance_loss([[1.0, 0.0]] * 5) == 2.0
 
     def test_matches_counting_oracle(self):
         rng = Rng(6)
-        outcomes = []
         num_experts = 5
+        pool = []
         for _ in range(64):
             logits = rng.normal(size=num_experts)
-            p = np.exp(logits) / np.exp(logits).sum()
-            outcomes.append(RoutingOutcome(selected=(int(np.argmax(p)),), probs=p))
+            pool.append(np.exp(logits) / np.exp(logits).sum())
         m = np.zeros(num_experts)
         p_bar = np.zeros(num_experts)
-        for o in outcomes:
-            m[int(np.argmax(o.probs))] += 1.0 / len(outcomes)
-            p_bar += o.probs / len(outcomes)
+        for p in pool:
+            m[int(np.argmax(p))] += 1.0 / len(pool)
+            p_bar += p / len(pool)
         expected = num_experts * float(sum(m[i] * p_bar[i] for i in range(num_experts)))
-        assert abs(balance_loss(outcomes) - expected) < 1e-12
+        assert abs(balance_loss(pool) - expected) < 1e-12
 
     def test_permutation_invariance(self):
         rng = Rng(7)
         layer = make_moe(rng, d=5, num_experts=4, top_k=2)
         xs = rng.normal(size=(40, 5))
-        outcomes = [moe_forward(layer, x)[1] for x in xs]
         perm = [2, 0, 3, 1]
         permuted_layer = MoELayer(
             experts=[layer.experts[i] for i in perm],
@@ -208,8 +229,8 @@ class TestBalanceLoss:
                 weight=layer.router.weight[:, perm], top_k=2, noise_enabled=False
             ),
         )
-        permuted = [moe_forward(permuted_layer, x)[1] for x in xs]
-        assert abs(balance_loss(outcomes) - balance_loss(permuted)) < 1e-12
+        pools = [_stage_forward_moe(moe, xs, None, False)[1]["probs"] for moe in (layer, permuted_layer)]
+        assert abs(balance_loss(pools[0]) - balance_loss(pools[1])) < 1e-12
 
 
 def _onehotish(n, i):
@@ -231,15 +252,21 @@ def small_arch(stage="dense", **kw):
     return Architecture(**defaults)
 
 
+def classifier_forward(model, tokens):
+    """Forward one (seq_len, d_model) sequence as a batch of one."""
+    logits, cache = forward_batch(model, tokens[None, :, :])
+    return logits[0], cache
+
+
 class TestClassifierForward:
     def test_zero_network_returns_head_bias(self):
         model = build_classifier(small_arch(), Rng(0))
         for name, p in model.parameters().items():
             p[...] = 0.0
         model.head_b[...] = np.array([1.0, -2.0, 3.0, 0.5])
-        logits, aux = classifier_forward(model, Rng(1).normal(size=(3, 6)))
+        logits, cache = classifier_forward(model, Rng(1).normal(size=(3, 6)))
         assert np.allclose(logits, model.head_b, atol=1e-12)
-        assert aux == []
+        assert all(blk["stage"] == {"kind": "dense"} for blk in cache["blocks"])  # no routing
 
     def test_parameter_sharing_aliases_one_stage(self):
         model = build_classifier(small_arch(), Rng(2))
@@ -266,14 +293,17 @@ class TestClassifierForward:
 
     def test_moe_aux_has_one_outcome_per_token_per_block(self):
         model = build_classifier(small_arch(stage="moe"), Rng(4))
-        _, aux = classifier_forward(model, Rng(5).normal(size=(3, 6)))
-        assert len(aux) == 3 * 2  # seq_len tokens times two MoE invocations
-        for o in aux:
-            assert abs(o.probs.sum() - 1.0) < 1e-6
-            assert o.selected == tuple(sorted(o.selected))
+        _, cache = classifier_forward(model, Rng(5).normal(size=(3, 6)))
+        assert len(cache["blocks"]) == 2  # two MoE invocations
+        for blk in cache["blocks"]:
+            probs, sel = blk["stage"]["probs"], blk["stage"]["sel"]
+            assert probs.shape == (3, 3) and sel.shape == (3, 2)  # one row per token
+            assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-6
+            assert (np.diff(sel, axis=1) > 0).all()
 
     def test_forced_gate_equals_dense_twin(self):
-        teacher = build_classifier(small_arch(stage="moe"), Rng(6))
+        # a one-expert router forces every gate to exactly 1
+        teacher = build_classifier(small_arch(stage="moe", num_experts=1, top_k=1), Rng(6))
         student = build_classifier(small_arch(), Rng(7))
         # share the matched layers, then plant expert 1 into the dense stage
         student.embed[...] = teacher.embed
@@ -285,14 +315,14 @@ class TestClassifierForward:
             sb.ln1_bias[...] = tb.ln1_bias
             sb.ln2_gain[...] = tb.ln2_gain
             sb.ln2_bias[...] = tb.ln2_bias
-        chosen = teacher.blocks[0].stage.experts[1]
+        chosen = teacher.blocks[0].stage.experts[0]
         dense = student.blocks[0].stage
         dense.w1[...] = chosen.w1
         dense.b1[...] = chosen.b1
         dense.w2[...] = chosen.w2
         dense.b2[...] = chosen.b2
         tokens = Rng(8).normal(size=(4, 3, 6))
-        forced, _ = forward_batch(teacher, tokens, force_expert=1)
+        forced, _ = forward_batch(teacher, tokens)
         plain, _ = forward_batch(student, tokens)
         assert np.abs(forced - plain).max() < 1e-10
 
@@ -425,15 +455,13 @@ class TestActivations:
 
     def test_value_only_gelu_bit_identical_to_training_value(self):
         want, _ = _gelu_with_grad_oracle(self.GRID)
-        for got in (gelu(self.GRID), activation_value("gelu")(self.GRID), activation_pair("gelu")[0](self.GRID)):
-            assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(activation_value("gelu")(self.GRID)), _bits(want))
 
     def test_value_only_relu_matches_training_value_including_nan(self):
         x = np.array([np.nan, -np.inf, -1.5, -0.0, 0.0, 2.5, np.inf])
         want = np.where(x > 0.0, x, 0.0)
         assert np.array_equal(_bits(_relu_with_grad(x)[0]), _bits(want))
-        for got in (relu(x), activation_value("relu")(x), activation_pair("relu")[0](x)):
-            assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(activation_value("relu")(x)), _bits(want))
 
     def test_unknown_activation_rejected_by_both_tables(self):
         for lookup in (activation_value, activation_with_grad):
@@ -458,7 +486,17 @@ class TestForwardOnly:
             if stage == "moe":
                 assert np.array_equal(st["probs"], grad_st["probs"])
                 assert np.array_equal(st["sel"], grad_st["sel"])
-                assert all("h_grad" not in ec for ec in st["experts"].values())
                 assert all("h_grad" in ec for ec in grad_st["experts"].values())
             else:
-                assert "h_grad" not in st and "h_grad" in grad_st
+                assert "h_grad" in grad_st
+
+    @pytest.mark.parametrize("stage", ["moe", "dense"])
+    def test_forward_only_cache_keeps_routing_arrays_only(self, stage):
+        model = build_classifier(small_arch(stage=stage), Rng(13))
+        _, cache = forward_batch(model, Rng(14).normal(size=(5, 3, 6)))
+        _, grad_cache = forward_batch(model, Rng(14).normal(size=(5, 3, 6)), need_grad=True)
+        routing = {"kind", "probs", "sel"} if stage == "moe" else {"kind"}
+        for blk, grad_blk in zip(cache["blocks"], grad_cache["blocks"]):
+            assert set(blk) == {"stage"}  # no layer-norm xhat / inv_std
+            assert set(blk["stage"]) == routing  # no x, h_act, y or per-expert records
+            assert {"ln1", "ln2"} <= set(grad_blk) and "x" in grad_blk["stage"]

@@ -7,44 +7,11 @@ from moegather.numerics import (
     ShapeError,
     SvdFactors,
     column_norms,
-    matmul,
     row_norms,
     svd,
     top_k_indices,
     truncate_svd,
 )
-
-
-def test_matmul_identity():
-    a = Rng(0).normal(size=(2, 5))
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_annihilator():
-    a = Rng(1).normal(size=(3, 4))
-    assert np.array_equal(matmul(a, np.zeros((4, 2))), np.zeros((3, 2)))
-
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = Rng(2)
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(4, 2))
-    expected = np.zeros((3, 2))
-    for i in range(3):
-        for j in range(2):
-            for k in range(4):
-                expected[i, j] += a[i, k] * b[k, j]
-    assert np.abs(matmul(a, b) - expected).max() < 1e-12
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_matmul_rejects_non_finite():
-    with pytest.raises(NumericalError):
-        matmul(np.array([[np.nan, 1.0]]), np.ones((2, 1)))
 
 
 class TestSvd:
@@ -89,10 +56,24 @@ class TestSvd:
         assert np.array_equal(f.S, np.zeros(2))
         assert np.abs(f.U.T @ f.U - np.eye(2)).max() < 1e-12
 
-    def test_nonconvergence_raises_with_sweep_count(self):
-        a = Rng(3).normal(size=(6, 6))
-        with pytest.raises(NumericalError, match="1 sweeps"):
-            svd(a, max_sweeps=1)
+    def test_linalg_error_maps_to_numerical_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalError, match="6x4 matrix failed: SVD did not converge"):
+            svd(Rng(3).normal(size=(6, 4)))
+
+    def test_rank_deficient_spectrum_has_exact_zeros(self):
+        rng = Rng(5)
+        a = rng.normal(size=(7, 2)) @ rng.normal(size=(2, 5))
+        f = svd(a)
+        assert (f.S[:2] > 0).all() and np.array_equal(f.S[2:], np.zeros(3))
+        assert truncate_svd(f, 1.0).rank == 2
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NumericalError):
+            svd(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):

@@ -9,14 +9,11 @@ from moegather.training import (
     DistillConfig,
     LinearDecaySchedule,
     TrainConfig,
-    backward,
+    _distill_terms,
     backward_from_logits,
-    cross_entropy,
     distill_student,
-    hard_kd_loss,
     loss_and_grads,
     optimizer_step,
-    soft_kd_loss,
     total_loss,
     train_classifier,
     train_teacher,
@@ -48,6 +45,23 @@ def tiny_data(seed=0, n=96, arch=None):
         Dataset(tokens=tokens[:split], labels=labels[:split].astype(np.int64)),
         Dataset(tokens=tokens[split:], labels=labels[split:].astype(np.int64)),
     )
+
+
+def soft_kd_loss(z_s, z_t, temperature):
+    """Soft KD loss of one logit row, through the batched training kernel."""
+    cfg = DistillConfig(temperature=temperature, mode="soft")
+    return _distill_terms(np.asarray(z_s)[None, :], np.asarray(z_t)[None, :], cfg)[0]
+
+
+def hard_kd_loss(z_s, z_t):
+    """Hard KD loss of one logit row, through the batched training kernel."""
+    return _distill_terms(np.asarray(z_s)[None, :], np.asarray(z_t)[None, :], DistillConfig(mode="hard"))[0]
+
+
+def cross_entropy(z, label):
+    """Scalar oracle: negative log-likelihood of ``label`` under softmax(z)."""
+    p = np.exp(z - z.max())
+    return float(-np.log(p[label] / p.sum()))
 
 
 class TestSoftKdLoss:
@@ -83,8 +97,15 @@ class TestSoftKdLoss:
             assert soft_kd_loss(rng.normal(size=4), rng.normal(size=4), 1.7) >= 0.0
 
     def test_rejects_non_finite(self):
-        with pytest.raises(NumericalError):
-            soft_kd_loss(np.array([np.inf, 0.0]), np.zeros(2), 1.0)
+        # non-finite teacher logits make the distillation loss non-finite,
+        # which aborts training with the step index
+        arch = tiny_arch()
+        data = tiny_data()
+        teacher = build_classifier(arch, Rng(0))
+        teacher.head_b[0] = np.inf
+        cfg = DistillConfig(steps=3, batch_size=16, seed=0, eval_every=0)
+        with pytest.raises(NumericalError, match="step 0"):
+            distill_student(build_classifier(arch.dense_twin(), Rng(1)), teacher, cfg, data)
 
 
 class TestHardKdLoss:
@@ -183,7 +204,7 @@ class TestBackward:
         student = build_classifier(tiny_arch("dense"), Rng(6))
         tokens = Rng(7).normal(size=(3, 4, 8))
         labels = np.array([0, 1, 2])
-        grads = backward(student, tokens, labels, teacher=teacher, distill=DistillConfig())
+        _, grads = loss_and_grads(student, tokens, labels, teacher=teacher, distill=DistillConfig())
         assert set(grads) == set(student.parameters())
 
     def test_distill_gradient_vanishes_at_equality(self):
@@ -193,7 +214,7 @@ class TestBackward:
         tokens = Rng(9).normal(size=(4, 4, 8))
         labels = np.array([0, 1, 2, 0])
         cfg = DistillConfig(alpha=0.0, temperature=1.0, mode="soft")
-        grads = backward(student, tokens, labels, teacher=teacher, distill=cfg)
+        _, grads = loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)
         norm = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
         assert norm < 1e-8
 
