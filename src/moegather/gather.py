@@ -99,12 +99,7 @@ class GatherReport:
     layers: list[LayerGatherRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "svd_ratio": self.svd_ratio,
-            "bias_policy": self.bias_policy,
-            "layers": [layer.to_dict() for layer in self.layers],
-        }
+        return {**asdict(self), "layers": [layer.to_dict() for layer in self.layers]}
 
 
 def copy_matched(teacher: ClassifierModel, student: ClassifierModel) -> None:

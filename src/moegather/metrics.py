@@ -5,7 +5,7 @@ an empirical decomposition of the noise injected by SVD knowledge gathering.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -52,6 +52,7 @@ def flops_per_token(layer: FeedForward | MoELayer) -> int:
 
 @dataclass(frozen=True)
 class NoiseScanRow:
+    # fields in NOISE_SCAN_COLUMNS order: write_noise_scan_csv writes astuple(row)
     svd_ratio: float
     mean_signal_norm: float
     mean_noise_norm: float
@@ -152,13 +153,4 @@ def write_noise_scan_csv(rows: list[NoiseScanRow], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(NOISE_SCAN_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.svd_ratio,
-                    row.mean_signal_norm,
-                    row.mean_noise_norm,
-                    row.noise_signal_ratio,
-                    row.mean_selected_gate,
-                ]
-            )
+        writer.writerows(astuple(row) for row in rows)

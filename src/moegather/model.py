@@ -149,12 +149,11 @@ def ffn_forward(ffn: FeedForward, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Router:
-    """Linear gate over experts with optional Gaussian exploration noise."""
+    """Linear gate over experts with Gaussian exploration noise in training."""
 
     weight: np.ndarray  # (d_model, num_experts)
     top_k: int
     noise_std: float | None = None  # defaults to 1/num_experts
-    noise_enabled: bool = True
 
     def __post_init__(self):
         if self.weight.ndim != 2:
@@ -177,14 +176,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def router_probs(x: np.ndarray, router: Router, rng: Rng | None = None) -> np.ndarray:
     """Gate probabilities for a (..., d_model) array of token rows. Noise is
-    drawn iff enabled and an rng is supplied (evaluation passes rng=None)."""
+    drawn iff an rng is supplied (evaluation passes rng=None)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != router.weight.shape[0]:
         raise ShapeError(f"token width {x.shape[-1]} != router input {router.weight.shape[0]}")
     logits = x @ router.weight
     if not np.isfinite(logits).all():
         raise NumericalError("router logits are non-finite: the input holds or overflows to inf/NaN")
-    if router.noise_enabled and rng is not None:
+    if rng is not None:
         logits = logits + rng.normal(size=logits.shape, scale=router.noise_std)
     return _softmax(logits)
 
@@ -361,6 +360,16 @@ def count_parameters(model: ClassifierModel) -> int:
     return sum(t.size for t in model.parameters().values())
 
 
+def tensor_elements(arch: Architecture) -> int:
+    """Values in the parameters and constants of a model built from ``arch``,
+    counted from the shapes alone, without building it."""
+    d, h, c = arch.d_model, arch.d_ff, arch.num_classes
+    ffn = 2 * d * h + h + d
+    stage = ffn if arch.stage == "dense" else arch.num_experts * (ffn + d)
+    stages = 1 if arch.parameter_sharing else arch.num_blocks
+    return d * d + arch.num_blocks * (4 * d + arch.seq_len**2) + stages * stage + d * c + c
+
+
 def state_hash(model: ClassifierModel) -> str:
     """SHA-256 over all tensors (trainable and fixed) in canonical order."""
     h = hashlib.sha256()
@@ -407,13 +416,11 @@ def _stage_forward_moe(
         hits = np.nonzero((sel == e).any(axis=1))[0]
         if hits.size == 0:
             continue
-        xe = x[hits]
-        h_act, h_grad = _activate(expert.activation, xe @ expert.w1 + expert.b1, need_grad)
-        ye = h_act @ expert.w2 + expert.b2
+        ye, ffn_cache = _stage_forward_dense(expert, x[hits], need_grad)
         g = gates[hits][sel[hits] == e]
         out[hits] += g[:, None] * ye
         if need_grad:
-            per_expert[e] = {"idx": hits, "h_grad": h_grad, "h_act": h_act, "y": ye, "gate": g}
+            per_expert[e] = {**ffn_cache, "idx": hits, "y": ye, "gate": g}
     cache = {"kind": "moe", "probs": probs, "sel": sel}
     if need_grad:
         cache.update(x=x, experts=per_expert)

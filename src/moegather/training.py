@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ClassifierModel, forward_batch, state_hash
+from .model import Architecture, ClassifierModel, build_classifier, forward_batch, state_hash
 from .numerics import NumericalError, Rng
 
 GradientSet = dict[str, np.ndarray]
@@ -79,10 +79,14 @@ def total_loss(main: float, distill: float, alpha: float) -> float:
     return alpha * main + (1.0 - alpha) * distill
 
 
-def _onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((labels.size, num_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch-mean negative log-likelihood of integer labels and its gradient
+    w.r.t. the logits."""
+    rows = np.arange(logits.shape[0])
+    ls = _log_softmax(logits)
+    dlogits = np.exp(ls)
+    dlogits[rows, labels] -= 1.0
+    return float(-ls[rows, labels].mean()), dlogits / logits.shape[0]
 
 
 def _distill_terms(logits: np.ndarray, teacher_logits: np.ndarray, cfg: DistillConfig):
@@ -91,11 +95,7 @@ def _distill_terms(logits: np.ndarray, teacher_logits: np.ndarray, cfg: DistillC
     b = logits.shape[0]
     t = cfg.temperature
     if cfg.mode == "hard":
-        targets = np.argmax(teacher_logits, axis=1)
-        ls = _log_softmax(logits)
-        loss = float(-ls[np.arange(b), targets].mean())
-        dlogits = (np.exp(ls) - _onehot(targets, logits.shape[1])) / b
-        return loss, dlogits
+        return _cross_entropy(logits, np.argmax(teacher_logits, axis=1))
     ls_s = _log_softmax(logits / t)
     ls_t = _log_softmax(teacher_logits / t)
     p_s, p_t = np.exp(ls_s), np.exp(ls_t)
@@ -128,16 +128,21 @@ def _pooled_balance(cache: dict) -> tuple[float, list[np.ndarray], np.ndarray]:
     return loss, gate_arrays, m
 
 
-def _stage_backward(stage, stage_cache: dict, d_out: np.ndarray, grads: GradientSet,
-                    prefix: str, balance_dp: np.ndarray | None) -> np.ndarray:
+def _ffn_backward(ffn, cache: dict, d_out: np.ndarray, grad: dict[int, np.ndarray]) -> np.ndarray:
+    """Backward through one feed-forward stage (dense or one expert) given
+    its ``_stage_forward_dense`` cache; returns the input gradient."""
+    grad[id(ffn.w2)] += cache["h_act"].T @ d_out
+    grad[id(ffn.b2)] += d_out.sum(axis=0)
+    dh = (d_out @ ffn.w2.T) * cache["h_grad"]
+    grad[id(ffn.w1)] += cache["x"].T @ dh
+    grad[id(ffn.b1)] += dh.sum(axis=0)
+    return dh @ ffn.w1.T
+
+
+def _stage_backward(stage, stage_cache: dict, d_out: np.ndarray, grad: dict[int, np.ndarray],
+                    balance_dp: np.ndarray | None) -> np.ndarray:
     if stage_cache["kind"] == "dense":
-        x, h_act = stage_cache["x"], stage_cache["h_act"]
-        grads[f"{prefix}.w2"] += h_act.T @ d_out
-        grads[f"{prefix}.b2"] += d_out.sum(axis=0)
-        dh = (d_out @ stage.w2.T) * stage_cache["h_grad"]
-        grads[f"{prefix}.w1"] += x.T @ dh
-        grads[f"{prefix}.b1"] += dh.sum(axis=0)
-        return dh @ stage.w1.T
+        return _ffn_backward(stage, stage_cache, d_out, grad)
 
     x, probs = stage_cache["x"], stage_cache["probs"]
     d_probs = np.zeros_like(probs)
@@ -150,17 +155,10 @@ def _stage_backward(stage, stage_cache: dict, d_out: np.ndarray, grads: Gradient
         # gate path: output depends linearly on the selected gate probability
         d_probs[idx, e] += np.einsum("nd,nd->n", d_ye_path, ec["y"])
         # expert path, weighted by the (constant w.r.t. weights) gate value
-        d_ye = d_ye_path * ec["gate"][:, None]
-        expert = stage.experts[e]
-        grads[f"{prefix}.expert{e}.w2"] += ec["h_act"].T @ d_ye
-        grads[f"{prefix}.expert{e}.b2"] += d_ye.sum(axis=0)
-        dh = (d_ye @ expert.w2.T) * ec["h_grad"]
-        grads[f"{prefix}.expert{e}.w1"] += x[idx].T @ dh
-        grads[f"{prefix}.expert{e}.b1"] += dh.sum(axis=0)
-        d_x[idx] += dh @ expert.w1.T
+        d_x[idx] += _ffn_backward(stage.experts[e], ec, d_ye_path * ec["gate"][:, None], grad)
     # softmax backward: additive routing noise is a constant shift
     d_logits = probs * (d_probs - (d_probs * probs).sum(axis=1, keepdims=True))
-    grads[f"{prefix}.router"] += x.T @ d_logits
+    grad[id(stage.router.weight)] += x.T @ d_logits
     d_x += d_logits @ stage.router.weight.T
     return d_x
 
@@ -183,7 +181,9 @@ def backward_from_logits(model: ClassifierModel, cache: dict, d_logits: np.ndarr
     """Accumulate gradients of (loss from d_logits) + balance_coeff * balance
     into a fresh GradientSet keyed like ``model.parameters()``.
 
-    ``cache`` must come from ``forward_batch(..., need_grad=True)``.
+    Gradients accumulate per tensor, so a stage shared by several blocks
+    collects all of their contributions in one array. ``cache`` must come
+    from ``forward_batch(..., need_grad=True)``.
     """
     if not cache.get("need_grad"):
         raise ValueError(
@@ -191,7 +191,9 @@ def backward_from_logits(model: ClassifierModel, cache: dict, d_logits: np.ndarr
             "this one is forward-only"
         )
     params = model.parameters()
-    grads: GradientSet = {name: np.zeros_like(p) for name, p in params.items()}
+    grad = {id(p): np.zeros_like(p) for p in params.values()}
+    if len(grad) < len(params):
+        raise ValueError("two parameter names alias one array; a shared tensor must be listed once")
     tokens = cache["tokens"]
     b, s, d = tokens.shape
 
@@ -202,31 +204,28 @@ def backward_from_logits(model: ClassifierModel, cache: dict, d_logits: np.ndarr
             n_pool = sum(g.shape[0] for g in gate_arrays)
             balance_dp = balance_coeff * m.size * m / n_pool
 
-    grads["head.w"] += cache["pooled"].T @ d_logits
-    grads["head.b"] += d_logits.sum(axis=0)
+    grad[id(model.head_w)] += cache["pooled"].T @ d_logits
+    grad[id(model.head_b)] += d_logits.sum(axis=0)
     d_x = np.broadcast_to((d_logits @ model.head_w.T)[:, None, :] / s, (b, s, d)).copy()
 
-    for i in reversed(range(len(model.blocks))):
-        blk = model.blocks[i]
-        blk_cache = cache["blocks"][i]
-        prefix = "stage" if model.arch.parameter_sharing else f"block{i}.stage"
+    for blk, blk_cache in zip(reversed(model.blocks), reversed(cache["blocks"])):
         d_stage_in = _stage_backward(
-            blk.stage, blk_cache["stage"], d_x.reshape(-1, d), grads, prefix, balance_dp
+            blk.stage, blk_cache["stage"], d_x.reshape(-1, d), grad, balance_dp
         ).reshape(b, s, d)
         ln2_xhat, ln2_inv = blk_cache["ln2"]
         d_res1, d_g2, d_b2 = _layer_norm_backward(d_stage_in, ln2_xhat, ln2_inv, blk.ln2_gain)
-        grads[f"block{i}.ln2.gain"] += d_g2
-        grads[f"block{i}.ln2.bias"] += d_b2
+        grad[id(blk.ln2_gain)] += d_g2
+        grad[id(blk.ln2_bias)] += d_b2
         d_res1 = d_res1 + d_x  # residual around the stage
         d_ln1_out = blk.mixer.T @ d_res1
         ln1_xhat, ln1_inv = blk_cache["ln1"]
         d_in, d_g1, d_b1 = _layer_norm_backward(d_ln1_out, ln1_xhat, ln1_inv, blk.ln1_gain)
-        grads[f"block{i}.ln1.gain"] += d_g1
-        grads[f"block{i}.ln1.bias"] += d_b1
+        grad[id(blk.ln1_gain)] += d_g1
+        grad[id(blk.ln1_bias)] += d_b1
         d_x = d_res1 + d_in  # residual around the mixer
 
-    grads["embed"] += tokens.reshape(-1, d).T @ d_x.reshape(-1, d)
-    return grads
+    grad[id(model.embed)] += tokens.reshape(-1, d).T @ d_x.reshape(-1, d)
+    return {name: grad[id(p)] for name, p in params.items()}
 
 
 def loss_and_grads(
@@ -245,10 +244,7 @@ def loss_and_grads(
     forward-only pass and the teacher never appears in the gradient set."""
     labels = np.asarray(labels)
     logits, cache = forward_batch(model, tokens, rng=rng, need_grad=compute_grads)
-    b = logits.shape[0]
-    ls = _log_softmax(logits)
-    main = float(-ls[np.arange(b), labels].mean())
-    d_main = (np.exp(ls) - _onehot(labels, logits.shape[1])) / b
+    main, d_main = _cross_entropy(logits, labels)
 
     distilling = distill is not None and distill.mode != "none" and teacher is not None
     if distilling:
@@ -346,31 +342,24 @@ def evaluate_accuracy(model: ClassifierModel, tokens: np.ndarray, labels: np.nda
 
 def _measure_balance(model: ClassifierModel, tokens: np.ndarray, limit: int = 256) -> float:
     _, cache = forward_batch(model, tokens[:limit], rng=None)
-    value, gates, _ = _pooled_balance(cache)
-    return value if gates else 0.0
+    return _pooled_balance(cache)[0]
 
 
-def _run_training(
-    model: ClassifierModel,
-    data,
-    *,
-    steps: int,
-    batch_size: int,
-    learning_rate: float,
-    seed: int,
-    eval_every: int,
-    balance_coeff: float = 0.0,
-    teacher: ClassifierModel | None = None,
-    distill_cfg: DistillConfig | None = None,
-) -> TrainResult:
+def _run_training(model: ClassifierModel, cfg: TrainConfig | DistillConfig, data, *,
+                  balance_coeff: float = 0.0, teacher: ClassifierModel | None = None) -> TrainResult:
+    """The one training loop: minibatch Adam over ``cfg.steps`` steps, with
+    distillation against ``teacher`` (and ``cfg`` as its settings) when one
+    is given."""
+    steps, batch_size = cfg.steps, cfg.batch_size
     train, test = data
     n = len(train.labels)
     if batch_size > n:
         raise ValueError(f"batch_size {batch_size} exceeds training set size {n}")
-    rng = Rng(seed)
+    rng = Rng(cfg.seed)
     noise_rng = rng.derive("router-noise") if model.arch.stage == "moe" else None
     order_rng = rng.derive("batch-order")
-    schedule = LinearDecaySchedule(learning_rate, steps)
+    schedule = LinearDecaySchedule(cfg.learning_rate, steps)
+    distill = cfg if teacher is not None else None
     params = model.parameters()
     state = AdamState.for_params(params)
     log: list[dict] = []
@@ -388,7 +377,7 @@ def _run_training(
             train.tokens[idx],
             train.labels[idx],
             teacher=teacher,
-            distill=distill_cfg,
+            distill=distill,
             balance_coeff=balance_coeff,
             rng=noise_rng,
         )
@@ -404,16 +393,14 @@ def _run_training(
             "lr": lr,
             "heldout_acc": "",
         }
-        if eval_every and ((step + 1) % eval_every == 0 or step == steps - 1):
+        if cfg.eval_every and ((step + 1) % cfg.eval_every == 0 or step == steps - 1):
             row["heldout_acc"] = evaluate_accuracy(model, test.tokens, test.labels)
         log.append(row)
     if log and log[-1]["heldout_acc"] != "":
         final_acc = log[-1]["heldout_acc"]  # the last step was scored; the model has not moved since
     else:
         final_acc = evaluate_accuracy(model, test.tokens, test.labels)
-    final_balance = None
-    if model.arch.stage == "moe":
-        final_balance = _measure_balance(model, test.tokens)
+    final_balance = _measure_balance(model, test.tokens) if model.arch.stage == "moe" else None
     return TrainResult(model=model, log=log, final_heldout_acc=final_acc, final_balance=final_balance)
 
 
@@ -421,22 +408,11 @@ def train_classifier(model: ClassifierModel, cfg: TrainConfig, data) -> TrainRes
     """Supervised training on the task loss; MoE models add the balance
     penalty and exploration noise, dense models train plain."""
     balance = cfg.balance_coeff if model.arch.stage == "moe" else 0.0
-    return _run_training(
-        model,
-        data,
-        steps=cfg.steps,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        seed=cfg.seed,
-        eval_every=cfg.eval_every,
-        balance_coeff=balance,
-    )
+    return _run_training(model, cfg, data, balance_coeff=balance)
 
 
 def train_teacher(arch, cfg: TrainConfig, data) -> TrainResult:
     """Build and train an MoE teacher from scratch; deterministic per seed."""
-    from .model import Architecture, build_classifier  # local to avoid import noise
-
     if not isinstance(arch, Architecture) or arch.stage != "moe":
         raise ValueError("train_teacher expects an MoE architecture")
     model = build_classifier(arch, Rng(cfg.seed).derive("init"))
@@ -451,18 +427,7 @@ def distill_student(student: ClassifierModel, teacher: ClassifierModel,
     bit-identical before and after training.
     """
     teacher_before = state_hash(teacher)
-    result = _run_training(
-        student,
-        data,
-        steps=cfg.steps,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        seed=cfg.seed,
-        eval_every=cfg.eval_every,
-        balance_coeff=0.0,
-        teacher=teacher,
-        distill_cfg=cfg,
-    )
+    result = _run_training(student, cfg, data, teacher=teacher)
     if state_hash(teacher) != teacher_before:
         raise RuntimeError("teacher weights changed during distillation")
     return result

@@ -23,7 +23,7 @@ import struct
 
 import numpy as np
 
-from ..model import Architecture, ClassifierModel, build_classifier
+from ..model import Architecture, ClassifierModel, build_classifier, tensor_elements
 from ..numerics import Rng
 
 MAGIC = b"ONES"
@@ -131,6 +131,9 @@ def load_checkpoint(path) -> tuple[ClassifierModel, dict]:
         raise SchemaError(
             f"payload is {len(payload)} bytes, longer than the declared {expected_payload}"
         )
+    implied = tensor_elements(arch)
+    if implied != sum(sizes):
+        raise SchemaError(f"architecture implies {implied} tensor values but the tensors declare {sum(sizes)}")
 
     model = build_classifier(arch, Rng(0))
     targets = dict(_tensor_entries(model))

@@ -15,7 +15,7 @@ Two task families stand in for real image/text corpora at desk scale:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,30 +48,19 @@ class SyntheticTaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"kind must be one of {TASK_KINDS}, got {self.kind!r}")
+        for name in ("num_classes", "d_model", "seq_len", "train_size", "test_size",
+                     "modes_per_class", "parity_bits"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.kind == "noisy_parity":
             if self.num_classes != 2:
                 raise ValueError("noisy_parity is a binary task; num_classes must be 2")
-            if not 1 <= self.parity_bits <= self.seq_len:
+            if self.parity_bits > self.seq_len:
                 raise ValueError("parity_bits must fit into the sequence")
-        if min(self.num_classes, self.d_model, self.seq_len, self.train_size, self.test_size) < 1:
-            raise ValueError("all sizes must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "num_classes": self.num_classes,
-            "d_model": self.d_model,
-            "seq_len": self.seq_len,
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-            "seed": self.seed,
-            "modes_per_class": self.modes_per_class,
-            "mode_spread": self.mode_spread,
-            "token_noise": self.token_noise,
-            "probe_band": list(self.probe_band),
-            "parity_bits": self.parity_bits,
-            "flip_prob": self.flip_prob,
-        }
+        return {**asdict(self), "probe_band": list(self.probe_band)}
 
     @staticmethod
     def from_dict(d: dict) -> "SyntheticTaskSpec":

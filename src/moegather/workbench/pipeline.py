@@ -167,41 +167,29 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     def evaluate():
         teacher_acc = teacher_result.final_heldout_acc
         dense_acc = dense_result.final_heldout_acc
-        teacher_stage = teacher.blocks[0].stage
-        dense_stage = dense_result.model.blocks[0].stage
-        variants = [
-            {
-                "variant": "dense_scratch",
+
+        def variant(name: str, result: TrainResult, benefits, init=None, report=None) -> dict:
+            return {
+                "variant": name,
                 "seed": cfg.seed,
-                "accuracy": dense_acc,
-                "benefits": 0.0,
-                "checkpoint": "dense_scratch.ckpt",
-                "init_checkpoint": None,
-                "gather_report": None,
-                "flops_per_token": flops_per_token(dense_stage),
-                "parameters": count_parameters(dense_result.model),
+                "accuracy": result.final_heldout_acc,
+                "benefits": benefits,
+                "checkpoint": f"{name}.ckpt",
+                "init_checkpoint": init,
+                "gather_report": report,
+                "flops_per_token": flops_per_token(result.model.blocks[0].stage),
+                "parameters": count_parameters(result.model),
             }
-        ]
+
+        variants = [variant("dense_scratch", dense_result, 0.0)]
         for name, entry in students.items():
             result: TrainResult = entry["result"]
-            acc = result.final_heldout_acc
             try:
-                benefits = moe_benefits(Scoreboard(acc, dense_acc, teacher_acc))
+                benefits = moe_benefits(Scoreboard(result.final_heldout_acc, dense_acc, teacher_acc))
             except UndefinedMetricError:
                 benefits = None
-            variants.append(
-                {
-                    "variant": name,
-                    "seed": cfg.seed,
-                    "accuracy": acc,
-                    "benefits": benefits,
-                    "checkpoint": f"{name}.ckpt",
-                    "init_checkpoint": entry["init"].name,
-                    "gather_report": entry["report"].name if entry["report"] else None,
-                    "flops_per_token": flops_per_token(result.model.blocks[0].stage),
-                    "parameters": count_parameters(result.model),
-                }
-            )
+            report = entry["report"].name if entry["report"] else None
+            variants.append(variant(name, result, benefits, entry["init"].name, report))
         summary = {
             "seed": cfg.seed,
             "config": cfg.to_dict(),
@@ -209,7 +197,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
                 "accuracy": teacher_acc,
                 "final_balance": teacher_result.final_balance or 0.0,
                 "checkpoint": "teacher.ckpt",
-                "flops_per_token": flops_per_token(teacher_stage),
+                "flops_per_token": flops_per_token(teacher.blocks[0].stage),
                 "parameters": count_parameters(teacher),
             },
             "teacher_sha256": teacher_hash,

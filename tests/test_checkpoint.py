@@ -65,6 +65,13 @@ def test_negative_d_model(ckpt):
         load_checkpoint(ckpt)
 
 
+def test_oversized_architecture_rejected_before_allocation(ckpt):
+    # shapes still match the payload; building this architecture would need terabytes
+    rewrite(ckpt, lambda m: m["architecture"].update(d_model=10**6))
+    with pytest.raises(SchemaError, match="architecture implies"):
+        load_checkpoint(ckpt)
+
+
 def test_negative_shape(ckpt):
     def negate(meta):
         meta["tensors"][0]["shape"] = [-4, 4]

@@ -55,10 +55,18 @@ def _run(argv, capsys):
     return json.loads(captured.out)
 
 
-def test_stage_commands_reproduce_the_pipeline(tmp_path, monkeypatch, capsys):
+@pytest.fixture(scope="module")
+def pipe(tmp_path_factory):
+    """Directory of run_pipeline's artifacts for TINY_CONFIG, without a seed override."""
+    out = tmp_path_factory.mktemp("pipeline")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(SEED_ENV_VAR, raising=False)
+        run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(out)}))
+    return out
+
+
+def test_stage_commands_reproduce_the_pipeline(pipe, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    pipe = tmp_path / "pipeline"
-    run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(pipe)}))
     config = tmp_path / "c.json"
     config.write_text(json.dumps(TINY_CONFIG))
 
@@ -84,6 +92,54 @@ def test_stage_commands_reproduce_the_pipeline(tmp_path, monkeypatch, capsys):
     scan = tmp_path / "scan.csv"
     assert _run(["noise-scan", "--teacher", teacher, "--lambdas", "0.25:1.0:0.25", "--tokens", 64,
                  "--out", scan], capsys)["rows"] == 4
+
+
+def test_scoring_commands_match_the_pipeline(pipe, tmp_path, capsys):
+    summary = json.loads((pipe / "summary.json").read_text())
+    variants = {v["variant"]: v for v in summary["variants"]}
+    student, teacher = variants["gather_svdkg"], summary["teacher"]
+
+    scores = tmp_path / "scores.json"
+    out = _run(["eval", "--model", pipe / "gather_svdkg.ckpt", "--split", "test", "--out", scores], capsys)
+    assert out["accuracy"] == student["accuracy"]
+    assert json.loads(scores.read_text()) == out
+
+    out = _run(["benefits", "--student", student["accuracy"], "--dense", variants["dense_scratch"]["accuracy"],
+                "--moe", teacher["accuracy"]], capsys)
+    assert out["benefits"] == student["benefits"]
+
+    for ckpt, entry in (("teacher.ckpt", teacher), ("gather_svdkg.ckpt", student)):
+        out = _run(["flops", "--model", pipe / ckpt], capsys)
+        assert [s["flops_per_token"] for s in out["per_stage"]] == [entry["flops_per_token"]]
+        assert out["parameters"] == entry["parameters"]
+
+
+def test_pipeline_command_writes_the_pipeline_artifacts(pipe, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    out_dir = tmp_path / "out"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(out_dir)}))
+    assert _run(["pipeline", "--config", config], capsys) == {"out_dir": str(out_dir), "variants": 4}
+
+    names = sorted(p.name for p in pipe.iterdir())
+    assert sorted(p.name for p in out_dir.iterdir()) == names
+    for name in names:
+        ours = (out_dir / name).read_bytes()
+        if name in ("config.json", "summary.json"):  # both record out_dir
+            ours = ours.replace(str(out_dir).encode(), str(pipe).encode())
+        assert ours == (pipe / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("field,value", [
+    ("modes_per_class", 1.5), ("modes_per_class", 0), ("train_size", 200.5), ("seq_len", 4.0),
+    ("test_size", True), ("parity_bits", 0),
+])
+def test_task_sizes_must_be_positive_integers(tmp_path, capsys, field, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "task": {**TINY_CONFIG["task"], field: value}}))
+    assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: bad task block: {field} must be a positive integer"), err
 
 
 def test_runtime_error_is_reported_with_its_kind(tmp_path, monkeypatch, capsys):

@@ -16,6 +16,7 @@ from moegather.model import (
     ffn_forward,
     forward_batch,
     router_probs,
+    tensor_elements,
 )
 from moegather.numerics import NumericalError, Rng, ShapeError
 from moegather.training import _pooled_balance
@@ -33,7 +34,7 @@ def make_ffn(rng, d=6, h=10, activation="gelu"):
 
 class TestRouterProbs:
     def test_zero_weights_uniform(self):
-        r = Router(weight=np.zeros((5, 4)), top_k=2, noise_enabled=False)
+        r = Router(weight=np.zeros((5, 4)), top_k=2)
         p = router_probs(Rng(0).normal(size=5), r)
         assert np.allclose(p, 0.25)
 
@@ -43,7 +44,7 @@ class TestRouterProbs:
 
     def test_matches_scalar_softmax_oracle(self):
         rng = Rng(3)
-        r = Router(weight=rng.normal(size=(6, 4)), top_k=2, noise_enabled=False)
+        r = Router(weight=rng.normal(size=(6, 4)), top_k=2)
         x = rng.normal(size=6)
         logits = [sum(x[i] * r.weight[i, j] for i in range(6)) for j in range(4)]
         exps = [np.exp(v) for v in logits]
@@ -52,7 +53,7 @@ class TestRouterProbs:
 
     def test_noise_changes_probs_only_when_enabled(self):
         rng = Rng(3)
-        r = Router(weight=rng.normal(size=(6, 4)), top_k=2, noise_enabled=True)
+        r = Router(weight=rng.normal(size=(6, 4)), top_k=2)
         x = rng.normal(size=6)
         with_noise = router_probs(x, r, Rng(1))
         without = router_probs(x, r, None)
@@ -125,11 +126,9 @@ class TestFfnForward:
             ffn_forward(ffn, np.ones(5))
 
 
-def make_moe(rng, d=6, h=10, num_experts=4, top_k=2, noise_enabled=False):
+def make_moe(rng, d=6, h=10, num_experts=4, top_k=2):
     experts = [make_ffn(rng, d, h) for _ in range(num_experts)]
-    router = Router(
-        weight=rng.normal(size=(d, num_experts)), top_k=top_k, noise_enabled=noise_enabled
-    )
+    router = Router(weight=rng.normal(size=(d, num_experts)), top_k=top_k)
     return MoELayer(experts=experts, router=router)
 
 
@@ -154,7 +153,7 @@ class TestMoeForward:
         shared = make_ffn(rng)
         layer = MoELayer(
             experts=[shared, shared.copy()],
-            router=Router(weight=rng.normal(size=(6, 2)), top_k=2, noise_enabled=False),
+            router=Router(weight=rng.normal(size=(6, 2)), top_k=2),
         )
         x = rng.normal(size=6)
         y, _, _ = moe_forward(layer, x)
@@ -225,9 +224,7 @@ class TestBalanceLoss:
         perm = [2, 0, 3, 1]
         permuted_layer = MoELayer(
             experts=[layer.experts[i] for i in perm],
-            router=Router(
-                weight=layer.router.weight[:, perm], top_k=2, noise_enabled=False
-            ),
+            router=Router(weight=layer.router.weight[:, perm], top_k=2),
         )
         pools = [_stage_forward_moe(moe, xs, None, False)[1]["probs"] for moe in (layer, permuted_layer)]
         assert abs(balance_loss(pools[0]) - balance_loss(pools[1])) < 1e-12
@@ -409,6 +406,14 @@ class TestModelPlumbing:
         shared = build_classifier(small_arch(stage="moe"), Rng(0))
         unshared = build_classifier(small_arch(stage="moe", parameter_sharing=False), Rng(0))
         assert count_parameters(unshared) > count_parameters(shared)
+
+    @pytest.mark.parametrize("stage", ["dense", "moe"])
+    @pytest.mark.parametrize("sharing", [True, False])
+    def test_tensor_elements_counts_a_built_model(self, stage, sharing):
+        arch = small_arch(stage=stage, parameter_sharing=sharing, num_blocks=3)
+        model = build_classifier(arch, Rng(0))
+        tensors = list(model.parameters().values()) + list(model.constants().values())
+        assert tensor_elements(arch) == sum(t.size for t in tensors)
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):

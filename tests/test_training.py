@@ -183,12 +183,15 @@ class TestBackward:
 
         _fd_check(model, grads, loss, stride=3)
 
-    def test_distill_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("mode,kl_direction", [
+        ("soft", "teacher_to_student"), ("soft", "student_to_teacher"), ("hard", "teacher_to_student"),
+    ], ids=["soft", "soft-reverse_kl", "hard"])
+    def test_distill_gradients_match_finite_differences(self, mode, kl_direction):
         teacher = build_classifier(tiny_arch(num_experts=2, top_k=2), Rng(2))
         student = build_classifier(tiny_arch("dense"), Rng(3))
         tokens = Rng(4).normal(size=(4, 4, 8))
         labels = np.array([1, 2, 0, 1])
-        cfg = DistillConfig(alpha=0.25, temperature=2.0, mode="soft")
+        cfg = DistillConfig(alpha=0.25, temperature=2.0, mode=mode, kl_direction=kl_direction)
         _, grads = loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)
 
         def loss():
@@ -230,6 +233,13 @@ class TestBackward:
         for name in g1:
             assert np.abs(g1[name] - g2[name]).max() < 1e-15
 
+    def test_aliased_parameters_rejected(self):
+        # one expert listed twice would get its gradient, and its Adam step, twice
+        model = build_classifier(tiny_arch(), Rng(15))
+        stage = model.blocks[0].stage
+        stage.experts[1] = stage.experts[0]
+        with pytest.raises(ValueError, match="alias"):
+            loss_and_grads(model, Rng(16).normal(size=(3, 4, 8)), np.array([0, 1, 2]))
 
     def test_forward_only_cache_rejected_with_typed_error(self):
         model = build_classifier(tiny_arch(), Rng(13))
