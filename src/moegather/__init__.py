@@ -22,7 +22,6 @@ from .training import (
     optimizer_step,
     total_loss,
     train_classifier,
-    train_teacher,
 )
 
 __version__ = "0.1.0"
@@ -55,6 +54,5 @@ __all__ = [
     "top_k_indices",
     "total_loss",
     "train_classifier",
-    "train_teacher",
     "truncate_svd",
 ]

@@ -36,6 +36,13 @@ class StructureError(ValueError):
 
 @dataclass
 class GatherConfig:
+    """How to collapse each MoE stage into a dense one.
+
+    ``seed`` is only recorded as provenance: every tensor of the student comes
+    from the teacher (matched layers copied, stages merged), so the gathered
+    weights are the same for every seed.
+    """
+
     method: str
     svd_ratio: float | None = None
     bias_policy: str = "average"
@@ -102,32 +109,26 @@ class GatherReport:
         return {**asdict(self), "layers": [layer.to_dict() for layer in self.layers]}
 
 
+def _matched_tensors(model: ClassifierModel) -> dict[str, np.ndarray]:
+    """The model's tensors outside its feed-forward stages."""
+    prefixes = tuple(f"{prefix}." for prefix, _ in model.stages())
+    return {name: t for name, t in model.tensors().items() if not name.startswith(prefixes)}
+
+
 def copy_matched(teacher: ClassifierModel, student: ClassifierModel) -> None:
     """Copy every structurally matched layer from teacher into student.
 
-    Covers the embedding, per-block mixers and layer norms, and the head;
-    feed-forward stages are left untouched. Raises :class:`StructureError`
-    naming the first mismatched layer.
+    Covers every tensor outside the feed-forward stages (embedding, per-block
+    layer norms and mixers, head); the stages are left untouched. Raises
+    :class:`StructureError` naming the first mismatched layer.
     """
-    pairs = [("embed", teacher.embed, student.embed)]
-    if len(teacher.blocks) != len(student.blocks):
-        raise StructureError(
-            f"block count mismatch: teacher {len(teacher.blocks)} vs student {len(student.blocks)}"
-        )
-    for i, (tb, sb) in enumerate(zip(teacher.blocks, student.blocks)):
-        pairs += [
-            (f"block{i}.ln1.gain", tb.ln1_gain, sb.ln1_gain),
-            (f"block{i}.ln1.bias", tb.ln1_bias, sb.ln1_bias),
-            (f"block{i}.ln2.gain", tb.ln2_gain, sb.ln2_gain),
-            (f"block{i}.ln2.bias", tb.ln2_bias, sb.ln2_bias),
-            (f"block{i}.mixer", tb.mixer, sb.mixer),
-        ]
-    pairs += [("head.w", teacher.head_w, student.head_w), ("head.b", teacher.head_b, student.head_b)]
-    for name, src, dst in pairs:
-        if src.shape != dst.shape:
-            raise StructureError(f"layer {name!r}: teacher shape {src.shape} != student shape {dst.shape}")
-    for _, src, dst in pairs:
-        dst[...] = src
+    src, dst = _matched_tensors(teacher), _matched_tensors(student)
+    for name in dict.fromkeys([*src, *dst]):
+        t_shape, s_shape = (m[name].shape if name in m else "absent" for m in (src, dst))
+        if t_shape != s_shape:
+            raise StructureError(f"layer {name!r}: teacher shape {t_shape} != student shape {s_shape}")
+    for name, tensor in src.items():
+        dst[name][...] = tensor
 
 
 def average_bias(experts: list[FeedForward]) -> tuple[np.ndarray, np.ndarray]:
@@ -285,11 +286,6 @@ def build_student(teacher: ClassifierModel, cfg: GatherConfig) -> tuple[Classifi
         dense, record = _gather_stage(stage, cfg, name)
         report.layers.append(record)
         gathered[id(stage)] = dense
-    if teacher.arch.parameter_sharing:
-        shared = gathered[id(teacher.blocks[0].stage)]
-        for blk in student.blocks:
-            blk.stage = shared
-    else:
-        for tb, sb in zip(teacher.blocks, student.blocks):
-            sb.stage = gathered[id(tb.stage)]
+    for tb, sb in zip(teacher.blocks, student.blocks):
+        sb.stage = gathered[id(tb.stage)]
     return student, report

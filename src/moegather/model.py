@@ -300,6 +300,10 @@ class ClassifierModel:
         """Fixed (non-trainable) tensors that still belong in a checkpoint."""
         return {f"block{i}.mixer": blk.mixer for i, blk in enumerate(self.blocks)}
 
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Every tensor of the model: the parameters, then the constants."""
+        return {**self.parameters(), **self.constants()}
+
     def stages(self) -> list[tuple[str, FeedForward | MoELayer]]:
         """Unique feed-forward stages with their parameter-name prefixes."""
         if self.arch.parameter_sharing:
@@ -373,7 +377,7 @@ def tensor_elements(arch: Architecture) -> int:
 def state_hash(model: ClassifierModel) -> str:
     """SHA-256 over all tensors (trainable and fixed) in canonical order."""
     h = hashlib.sha256()
-    for name, tensor in list(model.parameters().items()) + list(model.constants().items()):
+    for name, tensor in model.tensors().items():
         h.update(name.encode())
         h.update(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
     return h.hexdigest()

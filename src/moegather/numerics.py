@@ -80,16 +80,11 @@ def top_k_indices(scores, k: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Thin SVD ``A = U @ diag(S) @ V.T`` with S sorted descending.
-
-    ``degenerate`` marks the all-zero-spectrum corner of :func:`truncate_svd`,
-    where a single zero triplet is retained to keep shapes meaningful.
-    """
+    """Thin SVD ``A = U @ diag(S) @ V.T`` with S sorted descending."""
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
-    degenerate: bool = False
 
     @property
     def rank(self) -> int:
@@ -126,14 +121,14 @@ def truncate_svd(f: SvdFactors, ratio: float) -> SvdFactors:
     """Keep the smallest leading set of triplets whose singular mass reaches
     ``ratio`` of the total.
 
-    An all-zero spectrum keeps a single zero triplet and is flagged degenerate.
+    An all-zero spectrum keeps a single zero triplet, so shapes stay meaningful.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
     cum = np.cumsum(f.S)
     total = float(cum[-1])
     if total == 0.0:
-        return SvdFactors(f.U[:, :1].copy(), f.S[:1].copy(), f.V[:, :1].copy(), degenerate=True)
+        return SvdFactors(f.U[:, :1].copy(), f.S[:1].copy(), f.V[:, :1].copy())
     # First index whose cumulative mass reaches the target; total is taken from
     # the same cumulative sum so ratio=1.0 is exact in floating point.
     k = int(np.searchsorted(cum, ratio * total, side="left")) + 1

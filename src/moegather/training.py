@@ -9,17 +9,20 @@ probability via the balance loss, which is a direct function of them).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Architecture, ClassifierModel, build_classifier, forward_batch, state_hash
+from .model import ClassifierModel, forward_batch, state_hash
 from .numerics import NumericalError, Rng
 
 GradientSet = dict[str, np.ndarray]
 
 KL_DIRECTIONS = ("teacher_to_student", "student_to_teacher")
 DISTILL_MODES = ("soft", "hard", "none")
+EVAL_BATCH = 512  # sequences per forward pass when scoring accuracy
+BALANCE_SAMPLE = 256  # test sequences behind a trained model's final balance loss
 
 
 @dataclass
@@ -53,6 +56,7 @@ class DistillConfig:
             raise ValueError(f"mode must be one of {DISTILL_MODES}, got {self.mode!r}")
         if self.kl_direction not in KL_DIRECTIONS:
             raise ValueError(f"kl_direction must be one of {KL_DIRECTIONS}")
+        _check_loop_settings(self)
 
 
 @dataclass
@@ -65,6 +69,21 @@ class TrainConfig:
     balance_coeff: float = 0.01
     seed: int = 0
     eval_every: int = 200
+
+    def __post_init__(self):
+        _check_loop_settings(self)
+
+
+def _check_loop_settings(cfg: TrainConfig | DistillConfig) -> None:
+    """Reject loop settings that would fail mid-run rather than train."""
+    for name, low, kind in (("batch_size", 1, "positive"), ("steps", 0, "non-negative"),
+                            ("eval_every", 0, "non-negative")):
+        value = getattr(cfg, name)
+        if type(value) is not int or value < low:
+            raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    lr = cfg.learning_rate
+    if not isinstance(lr, (int, float)) or isinstance(lr, bool) or not 0.0 < lr < math.inf:
+        raise ValueError(f"learning_rate must be a positive finite number, got {lr!r}")
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -110,22 +129,23 @@ def _distill_terms(logits: np.ndarray, teacher_logits: np.ndarray, cfg: DistillC
     return loss, dlogits
 
 
-def _pooled_balance(cache: dict) -> tuple[float, list[np.ndarray], np.ndarray]:
+def _pooled_balance(cache: dict) -> tuple[float, np.ndarray, int]:
     """Balance loss over all MoE invocations in the forward cache.
 
-    Returns (loss, per-invocation gate arrays, pooled dispatch fractions m).
+    Returns (loss, pooled dispatch fractions m, number of pooled gate rows);
+    a model without an MoE stage gives (0.0, empty m, 0).
     """
     gate_arrays = [
         blk["stage"]["probs"] for blk in cache["blocks"] if blk["stage"]["kind"] == "moe"
     ]
     if not gate_arrays:
-        return 0.0, [], np.zeros(0)
+        return 0.0, np.zeros(0), 0
     pooled = np.concatenate(gate_arrays, axis=0)
     num_experts = pooled.shape[1]
     primary = np.argmax(pooled, axis=1)
     m = np.bincount(primary, minlength=num_experts) / pooled.shape[0]
     loss = float(num_experts * (m @ pooled.mean(axis=0)))
-    return loss, gate_arrays, m
+    return loss, m, pooled.shape[0]
 
 
 def _ffn_backward(ffn, cache: dict, d_out: np.ndarray, grad: dict[int, np.ndarray]) -> np.ndarray:
@@ -199,10 +219,9 @@ def backward_from_logits(model: ClassifierModel, cache: dict, d_logits: np.ndarr
 
     balance_dp = None
     if balance_coeff > 0.0:
-        _, gate_arrays, m = _pooled_balance(cache)
-        if gate_arrays:
-            n_pool = sum(g.shape[0] for g in gate_arrays)
-            balance_dp = balance_coeff * m.size * m / n_pool
+        _, m, rows = _pooled_balance(cache)
+        if rows:
+            balance_dp = balance_coeff * m.size * m / rows
 
     grad[id(model.head_w)] += cache["pooled"].T @ d_logits
     grad[id(model.head_b)] += d_logits.sum(axis=0)
@@ -237,13 +256,12 @@ def loss_and_grads(
     distill: DistillConfig | None = None,
     balance_coeff: float = 0.0,
     rng: Rng | None = None,
-    compute_grads: bool = True,
-) -> tuple[LossBreakdown, GradientSet | None]:
+) -> tuple[LossBreakdown, GradientSet]:
     """One training objective evaluation: batch-mean loss and its exact
     gradients. Teacher logits (when distilling) are produced noise-free by a
     forward-only pass and the teacher never appears in the gradient set."""
     labels = np.asarray(labels)
-    logits, cache = forward_batch(model, tokens, rng=rng, need_grad=compute_grads)
+    logits, cache = forward_batch(model, tokens, rng=rng, need_grad=True)
     main, d_main = _cross_entropy(logits, labels)
 
     distilling = distill is not None and distill.mode != "none" and teacher is not None
@@ -260,29 +278,26 @@ def loss_and_grads(
 
     balance = 0.0
     if balance_coeff > 0.0:
-        balance, _, _ = _pooled_balance(cache)
+        balance = _pooled_balance(cache)[0]
         total += balance_coeff * balance
 
     breakdown = LossBreakdown(main=main, distill=distill_val, balance=balance, total=total)
-    if not compute_grads:
-        return breakdown, None
-    grads = backward_from_logits(model, cache, d_logits, balance_coeff=balance_coeff)
-    return breakdown, grads
+    return breakdown, backward_from_logits(model, cache, d_logits, balance_coeff=balance_coeff)
 
 
 @dataclass(frozen=True)
 class LinearDecaySchedule:
-    """Linear learning-rate decay; the final step lands exactly on end_lr."""
+    """Linear learning-rate decay to zero; the final step lands exactly on
+    0. A schedule of one step keeps ``base_lr``."""
 
     base_lr: float
     total_steps: int
-    end_lr: float = 0.0
 
     def lr_at(self, step: int) -> float:
         if self.total_steps <= 1:
             return self.base_lr
         frac = min(max(step / (self.total_steps - 1), 0.0), 1.0)
-        return self.base_lr + (self.end_lr - self.base_lr) * frac
+        return self.base_lr - self.base_lr * frac
 
 
 @dataclass
@@ -330,18 +345,17 @@ class TrainResult:
     final_balance: float | None = None
 
 
-def evaluate_accuracy(model: ClassifierModel, tokens: np.ndarray, labels: np.ndarray,
-                      batch: int = 512) -> float:
+def evaluate_accuracy(model: ClassifierModel, tokens: np.ndarray, labels: np.ndarray) -> float:
     """Argmax accuracy with routing noise disabled."""
     hits = 0
-    for start in range(0, len(labels), batch):
-        logits, _ = forward_batch(model, tokens[start : start + batch], rng=None)
-        hits += int((np.argmax(logits, axis=1) == labels[start : start + batch]).sum())
+    for start in range(0, len(labels), EVAL_BATCH):
+        logits, _ = forward_batch(model, tokens[start : start + EVAL_BATCH], rng=None)
+        hits += int((np.argmax(logits, axis=1) == labels[start : start + EVAL_BATCH]).sum())
     return hits / len(labels)
 
 
-def _measure_balance(model: ClassifierModel, tokens: np.ndarray, limit: int = 256) -> float:
-    _, cache = forward_batch(model, tokens[:limit], rng=None)
+def _measure_balance(model: ClassifierModel, tokens: np.ndarray) -> float:
+    _, cache = forward_batch(model, tokens[:BALANCE_SAMPLE], rng=None)
     return _pooled_balance(cache)[0]
 
 
@@ -409,14 +423,6 @@ def train_classifier(model: ClassifierModel, cfg: TrainConfig, data) -> TrainRes
     penalty and exploration noise, dense models train plain."""
     balance = cfg.balance_coeff if model.arch.stage == "moe" else 0.0
     return _run_training(model, cfg, data, balance_coeff=balance)
-
-
-def train_teacher(arch, cfg: TrainConfig, data) -> TrainResult:
-    """Build and train an MoE teacher from scratch; deterministic per seed."""
-    if not isinstance(arch, Architecture) or arch.stage != "moe":
-        raise ValueError("train_teacher expects an MoE architecture")
-    model = build_classifier(arch, Rng(cfg.seed).derive("init"))
-    return train_classifier(model, cfg, data)
 
 
 def distill_student(student: ClassifierModel, teacher: ClassifierModel,

@@ -55,29 +55,23 @@ class NonFiniteTensorError(CheckpointError):
     """The payload holds NaN or infinite values."""
 
 
-def _tensor_entries(model: ClassifierModel) -> list[tuple[str, np.ndarray]]:
-    entries = list(model.parameters().items())
-    entries += list(model.constants().items())
-    return entries
-
-
 def save_checkpoint(model: ClassifierModel, meta: dict, path) -> None:
     """Serialize the model plus caller metadata. Caller keys must not collide
     with the reserved 'architecture'/'tensors' entries."""
     reserved = {"architecture", "tensors"} & set(meta)
     if reserved:
         raise ValueError(f"metadata keys {sorted(reserved)} are reserved")
-    entries = _tensor_entries(model)
+    entries = model.tensors()
     header_meta = {
         "architecture": model.arch.to_dict(),
-        "tensors": [{"name": name, "shape": list(t.shape)} for name, t in entries],
+        "tensors": [{"name": name, "shape": list(t.shape)} for name, t in entries.items()],
         **meta,
     }
     blob = json.dumps(header_meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        for _, tensor in entries:
+        for tensor in entries.values():
             fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
@@ -136,7 +130,7 @@ def load_checkpoint(path) -> tuple[ClassifierModel, dict]:
         raise SchemaError(f"architecture implies {implied} tensor values but the tensors declare {sum(sizes)}")
 
     model = build_classifier(arch, Rng(0))
-    targets = dict(_tensor_entries(model))
+    targets = model.tensors()
     if [e["name"] for e in declared] != list(targets.keys()):
         raise SchemaError("declared tensor names do not match the architecture's tensor set")
     offset = 0

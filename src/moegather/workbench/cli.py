@@ -23,23 +23,15 @@ import os
 import sys
 from pathlib import Path
 
-from ..gather import GATHER_METHODS, GatherConfig, StructureError
-from ..metrics import (
-    FLOPS_PER_MAC,
-    Scoreboard,
-    UndefinedMetricError,
-    flops_per_token,
-    moe_benefits,
-    noise_scan,
-    write_noise_scan_csv,
-)
+from ..gather import BIAS_POLICIES, GATHER_METHODS, GatherConfig, StructureError
+from ..metrics import Scoreboard, UndefinedMetricError, flops_per_token, moe_benefits, noise_scan
 from ..model import MoELayer, count_parameters
 from ..numerics import NumericalError, ShapeError
-from ..training import DistillConfig, evaluate_accuracy
+from ..training import DISTILL_MODES, DistillConfig, evaluate_accuracy
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import SEED_ENV_VAR, ConfigError, load_config
 from .data import SyntheticTaskSpec, generate_dataset
-from .pipeline import PipelineError, distill_stage, gather_stage, run_pipeline, train_stage
+from .pipeline import PipelineError, distill_stage, gather_stage, run_pipeline, train_stage, write_noise_scan_csv
 
 
 def _fail(kind: str, message: str) -> int:
@@ -165,6 +157,8 @@ def _cmd_noise_scan(args) -> int:
     teacher, meta = load_checkpoint(args.teacher)
     stage = _first_moe_stage(teacher)
     task = _task_from_meta(meta, args.teacher)
+    if args.tokens < 1:
+        raise ConfigError(f"--tokens must be at least 1, got {args.tokens}")
     train, _ = generate_dataset(task)
     tokens = train.tokens.reshape(-1, task.d_model)[: args.tokens]
     if len(tokens) < args.tokens:
@@ -184,7 +178,7 @@ def _cmd_flops(args) -> int:
     }
     first = model.blocks[0].stage
     if isinstance(first, MoELayer):
-        dense_equiv = 2 * FLOPS_PER_MAC * first.d_model * first.d_ff
+        dense_equiv = flops_per_token(first.experts[0])
         report["dense_equivalent_flops"] = dense_equiv
         report["moe_to_dense_ratio"] = flops_per_token(first) / dense_equiv
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -212,10 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=GATHER_METHODS)
     p.add_argument("--lambda", "--svd-ratio", dest="svd_ratio", type=float, default=0.75,
                    help="retained singular-mass fraction (svdkg only)")
-    p.add_argument("--bias", choices=("average", "matched"), default="average")
+    p.add_argument("--bias", choices=BIAS_POLICIES, default="average")
     p.add_argument("--allow-remainder", action="store_true",
                    help="topkg: allow d_ff not divisible by the expert count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the checkpoint as provenance; the gathered weights do not depend on it")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gather)
 
@@ -224,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True)
     p.add_argument("--alpha", type=float, default=0.25)
     p.add_argument("--temp", type=float, default=1.0)
-    p.add_argument("--mode", choices=("soft", "hard", "none"), default="soft")
+    p.add_argument("--mode", choices=DISTILL_MODES, default="soft")
     p.add_argument("--steps", type=int, default=800)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--learning-rate", type=float, default=1e-3)

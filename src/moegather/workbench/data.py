@@ -86,13 +86,12 @@ def _balanced_labels(n: int, num_classes: int, rng: Rng) -> np.ndarray:
     return reps[rng.permutation(n)]
 
 
-def linear_probe_accuracy(train: Dataset, test: Dataset, pooled: bool = True) -> float:
-    """Ridge-regression probe to one-hot targets; the reference for how much
-    of a task is linearly solvable."""
+def linear_probe_accuracy(train: Dataset, test: Dataset) -> float:
+    """Ridge-regression probe on mean-pooled tokens to one-hot targets; the
+    reference for how much of a task is linearly solvable."""
 
     def features(ds: Dataset) -> np.ndarray:
-        f = ds.tokens.mean(axis=1) if pooled else ds.tokens.reshape(len(ds), -1)
-        return np.concatenate([f, np.ones((len(ds), 1))], axis=1)
+        return np.concatenate([ds.tokens.mean(axis=1), np.ones((len(ds), 1))], axis=1)
 
     x = features(train)
     y = np.eye(int(train.labels.max()) + 1)[train.labels]

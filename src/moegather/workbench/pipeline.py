@@ -18,23 +18,20 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 
 from ..gather import GatherConfig, GatherReport, build_student, copy_matched
-from ..metrics import Scoreboard, UndefinedMetricError, flops_per_token, moe_benefits
+from ..metrics import NoiseScanRow, Scoreboard, UndefinedMetricError, flops_per_token, moe_benefits
 from ..model import Architecture, ClassifierModel, build_classifier, count_parameters
 from ..numerics import Rng
 from ..training import DistillConfig, TrainConfig, TrainResult, distill_student, train_classifier
 from .checkpoint import file_sha256, save_checkpoint
 from .config import ExperimentConfig, derive_seed
 from .data import generate_dataset
-
-TRAINING_LOG_COLUMNS = ["step", "main", "distill", "balance", "total", "lr", "heldout_acc"]
-SUMMARY_CSV_COLUMNS = ["variant", "seed", "accuracy", "benefits"]
 
 
 class PipelineError(RuntimeError):
@@ -49,18 +46,23 @@ def _load_schema(name: str) -> dict:
         return json.load(fh)
 
 
-def _check_csv_columns(kind: str, columns: list[str]) -> None:
-    declared = _load_schema("csv_columns.json")[kind]
-    if columns != declared:
-        raise ValueError(f"{kind} columns {columns} do not match the declared schema {declared}")
+def _csv_columns(kind: str) -> list[str]:
+    """Header of a CSV artifact ("training_log", "noise_scan" or "summary")."""
+    return _load_schema("csv_columns.json")[kind]
 
 
 def write_training_log(rows: list[dict], path) -> None:
-    _check_csv_columns("training_log", TRAINING_LOG_COLUMNS)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRAINING_LOG_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=_csv_columns("training_log"))
         writer.writeheader()
         writer.writerows(rows)
+
+
+def write_noise_scan_csv(rows: list[NoiseScanRow], path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_csv_columns("noise_scan"))
+        writer.writerows(astuple(row) for row in rows)
 
 
 def validate_summary(summary: dict) -> None:
@@ -206,12 +208,11 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         }
         validate_summary(summary)
         (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        _check_csv_columns("summary", SUMMARY_CSV_COLUMNS)
+        columns = _csv_columns("summary")
         with open(out / "summary.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(SUMMARY_CSV_COLUMNS)
-            for row in variants:
-                writer.writerow([row["variant"], row["seed"], row["accuracy"], row["benefits"]])
+            writer.writerow(columns)
+            writer.writerows([row[c] for c in columns] for row in variants)
         return summary
 
     return _run_stage("evaluate", evaluate)

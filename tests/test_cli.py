@@ -151,3 +151,26 @@ def test_runtime_error_is_reported_with_its_kind(tmp_path, monkeypatch, capsys):
     config.write_text(json.dumps(TINY_CONFIG))
     assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
     assert capsys.readouterr().err == "error: runtime: probe calibration failed: accuracy 0.500 outside (0.85, 0.95)\n"
+
+
+@pytest.mark.parametrize("block,field,value", [
+    ("teach", "batch_size", 1.5), ("teach", "batch_size", 0), ("teach", "steps", -1), ("teach", "steps", 2.0),
+    ("teach", "eval_every", -3), ("teach", "learning_rate", 0), ("teach", "learning_rate", "1e-3"),
+    ("teach", "learning_rate", float("inf")), ("distill", "batch_size", True), ("distill", "eval_every", 0.5),
+    ("distill", "learning_rate", -1e-3),
+])
+def test_loop_settings_must_be_valid(tmp_path, capsys, block, field, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, block: {**TINY_CONFIG[block], field: value}}))
+    assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {field} must be a "), err
+
+
+@pytest.mark.parametrize("tokens", [0, -5])
+def test_noise_scan_token_count_must_be_positive(pipe, tmp_path, capsys, tokens):
+    argv = ["noise-scan", "--teacher", str(pipe / "teacher.ckpt"), "--tokens", str(tokens),
+            "--out", str(tmp_path / "scan.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: config: --tokens must be at least 1, got {tokens}\n"
+    assert not (tmp_path / "scan.csv").exists()

@@ -25,6 +25,7 @@ from moegather.model import (
     count_parameters,
     ffn_forward,
     forward_batch,
+    state_hash,
 )
 from moegather.numerics import Rng
 
@@ -76,6 +77,12 @@ class TestCopyMatched:
         teacher = build_classifier(moe_arch(), Rng(0))
         student = build_classifier(moe_arch(seq_len=4).dense_twin(), Rng(1))
         with pytest.raises(StructureError, match="mixer"):
+            copy_matched(teacher, student)
+
+    def test_block_count_mismatch_names_first_missing_layer(self):
+        teacher = build_classifier(moe_arch(), Rng(0))
+        student = build_classifier(moe_arch(num_blocks=3).dense_twin(), Rng(1))
+        with pytest.raises(StructureError, match="'block2.ln1.gain': teacher shape absent"):
             copy_matched(teacher, student)
 
     def test_forced_gate_oracle(self):
@@ -347,6 +354,15 @@ class TestBuildStudent:
         assert np.array_equal(student.blocks[0].stage.b1, expected_b1)
         expected_b2 = np.mean([e.b2 for e in experts], axis=0)
         assert np.allclose(student.blocks[0].stage.b2, expected_b2)
+
+    @pytest.mark.parametrize("sharing", [True, False])
+    @pytest.mark.parametrize("method", ["sum", "avg", "topkg", "svdkg"])
+    def test_seed_does_not_change_the_student(self, method, sharing):
+        # every student tensor comes from the teacher; the seed is provenance only
+        teacher = build_classifier(moe_arch(parameter_sharing=sharing), Rng(8))
+        ratio = 0.75 if method == "svdkg" else None
+        hashes = {state_hash(build_student(teacher, GatherConfig(method, ratio, seed=seed))[0]) for seed in range(3)}
+        assert len(hashes) == 1
 
     def test_dense_teacher_rejected(self):
         dense = build_classifier(moe_arch().dense_twin(), Rng(7))

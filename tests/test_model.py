@@ -68,6 +68,7 @@ class TestRouterProbs:
             assert abs(p.sum() - 1.0) < 1e-6
             assert (p > 0).all() and (p < 1).all()
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_input_rejected(self):
         r = Router(weight=np.zeros((2, 2)), top_k=1)
         with pytest.raises(NumericalError):
@@ -412,8 +413,7 @@ class TestModelPlumbing:
     def test_tensor_elements_counts_a_built_model(self, stage, sharing):
         arch = small_arch(stage=stage, parameter_sharing=sharing, num_blocks=3)
         model = build_classifier(arch, Rng(0))
-        tensors = list(model.parameters().values()) + list(model.constants().values())
-        assert tensor_elements(arch) == sum(t.size for t in tensors)
+        assert tensor_elements(arch) == sum(t.size for t in model.tensors().values())
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):

@@ -102,7 +102,6 @@ class TestTruncateSvd:
         out = truncate_svd(self._factors([0.0, 0.0, 0.0]), 0.9)
         assert out.rank == 1
         assert out.S[0] == 0.0
-        assert out.degenerate
 
     def test_ratio_domain(self):
         f = self._factors([1.0])

@@ -16,9 +16,13 @@ from moegather.training import (
     optimizer_step,
     total_loss,
     train_classifier,
-    train_teacher,
 )
 from moegather.workbench.data import Dataset
+
+
+def train_teacher(arch, cfg, data):
+    """Build and train a model from scratch, as the pipeline's teach stage does."""
+    return train_classifier(build_classifier(arch, Rng(cfg.seed).derive("init")), cfg, data)
 
 
 def tiny_arch(stage="moe", **kw):
@@ -96,6 +100,7 @@ class TestSoftKdLoss:
         for _ in range(25):
             assert soft_kd_loss(rng.normal(size=4), rng.normal(size=4), 1.7) >= 0.0
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_rejects_non_finite(self):
         # non-finite teacher logits make the distillation loss non-finite,
         # which aborts training with the step index
@@ -178,8 +183,7 @@ class TestBackward:
         _, grads = loss_and_grads(model, tokens, labels, balance_coeff=0.01)
 
         def loss():
-            b, _ = loss_and_grads(model, tokens, labels, balance_coeff=0.01, compute_grads=False)
-            return b.total
+            return loss_and_grads(model, tokens, labels, balance_coeff=0.01)[0].total
 
         _fd_check(model, grads, loss, stride=3)
 
@@ -195,10 +199,7 @@ class TestBackward:
         _, grads = loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)
 
         def loss():
-            b, _ = loss_and_grads(
-                student, tokens, labels, teacher=teacher, distill=cfg, compute_grads=False
-            )
-            return b.total
+            return loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)[0].total
 
         _fd_check(student, grads, loss, stride=5)
 
@@ -260,7 +261,7 @@ class TestOptimizer:
         # single scalar, constant lr, grads 1.0, -0.5, 2.0
         p = {"x": np.array([0.0])}
         state = AdamState.for_params(p)
-        sched = LinearDecaySchedule(0.1, 10, end_lr=0.1)  # constant 0.1
+        sched = LinearDecaySchedule(0.1, 1)  # a one-step schedule keeps its base lr: constant 0.1
         m = v = 0.0
         x = 0.0
         for t, g in enumerate([1.0, -0.5, 2.0], start=1):
@@ -316,10 +317,6 @@ class TestTrainingLoops:
         assert collapsed_balance > 0.9 * arch.num_experts
         assert result.final_balance < collapsed_balance
 
-    def test_training_rejects_moe_less_arch(self):
-        with pytest.raises(ValueError):
-            train_teacher(tiny_arch("dense"), TrainConfig(steps=1), tiny_data())
-
     def test_distillation_freezes_teacher_and_is_deterministic(self):
         arch = tiny_arch()
         data = tiny_data()
@@ -333,6 +330,8 @@ class TestTrainingLoops:
         s2 = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data)
         assert state_hash(s1.model) == state_hash(s2.model)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_divergence_aborts_with_step_index(self):
         arch = tiny_arch("dense")
         data = tiny_data()
