@@ -3,7 +3,7 @@ expert knowledge into a dense student, refine the student by distillation,
 and quantify how much of the MoE's benefit the student preserves."""
 
 from .gather import GatherConfig, GatherReport, build_student, copy_matched
-from .metrics import Scoreboard, flops_per_token, moe_benefits, noise_decompose, noise_scan
+from .metrics import flops_per_token, moe_benefits, noise_scan
 from .model import (
     Architecture,
     ClassifierModel,
@@ -11,7 +11,6 @@ from .model import (
     MoELayer,
     Router,
     build_classifier,
-    ffn_forward,
     router_probs,
 )
 from .numerics import Rng, SvdFactors, svd, top_k_indices, truncate_svd
@@ -20,7 +19,6 @@ from .training import (
     TrainConfig,
     distill_student,
     optimizer_step,
-    total_loss,
     train_classifier,
 )
 
@@ -36,23 +34,19 @@ __all__ = [
     "MoELayer",
     "Rng",
     "Router",
-    "Scoreboard",
     "SvdFactors",
     "TrainConfig",
     "build_classifier",
     "build_student",
     "copy_matched",
     "distill_student",
-    "ffn_forward",
     "flops_per_token",
     "moe_benefits",
-    "noise_decompose",
     "noise_scan",
     "optimizer_step",
     "router_probs",
     "svd",
     "top_k_indices",
-    "total_loss",
     "train_classifier",
     "truncate_svd",
 ]

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import numerics
 from .model import ClassifierModel, FeedForward, MoELayer, build_classifier
-from .numerics import Rng, column_norms, row_norms, svd, top_k_indices, truncate_svd
+from .numerics import Rng, SvdFactors, column_norms, row_norms, svd, top_k_indices, truncate_svd
 
 GATHER_METHODS = ("sum", "avg", "topkg", "svdkg")
 BIAS_POLICIES = ("average", "matched")
@@ -133,22 +132,16 @@ def copy_matched(teacher: ClassifierModel, student: ClassifierModel) -> None:
 
 def average_bias(experts: list[FeedForward]) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise mean of each bias vector across the expert bank."""
-    if not experts:
-        raise ValueError("need at least one expert")
     b1 = np.mean([e.b1 for e in experts], axis=0)
     b2 = np.mean([e.b2 for e in experts], axis=0)
     return b1, b2
 
 
 def gather_sum(experts: list[FeedForward]) -> tuple[np.ndarray, np.ndarray]:
-    if not experts:
-        raise ValueError("need at least one expert")
     return np.sum([e.w1 for e in experts], axis=0), np.sum([e.w2 for e in experts], axis=0)
 
 
 def gather_avg(experts: list[FeedForward]) -> tuple[np.ndarray, np.ndarray]:
-    if not experts:
-        raise ValueError("need at least one expert")
     return np.mean([e.w1 for e in experts], axis=0), np.mean([e.w2 for e in experts], axis=0)
 
 
@@ -178,8 +171,6 @@ def gather_topkg(
     pairing: column j of w1 and row j of w2 always come from the same hidden
     unit of the same expert.
     """
-    if not experts:
-        raise ValueError("need at least one expert")
     d_ff = experts[0].d_ff
     quota = _unit_quota(d_ff, len(experts), allow_remainder)
     selected = [top_k_indices(unit_scores(e), quota[i]) for i, e in enumerate(experts)]
@@ -189,19 +180,15 @@ def gather_topkg(
 
 
 def svdkg_merge(
-    mats: list[np.ndarray],
-    ratio: float,
-    factors: list[numerics.SvdFactors] | None = None,
-) -> tuple[np.ndarray, list[numerics.SvdFactors], list[np.ndarray]]:
+    factors: list[SvdFactors], ratio: float
+) -> tuple[np.ndarray, list[SvdFactors], list[np.ndarray]]:
     """Merge one weight-matrix role across experts by truncated SVD.
 
-    Each matrix is decomposed (or reuses precomputed ``factors``) and truncated
-    to the smallest rank reaching ``ratio`` of its singular mass; the merged
-    matrix is the sum of the truncated reconstructions.
+    Each expert's decomposition is truncated to the smallest rank reaching
+    ``ratio`` of its singular mass; the merged matrix is the sum of the
+    truncated reconstructions.
     Returns (merged, per-expert truncated factors, their reconstructions).
     """
-    if factors is None:
-        factors = [svd(m) for m in mats]
     truncated = [truncate_svd(f, ratio) for f in factors]
     recons = [f.reconstruct() for f in truncated]
     return np.sum(recons, axis=0), truncated, recons
@@ -211,15 +198,11 @@ def gather_svdkg(
     experts: list[FeedForward], ratio: float
 ) -> tuple[np.ndarray, np.ndarray, LayerGatherRecord]:
     """Merge both weight matrices of an expert bank by truncated SVD."""
-    if not experts:
-        raise ValueError("need at least one expert")
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
     record = LayerGatherRecord(layer="", method="svdkg")
     full1 = [svd(e.w1) for e in experts]
     full2 = [svd(e.w2) for e in experts]
-    w1, trunc1, recon1 = svdkg_merge([e.w1 for e in experts], ratio, factors=full1)
-    w2, trunc2, recon2 = svdkg_merge([e.w2 for e in experts], ratio, factors=full2)
+    w1, trunc1, recon1 = svdkg_merge(full1, ratio)
+    w2, trunc2, recon2 = svdkg_merge(full2, ratio)
     for e, g1, g2, f1, f2, r1, r2 in zip(experts, full1, full2, trunc1, trunc2, recon1, recon2):
         record.ranks_w1.append(f1.rank)
         record.ranks_w2.append(f2.rank)

@@ -1,5 +1,5 @@
-"""Evaluation metrics: benefit preservation, accuracy, FLOPs accounting, and
-an empirical decomposition of the noise injected by SVD knowledge gathering.
+"""Evaluation metrics: benefit preservation, FLOPs accounting, and an
+empirical decomposition of the noise injected by SVD knowledge gathering.
 """
 
 from __future__ import annotations
@@ -20,22 +20,14 @@ class UndefinedMetricError(ValueError):
     """The benefit ratio is undefined when the MoE and dense scores coincide."""
 
 
-@dataclass(frozen=True)
-class Scoreboard:
-    """Three scores on one common metric (e.g. accuracy in percent)."""
-
-    score_student: float
-    score_dense: float
-    score_moe: float
-
-
-def moe_benefits(s: Scoreboard) -> float:
+def moe_benefits(score_student: float, score_dense: float, score_moe: float) -> float:
     """Fraction of the MoE's improvement over the plain dense model that the
-    student preserves: (student - dense) / (moe - dense)."""
-    denom = s.score_moe - s.score_dense
+    student preserves: (student - dense) / (moe - dense), all three scores on
+    one common metric (e.g. accuracy)."""
+    denom = score_moe - score_dense
     if denom == 0.0:
         raise UndefinedMetricError("score_moe equals score_dense; benefit ratio undefined")
-    return (s.score_student - s.score_dense) / denom
+    return (score_student - score_dense) / denom
 
 
 def flops_per_token(layer: FeedForward | MoELayer) -> int:
@@ -60,57 +52,34 @@ class NoiseScanRow:
     mean_selected_gate: float
 
 
-def _route(moe: MoELayer, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Primary expert and its gate for each (n, d_model) token row, noise off."""
-    probs = router_probs(tokens, moe.router)
-    picks = np.argmax(probs, axis=1)
-    return picks, probs[np.arange(len(picks)), picks]
-
-
-def _first_layer_split(moe: MoELayer, tokens: np.ndarray, picks: np.ndarray,
-                       w1_g: np.ndarray, recon: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Signal is the picked expert's truncated first layer on its rows; noise
-    is the rest of the merged first layer's output."""
-    b1_avg, _ = average_bias(moe.experts)
-    merged = tokens @ w1_g + b1_avg
-    signal = np.empty_like(merged)
-    for e in np.unique(picks):
-        rows = picks == e
-        signal[rows] = tokens[rows] @ recon[e] + moe.experts[e].b1
-    return signal, merged - signal
-
-
-def noise_decompose(moe: MoELayer, svd_ratio: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split the SVD-gathered first linear layer's output on a token, or on
-    (n, d_model) token rows, into signal + noise.
-
-    Signal is what the routed expert alone would contribute after its own
-    truncation (gate treated as 1); noise is everything the merge adds on
-    top: the truncated foreign experts plus the bias-averaging mismatch.
-    By construction signal + noise equals the gathered layer's output exactly.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    tokens = np.atleast_2d(x)
-    picks, _ = _route(moe, tokens)
-    w1_g, _, recon = svdkg_merge([e.w1 for e in moe.experts], svd_ratio)
-    signal, noise = _first_layer_split(moe, tokens, picks, w1_g, recon)
-    return signal.reshape(*x.shape[:-1], -1), noise.reshape(*x.shape[:-1], -1)
-
-
 def noise_scan(moe: MoELayer, svd_ratios, tokens: np.ndarray) -> list[NoiseScanRow]:
     """Mean signal/noise norms of the first-layer gathering noise over a token
-    sample, one row per ratio, rows sorted by ratio ascending."""
+    sample, one row per ratio, rows sorted by ratio ascending.
+
+    Each token is routed (noise off) to its primary expert. Signal is what
+    that expert alone contributes after its own truncation (gate treated as
+    1); noise is everything the SVD-gathered first layer adds on top: the
+    truncated foreign experts plus the bias-averaging mismatch. Signal plus
+    noise is the gathered layer's output.
+    """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 2 or tokens.shape[1] != moe.d_model or len(tokens) == 0:
         raise ValueError(f"tokens must be (n, {moe.d_model}) with n >= 1, got shape {tokens.shape}")
     ratios = sorted(float(r) for r in svd_ratios)
-    mats = [e.w1 for e in moe.experts]
-    factors = [svd(m) for m in mats]
-    picks, gates = _route(moe, tokens)
+    factors = [svd(e.w1) for e in moe.experts]
+    probs = router_probs(tokens, moe.router)
+    picks = np.argmax(probs, axis=1)
+    gates = probs[np.arange(len(picks)), picks]
+    b1_avg, _ = average_bias(moe.experts)
     rows = []
     for ratio in ratios:
-        w1_g, _, recon = svdkg_merge(mats, ratio, factors=factors)
-        signal, noise = _first_layer_split(moe, tokens, picks, w1_g, recon)
+        w1_g, _, recon = svdkg_merge(factors, ratio)
+        merged = tokens @ w1_g + b1_avg
+        signal = np.empty_like(merged)
+        for e in np.unique(picks):
+            mine = picks == e
+            signal[mine] = tokens[mine] @ recon[e] + moe.experts[e].b1
+        noise = merged - signal
         mean_signal = float(np.linalg.norm(signal, axis=1).mean())
         mean_noise = float(np.linalg.norm(noise, axis=1).mean())
         rows.append(

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .numerics import NumericalError, Rng, ShapeError
+from .numerics import NumericalError, Rng, ShapeError, check_number
 
 LAYER_NORM_EPS = 1e-5
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -139,14 +139,6 @@ class FeedForward:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
 
-def ffn_forward(ffn: FeedForward, x: np.ndarray) -> np.ndarray:
-    """Apply a feed-forward stage to a vector or a (..., d_model) batch."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != ffn.d_model:
-        raise ShapeError(f"input width {x.shape[-1]} != d_model {ffn.d_model}")
-    return _stage_forward_dense(ffn, x, need_grad=False)[0]
-
-
 @dataclass
 class Router:
     """Linear gate over experts with Gaussian exploration noise in training."""
@@ -236,9 +228,9 @@ class Architecture:
 
     def __post_init__(self):
         for name in ("d_model", "d_ff", "seq_len", "num_classes", "num_blocks", "num_experts", "top_k"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            check_number(name, getattr(self, name), integer=True, positive=True)
+        if self.router_noise_std is not None:
+            check_number("router_noise_std", self.router_noise_std)
         if self.stage not in ("dense", "moe"):
             raise ValueError(f"stage must be 'dense' or 'moe', got {self.stage!r}")
         if self.stage == "moe" and not 1 <= self.top_k <= self.num_experts:

@@ -3,12 +3,15 @@
 Everything operates on float64 numpy arrays with row-major semantics.
 All functions are pure; :class:`Rng` is the only stateful object and each
 logical consumer (init, batch order, router noise, ...) should own its own
-stream rather than share one.
+stream rather than share one. :func:`check_number` is the one range check
+of every numeric setting in the package.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,7 @@ __all__ = [
     "Rng",
     "as_matrix",
     "as_vector",
+    "check_number",
     "svd",
     "truncate_svd",
     "top_k_indices",
@@ -55,6 +59,24 @@ def as_vector(data) -> np.ndarray:
     if not np.isfinite(v).all():
         raise NumericalError("vector contains non-finite entries")
     return v
+
+
+def check_number(name: str, value, *, integer: bool = False, positive: bool = False,
+                 at_most: float = math.inf) -> None:
+    """Raise ValueError unless ``value`` is a finite number (an int when
+    ``integer``; never a bool) that is >= 0, > 0 when ``positive``, and at
+    most ``at_most``. Settings call this when built, so a bad value fails
+    before any work starts."""
+    if integer:
+        ok = type(value) is int
+    else:
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and (isinstance(value, int) or math.isfinite(value)))
+    if not ok or value < 0 or (positive and value == 0) or value > at_most:
+        sign = "positive" if positive else "non-negative"
+        kind = "integer" if integer else "finite number"
+        bound = f" at most {at_most:g}" if at_most < math.inf else ""
+        raise ValueError(f"{name} must be a {sign} {kind}{bound}, got {value!r}")
 
 
 def column_norms(a) -> np.ndarray:

@@ -9,13 +9,12 @@ probability via the balance loss, which is a direct function of them).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import ClassifierModel, forward_batch, state_hash
-from .numerics import NumericalError, Rng
+from .numerics import NumericalError, Rng, check_number
 
 GradientSet = dict[str, np.ndarray]
 
@@ -48,10 +47,8 @@ class DistillConfig:
     kl_direction: str = "teacher_to_student"
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        check_number("alpha", self.alpha, at_most=1.0)
+        check_number("temperature", self.temperature, positive=True)
         if self.mode not in DISTILL_MODES:
             raise ValueError(f"mode must be one of {DISTILL_MODES}, got {self.mode!r}")
         if self.kl_direction not in KL_DIRECTIONS:
@@ -71,31 +68,21 @@ class TrainConfig:
     eval_every: int = 200
 
     def __post_init__(self):
+        check_number("balance_coeff", self.balance_coeff)
         _check_loop_settings(self)
 
 
 def _check_loop_settings(cfg: TrainConfig | DistillConfig) -> None:
     """Reject loop settings that would fail mid-run rather than train."""
-    for name, low, kind in (("batch_size", 1, "positive"), ("steps", 0, "non-negative"),
-                            ("eval_every", 0, "non-negative")):
-        value = getattr(cfg, name)
-        if type(value) is not int or value < low:
-            raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
-    lr = cfg.learning_rate
-    if not isinstance(lr, (int, float)) or isinstance(lr, bool) or not 0.0 < lr < math.inf:
-        raise ValueError(f"learning_rate must be a positive finite number, got {lr!r}")
+    check_number("batch_size", cfg.batch_size, integer=True, positive=True)
+    check_number("steps", cfg.steps, integer=True)
+    check_number("eval_every", cfg.eval_every, integer=True)
+    check_number("learning_rate", cfg.learning_rate, positive=True)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def total_loss(main: float, distill: float, alpha: float) -> float:
-    """Convex combination of the task loss and the distillation loss."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha * main + (1.0 - alpha) * distill
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -197,9 +184,11 @@ def _layer_norm_backward(d_y: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
 
 
 def backward_from_logits(model: ClassifierModel, cache: dict, d_logits: np.ndarray,
-                         balance_coeff: float = 0.0) -> GradientSet:
-    """Accumulate gradients of (loss from d_logits) + balance_coeff * balance
-    into a fresh GradientSet keyed like ``model.parameters()``.
+                         balance_dp: np.ndarray | None = None) -> GradientSet:
+    """Accumulate gradients of (loss from d_logits) plus the balance term
+    into a fresh GradientSet keyed like ``model.parameters()``. ``balance_dp``
+    is the balance term's gradient w.r.t. each gate probability row of every
+    MoE stage; None means no balance term.
 
     Gradients accumulate per tensor, so a stage shared by several blocks
     collects all of their contributions in one array. ``cache`` must come
@@ -216,12 +205,6 @@ def backward_from_logits(model: ClassifierModel, cache: dict, d_logits: np.ndarr
         raise ValueError("two parameter names alias one array; a shared tensor must be listed once")
     tokens = cache["tokens"]
     b, s, d = tokens.shape
-
-    balance_dp = None
-    if balance_coeff > 0.0:
-        _, m, rows = _pooled_balance(cache)
-        if rows:
-            balance_dp = balance_coeff * m.size * m / rows
 
     grad[id(model.head_w)] += cache["pooled"].T @ d_logits
     grad[id(model.head_b)] += d_logits.sum(axis=0)
@@ -270,19 +253,21 @@ def loss_and_grads(
         distill_val, d_distill = _distill_terms(logits, teacher_logits, distill)
         alpha = distill.alpha
         d_logits = alpha * d_main + (1.0 - alpha) * d_distill
-        total = total_loss(main, distill_val, alpha)
+        total = alpha * main + (1.0 - alpha) * distill_val
     else:
         distill_val = 0.0
         d_logits = d_main
         total = main
 
-    balance = 0.0
+    balance, balance_dp = 0.0, None
     if balance_coeff > 0.0:
-        balance = _pooled_balance(cache)[0]
+        balance, m, rows = _pooled_balance(cache)
         total += balance_coeff * balance
+        if rows:
+            balance_dp = balance_coeff * m.size * m / rows
 
     breakdown = LossBreakdown(main=main, distill=distill_val, balance=balance, total=total)
-    return breakdown, backward_from_logits(model, cache, d_logits, balance_coeff=balance_coeff)
+    return breakdown, backward_from_logits(model, cache, d_logits, balance_dp)
 
 
 @dataclass(frozen=True)

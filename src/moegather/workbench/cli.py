@@ -19,17 +19,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from ..gather import BIAS_POLICIES, GATHER_METHODS, GatherConfig, StructureError
-from ..metrics import Scoreboard, UndefinedMetricError, flops_per_token, moe_benefits, noise_scan
+from ..metrics import UndefinedMetricError, flops_per_token, moe_benefits, noise_scan
 from ..model import MoELayer, count_parameters
 from ..numerics import NumericalError, ShapeError
 from ..training import DISTILL_MODES, DistillConfig, evaluate_accuracy
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import SEED_ENV_VAR, ConfigError, load_config
+from .config import SEED_ENV_VAR, ConfigError, ExperimentConfig, load_config
 from .data import SyntheticTaskSpec, generate_dataset
 from .pipeline import PipelineError, distill_stage, gather_stage, run_pipeline, train_stage, write_noise_scan_csv
 
@@ -123,7 +124,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_benefits(args) -> int:
-    value = moe_benefits(Scoreboard(args.student, args.dense, args.moe))
+    value = moe_benefits(args.student, args.dense, args.moe)
     print(json.dumps({"benefits": value, "percent": 100.0 * value}))
     return 0
 
@@ -133,7 +134,7 @@ def _parse_lambda_grid(text: str) -> list[float]:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad lambda grid {text!r}; expected start:stop:step") from exc
-    if step <= 0 or start <= 0 or stop > 1 + 1e-12 or start > stop:
+    if not (0 < start <= stop <= 1 + 1e-12 and 0 < step < math.inf):  # also false for NaN
         raise ConfigError(f"lambda grid {text!r} must satisfy 0 < start <= stop <= 1, step > 0")
     values = []
     k = 0
@@ -204,12 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gather", help="collapse a teacher's experts into a dense student")
     p.add_argument("--teacher", required=True)
     p.add_argument("--method", required=True, choices=GATHER_METHODS)
-    p.add_argument("--lambda", "--svd-ratio", dest="svd_ratio", type=float, default=0.75,
-                   help="retained singular-mass fraction (svdkg only)")
-    p.add_argument("--bias", choices=BIAS_POLICIES, default="average")
+    p.add_argument("--lambda", "--svd-ratio", dest="svd_ratio", type=float,
+                   default=ExperimentConfig.svd_ratio, help="retained singular-mass fraction (svdkg only)")
+    p.add_argument("--bias", choices=BIAS_POLICIES, default=GatherConfig.bias_policy)
     p.add_argument("--allow-remainder", action="store_true",
                    help="topkg: allow d_ff not divisible by the expert count")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=GatherConfig.seed,
                    help="recorded in the checkpoint as provenance; the gathered weights do not depend on it")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gather)
@@ -217,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distill", help="refine a student against a frozen teacher")
     p.add_argument("--student", required=True)
     p.add_argument("--teacher", required=True)
-    p.add_argument("--alpha", type=float, default=0.25)
-    p.add_argument("--temp", type=float, default=1.0)
-    p.add_argument("--mode", choices=DISTILL_MODES, default="soft")
-    p.add_argument("--steps", type=int, default=800)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--eval-every", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float, default=DistillConfig.alpha)
+    p.add_argument("--temp", type=float, default=DistillConfig.temperature)
+    p.add_argument("--mode", choices=DISTILL_MODES, default=DistillConfig.mode)
+    p.add_argument("--steps", type=int, default=DistillConfig.steps)
+    p.add_argument("--batch-size", type=int, default=DistillConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=DistillConfig.learning_rate)
+    p.add_argument("--eval-every", type=int, default=DistillConfig.eval_every)
+    p.add_argument("--seed", type=int, default=DistillConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_distill)
 

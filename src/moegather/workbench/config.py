@@ -20,11 +20,6 @@ from .data import SyntheticTaskSpec
 
 SEED_ENV_VAR = "ONES_SEED"
 
-PROFILES = {
-    "vision": {"alpha": 0.25, "temperature": 1.0, "svd_ratio": 0.75},
-    "nlp": {"alpha": 0.75, "temperature": 1.0, "svd_ratio": 0.25},
-}
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
@@ -95,13 +90,20 @@ class ExperimentConfig:
         }
 
 
+# "vision" is the dataclass defaults; a config without a profile gets them too.
+_VISION = {"alpha": DistillConfig.alpha, "temperature": DistillConfig.temperature,
+           "svd_ratio": ExperimentConfig.svd_ratio}
+PROFILES = {"vision": _VISION, "nlp": {**_VISION, "alpha": 0.75, "svd_ratio": 0.25}}
+
+
 def derive_seed(seed: int, tag: str) -> int:
     from ..numerics import Rng
 
     return Rng(seed).derive(tag).seed
 
 
-def default_config(seed: int = 0, out_dir: str = "runs/out", profile: str = "vision") -> ExperimentConfig:
+def default_config(seed: int = 0, out_dir: str = ExperimentConfig.out_dir,
+                   profile: str = "vision") -> ExperimentConfig:
     """Desk-scale defaults: d_model 32, d_ff 128, 4 experts with top-2
     routing, two parameter-shared blocks, ~20k training sequences."""
     cfg = {
@@ -138,12 +140,10 @@ def default_config(seed: int = 0, out_dir: str = "runs/out", profile: str = "vis
 def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = json.loads(json.dumps(raw))  # deep copy + reject non-JSON values
     seed = int(os.environ.get(SEED_ENV_VAR, raw.get("seed", 0)))
-    profile_name = raw.get("profile")
-    profile = {}
-    if profile_name is not None:
-        if profile_name not in PROFILES:
-            raise ConfigError(f"unknown profile {profile_name!r}; available: {sorted(PROFILES)}")
-        profile = PROFILES[profile_name]
+    profile_name = "vision" if raw.get("profile") is None else raw["profile"]
+    if not isinstance(profile_name, str) or profile_name not in PROFILES:
+        raise ConfigError(f"unknown profile {profile_name!r}; available: {sorted(PROFILES)}")
+    profile = PROFILES[profile_name]
 
     model_d = dict(raw.get("model", {}))
     model_d.setdefault("stage", "moe")
@@ -163,8 +163,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     teach_d.setdefault("seed", derive_seed(seed, "teach"))
     distill_d = dict(raw.get("distill", {}))
     distill_d.setdefault("seed", derive_seed(seed, "distill"))
-    distill_d.setdefault("alpha", profile.get("alpha", 0.25))
-    distill_d.setdefault("temperature", profile.get("temperature", 1.0))
+    distill_d.setdefault("alpha", profile["alpha"])
+    distill_d.setdefault("temperature", profile["temperature"])
 
     gather_d = dict(raw.get("gather", {}))
     try:
@@ -176,9 +176,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             teach=teach,
             distill=distill,
             gather_methods=list(gather_d.get("methods", GATHER_METHODS)),
-            svd_ratio=float(gather_d.get("svd_ratio", profile.get("svd_ratio", 0.75))),
-            bias_policy=gather_d.get("bias_policy", "average"),
-            out_dir=raw.get("out_dir", "runs/out"),
+            svd_ratio=float(gather_d.get("svd_ratio", profile["svd_ratio"])),
+            bias_policy=gather_d.get("bias_policy", ExperimentConfig.bias_policy),
+            out_dir=raw.get("out_dir", ExperimentConfig.out_dir),
             seed=seed,
         )
     except ConfigError:

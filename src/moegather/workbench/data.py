@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..numerics import Rng
+from ..numerics import Rng, check_number
 
 TASK_KINDS = ("gaussian_mixture", "noisy_parity")
 
@@ -50,9 +50,14 @@ class SyntheticTaskSpec:
             raise ValueError(f"kind must be one of {TASK_KINDS}, got {self.kind!r}")
         for name in ("num_classes", "d_model", "seq_len", "train_size", "test_size",
                      "modes_per_class", "parity_bits"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            check_number(name, getattr(self, name), integer=True, positive=True)
+        check_number("mode_spread", self.mode_spread)
+        check_number("token_noise", self.token_noise)
+        check_number("flip_prob", self.flip_prob, at_most=1.0)
+        for bound in self.probe_band:
+            check_number("probe_band", bound, at_most=1.0)
+        if len(self.probe_band) != 2 or not self.probe_band[0] < self.probe_band[1]:
+            raise ValueError(f"probe_band must be a pair lo < hi, got {list(self.probe_band)!r}")
         if self.kind == "noisy_parity":
             if self.num_classes != 2:
                 raise ValueError("noisy_parity is a binary task; num_classes must be 2")

@@ -25,7 +25,7 @@ from pathlib import Path
 import jsonschema
 
 from ..gather import GatherConfig, GatherReport, build_student, copy_matched
-from ..metrics import NoiseScanRow, Scoreboard, UndefinedMetricError, flops_per_token, moe_benefits
+from ..metrics import NoiseScanRow, UndefinedMetricError, flops_per_token, moe_benefits
 from ..model import Architecture, ClassifierModel, build_classifier, count_parameters
 from ..numerics import Rng
 from ..training import DistillConfig, TrainConfig, TrainResult, distill_student, train_classifier
@@ -187,7 +187,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         for name, entry in students.items():
             result: TrainResult = entry["result"]
             try:
-                benefits = moe_benefits(Scoreboard(result.final_heldout_acc, dense_acc, teacher_acc))
+                benefits = moe_benefits(result.final_heldout_acc, dense_acc, teacher_acc)
             except UndefinedMetricError:
                 benefits = None
             report = entry["report"].name if entry["report"] else None

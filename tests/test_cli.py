@@ -174,3 +174,31 @@ def test_noise_scan_token_count_must_be_positive(pipe, tmp_path, capsys, tokens)
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: config: --tokens must be at least 1, got {tokens}\n"
     assert not (tmp_path / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("block,field,value", [
+    ("teach", "balance_coeff", "x"), ("teach", "balance_coeff", -0.1), ("teach", "balance_coeff", float("nan")),
+    ("distill", "temperature", float("inf")), ("distill", "temperature", float("nan")),
+    ("distill", "alpha", True), ("distill", "alpha", 1.5),
+    ("model", "router_noise_std", "x"), ("model", "router_noise_std", -0.5),
+    ("model", "router_noise_std", float("nan")),
+    ("task", "mode_spread", "x"), ("task", "token_noise", "x"), ("task", "probe_band", [0.9, 0.1]),
+    ("task", "flip_prob", 1.5),
+])
+def test_numeric_settings_must_be_valid(tmp_path, capsys, block, field, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, block: {**TINY_CONFIG[block], field: value}}))
+    assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and f"{field} must be a " in err, err
+    assert not (tmp_path / "t.ckpt").exists()
+
+
+@pytest.mark.parametrize("grid", ["nan:1:0.1", "0.1:1:nan"])
+def test_noise_scan_rejects_a_non_finite_lambda_grid(pipe, tmp_path, capsys, grid):
+    # a NaN bound never ends the grid loop; it must fail before the scan
+    argv = ["noise-scan", "--teacher", str(pipe / "teacher.ckpt"), "--lambdas", grid,
+            "--out", str(tmp_path / "scan.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: config: lambda grid {grid!r} must satisfy")
+    assert not (tmp_path / "scan.csv").exists()

@@ -14,7 +14,6 @@ from moegather.training import (
     distill_student,
     loss_and_grads,
     optimizer_step,
-    total_loss,
     train_classifier,
 )
 from moegather.workbench.data import Dataset
@@ -137,22 +136,16 @@ class TestHardKdLoss:
 
 
 class TestTotalLoss:
-    def test_boundaries(self):
-        assert total_loss(2.0, 5.0, 1.0) == 2.0
-        assert total_loss(2.0, 5.0, 0.0) == 5.0
-
-    def test_quarter(self):
-        assert total_loss(2.0, 4.0, 0.25) == pytest.approx(3.5)
-
-    def test_alpha_derivative_is_main_minus_distill(self):
-        main, distill = 1.3, 0.4
-        eps = 1e-6
-        num = (total_loss(main, distill, 0.5 + eps) - total_loss(main, distill, 0.5 - eps)) / (2 * eps)
-        assert num == pytest.approx(main - distill, rel=1e-6)
-
-    def test_alpha_domain(self):
-        with pytest.raises(ValueError):
-            total_loss(1.0, 1.0, 1.5)
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+    def test_total_is_alpha_weighted_sum(self, alpha):
+        teacher = build_classifier(tiny_arch(), Rng(17))
+        student = build_classifier(tiny_arch("dense"), Rng(18))
+        tokens = Rng(19).normal(size=(4, 4, 8))
+        labels = np.array([0, 2, 1, 0])
+        cfg = DistillConfig(alpha=alpha, temperature=2.0, mode="soft")
+        loss, _ = loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)
+        assert loss.distill > 0.0 and loss.balance == 0.0
+        assert loss.total == alpha * loss.main + (1.0 - alpha) * loss.distill
 
 
 def _fd_check(model, grads, loss_fn, h=1e-5, tol=1e-4, stride=1):
