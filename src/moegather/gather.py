@@ -7,7 +7,8 @@ feed-forward stage by one of four weight-merging methods:
 * ``sum``   - elementwise sum of expert weight matrices
 * ``avg``   - elementwise mean
 * ``topkg`` - per expert, keep the d_ff/E hidden units with the largest
-              paired column/row norm score and concatenate the survivors
+              paired column/row norm score and concatenate the survivors;
+              the first d_ff mod E experts each keep one unit more
 * ``svdkg`` - per expert, keep the smallest leading set of singular triplets
               reaching a fraction ``svd_ratio`` of the singular mass, then
               sum the truncated reconstructions
@@ -45,7 +46,6 @@ class GatherConfig:
     method: str
     svd_ratio: float | None = None
     bias_policy: str = "average"
-    allow_remainder: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -151,19 +151,7 @@ def unit_scores(expert: FeedForward) -> np.ndarray:
     return column_norms(expert.w1) + row_norms(expert.w2)
 
 
-def _unit_quota(d_ff: int, num_experts: int, allow_remainder: bool) -> list[int]:
-    base, rem = divmod(d_ff, num_experts)
-    if rem and not allow_remainder:
-        raise StructureError(
-            f"d_ff={d_ff} not divisible by {num_experts} experts; "
-            "pass allow_remainder to spread the extra units"
-        )
-    return [base + (1 if e < rem else 0) for e in range(num_experts)]
-
-
-def gather_topkg(
-    experts: list[FeedForward], allow_remainder: bool = False
-) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+def gather_topkg(experts: list[FeedForward]) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
     """Keep the top-scoring hidden units of each expert and concatenate them.
 
     Returns (w1, w2, selected) where ``selected[e]`` lists the kept unit
@@ -171,9 +159,9 @@ def gather_topkg(
     pairing: column j of w1 and row j of w2 always come from the same hidden
     unit of the same expert.
     """
-    d_ff = experts[0].d_ff
-    quota = _unit_quota(d_ff, len(experts), allow_remainder)
-    selected = [top_k_indices(unit_scores(e), quota[i]) for i, e in enumerate(experts)]
+    base, rem = divmod(experts[0].d_ff, len(experts))
+    quota = [base + (i < rem) for i in range(len(experts))]
+    selected = [top_k_indices(unit_scores(e), k) if k else [] for e, k in zip(experts, quota)]
     w1 = np.concatenate([e.w1[:, idx] for e, idx in zip(experts, selected)], axis=1)
     w2 = np.concatenate([e.w2[idx, :] for e, idx in zip(experts, selected)], axis=0)
     return w1, w2, selected
@@ -227,7 +215,7 @@ def _gather_stage(moe: MoELayer, cfg: GatherConfig, layer_name: str) -> tuple[Fe
         w1, w2, record = gather_svdkg(experts, cfg.svd_ratio)
         b1, b2 = b1_avg, b2_avg
     elif cfg.method == "topkg":
-        w1, w2, selected = gather_topkg(experts, cfg.allow_remainder)
+        w1, w2, selected = gather_topkg(experts)
         record = LayerGatherRecord(layer=layer_name, method="topkg", selected_units=selected)
         for e, idx in zip(experts, selected):
             kept1 = np.zeros_like(e.w1)

@@ -18,7 +18,6 @@ from .numerics import NumericalError, Rng, check_number
 
 GradientSet = dict[str, np.ndarray]
 
-KL_DIRECTIONS = ("teacher_to_student", "student_to_teacher")
 DISTILL_MODES = ("soft", "hard", "none")
 EVAL_BATCH = 512  # sequences per forward pass when scoring accuracy
 BALANCE_SAMPLE = 256  # test sequences behind a trained model's final balance loss
@@ -44,15 +43,12 @@ class DistillConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     eval_every: int = 200
-    kl_direction: str = "teacher_to_student"
 
     def __post_init__(self):
         check_number("alpha", self.alpha, at_most=1.0)
         check_number("temperature", self.temperature, positive=True)
         if self.mode not in DISTILL_MODES:
             raise ValueError(f"mode must be one of {DISTILL_MODES}, got {self.mode!r}")
-        if self.kl_direction not in KL_DIRECTIONS:
-            raise ValueError(f"kl_direction must be one of {KL_DIRECTIONS}")
         _check_loop_settings(self)
 
 
@@ -105,15 +101,8 @@ def _distill_terms(logits: np.ndarray, teacher_logits: np.ndarray, cfg: DistillC
     ls_s = _log_softmax(logits / t)
     ls_t = _log_softmax(teacher_logits / t)
     p_s, p_t = np.exp(ls_s), np.exp(ls_t)
-    if cfg.kl_direction == "teacher_to_student":
-        loss = float(t * t * np.sum(p_t * (ls_t - ls_s)) / b)
-        dlogits = t * (p_s - p_t) / b
-    else:
-        log_ratio = ls_s - ls_t
-        kl = np.sum(p_s * log_ratio, axis=1, keepdims=True)
-        loss = float(t * t * kl.sum() / b)
-        dlogits = t * p_s * (log_ratio - kl) / b
-    return loss, dlogits
+    loss = float(t * t * np.sum(p_t * (ls_t - ls_s)) / b)
+    return loss, t * (p_s - p_t) / b
 
 
 def _pooled_balance(cache: dict) -> tuple[float, np.ndarray, int]:

@@ -3,16 +3,18 @@
 Subcommands mirror the pipeline stages so each can run standalone:
 
     moegather teach      --config c.json --out t.ckpt
-    moegather gather     --teacher t.ckpt --method svdkg --svd-ratio 0.75 --out s0.ckpt
-    moegather distill    --student s0.ckpt --teacher t.ckpt --alpha 0.25 --out s.ckpt
+    moegather gather     --config c.json --teacher t.ckpt --method svdkg --out s0.ckpt
+    moegather distill    --config c.json --student s0.ckpt --teacher t.ckpt --out s.ckpt
     moegather eval       --model s.ckpt --split test --out scores.json
     moegather benefits   --student 84.63 --dense 84.03 --moe 84.71
     moegather noise-scan --teacher t.ckpt --lambdas 0.1:1.0:0.1 --out scan.csv
     moegather flops      --model s.ckpt
     moegather pipeline   --config c.json
 
-Every command exits 0 on success and nonzero with an ``error: <kind>: ...``
-diagnostic on stderr otherwise. ``ONES_SEED`` overrides config seeds.
+``teach``, ``gather`` and ``distill`` each run one stage of the pipeline that
+``--config`` describes and write what ``pipeline`` writes for it. Every
+command exits 0 on success and nonzero with an ``error: <kind>: ...``
+diagnostic on stderr otherwise. ``ONES_SEED`` overrides the config seed.
 """
 
 from __future__ import annotations
@@ -20,17 +22,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
-from ..gather import BIAS_POLICIES, GATHER_METHODS, GatherConfig, StructureError
+from ..gather import GATHER_METHODS, StructureError
 from ..metrics import UndefinedMetricError, flops_per_token, moe_benefits, noise_scan
-from ..model import MoELayer, count_parameters
+from ..model import ClassifierModel, MoELayer, count_parameters
 from ..numerics import NumericalError, ShapeError
-from ..training import DISTILL_MODES, DistillConfig, evaluate_accuracy
-from .checkpoint import CheckpointError, load_checkpoint
-from .config import SEED_ENV_VAR, ConfigError, ExperimentConfig, load_config
+from ..training import evaluate_accuracy
+from .checkpoint import CheckpointError, SchemaError, load_checkpoint
+from .config import ConfigError, ExperimentConfig, load_config
 from .data import SyntheticTaskSpec, generate_dataset
 from .pipeline import PipelineError, distill_stage, gather_stage, run_pipeline, train_stage, write_noise_scan_csv
 
@@ -40,21 +41,27 @@ def _fail(kind: str, message: str) -> int:
     return 1
 
 
-def _seed_override(seed: int) -> int:
-    return int(os.environ.get(SEED_ENV_VAR, seed))
-
-
-def _task_from_meta(meta: dict, path: str) -> SyntheticTaskSpec:
+def _task_from_meta(meta: dict, path) -> SyntheticTaskSpec:
     if "task" not in meta:
         raise ConfigError(f"{path}: checkpoint metadata has no task description")
-    return SyntheticTaskSpec.from_dict(meta["task"])
+    try:
+        return SyntheticTaskSpec.from_dict(meta["task"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: bad task metadata: {exc}") from exc
+
+
+def _load_for(cfg: ExperimentConfig, path) -> tuple[ClassifierModel, dict]:
+    """Load a checkpoint that was made for the config's task."""
+    model, meta = load_checkpoint(path)
+    if _task_from_meta(meta, path) != cfg.task:
+        raise ConfigError(f"{path}: the checkpoint's task differs from the config's")
+    return model, meta
 
 
 def _cmd_teach(args) -> int:
     cfg = load_config(args.config)
     data = generate_dataset(cfg.task)
-    meta = {"task": cfg.task.to_dict(), "seed": cfg.seed, "role": "teacher"}
-    result = train_stage(cfg.arch, cfg.teach, data, meta, args.out)
+    result = train_stage(cfg.arch, cfg.teach, data, cfg.checkpoint_meta("teacher"), args.out)
     print(
         json.dumps(
             {
@@ -68,43 +75,23 @@ def _cmd_teach(args) -> int:
 
 
 def _cmd_gather(args) -> int:
-    teacher, meta = load_checkpoint(args.teacher)
-    gcfg = GatherConfig(
-        method=args.method,
-        svd_ratio=args.svd_ratio if args.method == "svdkg" else None,
-        bias_policy=args.bias,
-        allow_remainder=args.allow_remainder,
-        seed=_seed_override(args.seed),
-    )
-    out_meta = {"task": meta.get("task"), "seed": gcfg.seed, "role": f"gather_{args.method}"}
+    cfg = load_config(args.config)
+    teacher, _ = _load_for(cfg, args.teacher)
+    meta = cfg.checkpoint_meta(f"gather_{args.method}")
     report_path = Path(args.out).with_suffix(".report.json")
-    gather_stage(teacher, gcfg, out_meta, args.out, report_path)
+    gather_stage(teacher, cfg.gather_config(args.method), meta, args.out, report_path)
     print(json.dumps({"checkpoint": args.out, "report": str(report_path)}))
     return 0
 
 
 def _cmd_distill(args) -> int:
-    student, student_meta = load_checkpoint(args.student)
-    teacher, teacher_meta = load_checkpoint(args.teacher)
-    task = _task_from_meta(teacher_meta, args.teacher)
-    data = generate_dataset(task)
-    dcfg = DistillConfig(
-        alpha=args.alpha,
-        temperature=args.temp,
-        mode=args.mode,
-        steps=args.steps,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=_seed_override(args.seed),
-        eval_every=args.eval_every,
-    )
-    meta = {
-        "task": task.to_dict(),
-        "seed": dcfg.seed,
-        "role": student_meta.get("role", "student"),
-        "initialized_from": args.student,
-    }
-    result = distill_stage(student, teacher, dcfg, data, meta, args.out)
+    cfg = load_config(args.config)
+    student, student_meta = _load_for(cfg, args.student)
+    teacher, _ = _load_for(cfg, args.teacher)
+    role = student_meta.get("role", "student")
+    meta = {**cfg.checkpoint_meta(role), "initialized_from": Path(args.student).name}
+    data = generate_dataset(cfg.task)
+    result = distill_stage(student, teacher, cfg.distill_config(role), data, meta, args.out)
     print(json.dumps({"checkpoint": args.out, "heldout_accuracy": result.final_heldout_acc}))
     return 0
 
@@ -113,9 +100,9 @@ def _cmd_eval(args) -> int:
     model, meta = load_checkpoint(args.model)
     task = _task_from_meta(meta, args.model)
     train, test = generate_dataset(task)
-    split = train if args.task == "train" else test
+    split = train if args.split == "train" else test
     acc = evaluate_accuracy(model, split.tokens, split.labels)
-    scores = {"accuracy": acc, "split": args.task, "n": len(split.labels), "model": args.model}
+    scores = {"accuracy": acc, "split": args.split, "n": len(split.labels), "model": args.model}
     payload = json.dumps(scores, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(payload)
@@ -203,35 +190,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_teach)
 
     p = sub.add_parser("gather", help="collapse a teacher's experts into a dense student")
+    p.add_argument("--config", required=True)
     p.add_argument("--teacher", required=True)
     p.add_argument("--method", required=True, choices=GATHER_METHODS)
-    p.add_argument("--lambda", "--svd-ratio", dest="svd_ratio", type=float,
-                   default=ExperimentConfig.svd_ratio, help="retained singular-mass fraction (svdkg only)")
-    p.add_argument("--bias", choices=BIAS_POLICIES, default=GatherConfig.bias_policy)
-    p.add_argument("--allow-remainder", action="store_true",
-                   help="topkg: allow d_ff not divisible by the expert count")
-    p.add_argument("--seed", type=int, default=GatherConfig.seed,
-                   help="recorded in the checkpoint as provenance; the gathered weights do not depend on it")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gather)
 
     p = sub.add_parser("distill", help="refine a student against a frozen teacher")
+    p.add_argument("--config", required=True)
     p.add_argument("--student", required=True)
     p.add_argument("--teacher", required=True)
-    p.add_argument("--alpha", type=float, default=DistillConfig.alpha)
-    p.add_argument("--temp", type=float, default=DistillConfig.temperature)
-    p.add_argument("--mode", choices=DISTILL_MODES, default=DistillConfig.mode)
-    p.add_argument("--steps", type=int, default=DistillConfig.steps)
-    p.add_argument("--batch-size", type=int, default=DistillConfig.batch_size)
-    p.add_argument("--learning-rate", type=float, default=DistillConfig.learning_rate)
-    p.add_argument("--eval-every", type=int, default=DistillConfig.eval_every)
-    p.add_argument("--seed", type=int, default=DistillConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_distill)
 
     p = sub.add_parser("eval", help="measure accuracy on the model's task")
     p.add_argument("--model", required=True)
-    p.add_argument("--task", "--split", dest="task", choices=("train", "test"), default="test",
+    p.add_argument("--split", choices=("train", "test"), default="test",
                    help="which split of the model's task to score")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_eval)

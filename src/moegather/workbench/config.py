@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..gather import GATHER_METHODS, GatherConfig
 from ..model import Architecture
+from ..numerics import Rng, check_number
 from ..training import DistillConfig, TrainConfig
 from .data import SyntheticTaskSpec
 
@@ -57,11 +58,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"task num_classes {self.task.num_classes} != model head width {self.arch.num_classes}"
             )
-        if "topkg" in self.gather_methods and self.arch.d_ff % self.arch.num_experts:
-            raise ConfigError(
-                f"topkg needs d_ff ({self.arch.d_ff}) divisible by the expert count "
-                f"({self.arch.num_experts})"
-            )
         # fail early on bad gathering settings rather than mid-pipeline
         for m in self.gather_methods:
             self.gather_config(m)
@@ -73,6 +69,14 @@ class ExperimentConfig:
             bias_policy=self.bias_policy if method == "topkg" else "average",
             seed=derive_seed(self.seed, f"gather-{method}"),
         )
+
+    def checkpoint_meta(self, role: str) -> dict:
+        """Provenance that every stage checkpoint of this experiment records."""
+        return {"task": self.task.to_dict(), "seed": self.seed, "role": role}
+
+    def distill_config(self, role: str) -> DistillConfig:
+        """Distill settings for the student ``role``, on its own derived seed."""
+        return replace(self.distill, seed=derive_seed(self.seed, f"distill-{role}"))
 
     def to_dict(self) -> dict:
         return {
@@ -97,8 +101,6 @@ PROFILES = {"vision": _VISION, "nlp": {**_VISION, "alpha": 0.75, "svd_ratio": 0.
 
 
 def derive_seed(seed: int, tag: str) -> int:
-    from ..numerics import Rng
-
     return Rng(seed).derive(tag).seed
 
 
@@ -137,9 +139,21 @@ def default_config(seed: int = 0, out_dir: str = ExperimentConfig.out_dir,
     return config_from_dict(cfg)
 
 
+def _top_level_seed(raw: dict) -> int:
+    """The config's ``seed``, or ``ONES_SEED`` when that is set."""
+    text = os.environ.get(SEED_ENV_VAR)
+    # text that is not a non-negative integer stays text for check_number to report
+    seed = raw.get("seed", 0) if text is None else int(text) if text.strip().isdecimal() else text
+    try:
+        check_number("seed", seed, integer=True)
+    except ValueError as exc:
+        raise ConfigError(str(exc) if text is None else f"{SEED_ENV_VAR}: {exc}") from exc
+    return seed
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = json.loads(json.dumps(raw))  # deep copy + reject non-JSON values
-    seed = int(os.environ.get(SEED_ENV_VAR, raw.get("seed", 0)))
+    seed = _top_level_seed(raw)
     profile_name = "vision" if raw.get("profile") is None else raw["profile"]
     if not isinstance(profile_name, str) or profile_name not in PROFILES:
         raise ConfigError(f"unknown profile {profile_name!r}; available: {sorted(PROFILES)}")

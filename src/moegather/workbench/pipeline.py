@@ -117,9 +117,8 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
     data = _run_stage("data", generate_dataset, cfg.task)
-    task = cfg.task.to_dict()
 
-    meta = {"task": task, "seed": cfg.seed, "role": "teacher"}
+    meta = cfg.checkpoint_meta("teacher")
     teacher_result = _run_stage("teach", train_stage, cfg.arch, cfg.teach, data, meta, out / "teacher.ckpt")
     teacher = teacher_result.model
     teacher_hash = file_sha256(out / "teacher.ckpt")
@@ -128,7 +127,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     dense_tc = replace(
         cfg.teach, steps=cfg.teach.steps + cfg.distill.steps, seed=derive_seed(cfg.seed, "dense-scratch")
     )
-    meta = {"task": task, "seed": cfg.seed, "role": "dense_scratch"}
+    meta = cfg.checkpoint_meta("dense_scratch")
     dense_result = _run_stage(
         "dense-scratch", train_stage, cfg.arch.dense_twin(), dense_tc, data, meta, out / "dense_scratch.ckpt"
     )
@@ -142,7 +141,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         copy_matched(teacher, copy_student)
         for name, student in (("random_init_kd", random_student), ("matched_copy_kd", copy_student)):
             init_path = out / f"{name}.init.ckpt"
-            save_checkpoint(student, {"task": task, "seed": cfg.seed, "role": name}, init_path)
+            save_checkpoint(student, cfg.checkpoint_meta(name), init_path)
             students[name] = {"model": student, "init": init_path, "report": None}
 
     _run_stage("reference-inits", make_reference_inits)
@@ -152,7 +151,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
             name = f"gather_{method}"
             init_path = out / f"{name}.init.ckpt"
             report_path = out / f"{name}.report.json"
-            meta = {"task": task, "seed": cfg.seed, "role": name}
+            meta = cfg.checkpoint_meta(name)
             student, _ = gather_stage(teacher, cfg.gather_config(method), meta, init_path, report_path)
             students[name] = {"model": student, "init": init_path, "report": report_path}
 
@@ -160,8 +159,8 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
 
     def distill_all():
         for name, entry in students.items():
-            dcfg = replace(cfg.distill, seed=derive_seed(cfg.seed, f"distill-{name}"))
-            meta = {"task": task, "seed": cfg.seed, "role": name, "initialized_from": entry["init"].name}
+            dcfg = cfg.distill_config(name)
+            meta = {**cfg.checkpoint_meta(name), "initialized_from": entry["init"].name}
             entry["result"] = distill_stage(entry["model"], teacher, dcfg, data, meta, out / f"{name}.ckpt")
 
     _run_stage("distill", distill_all)

@@ -4,10 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from moegather.model import state_hash
 from moegather.workbench import cli
-from moegather.workbench.checkpoint import load_checkpoint
-from moegather.workbench.config import SEED_ENV_VAR, config_from_dict, derive_seed
+from moegather.workbench.checkpoint import load_checkpoint, save_checkpoint
+from moegather.workbench.config import SEED_ENV_VAR, config_from_dict
 from moegather.workbench.pipeline import run_pipeline
 
 
@@ -25,15 +24,9 @@ def test_documented_command_lines_parse(argv):
     assert args.command == argv[0]
 
 
-@pytest.mark.parametrize("flag", ["--lambda", "--svd-ratio"])
-def test_gather_ratio_spellings(flag):
-    argv = ["gather", "--teacher", "t.ckpt", "--method", "svdkg", flag, "0.5", "--out", "s.ckpt"]
-    assert cli.build_parser().parse_args(argv).svd_ratio == 0.5
-
-
-@pytest.mark.parametrize("flag", ["--task", "--split"])
+@pytest.mark.parametrize("flag", ["--split"])
 def test_eval_split_spellings(flag):
-    assert cli.build_parser().parse_args(["eval", "--model", "m.ckpt", flag, "train"]).task == "train"
+    assert cli.build_parser().parse_args(["eval", "--model", "m.ckpt", flag, "train"]).split == "train"
 
 
 TINY_CONFIG = {
@@ -66,32 +59,57 @@ def pipe(tmp_path_factory):
 
 
 def test_stage_commands_reproduce_the_pipeline(pipe, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     config = tmp_path / "c.json"
     config.write_text(json.dumps(TINY_CONFIG))
-
-    teacher = tmp_path / "teacher.ckpt"
-    _run(["teach", "--config", config, "--out", teacher], capsys)
-    assert teacher.read_bytes() == (pipe / "teacher.ckpt").read_bytes()
-    assert (tmp_path / "teacher.log.csv").read_text() == (pipe / "teacher.log.csv").read_text()
-
-    init = tmp_path / "s0.ckpt"
-    out = _run(["gather", "--teacher", teacher, "--method", "svdkg", "--svd-ratio", "0.75", "--out", init], capsys)
-    assert Path(out["report"]).read_text() == (pipe / "gather_svdkg.report.json").read_text()
-    assert state_hash(load_checkpoint(init)[0]) == state_hash(load_checkpoint(pipe / "gather_svdkg.init.ckpt")[0])
-
-    cfg = config_from_dict(TINY_CONFIG).distill
-    student = tmp_path / "s.ckpt"
-    _run(["distill", "--student", init, "--teacher", teacher, "--alpha", cfg.alpha, "--temp", cfg.temperature,
-          "--steps", cfg.steps, "--batch-size", cfg.batch_size, "--learning-rate", cfg.learning_rate,
-          "--eval-every", cfg.eval_every, "--seed", derive_seed(0, "distill-gather_svdkg"), "--out", student],
-         capsys)
-    assert state_hash(load_checkpoint(student)[0]) == state_hash(load_checkpoint(pipe / "gather_svdkg.ckpt")[0])
-    assert (tmp_path / "s.log.csv").read_text() == (pipe / "gather_svdkg.log.csv").read_text()
+    for seed in (None, "7"):
+        if seed is None:
+            monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+            want = pipe
+        else:  # the override reaches every stage through the config
+            monkeypatch.setenv(SEED_ENV_VAR, seed)
+            want = tmp_path / f"pipeline-{seed}"
+            run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(want)}))
+            assert (want / "teacher.ckpt").read_bytes() != (pipe / "teacher.ckpt").read_bytes()
+        got = tmp_path / f"cli-{seed}"
+        got.mkdir()
+        teacher, init = got / "teacher.ckpt", got / "gather_svdkg.init.ckpt"
+        _run(["teach", "--config", config, "--out", teacher], capsys)
+        out = _run(["gather", "--config", config, "--teacher", teacher, "--method", "svdkg", "--out", init], capsys)
+        assert Path(out["report"]).read_bytes() == (want / "gather_svdkg.report.json").read_bytes()
+        _run(["distill", "--config", config, "--student", init, "--teacher", teacher,
+              "--out", got / "gather_svdkg.ckpt"], capsys)
+        for name in ("teacher.ckpt", "teacher.log.csv", "gather_svdkg.init.ckpt", "gather_svdkg.ckpt",
+                     "gather_svdkg.log.csv"):
+            assert (got / name).read_bytes() == (want / name).read_bytes(), (seed, name)
 
     scan = tmp_path / "scan.csv"
     assert _run(["noise-scan", "--teacher", teacher, "--lambdas", "0.25:1.0:0.25", "--tokens", 64,
                  "--out", scan], capsys)["rows"] == 4
+
+
+@pytest.mark.parametrize("command", ["gather", "distill"])
+def test_checkpoint_task_must_match_the_config(pipe, tmp_path, capsys, command):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "task": {**TINY_CONFIG["task"], "train_size": 100}}))
+    teacher = pipe / "teacher.ckpt"
+    argv = {"gather": ["--method", "svdkg"], "distill": ["--student", pipe / "gather_svdkg.init.ckpt"]}[command]
+    out = tmp_path / "s.ckpt"
+    assert cli.main([str(a) for a in [command, "--config", config, "--teacher", teacher, *argv, "--out", out]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "task differs from the config's" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "noise-scan"])
+@pytest.mark.parametrize("bad_task", ["unknown-key", "not-an-object"])
+def test_bad_task_metadata_is_a_checkpoint_error(pipe, tmp_path, capsys, command, bad_task):
+    model, meta = load_checkpoint(pipe / "teacher.ckpt")
+    meta["task"] = {**meta["task"], "colour": "red"} if bad_task == "unknown-key" else 5
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(model, meta, bad)
+    argv = {"eval": ["eval", "--model", bad], "noise-scan": ["noise-scan", "--teacher", bad, "--out", tmp_path / "s.csv"]}
+    assert cli.main([str(a) for a in argv[command]]) == 1
+    assert capsys.readouterr().err.startswith(f"error: checkpoint: {bad}: bad task metadata: ")
 
 
 def test_scoring_commands_match_the_pipeline(pipe, tmp_path, capsys):
@@ -184,10 +202,20 @@ def test_noise_scan_token_count_must_be_positive(pipe, tmp_path, capsys, tokens)
     ("model", "router_noise_std", float("nan")),
     ("task", "mode_spread", "x"), ("task", "token_noise", "x"), ("task", "probe_band", [0.9, 0.1]),
     ("task", "flip_prob", 1.5),
+    # block None is the top level; block SEED_ENV_VAR sets that variable instead
+    (None, "seed", [1]), (None, "seed", "3"), (None, "seed", 2.5), (None, "seed", True), (None, "seed", -1),
+    (SEED_ENV_VAR, "seed", "abc"), (SEED_ENV_VAR, "seed", "-1"),
 ])
-def test_numeric_settings_must_be_valid(tmp_path, capsys, block, field, value):
+def test_numeric_settings_must_be_valid(tmp_path, monkeypatch, capsys, block, field, value):
+    raw = dict(TINY_CONFIG)
+    if block == SEED_ENV_VAR:
+        monkeypatch.setenv(SEED_ENV_VAR, value)
+    elif block is None:
+        raw[field] = value
+    else:
+        raw[block] = {**raw[block], field: value}
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({**TINY_CONFIG, block: {**TINY_CONFIG[block], field: value}}))
+    config.write_text(json.dumps(raw))
     assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and f"{field} must be a " in err, err

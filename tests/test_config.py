@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from moegather.gather import build_student
+from moegather.model import build_classifier
+from moegather.numerics import Rng
 from moegather.workbench.config import (
     PROFILES,
     SEED_ENV_VAR,
@@ -52,6 +55,7 @@ def test_seed_env_var_overrides_the_seed_and_every_derived_seed(monkeypatch):
     assert got.teach.seed == derive_seed(7, "teach")
     assert got.distill.seed == derive_seed(7, "distill")
     assert all(got.gather_config(m).seed == derive_seed(7, f"gather-{m}") for m in got.gather_methods)
+    assert got.distill_config("gather_svdkg").seed == derive_seed(7, "distill-gather_svdkg")
 
 
 @pytest.mark.parametrize("profile", ["audio", "", ["nlp"]])
@@ -66,3 +70,13 @@ def test_top_level_value_must_be_an_object(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ConfigError, match="must be an object"):
         load_config(path)
+
+
+def test_topkg_spreads_the_remainder_units_over_the_first_experts():
+    raw = default_config().to_dict()
+    raw["model"].update(d_ff=8, num_experts=3)
+    cfg = config_from_dict({**raw, "gather": {**raw["gather"], "methods": ["topkg"]}})
+    teacher = build_classifier(cfg.arch, Rng(0))
+    student, report = build_student(teacher, cfg.gather_config("topkg"))
+    assert [len(units) for units in report.layers[0].selected_units] == [3, 3, 2]
+    assert student.blocks[0].stage.w1.shape == (32, 8)

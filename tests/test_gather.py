@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moegather.gather import (
     GatherConfig,
@@ -180,13 +182,13 @@ class TestTopKG:
         expected_cols = np.stack([e1.w1[:, 1], e1.w1[:, 2], e2.w1[:, 0], e2.w1[:, 3]], axis=1)
         assert np.array_equal(w1, expected_cols)
 
-    @pytest.mark.parametrize("seed,num_experts,d_ff", [(0, 2, 8), (1, 4, 12), (2, 3, 12), (3, 6, 12)])
+    @pytest.mark.parametrize("seed,num_experts,d_ff", [(0, 2, 8), (1, 4, 12), (2, 3, 12), (3, 6, 12), (4, 3, 8)])
     def test_matches_enumeration_oracle(self, seed, num_experts, d_ff):
         rng = Rng(seed)
         bank = make_bank(rng, num_experts=num_experts, d=5, h=d_ff)
         w1, w2, selected = gather_topkg(bank)
-        k = d_ff // num_experts
         for e, (expert, sel) in enumerate(zip(bank, selected)):
+            k = d_ff // num_experts + (e < d_ff % num_experts)
             scores = unit_scores(expert)
             best = max(
                 itertools.combinations(range(d_ff), k),
@@ -211,13 +213,12 @@ class TestTopKG:
         if scores[1] >= np.sort(scores)[-3]:  # the tied pair is in contention
             assert 1 in selected[0] or 3 not in selected[0]
 
-    def test_remainder_requires_flag(self):
-        rng = Rng(6)
-        bank = make_bank(rng, num_experts=3, h=8)
-        with pytest.raises(StructureError):
-            gather_topkg(bank)
-        _, _, selected = gather_topkg(bank, allow_remainder=True)
-        assert [len(s) for s in selected] == [3, 3, 2]
+    def test_remainder_spreads_over_the_first_experts(self):
+        for num_experts, d_ff, quota in ((3, 8, [3, 3, 2]), (4, 2, [1, 1, 0, 0])):
+            bank = make_bank(Rng(6), num_experts=num_experts, h=d_ff)
+            w1, w2, selected = gather_topkg(bank)
+            assert [len(s) for s in selected] == quota
+            assert w1.shape == bank[0].w1.shape and w2.shape == bank[0].w2.shape
 
 
 class TestSvdKG:
@@ -406,6 +407,26 @@ class TestGatherProperties:
         a, _, _ = gather_svdkg(bank, 0.7)
         b, _, _ = gather_svdkg(shuffled, 0.7)
         assert np.abs(a - b).max() < 1e-8
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_experts=st.integers(1, 5),
+        d_model=st.integers(1, 6),
+        d_ff=st.integers(1, 8),
+        ratio=st.floats(0.05, 1.0),
+        data=st.data(),
+    )
+    def test_sum_avg_svdkg_student_permutation_invariant(self, seed, num_experts, d_model, d_ff, ratio, data):
+        perm = data.draw(st.permutations(range(num_experts)))
+        arch = moe_arch(d_model=d_model, d_ff=d_ff, num_experts=num_experts, top_k=1)
+        teacher, shuffled = build_classifier(arch, Rng(seed)), build_classifier(arch, Rng(seed))
+        stage = shuffled.blocks[0].stage
+        stage.experts = [stage.experts[i] for i in perm]
+        stage.router.weight = stage.router.weight[:, perm]
+        for cfg in (GatherConfig("sum"), GatherConfig("avg"), GatherConfig("svdkg", ratio)):
+            a, b = build_student(teacher, cfg)[0].parameters(), build_student(shuffled, cfg)[0].parameters()
+            assert max(np.abs(a[name] - b[name]).max() for name in a) < 1e-12, cfg.method
 
     @pytest.mark.parametrize("seed", range(3))
     def test_topkg_permutation_equivariance_at_function_level(self, seed):

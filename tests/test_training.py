@@ -180,15 +180,13 @@ class TestBackward:
 
         _fd_check(model, grads, loss, stride=3)
 
-    @pytest.mark.parametrize("mode,kl_direction", [
-        ("soft", "teacher_to_student"), ("soft", "student_to_teacher"), ("hard", "teacher_to_student"),
-    ], ids=["soft", "soft-reverse_kl", "hard"])
-    def test_distill_gradients_match_finite_differences(self, mode, kl_direction):
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_distill_gradients_match_finite_differences(self, mode):
         teacher = build_classifier(tiny_arch(num_experts=2, top_k=2), Rng(2))
         student = build_classifier(tiny_arch("dense"), Rng(3))
         tokens = Rng(4).normal(size=(4, 4, 8))
         labels = np.array([1, 2, 0, 1])
-        cfg = DistillConfig(alpha=0.25, temperature=2.0, mode=mode, kl_direction=kl_direction)
+        cfg = DistillConfig(alpha=0.25, temperature=2.0, mode=mode)
         _, grads = loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)
 
         def loss():
