@@ -33,7 +33,12 @@ class LossBreakdown:
 
 @dataclass
 class DistillConfig:
-    """Settings for student refinement against a frozen teacher."""
+    """Settings for student refinement against a frozen teacher.
+
+    The pipeline and CLI ``distill`` train each student on
+    ``derive_seed(seed, "distill-{role}")`` from the experiment seed (see
+    ``ExperimentConfig.distill_config``), so a config's ``distill.seed`` is
+    only recorded."""
 
     alpha: float = 0.25
     temperature: float = 1.0
@@ -74,6 +79,7 @@ def _check_loop_settings(cfg: TrainConfig | DistillConfig) -> None:
     check_number("steps", cfg.steps, integer=True)
     check_number("eval_every", cfg.eval_every, integer=True)
     check_number("learning_rate", cfg.learning_rate, positive=True)
+    check_number("seed", cfg.seed, integer=True)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:

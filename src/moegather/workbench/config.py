@@ -58,8 +58,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"task num_classes {self.task.num_classes} != model head width {self.arch.num_classes}"
             )
-        # fail early on bad gathering settings rather than mid-pipeline
-        for m in self.gather_methods:
+        # fail early on bad gathering settings rather than mid-pipeline, for
+        # every method: CLI `gather --method` may run one the config does not list
+        for m in GATHER_METHODS:
             self.gather_config(m)
 
     def gather_config(self, method: str) -> GatherConfig:

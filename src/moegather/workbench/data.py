@@ -27,6 +27,7 @@ PARITY_SIGNAL_AMPLITUDE = 1.5
 _PROBE_RIDGE = 1e-3
 _CALIBRATION_TRAIN = 3000
 _CALIBRATION_EVAL = 1500
+_ASSEMBLY_BLOCK = 1024  # sequences per step when mixture tokens are assembled
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,7 @@ class SyntheticTaskSpec:
         for name in ("num_classes", "d_model", "seq_len", "train_size", "test_size",
                      "modes_per_class", "parity_bits"):
             check_number(name, getattr(self, name), integer=True, positive=True)
+        check_number("seed", self.seed, integer=True)
         check_number("mode_spread", self.mode_spread)
         check_number("token_noise", self.token_noise)
         check_number("flip_prob", self.flip_prob, at_most=1.0)
@@ -106,6 +108,15 @@ def linear_probe_accuracy(train: Dataset, test: Dataset) -> float:
     return float((pred == test.labels).mean())
 
 
+@dataclass
+class _MixtureDraw:
+    """The scale-free parts of a mixture sample."""
+
+    labels: np.ndarray  # (n,) int64
+    modes: np.ndarray  # (n, seq_len) satellite mode of each token
+    noise: np.ndarray  # (n, seq_len, d_model), already times token_noise
+
+
 class _MixtureSampler:
     def __init__(self, spec: SyntheticTaskSpec):
         self.spec = spec
@@ -117,28 +128,40 @@ class _MixtureSampler:
         raw = centers + spec.mode_spread * satellites
         self.means = raw / np.linalg.norm(raw, axis=2, keepdims=True)
 
-    def sample(self, n: int, scale: float, rng: Rng) -> Dataset:
+    def draw(self, n: int, rng: Rng) -> _MixtureDraw:
         spec = self.spec
         labels = _balanced_labels(n, spec.num_classes, rng.derive("labels"))
         # every token draws its own satellite mode of the sequence's class
         modes = rng.derive("modes").integers(0, spec.modes_per_class, size=(n, spec.seq_len))
         noise = rng.derive("tokens").normal(size=(n, spec.seq_len, spec.d_model))
-        centers = scale * self.means[labels[:, None], modes]
-        return Dataset(tokens=centers + spec.token_noise * noise, labels=labels)
+        noise *= spec.token_noise
+        return _MixtureDraw(labels=labels, modes=modes, noise=noise)
+
+    def assemble(self, drawn: _MixtureDraw, scale: float, out: np.ndarray) -> Dataset:
+        """Tokens ``scale * mean + noise``, written into ``out`` (which may be
+        ``drawn.noise`` itself) a block of sequences at a time, so no
+        full-size temporary is made."""
+        table = scale * self.means
+        for start in range(0, len(out), _ASSEMBLY_BLOCK):
+            rows = slice(start, start + _ASSEMBLY_BLOCK)
+            np.add(table[drawn.labels[rows, None], drawn.modes[rows]], drawn.noise[rows], out=out[rows])
+        return Dataset(tokens=out, labels=drawn.labels)
 
 
 def _calibrate_mixture_scale(sampler: _MixtureSampler, spec: SyntheticTaskSpec) -> float:
     """Bisect the mode separation until a pooled linear probe lands inside the
-    requested accuracy band. Deterministic: the probe sees the same seeded
-    calibration sample at every candidate scale."""
+    requested accuracy band. Deterministic: the calibration sample is drawn
+    once from its seeded streams and only re-assembled at each candidate scale."""
     lo_acc, hi_acc = spec.probe_band
     target = 0.5 * (lo_acc + hi_acc)
     cal_rng = Rng(spec.seed).derive("calibration")
+    train = sampler.draw(_CALIBRATION_TRAIN, cal_rng.derive("train"))
+    test = sampler.draw(_CALIBRATION_EVAL, cal_rng.derive("eval"))
+    train_tokens, test_tokens = np.empty_like(train.noise), np.empty_like(test.noise)
 
     def probe(scale: float) -> float:
-        train = sampler.sample(_CALIBRATION_TRAIN, scale, cal_rng.derive("train"))
-        test = sampler.sample(_CALIBRATION_EVAL, scale, cal_rng.derive("eval"))
-        return linear_probe_accuracy(train, test)
+        return linear_probe_accuracy(sampler.assemble(train, scale, train_tokens),
+                                     sampler.assemble(test, scale, test_tokens))
 
     lo, hi = 0.02, 64.0
     if probe(hi) < lo_acc:
@@ -165,9 +188,12 @@ def _generate_mixture(spec: SyntheticTaskSpec) -> tuple[Dataset, Dataset]:
     sampler = _MixtureSampler(spec)
     scale = _calibrate_mixture_scale(sampler, spec)
     rng = Rng(spec.seed)
-    train = sampler.sample(spec.train_size, scale, rng.derive("train"))
-    test = sampler.sample(spec.test_size, scale, rng.derive("test"))
-    return train, test
+
+    def make(n: int, stream: Rng) -> Dataset:
+        drawn = sampler.draw(n, stream)
+        return sampler.assemble(drawn, scale, out=drawn.noise)
+
+    return make(spec.train_size, rng.derive("train")), make(spec.test_size, rng.derive("test"))
 
 
 def _generate_parity(spec: SyntheticTaskSpec) -> tuple[Dataset, Dataset]:

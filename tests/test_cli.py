@@ -205,6 +205,7 @@ def test_noise_scan_token_count_must_be_positive(pipe, tmp_path, capsys, tokens)
     # block None is the top level; block SEED_ENV_VAR sets that variable instead
     (None, "seed", [1]), (None, "seed", "3"), (None, "seed", 2.5), (None, "seed", True), (None, "seed", -1),
     (SEED_ENV_VAR, "seed", "abc"), (SEED_ENV_VAR, "seed", "-1"),
+    ("teach", "seed", "x"), ("distill", "seed", -1), ("task", "seed", 2.5),
 ])
 def test_numeric_settings_must_be_valid(tmp_path, monkeypatch, capsys, block, field, value):
     raw = dict(TINY_CONFIG)
@@ -220,6 +221,16 @@ def test_numeric_settings_must_be_valid(tmp_path, monkeypatch, capsys, block, fi
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and f"{field} must be a " in err, err
     assert not (tmp_path / "t.ckpt").exists()
+
+
+def test_gather_settings_of_an_unlisted_method_fail_at_load(pipe, tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "gather": {"methods": ["sum"], "svd_ratio": 2.0}}))
+    out = tmp_path / "s.ckpt"
+    argv = ["gather", "--config", config, "--teacher", pipe / "teacher.ckpt", "--method", "svdkg", "--out", out]
+    assert cli.main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err == "error: config: svdkg needs svd_ratio in (0, 1], got 2.0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["nan:1:0.1", "0.1:1:nan"])
