@@ -176,14 +176,8 @@ class Rng:
     def normal(self, size=None, scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(0.0, scale, size=size)
 
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size=size)
-
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)

@@ -152,6 +152,14 @@ def _top_level_seed(raw: dict) -> int:
     return seed
 
 
+def _block(raw: dict, name: str) -> dict:
+    """A copy of the config's ``name`` block, empty when absent."""
+    block = raw.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} block must be a JSON object, got {block!r}")
+    return dict(block)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = json.loads(json.dumps(raw))  # deep copy + reject non-JSON values
     seed = _top_level_seed(raw)
@@ -160,40 +168,48 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown profile {profile_name!r}; available: {sorted(PROFILES)}")
     profile = PROFILES[profile_name]
 
-    model_d = dict(raw.get("model", {}))
+    model_d = _block(raw, "model")
     model_d.setdefault("stage", "moe")
     try:
         arch = Architecture.from_dict(model_d)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model block: {exc}") from exc
 
-    task_d = dict(raw.get("task", {}))
+    task_d = _block(raw, "task")
     task_d.setdefault("seed", derive_seed(seed, "task"))
     try:
         task = SyntheticTaskSpec.from_dict(task_d)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad task block: {exc}") from exc
 
-    teach_d = dict(raw.get("teach", {}))
+    teach_d = _block(raw, "teach")
     teach_d.setdefault("seed", derive_seed(seed, "teach"))
-    distill_d = dict(raw.get("distill", {}))
+    distill_d = _block(raw, "distill")
     distill_d.setdefault("seed", derive_seed(seed, "distill"))
     distill_d.setdefault("alpha", profile["alpha"])
     distill_d.setdefault("temperature", profile["temperature"])
 
-    gather_d = dict(raw.get("gather", {}))
+    gather_d = _block(raw, "gather")
+    methods = gather_d.get("methods", list(GATHER_METHODS))
+    if not isinstance(methods, list):
+        raise ConfigError(f"gather methods must be a list of method names, got {methods!r}")
+    out_dir = raw.get("out_dir", ExperimentConfig.out_dir)
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+    svd_ratio = gather_d.get("svd_ratio", profile["svd_ratio"])
     try:
         teach = TrainConfig(**teach_d)
         distill = DistillConfig(**distill_d)
+        check_number("svd_ratio", svd_ratio, positive=True)  # GatherConfig reports a ratio above 1
         return ExperimentConfig(
             arch=arch,
             task=task,
             teach=teach,
             distill=distill,
-            gather_methods=list(gather_d.get("methods", GATHER_METHODS)),
-            svd_ratio=float(gather_d.get("svd_ratio", profile["svd_ratio"])),
+            gather_methods=methods,
+            svd_ratio=float(svd_ratio),
             bias_policy=gather_d.get("bias_policy", ExperimentConfig.bias_policy),
-            out_dir=raw.get("out_dir", ExperimentConfig.out_dir),
+            out_dir=out_dir,
             seed=seed,
         )
     except ConfigError:

@@ -1,16 +1,12 @@
 """Seeded synthetic classification tasks.
 
-Two task families stand in for real image/text corpora at desk scale:
-
-* ``gaussian_mixture`` - each class owns a center direction with several
-  satellite modes around it; every token draws its own mode, so pooled
-  features separate classes coarsely while telling boundary tokens apart
-  needs per-mode (nonlinear, capacity-hungry) structure. The overall
-  separation is calibrated per seed so that a linear probe on mean-pooled
-  tokens lands inside a target accuracy band.
-* ``noisy_parity`` - tokens are noise except for a signed signal coordinate
-  at a few designated positions; the label is the parity of those signs,
-  optionally flipped with some probability. Linearly inseparable.
+One task family, ``gaussian_mixture``, stands in for real image/text corpora
+at desk scale: each class owns a center direction with several satellite
+modes around it; every token draws its own mode, so pooled features separate
+classes coarsely while telling boundary tokens apart needs per-mode
+(nonlinear, capacity-hungry) structure. The overall separation is calibrated
+per seed so that a linear probe on mean-pooled tokens lands inside a target
+accuracy band. ``kind`` names the family in every task description.
 """
 
 from __future__ import annotations
@@ -21,9 +17,8 @@ import numpy as np
 
 from ..numerics import Rng, check_number
 
-TASK_KINDS = ("gaussian_mixture", "noisy_parity")
+TASK_KINDS = ("gaussian_mixture",)
 
-PARITY_SIGNAL_AMPLITUDE = 1.5
 _PROBE_RIDGE = 1e-3
 _CALIBRATION_TRAIN = 3000
 _CALIBRATION_EVAL = 1500
@@ -39,32 +34,23 @@ class SyntheticTaskSpec:
     train_size: int
     test_size: int
     seed: int
-    modes_per_class: int = 2  # gaussian_mixture only
-    mode_spread: float = 0.7  # gaussian_mixture: satellite distance from the class center
-    token_noise: float = 1.0  # gaussian_mixture: within-mode noise std per dimension
-    probe_band: tuple[float, float] = (0.85, 0.95)  # gaussian_mixture only
-    parity_bits: int = 2  # noisy_parity only
-    flip_prob: float = 0.05  # noisy_parity only
+    modes_per_class: int = 2
+    mode_spread: float = 0.7  # satellite distance from the class center
+    token_noise: float = 1.0  # within-mode noise std per dimension
+    probe_band: tuple[float, float] = (0.85, 0.95)
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"kind must be one of {TASK_KINDS}, got {self.kind!r}")
-        for name in ("num_classes", "d_model", "seq_len", "train_size", "test_size",
-                     "modes_per_class", "parity_bits"):
+        for name in ("num_classes", "d_model", "seq_len", "train_size", "test_size", "modes_per_class"):
             check_number(name, getattr(self, name), integer=True, positive=True)
         check_number("seed", self.seed, integer=True)
         check_number("mode_spread", self.mode_spread)
         check_number("token_noise", self.token_noise)
-        check_number("flip_prob", self.flip_prob, at_most=1.0)
         for bound in self.probe_band:
             check_number("probe_band", bound, at_most=1.0)
         if len(self.probe_band) != 2 or not self.probe_band[0] < self.probe_band[1]:
             raise ValueError(f"probe_band must be a pair lo < hi, got {list(self.probe_band)!r}")
-        if self.kind == "noisy_parity":
-            if self.num_classes != 2:
-                raise ValueError("noisy_parity is a binary task; num_classes must be 2")
-            if self.parity_bits > self.seq_len:
-                raise ValueError("parity_bits must fit into the sequence")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "probe_band": list(self.probe_band)}
@@ -184,7 +170,9 @@ def _calibrate_mixture_scale(sampler: _MixtureSampler, spec: SyntheticTaskSpec) 
     return final
 
 
-def _generate_mixture(spec: SyntheticTaskSpec) -> tuple[Dataset, Dataset]:
+def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Dataset, Dataset]:
+    """Deterministic (train, test) pair; the two splits draw from disjoint
+    derived streams so they never share a sample."""
     sampler = _MixtureSampler(spec)
     scale = _calibrate_mixture_scale(sampler, spec)
     rng = Rng(spec.seed)
@@ -194,28 +182,3 @@ def _generate_mixture(spec: SyntheticTaskSpec) -> tuple[Dataset, Dataset]:
         return sampler.assemble(drawn, scale, out=drawn.noise)
 
     return make(spec.train_size, rng.derive("train")), make(spec.test_size, rng.derive("test"))
-
-
-def _generate_parity(spec: SyntheticTaskSpec) -> tuple[Dataset, Dataset]:
-    rng = Rng(spec.seed)
-    positions = np.sort(rng.derive("positions").choice(spec.seq_len, size=spec.parity_bits))
-
-    def make(n: int, stream: Rng) -> Dataset:
-        tokens = stream.derive("tokens").normal(size=(n, spec.seq_len, spec.d_model))
-        signs = np.where(stream.derive("signs").uniform(size=(n, spec.parity_bits)) < 0.5, -1.0, 1.0)
-        tokens[:, positions, 0] = PARITY_SIGNAL_AMPLITUDE * signs
-        labels = ((signs < 0).sum(axis=1) % 2).astype(np.int64)
-        if spec.flip_prob > 0:
-            flips = stream.derive("flips").uniform(size=n) < spec.flip_prob
-            labels = np.where(flips, 1 - labels, labels)
-        return Dataset(tokens=tokens, labels=labels)
-
-    return make(spec.train_size, rng.derive("train")), make(spec.test_size, rng.derive("test"))
-
-
-def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Dataset, Dataset]:
-    """Deterministic (train, test) pair; the two splits draw from disjoint
-    derived streams so they never share a sample."""
-    if spec.kind == "gaussian_mixture":
-        return _generate_mixture(spec)
-    return _generate_parity(spec)

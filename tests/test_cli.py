@@ -101,10 +101,12 @@ def test_checkpoint_task_must_match_the_config(pipe, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["eval", "noise-scan"])
-@pytest.mark.parametrize("bad_task", ["unknown-key", "not-an-object"])
+@pytest.mark.parametrize("bad_task", ["unknown-key", "retired-key", "not-an-object"])
 def test_bad_task_metadata_is_a_checkpoint_error(pipe, tmp_path, capsys, command, bad_task):
     model, meta = load_checkpoint(pipe / "teacher.ckpt")
-    meta["task"] = {**meta["task"], "colour": "red"} if bad_task == "unknown-key" else 5
+    # a retired key is one that checkpoints of an earlier task kind recorded
+    extra = {"unknown-key": {"colour": "red"}, "retired-key": {"parity_bits": 2}}
+    meta["task"] = {**meta["task"], **extra[bad_task]} if bad_task in extra else 5
     bad = tmp_path / "bad.ckpt"
     save_checkpoint(model, meta, bad)
     argv = {"eval": ["eval", "--model", bad], "noise-scan": ["noise-scan", "--teacher", bad, "--out", tmp_path / "s.csv"]}
@@ -150,7 +152,7 @@ def test_pipeline_command_writes_the_pipeline_artifacts(pipe, tmp_path, monkeypa
 
 @pytest.mark.parametrize("field,value", [
     ("modes_per_class", 1.5), ("modes_per_class", 0), ("train_size", 200.5), ("seq_len", 4.0),
-    ("test_size", True), ("parity_bits", 0),
+    ("test_size", True),
 ])
 def test_task_sizes_must_be_positive_integers(tmp_path, capsys, field, value):
     config = tmp_path / "c.json"
@@ -194,6 +196,34 @@ def test_noise_scan_token_count_must_be_positive(pipe, tmp_path, capsys, tokens)
     assert not (tmp_path / "scan.csv").exists()
 
 
+WRONG_SHAPES = {  # test id: (config override, message)
+    **{f"{block}-block": ({block: 5}, f"{block} block must be a JSON object, got 5")
+       for block in ("model", "task", "teach", "distill", "gather")},
+    "out_dir-5": ({"out_dir": 5}, "out_dir must be a string, got 5"),
+    "out_dir-null": ({"out_dir": None}, "out_dir must be a string, got None"),
+    "methods-string": ({"gather": {"methods": "svdkg"}}, "gather methods must be a list of method names, got 'svdkg'"),
+}
+
+
+@pytest.mark.parametrize("override,message", list(WRONG_SHAPES.values()), ids=list(WRONG_SHAPES))
+def test_config_of_the_wrong_shape_fails_at_load(tmp_path, capsys, override, message):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, **override}))
+    assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+    assert not (tmp_path / "t.ckpt").exists()
+
+
+@pytest.mark.parametrize("field,value", [("kind", "noisy_parity"), ("flip_prob", 0.05)])
+def test_retired_task_settings_are_config_errors(tmp_path, capsys, field, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "task": {**TINY_CONFIG["task"], field: value}}))
+    assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: bad task block: ") and field in err, err
+    assert not (tmp_path / "t.ckpt").exists()
+
+
 @pytest.mark.parametrize("block,field,value", [
     ("teach", "balance_coeff", "x"), ("teach", "balance_coeff", -0.1), ("teach", "balance_coeff", float("nan")),
     ("distill", "temperature", float("inf")), ("distill", "temperature", float("nan")),
@@ -201,11 +231,11 @@ def test_noise_scan_token_count_must_be_positive(pipe, tmp_path, capsys, tokens)
     ("model", "router_noise_std", "x"), ("model", "router_noise_std", -0.5),
     ("model", "router_noise_std", float("nan")),
     ("task", "mode_spread", "x"), ("task", "token_noise", "x"), ("task", "probe_band", [0.9, 0.1]),
-    ("task", "flip_prob", 1.5),
+    ("gather", "svd_ratio", True),
     # block None is the top level; block SEED_ENV_VAR sets that variable instead
     (None, "seed", [1]), (None, "seed", "3"), (None, "seed", 2.5), (None, "seed", True), (None, "seed", -1),
     (SEED_ENV_VAR, "seed", "abc"), (SEED_ENV_VAR, "seed", "-1"),
-    ("teach", "seed", "x"), ("distill", "seed", -1), ("task", "seed", 2.5),
+    ("teach", "seed", "x"), ("distill", "seed", -1), ("task", "seed", 2.5), ("gather", "svd_ratio", "0.5"),
 ])
 def test_numeric_settings_must_be_valid(tmp_path, monkeypatch, capsys, block, field, value):
     raw = dict(TINY_CONFIG)

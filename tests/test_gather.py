@@ -449,3 +449,42 @@ class TestGatherProperties:
             y_orig = _stage_forward_dense(f_orig, x, need_grad=False)[0]
             y_perm = _stage_forward_dense(f_perm, x, need_grad=False)[0]
             assert np.abs(y_orig - y_perm).max() < 1e-10
+
+
+class TestReportResiduals:
+    """Each report's residual_w1/residual_w2 against a direct oracle, on an
+    unshared teacher so that every layer gets its own record."""
+
+    @staticmethod
+    def gathered(method, zero_expert=False):
+        teacher = build_classifier(moe_arch(parameter_sharing=False), Rng(11))
+        if zero_expert:
+            for t in teacher.blocks[0].stage.experts[0].tensors().values():
+                t[...] = 0.0
+        student, report = build_student(teacher, GatherConfig(method, 1.0 if method == "svdkg" else None))
+        return zip(teacher.blocks, student.blocks, report.layers)
+
+    @pytest.mark.parametrize("method", ["sum", "avg"])
+    def test_merges_report_the_distance_to_the_merged_weights(self, method):
+        for tb, sb, record in self.gathered(method):
+            for i, e in enumerate(tb.stage.experts):
+                for w, merged, residual in ((e.w1, sb.stage.w1, record.residual_w1),
+                                            (e.w2, sb.stage.w2, record.residual_w2)):
+                    want = np.linalg.norm(w - merged) / np.linalg.norm(w)
+                    assert abs(residual[i] - want) <= 1e-12 * want
+
+    def test_topkg_reports_the_weight_of_the_dropped_units(self):
+        for tb, _, record in self.gathered("topkg"):
+            for e, kept, r1, r2 in zip(tb.stage.experts, record.selected_units, record.residual_w1, record.residual_w2):
+                dropped = np.setdiff1d(np.arange(e.d_ff), kept)
+                assert abs(r1 - np.linalg.norm(e.w1[:, dropped]) / np.linalg.norm(e.w1)) <= 1e-12
+                assert abs(r2 - np.linalg.norm(e.w2[dropped, :]) / np.linalg.norm(e.w2)) <= 1e-12
+
+    def test_svdkg_at_full_ratio_reports_no_residual(self):
+        for _, _, record in self.gathered("svdkg"):
+            assert max(record.residual_w1 + record.residual_w2) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["sum", "avg", "topkg", "svdkg"])
+    def test_an_all_zero_expert_has_zero_residual(self, method):
+        _, _, record = next(self.gathered(method, zero_expert=True))
+        assert record.residual_w1[0] == 0.0 and record.residual_w2[0] == 0.0
