@@ -17,13 +17,18 @@ FLOPS_PER_MAC = 2
 
 
 class UndefinedMetricError(ValueError):
-    """The benefit ratio is undefined when the MoE and dense scores coincide."""
+    """The benefit ratio is undefined when the MoE and dense scores coincide
+    or a score is not finite."""
 
 
 def moe_benefits(score_student: float, score_dense: float, score_moe: float) -> float:
     """Fraction of the MoE's improvement over the plain dense model that the
     student preserves: (student - dense) / (moe - dense), all three scores on
     one common metric (e.g. accuracy)."""
+    if not np.isfinite([score_student, score_dense, score_moe]).all():
+        raise UndefinedMetricError(
+            f"scores must be finite, got student={score_student} dense={score_dense} moe={score_moe}"
+        )
     denom = score_moe - score_dense
     if denom == 0.0:
         raise UndefinedMetricError("score_moe equals score_dense; benefit ratio undefined")

@@ -141,19 +141,17 @@ class FeedForward:
 
 @dataclass
 class Router:
-    """Linear gate over experts with Gaussian exploration noise in training."""
+    """Linear gate over experts. Training adds Gaussian exploration noise of
+    std 1/num_experts to its logits (see ``router_probs``)."""
 
     weight: np.ndarray  # (d_model, num_experts)
     top_k: int
-    noise_std: float | None = None  # defaults to 1/num_experts
 
     def __post_init__(self):
         if self.weight.ndim != 2:
             raise ShapeError("router weight must be 2-D")
         if not 1 <= self.top_k <= self.num_experts:
             raise ValueError(f"top_k={self.top_k} out of range for {self.num_experts} experts")
-        if self.noise_std is None:
-            self.noise_std = 1.0 / self.num_experts
 
     @property
     def num_experts(self) -> int:
@@ -167,8 +165,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def router_probs(x: np.ndarray, router: Router, rng: Rng | None = None) -> np.ndarray:
-    """Gate probabilities for a (..., d_model) array of token rows. Noise is
-    drawn iff an rng is supplied (evaluation passes rng=None)."""
+    """Gate probabilities for a (..., d_model) array of token rows. Noise of
+    std 1/num_experts is drawn iff an rng is supplied (evaluation passes
+    rng=None)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != router.weight.shape[0]:
         raise ShapeError(f"token width {x.shape[-1]} != router input {router.weight.shape[0]}")
@@ -176,7 +175,7 @@ def router_probs(x: np.ndarray, router: Router, rng: Rng | None = None) -> np.nd
     if not np.isfinite(logits).all():
         raise NumericalError("router logits are non-finite: the input holds or overflows to inf/NaN")
     if rng is not None:
-        logits = logits + rng.normal(size=logits.shape, scale=router.noise_std)
+        logits = logits + rng.normal(size=logits.shape, scale=1.0 / router.num_experts)
     return _softmax(logits)
 
 
@@ -224,13 +223,10 @@ class Architecture:
     stage: str = "dense"  # "dense" | "moe"
     num_experts: int = 1
     top_k: int = 1
-    router_noise_std: float | None = None
 
     def __post_init__(self):
         for name in ("d_model", "d_ff", "seq_len", "num_classes", "num_blocks", "num_experts", "top_k"):
             check_number(name, getattr(self, name), integer=True, positive=True)
-        if self.router_noise_std is not None:
-            check_number("router_noise_std", self.router_noise_std)
         if self.stage not in ("dense", "moe"):
             raise ValueError(f"stage must be 'dense' or 'moe', got {self.stage!r}")
         if self.stage == "moe" and not 1 <= self.top_k <= self.num_experts:
@@ -239,7 +235,7 @@ class Architecture:
 
     def dense_twin(self) -> "Architecture":
         """Same shapes with the MoE stage collapsed to a single dense stage."""
-        return replace(self, stage="dense", num_experts=1, top_k=1, router_noise_std=None)
+        return replace(self, stage="dense", num_experts=1, top_k=1)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -322,11 +318,7 @@ def _build_stage(arch: Architecture, rng: Rng) -> FeedForward | MoELayer:
     if arch.stage == "dense":
         return make_ffn()
     experts = [make_ffn() for _ in range(arch.num_experts)]
-    router = Router(
-        weight=rng.normal(size=(d, arch.num_experts), scale=0.02),
-        top_k=arch.top_k,
-        noise_std=arch.router_noise_std,
-    )
+    router = Router(weight=rng.normal(size=(d, arch.num_experts), scale=0.02), top_k=arch.top_k)
     return MoELayer(experts=experts, router=router)
 
 

@@ -21,6 +21,7 @@ GradientSet = dict[str, np.ndarray]
 DISTILL_MODES = ("soft", "hard", "none")
 EVAL_BATCH = 512  # sequences per forward pass when scoring accuracy
 BALANCE_SAMPLE = 256  # test sequences behind a trained model's final balance loss
+BALANCE_COEFF = 0.01  # weight of the balance loss when training an MoE (Switch Transformer)
 
 
 @dataclass
@@ -32,54 +33,45 @@ class LossBreakdown:
 
 
 @dataclass
-class DistillConfig:
-    """Settings for student refinement against a frozen teacher.
+class TrainConfig:
+    """Settings of the training loop; supervised training (teacher or dense
+    baseline) uses them as they are."""
+
+    steps: int = 2000
+    batch_size: int = 64
+    learning_rate: float = 3e-3
+    seed: int = 0
+    eval_every: int = 200
+
+    def __post_init__(self):
+        check_number("batch_size", self.batch_size, integer=True, positive=True)
+        check_number("steps", self.steps, integer=True)
+        check_number("eval_every", self.eval_every, integer=True)
+        check_number("learning_rate", self.learning_rate, positive=True)
+        check_number("seed", self.seed, integer=True)
+
+
+@dataclass
+class DistillConfig(TrainConfig):
+    """Settings for student refinement against a frozen teacher: the loop
+    settings, with their own defaults, plus ``alpha``, the weight of the
+    label loss against the distillation loss, and the distillation ``mode``.
 
     The pipeline and CLI ``distill`` train each student on
     ``derive_seed(seed, "distill-{role}")`` from the experiment seed (see
     ``ExperimentConfig.distill_config``), so a config's ``distill.seed`` is
     only recorded."""
 
-    alpha: float = 0.25
-    temperature: float = 1.0
-    mode: str = "soft"
     steps: int = 800
-    batch_size: int = 64
     learning_rate: float = 1e-3
-    seed: int = 0
-    eval_every: int = 200
+    alpha: float = 0.25
+    mode: str = "soft"
 
     def __post_init__(self):
         check_number("alpha", self.alpha, at_most=1.0)
-        check_number("temperature", self.temperature, positive=True)
         if self.mode not in DISTILL_MODES:
             raise ValueError(f"mode must be one of {DISTILL_MODES}, got {self.mode!r}")
-        _check_loop_settings(self)
-
-
-@dataclass
-class TrainConfig:
-    """Settings for supervised training (teacher or dense baseline)."""
-
-    steps: int = 2000
-    batch_size: int = 64
-    learning_rate: float = 3e-3
-    balance_coeff: float = 0.01
-    seed: int = 0
-    eval_every: int = 200
-
-    def __post_init__(self):
-        check_number("balance_coeff", self.balance_coeff)
-        _check_loop_settings(self)
-
-
-def _check_loop_settings(cfg: TrainConfig | DistillConfig) -> None:
-    """Reject loop settings that would fail mid-run rather than train."""
-    check_number("batch_size", cfg.batch_size, integer=True, positive=True)
-    check_number("steps", cfg.steps, integer=True)
-    check_number("eval_every", cfg.eval_every, integer=True)
-    check_number("learning_rate", cfg.learning_rate, positive=True)
-    check_number("seed", cfg.seed, integer=True)
+        super().__post_init__()
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -99,16 +91,16 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nd
 
 def _distill_terms(logits: np.ndarray, teacher_logits: np.ndarray, cfg: DistillConfig):
     """Mean distillation loss over the batch and its gradient w.r.t. the
-    student logits."""
+    student logits. Soft mode is KL(teacher || student) of the softmax
+    outputs: Hinton et al.'s soft-target loss on unscaled logits."""
     b = logits.shape[0]
-    t = cfg.temperature
     if cfg.mode == "hard":
         return _cross_entropy(logits, np.argmax(teacher_logits, axis=1))
-    ls_s = _log_softmax(logits / t)
-    ls_t = _log_softmax(teacher_logits / t)
+    ls_s = _log_softmax(logits)
+    ls_t = _log_softmax(teacher_logits)
     p_s, p_t = np.exp(ls_s), np.exp(ls_t)
-    loss = float(t * t * np.sum(p_t * (ls_t - ls_s)) / b)
-    return loss, t * (p_s - p_t) / b
+    loss = float(np.sum(p_t * (ls_t - ls_s)) / b)
+    return loss, (p_s - p_t) / b
 
 
 def _pooled_balance(cache: dict) -> tuple[float, np.ndarray, int]:
@@ -339,7 +331,7 @@ def _measure_balance(model: ClassifierModel, tokens: np.ndarray) -> float:
     return _pooled_balance(cache)[0]
 
 
-def _run_training(model: ClassifierModel, cfg: TrainConfig | DistillConfig, data, *,
+def _run_training(model: ClassifierModel, cfg: TrainConfig, data, *,
                   balance_coeff: float = 0.0, teacher: ClassifierModel | None = None) -> TrainResult:
     """The one training loop: minibatch Adam over ``cfg.steps`` steps, with
     distillation against ``teacher`` (and ``cfg`` as its settings) when one
@@ -401,7 +393,7 @@ def _run_training(model: ClassifierModel, cfg: TrainConfig | DistillConfig, data
 def train_classifier(model: ClassifierModel, cfg: TrainConfig, data) -> TrainResult:
     """Supervised training on the task loss; MoE models add the balance
     penalty and exploration noise, dense models train plain."""
-    balance = cfg.balance_coeff if model.arch.stage == "moe" else 0.0
+    balance = BALANCE_COEFF if model.arch.stage == "moe" else 0.0
     return _run_training(model, cfg, data, balance_coeff=balance)
 
 

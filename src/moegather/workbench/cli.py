@@ -35,6 +35,8 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .data import SyntheticTaskSpec, generate_dataset
 from .pipeline import PipelineError, distill_stage, gather_stage, run_pipeline, train_stage, write_noise_scan_csv
 
+MAX_LAMBDA_GRID = 1000  # ratios one noise-scan grid may hold
+
 
 def _fail(kind: str, message: str) -> int:
     print(f"error: {kind}: {message}", file=sys.stderr)
@@ -123,15 +125,11 @@ def _parse_lambda_grid(text: str) -> list[float]:
         raise ConfigError(f"bad lambda grid {text!r}; expected start:stop:step") from exc
     if not (0 < start <= stop <= 1 + 1e-12 and 0 < step < math.inf):  # also false for NaN
         raise ConfigError(f"lambda grid {text!r} must satisfy 0 < start <= stop <= 1, step > 0")
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-9:
-            break
-        values.append(round(v, 10))
-        k += 1
-    return values
+    span = (stop + 1e-9 - start) / step  # the grid holds floor(span) + 1 ratios
+    if span >= MAX_LAMBDA_GRID:
+        raise ConfigError(f"lambda grid {text!r} must satisfy (stop - start) / step < {MAX_LAMBDA_GRID}, "
+                          f"so it holds at most {MAX_LAMBDA_GRID} ratios")
+    return [round(start + k * step, 10) for k in range(math.floor(span) + 1)]
 
 
 def _first_moe_stage(model) -> MoELayer:
@@ -251,7 +249,7 @@ def main(argv=None) -> int:
         return _fail("shape", str(exc))
     except NumericalError as exc:
         return _fail("numerical", str(exc))
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail("io", str(exc))
     except ValueError as exc:
         return _fail("argument", str(exc))

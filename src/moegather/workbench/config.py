@@ -2,9 +2,9 @@
 
 A config bundles the teacher architecture, the synthetic task, training
 settings for the teach and distill stages, and the gathering choices. Two
-named profiles ship with the package: ``vision`` (alpha 0.25, T 1.0, SVD
-ratio 0.75) and ``nlp`` (alpha 0.75, T 1.0, SVD ratio 0.25). The environment
-variable ``ONES_SEED`` overrides the config seed at load time.
+named profiles ship with the package: ``vision`` (alpha 0.25, SVD ratio 0.75)
+and ``nlp`` (alpha 0.75, SVD ratio 0.25). The environment variable
+``ONES_SEED`` overrides the config seed at load time.
 """
 
 from __future__ import annotations
@@ -96,8 +96,7 @@ class ExperimentConfig:
 
 
 # "vision" is the dataclass defaults; a config without a profile gets them too.
-_VISION = {"alpha": DistillConfig.alpha, "temperature": DistillConfig.temperature,
-           "svd_ratio": ExperimentConfig.svd_ratio}
+_VISION = {"alpha": DistillConfig.alpha, "svd_ratio": ExperimentConfig.svd_ratio}
 PROFILES = {"vision": _VISION, "nlp": {**_VISION, "alpha": 0.75, "svd_ratio": 0.25}}
 
 
@@ -105,7 +104,7 @@ def derive_seed(seed: int, tag: str) -> int:
     return Rng(seed).derive(tag).seed
 
 
-def default_config(seed: int = 0, out_dir: str = ExperimentConfig.out_dir,
+def default_config(seed: int = 0, out_dir: str | os.PathLike = ExperimentConfig.out_dir,
                    profile: str = "vision") -> ExperimentConfig:
     """Desk-scale defaults: d_model 32, d_ff 128, 4 experts with top-2
     routing, two parameter-shared blocks, ~20k training sequences."""
@@ -161,7 +160,12 @@ def _block(raw: dict, name: str) -> dict:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    raw = json.loads(json.dumps(raw))  # deep copy + reject non-JSON values
+    if isinstance(raw.get("out_dir"), os.PathLike):
+        raw = {**raw, "out_dir": os.fspath(raw["out_dir"])}
+    try:
+        raw = json.loads(json.dumps(raw))  # deep copy + reject non-JSON values
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"settings must be JSON values: {exc}") from exc
     seed = _top_level_seed(raw)
     profile_name = "vision" if raw.get("profile") is None else raw["profile"]
     if not isinstance(profile_name, str) or profile_name not in PROFILES:
@@ -187,7 +191,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     distill_d = _block(raw, "distill")
     distill_d.setdefault("seed", derive_seed(seed, "distill"))
     distill_d.setdefault("alpha", profile["alpha"])
-    distill_d.setdefault("temperature", profile["temperature"])
 
     gather_d = _block(raw, "gather")
     methods = gather_d.get("methods", list(GATHER_METHODS))

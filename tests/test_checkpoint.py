@@ -71,6 +71,13 @@ def test_negative_d_model(ckpt):
         load_checkpoint(ckpt)
 
 
+def test_retired_architecture_key(ckpt):
+    # checkpoints that recorded the router noise scale as a setting
+    rewrite(ckpt, lambda m: m["architecture"].update(router_noise_std=None))
+    with pytest.raises(SchemaError, match="bad architecture block: .*router_noise_std"):
+        load_checkpoint(ckpt)
+
+
 def test_oversized_architecture_rejected_before_allocation(ckpt):
     # shapes still match the payload; building this architecture would need terabytes
     rewrite(ckpt, lambda m: m["architecture"].update(d_model=10**6))

@@ -225,11 +225,23 @@ def test_retired_task_settings_are_config_errors(tmp_path, capsys, field, value)
 
 
 @pytest.mark.parametrize("block,field,value", [
-    ("teach", "balance_coeff", "x"), ("teach", "balance_coeff", -0.1), ("teach", "balance_coeff", float("nan")),
-    ("distill", "temperature", float("inf")), ("distill", "temperature", float("nan")),
+    ("teach", "balance_coeff", 0.01), ("distill", "temperature", 1.0), ("model", "router_noise_std", 0.25),
+])
+def test_retired_settings_are_config_errors(tmp_path, capsys, block, field, value):
+    # these settings are constants; a config that sets one, even to its value, is an error
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, block: {**TINY_CONFIG[block], field: value}}))
+    assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and field in err, err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("block,field,value", [
+    ("teach", "seed", -1), ("teach", "eval_every", float("nan")), ("distill", "steps", 1.5),
+    ("distill", "learning_rate", float("inf")), ("distill", "batch_size", 0),
     ("distill", "alpha", True), ("distill", "alpha", 1.5),
-    ("model", "router_noise_std", "x"), ("model", "router_noise_std", -0.5),
-    ("model", "router_noise_std", float("nan")),
+    ("model", "d_ff", 0), ("model", "num_experts", "x"), ("model", "top_k", 1.5),
     ("task", "mode_spread", "x"), ("task", "token_noise", "x"), ("task", "probe_band", [0.9, 0.1]),
     ("gather", "svd_ratio", True),
     # block None is the top level; block SEED_ENV_VAR sets that variable instead
@@ -263,11 +275,28 @@ def test_gather_settings_of_an_unlisted_method_fail_at_load(pipe, tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["nan:1:0.1", "0.1:1:nan"])
+@pytest.mark.parametrize("grid", ["nan:1:0.1", "0.1:1:nan", "0.5:1:1e-20"])
 def test_noise_scan_rejects_a_non_finite_lambda_grid(pipe, tmp_path, capsys, grid):
-    # a NaN bound never ends the grid loop; it must fail before the scan
+    # a NaN bound has no grid size, and a tiny step a grid too large to hold;
+    # either must fail before the grid is built
     argv = ["noise-scan", "--teacher", str(pipe / "teacher.ckpt"), "--lambdas", grid,
             "--out", str(tmp_path / "scan.csv")]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: config: lambda grid {grid!r} must satisfy")
     assert not (tmp_path / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["pipeline", "--config"], ["eval", "--model"]], ids=["pipeline", "eval"])
+def test_a_directory_in_place_of_a_file_is_an_io_error(tmp_path, capsys, argv):
+    assert cli.main([*argv, str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: io: ") and str(tmp_path) in captured.err, captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("student,dense,moe", [("nan", "0.5", "0.6"), ("0.7", "0.5", "inf"), ("0.7", "inf", "0.6")])
+def test_benefits_of_a_non_finite_score_is_a_metric_error(capsys, student, dense, moe):
+    assert cli.main(["benefits", "--student", student, "--dense", dense, "--moe", moe]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: metric: scores must be finite"), captured.err
+    assert captured.out == ""

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from moegather.gather import build_student
@@ -31,9 +32,9 @@ def test_written_config_loads_back_unchanged(tmp_path, profile):
 
 def test_profiles_set_alpha_and_svd_ratio_unless_given():
     nlp = default_config(profile="nlp")
-    assert (nlp.distill.alpha, nlp.distill.temperature, nlp.svd_ratio) == (0.75, 1.0, 0.25)
+    assert (nlp.distill.alpha, nlp.svd_ratio) == (0.75, 0.25)
     vision = default_config(profile="vision")
-    assert (vision.distill.alpha, vision.distill.temperature, vision.svd_ratio) == (0.25, 1.0, 0.75)
+    assert (vision.distill.alpha, vision.svd_ratio) == (0.25, 0.75)
     raw = default_config().to_dict()
     del raw["distill"]["alpha"], raw["gather"]["svd_ratio"]
     assert config_from_dict(raw).to_dict() == vision.to_dict()  # no profile: the vision values
@@ -56,6 +57,22 @@ def test_seed_env_var_overrides_the_seed_and_every_derived_seed(monkeypatch):
     assert got.distill.seed == derive_seed(7, "distill")
     assert all(got.gather_config(m).seed == derive_seed(7, f"gather-{m}") for m in got.gather_methods)
     assert got.distill_config("gather_svdkg").seed == derive_seed(7, "distill-gather_svdkg")
+
+
+def test_out_dir_may_be_a_path(tmp_path):
+    cfg = default_config(0, out_dir=tmp_path / "out")
+    assert cfg.out_dir == str(tmp_path / "out")
+    assert cfg.to_dict() == default_config(0, out_dir=str(tmp_path / "out")).to_dict()
+
+
+@pytest.mark.parametrize("block,field,value", [
+    ("gather", "methods", {"svdkg"}), ("teach", "steps", np.int64(5)), ("task", "seed", object()),
+], ids=["set", "numpy-int", "object"])
+def test_a_setting_that_is_not_json_is_a_config_error(block, field, value):
+    raw = default_config().to_dict()
+    raw[block][field] = value
+    with pytest.raises(ConfigError, match="settings must be JSON values: Object of type"):
+        config_from_dict(raw)
 
 
 @pytest.mark.parametrize("profile", ["audio", "", ["nlp"]])

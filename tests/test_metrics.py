@@ -34,6 +34,12 @@ class TestMoeBenefits:
         with pytest.raises(UndefinedMetricError):
             moe_benefits(score_student=0.9, score_dense=0.8, score_moe=0.8)
 
+    @pytest.mark.parametrize("scores", [(np.nan, 0.8, 0.9), (0.85, np.inf, 0.9), (0.85, 0.8, np.inf),
+                                        (0.85, 0.8, -np.inf)])
+    def test_non_finite_score_is_undefined(self, scores):
+        with pytest.raises(UndefinedMetricError, match="scores must be finite"):
+            moe_benefits(*scores)
+
 
 class TestFlopsPerToken:
     def test_dense(self):

@@ -63,7 +63,6 @@ class TestRouterProbs:
         with_noise = router_probs(x, r, Rng(1))
         without = router_probs(x, r, None)
         assert not np.allclose(with_noise, without)
-        assert r.noise_std == pytest.approx(0.25)  # defaults to 1/num_experts
 
     def test_probs_sum_to_one(self):
         rng = Rng(9)
@@ -90,11 +89,12 @@ class TestRouterProbs:
 
     def test_noise_is_one_draw_shaped_like_the_logits(self):
         # training draws its router noise through this call; the draw shape
-        # fixes the noise stream, so it must stay (rows, num_experts)
+        # fixes the noise stream, so it must stay (rows, num_experts), and
+        # its std is 1/num_experts
         rng = Rng(5)
         r = Router(weight=rng.normal(size=(6, 4)), top_k=2)
         xs = rng.normal(size=(7, 6))
-        logits = xs @ r.weight + Rng(8).normal(size=(7, 4), scale=r.noise_std)
+        logits = xs @ r.weight + Rng(8).normal(size=(7, 4), scale=0.25)
         want = np.exp(logits - logits.max(axis=1, keepdims=True))
         want /= want.sum(axis=1, keepdims=True)
         assert np.array_equal(router_probs(xs, r, Rng(8)), want)

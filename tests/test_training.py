@@ -50,10 +50,9 @@ def tiny_data(seed=0, n=96, arch=None):
     )
 
 
-def soft_kd_loss(z_s, z_t, temperature):
+def soft_kd_loss(z_s, z_t):
     """Soft KD loss of one logit row, through the batched training kernel."""
-    cfg = DistillConfig(temperature=temperature, mode="soft")
-    return _distill_terms(np.asarray(z_s)[None, :], np.asarray(z_t)[None, :], cfg)[0]
+    return _distill_terms(np.asarray(z_s)[None, :], np.asarray(z_t)[None, :], DistillConfig(mode="soft"))[0]
 
 
 def hard_kd_loss(z_s, z_t):
@@ -70,12 +69,12 @@ def cross_entropy(z, label):
 class TestSoftKdLoss:
     def test_identical_logits_zero(self):
         z = Rng(0).normal(size=5)
-        assert soft_kd_loss(z, z, 2.0) == pytest.approx(0.0, abs=1e-12)
+        assert soft_kd_loss(z, z) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_shift_invariance(self):
         z = Rng(1).normal(size=4)
-        assert soft_kd_loss(z + 3.7, z, 1.5) == pytest.approx(0.0, abs=1e-12)
-        assert soft_kd_loss(z + 3.7, z - 1.2, 1.5) == pytest.approx(0.0, abs=1e-10)
+        assert soft_kd_loss(z + 3.7, z) == pytest.approx(0.0, abs=1e-12)
+        assert soft_kd_loss(z + 3.7, z - 1.2) == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_scalar_kl_oracle(self):
         z_t = np.array([1.0, 0.0])
@@ -83,21 +82,12 @@ class TestSoftKdLoss:
         pt = np.exp(z_t) / np.exp(z_t).sum()
         ps = np.exp(z_s) / np.exp(z_s).sum()
         expected = sum(pt[i] * (np.log(pt[i]) - np.log(ps[i])) for i in range(2))
-        assert soft_kd_loss(z_s, z_t, 1.0) == pytest.approx(expected, abs=1e-12)
-
-    def test_temperature_scaling_against_oracle(self):
-        rng = Rng(2)
-        z_s, z_t = rng.normal(size=6), rng.normal(size=6)
-        for t in (0.5, 2.0, 4.0):
-            pt = np.exp(z_t / t) / np.exp(z_t / t).sum()
-            ps = np.exp(z_s / t) / np.exp(z_s / t).sum()
-            expected = t * t * float((pt * (np.log(pt) - np.log(ps))).sum())
-            assert soft_kd_loss(z_s, z_t, t) == pytest.approx(expected, rel=1e-12)
+        assert soft_kd_loss(z_s, z_t) == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative(self):
         rng = Rng(3)
         for _ in range(25):
-            assert soft_kd_loss(rng.normal(size=4), rng.normal(size=4), 1.7) >= 0.0
+            assert soft_kd_loss(rng.normal(size=4), rng.normal(size=4)) >= 0.0
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_rejects_non_finite(self):
@@ -142,7 +132,7 @@ class TestTotalLoss:
         student = build_classifier(tiny_arch("dense"), Rng(18))
         tokens = Rng(19).normal(size=(4, 4, 8))
         labels = np.array([0, 2, 1, 0])
-        cfg = DistillConfig(alpha=alpha, temperature=2.0, mode="soft")
+        cfg = DistillConfig(alpha=alpha, mode="soft")
         loss, _ = loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)
         assert loss.distill > 0.0 and loss.balance == 0.0
         assert loss.total == alpha * loss.main + (1.0 - alpha) * loss.distill
@@ -186,7 +176,7 @@ class TestBackward:
         student = build_classifier(tiny_arch("dense"), Rng(3))
         tokens = Rng(4).normal(size=(4, 4, 8))
         labels = np.array([1, 2, 0, 1])
-        cfg = DistillConfig(alpha=0.25, temperature=2.0, mode=mode)
+        cfg = DistillConfig(alpha=0.25, mode=mode)
         _, grads = loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)
 
         def loss():
@@ -208,7 +198,7 @@ class TestBackward:
         student = build_classifier(tiny_arch("dense"), Rng(8))
         tokens = Rng(9).normal(size=(4, 4, 8))
         labels = np.array([0, 1, 2, 0])
-        cfg = DistillConfig(alpha=0.0, temperature=1.0, mode="soft")
+        cfg = DistillConfig(alpha=0.0, mode="soft")
         _, grads = loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)
         norm = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
         assert norm < 1e-8
