@@ -5,6 +5,12 @@ The backward pass is written by hand for the fixed block architecture in
 gradient flows through the selection indices, only through the gate
 probabilities of the selected experts (and, separately, through every gate
 probability via the balance loss, which is a direct function of them).
+
+A training run draws its whole batch schedule before the first step.
+Distillation reads the frozen teacher's logits from a :class:`TeacherLogits`
+memo, which forwards each training row once per memo, so students that share
+a memo share the teacher's work and the teacher stays out of the training
+loop.
 """
 
 from __future__ import annotations
@@ -222,21 +228,22 @@ def loss_and_grads(
     tokens: np.ndarray,
     labels: np.ndarray,
     *,
-    teacher: ClassifierModel | None = None,
+    teacher_logits: np.ndarray | None = None,
     distill: DistillConfig | None = None,
     balance_coeff: float = 0.0,
     rng: Rng | None = None,
 ) -> tuple[LossBreakdown, GradientSet]:
     """One training objective evaluation: batch-mean loss and its exact
-    gradients. Teacher logits (when distilling) are produced noise-free by a
-    forward-only pass and the teacher never appears in the gradient set."""
+    gradients. When distilling, ``teacher_logits`` holds the frozen
+    teacher's noise-free logits of the same rows (one row per sequence of
+    ``tokens``); they are constants, so no teacher tensor enters the
+    gradient set."""
     labels = np.asarray(labels)
     logits, cache = forward_batch(model, tokens, rng=rng, need_grad=True)
     main, d_main = _cross_entropy(logits, labels)
 
-    distilling = distill is not None and distill.mode != "none" and teacher is not None
+    distilling = distill is not None and distill.mode != "none" and teacher_logits is not None
     if distilling:
-        teacher_logits, _ = forward_batch(teacher, tokens, rng=None)
         distill_val, d_distill = _distill_terms(logits, teacher_logits, distill)
         alpha = distill.alpha
         d_logits = alpha * d_main + (1.0 - alpha) * d_distill
@@ -331,38 +338,90 @@ def _measure_balance(model: ClassifierModel, tokens: np.ndarray) -> float:
     return _pooled_balance(cache)[0]
 
 
-def _run_training(model: ClassifierModel, cfg: TrainConfig, data, *,
-                  balance_coeff: float = 0.0, teacher: ClassifierModel | None = None) -> TrainResult:
-    """The one training loop: minibatch Adam over ``cfg.steps`` steps, with
-    distillation against ``teacher`` (and ``cfg`` as its settings) when one
-    is given."""
-    steps, batch_size = cfg.steps, cfg.batch_size
-    train, test = data
-    n = len(train.labels)
+def _batch_schedule(cfg: TrainConfig, n: int) -> np.ndarray:
+    """Row indices of every step's batch, shape ``(cfg.steps, cfg.batch_size)``.
+
+    Each pass over the ``n`` training rows is a fresh permutation from the
+    run's ``batch-order`` stream; a pass ends when less than a whole batch
+    is left, and those rows sit out that pass.
+    """
+    batch_size = cfg.batch_size
     if batch_size > n:
         raise ValueError(f"batch_size {batch_size} exceeds training set size {n}")
+    per_pass = n // batch_size
+    passes = max(1, -(-cfg.steps // per_pass))
+    order_rng = Rng(cfg.seed).derive("batch-order")
+    rows = np.concatenate([order_rng.permutation(n)[: per_pass * batch_size] for _ in range(passes)])
+    return rows.reshape(-1, batch_size)[: cfg.steps]
+
+
+class TeacherLogits:
+    """Memo of one frozen teacher's noise-free logits over one training split.
+
+    ``fill`` forwards the rows of a batch schedule that the memo does not
+    hold yet, in first-visit order and in chunks of exactly the schedule's
+    batch size, and stores only those rows. A row's logits have the same bits
+    in any batch of that size, at any position, so a memo row equals what a
+    teacher forward of each training batch would give. Batches of other
+    sizes (a lone row, say) can differ in the last bit; hence the last chunk
+    is padded with other rows rather than forwarded short.
+    """
+
+    def __init__(self, teacher: ClassifierModel, train, batch_size: int):
+        n = len(train.labels)
+        self.teacher_hash = state_hash(teacher)
+        self.tokens = train.tokens
+        self.batch_size = batch_size
+        self.logits = np.zeros((n, teacher.arch.num_classes))
+        self.filled = np.zeros(n, dtype=bool)
+
+    def fill(self, teacher: ClassifierModel, train, batches: np.ndarray) -> None:
+        """Make every row of ``batches`` (a ``_batch_schedule``) available in
+        ``self.logits``."""
+        if state_hash(teacher) != self.teacher_hash:
+            raise ValueError("teacher-logit memo: built for another teacher (state_hash differs)")
+        if train.tokens is not self.tokens and not np.array_equal(train.tokens, self.tokens):
+            raise ValueError("teacher-logit memo: built for another training split")
+        batch_size = batches.shape[1]
+        if batch_size != self.batch_size:
+            raise ValueError(
+                f"teacher-logit memo: built for batch_size {self.batch_size}, got batch_size {batch_size}"
+            )
+        visits = batches.ravel()
+        _, first = np.unique(visits, return_index=True)
+        new = visits[np.sort(first)]
+        new = new[~self.filled[new]]
+        for start in range(0, len(new), batch_size):
+            chunk = rows = new[start : start + batch_size]
+            if len(chunk) < batch_size:
+                pad = np.setdiff1d(np.arange(len(self.filled)), chunk)[: batch_size - len(chunk)]
+                rows = np.concatenate([chunk, pad])
+            logits, _ = forward_batch(teacher, self.tokens[rows], rng=None)
+            self.logits[chunk] = logits[: len(chunk)]
+        self.filled[new] = True
+
+
+def _run_training(model: ClassifierModel, cfg: TrainConfig, data, batches: np.ndarray, *,
+                  balance_coeff: float = 0.0, teacher_logits: np.ndarray | None = None) -> TrainResult:
+    """The one training loop: a minibatch Adam step per row of ``batches``,
+    with distillation against ``teacher_logits`` (one row per training
+    sequence, and ``cfg`` as the distillation settings) when they are given."""
+    steps = len(batches)
+    train, test = data
     rng = Rng(cfg.seed)
     noise_rng = rng.derive("router-noise") if model.arch.stage == "moe" else None
-    order_rng = rng.derive("batch-order")
     schedule = LinearDecaySchedule(cfg.learning_rate, steps)
-    distill = cfg if teacher is not None else None
+    distill = cfg if teacher_logits is not None else None
     params = model.parameters()
     state = AdamState.for_params(params)
     log: list[dict] = []
-    perm = order_rng.permutation(n)
-    cursor = 0
-    for step in range(steps):
-        if cursor + batch_size > n:
-            perm = order_rng.permutation(n)
-            cursor = 0
-        idx = perm[cursor : cursor + batch_size]
-        cursor += batch_size
+    for step, idx in enumerate(batches):
         lr = schedule.lr_at(state.t)
         breakdown, grads = loss_and_grads(
             model,
             train.tokens[idx],
             train.labels[idx],
-            teacher=teacher,
+            teacher_logits=None if teacher_logits is None else teacher_logits[idx],
             distill=distill,
             balance_coeff=balance_coeff,
             rng=noise_rng,
@@ -394,18 +453,31 @@ def train_classifier(model: ClassifierModel, cfg: TrainConfig, data) -> TrainRes
     """Supervised training on the task loss; MoE models add the balance
     penalty and exploration noise, dense models train plain."""
     balance = BALANCE_COEFF if model.arch.stage == "moe" else 0.0
-    return _run_training(model, cfg, data, balance_coeff=balance)
+    return _run_training(model, cfg, data, _batch_schedule(cfg, len(data[0].labels)), balance_coeff=balance)
 
 
 def distill_student(student: ClassifierModel, teacher: ClassifierModel,
-                    cfg: DistillConfig, data) -> TrainResult:
+                    cfg: DistillConfig, data, memo: TeacherLogits | None = None) -> TrainResult:
     """Refine the student against the frozen teacher.
 
-    The teacher is forwarded noise-free for its logits and is verified
-    bit-identical before and after training.
+    Before the first step, ``memo`` forwards the teacher, noise-free, over
+    the rows of this run's batch schedule that it does not hold yet; pass one
+    memo to every student of a run (same teacher, training split and
+    ``batch_size``) to forward each row once. Without one, the student gets a
+    memo of its own; with ``mode: "none"`` no memo is filled and the teacher
+    is never forwarded. The teacher is verified bit-identical before and
+    after training.
     """
     teacher_before = state_hash(teacher)
-    result = _run_training(student, cfg, data, teacher=teacher)
+    train = data[0]
+    batches = _batch_schedule(cfg, len(train.labels))
+    teacher_logits = None
+    if cfg.mode != "none":
+        if memo is None:
+            memo = TeacherLogits(teacher, train, cfg.batch_size)
+        memo.fill(teacher, train, batches)
+        teacher_logits = memo.logits
+    result = _run_training(student, cfg, data, batches, teacher_logits=teacher_logits)
     if state_hash(teacher) != teacher_before:
         raise RuntimeError("teacher weights changed during distillation")
     return result

@@ -3,6 +3,9 @@
 Stages: generate data, train the MoE teacher, train a dense-from-scratch
 baseline, gather a student per requested method, distill every student (plus
 two reference initializations), evaluate everything, and emit a summary.
+The distill stage keeps one teacher-logit memo per run, so the frozen
+teacher is forwarded once per training row that any student visits, not once
+per student step.
 
 The two reference initializations isolate what gathering contributes:
 
@@ -28,7 +31,7 @@ from ..gather import GatherConfig, GatherReport, build_student, copy_matched
 from ..metrics import NoiseScanRow, UndefinedMetricError, flops_per_token, moe_benefits
 from ..model import Architecture, ClassifierModel, build_classifier, count_parameters
 from ..numerics import Rng
-from ..training import DistillConfig, TrainConfig, TrainResult, distill_student, train_classifier
+from ..training import DistillConfig, TeacherLogits, TrainConfig, TrainResult, distill_student, train_classifier
 from .checkpoint import file_sha256, save_checkpoint
 from .config import ExperimentConfig, derive_seed
 from .data import generate_dataset
@@ -100,10 +103,11 @@ def gather_stage(teacher: ClassifierModel, gcfg: GatherConfig, meta: dict, path,
 
 
 def distill_stage(student: ClassifierModel, teacher: ClassifierModel, dcfg: DistillConfig,
-                  data, meta: dict, path) -> TrainResult:
-    """Distill stage: refine the student, save its checkpoint at ``path`` with
+                  data, meta: dict, path, memo: TeacherLogits | None = None) -> TrainResult:
+    """Distill stage: refine the student, reading the teacher's logits from
+    ``memo`` (a fresh one when None), save its checkpoint at ``path`` with
     ``meta`` plus the distillation settings, and its log as ``<stem>.log.csv``."""
-    result = distill_student(student, teacher, dcfg, data)
+    result = distill_student(student, teacher, dcfg, data, memo)
     save_checkpoint(result.model, {**meta, "training": vars(dcfg).copy()}, path)
     write_training_log(result.log, Path(path).with_suffix(".log.csv"))
     return result
@@ -158,10 +162,11 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     _run_stage("gather", gather_all)
 
     def distill_all():
+        memo = TeacherLogits(teacher, data[0], cfg.distill.batch_size)
         for name, entry in students.items():
             dcfg = cfg.distill_config(name)
             meta = {**cfg.checkpoint_meta(name), "initialized_from": entry["init"].name}
-            entry["result"] = distill_stage(entry["model"], teacher, dcfg, data, meta, out / f"{name}.ckpt")
+            entry["result"] = distill_stage(entry["model"], teacher, dcfg, data, meta, out / f"{name}.ckpt", memo)
 
     _run_stage("distill", distill_all)
 

@@ -8,7 +8,9 @@ from moegather.training import (
     AdamState,
     DistillConfig,
     LinearDecaySchedule,
+    TeacherLogits,
     TrainConfig,
+    _batch_schedule,
     _distill_terms,
     backward_from_logits,
     distill_student,
@@ -133,7 +135,8 @@ class TestTotalLoss:
         tokens = Rng(19).normal(size=(4, 4, 8))
         labels = np.array([0, 2, 1, 0])
         cfg = DistillConfig(alpha=alpha, mode="soft")
-        loss, _ = loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)
+        teacher_logits = forward_batch(teacher, tokens)[0]
+        loss, _ = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, distill=cfg)
         assert loss.distill > 0.0 and loss.balance == 0.0
         assert loss.total == alpha * loss.main + (1.0 - alpha) * loss.distill
 
@@ -177,10 +180,11 @@ class TestBackward:
         tokens = Rng(4).normal(size=(4, 4, 8))
         labels = np.array([1, 2, 0, 1])
         cfg = DistillConfig(alpha=0.25, mode=mode)
-        _, grads = loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)
+        teacher_logits = forward_batch(teacher, tokens)[0]
+        _, grads = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, distill=cfg)
 
         def loss():
-            return loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)[0].total
+            return loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, distill=cfg)[0].total
 
         _fd_check(student, grads, loss, stride=5)
 
@@ -189,7 +193,8 @@ class TestBackward:
         student = build_classifier(tiny_arch("dense"), Rng(6))
         tokens = Rng(7).normal(size=(3, 4, 8))
         labels = np.array([0, 1, 2])
-        _, grads = loss_and_grads(student, tokens, labels, teacher=teacher, distill=DistillConfig())
+        teacher_logits = forward_batch(teacher, tokens)[0]
+        _, grads = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, distill=DistillConfig())
         assert set(grads) == set(student.parameters())
 
     def test_distill_gradient_vanishes_at_equality(self):
@@ -199,7 +204,8 @@ class TestBackward:
         tokens = Rng(9).normal(size=(4, 4, 8))
         labels = np.array([0, 1, 2, 0])
         cfg = DistillConfig(alpha=0.0, mode="soft")
-        _, grads = loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)
+        teacher_logits = forward_batch(teacher, tokens)[0]
+        _, grads = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, distill=cfg)
         norm = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
         assert norm < 1e-8
 
@@ -209,7 +215,8 @@ class TestBackward:
         tokens = Rng(12).normal(size=(4, 4, 8))
         labels = np.array([2, 1, 0, 2])
         cfg = DistillConfig(alpha=1.0, mode="soft")
-        with_kd, g1 = loss_and_grads(student, tokens, labels, teacher=teacher, distill=cfg)
+        teacher_logits = forward_batch(teacher, tokens)[0]
+        with_kd, g1 = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, distill=cfg)
         plain, g2 = loss_and_grads(student, tokens, labels)
         assert with_kd.total == pytest.approx(plain.total, abs=1e-15)
         for name in g1:
@@ -349,3 +356,146 @@ class TestTrainingLoops:
         if eval_every:
             assert result.final_heldout_acc == result.log[-1]["heldout_acc"]
         assert result.final_heldout_acc == real(result.model, data[1].tokens, data[1].labels)
+
+
+def inline_schedule(cfg, n):
+    """Oracle: the per-step permutation/cursor loop that training ran before
+    the schedule was drawn up front."""
+    order_rng = Rng(cfg.seed).derive("batch-order")
+    perm = order_rng.permutation(n)
+    cursor = 0
+    batches = []
+    for _ in range(cfg.steps):
+        if cursor + cfg.batch_size > n:
+            perm = order_rng.permutation(n)
+            cursor = 0
+        batches.append(perm[cursor : cursor + cfg.batch_size])
+        cursor += cfg.batch_size
+    return np.array(batches, dtype=np.int64).reshape(cfg.steps, cfg.batch_size)
+
+
+def count_teacher_forwards(monkeypatch, teacher):
+    """Record the token batches that training forwards through ``teacher``."""
+    real = training.forward_batch
+    seen = []
+
+    def counting(model, tokens, *args, **kwargs):
+        if model is teacher:
+            seen.append(tokens)
+        return real(model, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_batch", counting)
+    return seen
+
+
+class TestTeacherLogits:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        arch = tiny_arch()
+        data = tiny_data()
+        teacher = train_teacher(
+            arch, TrainConfig(steps=15, batch_size=16, learning_rate=1e-2, seed=2, eval_every=0), data
+        ).model
+        return arch, data, teacher
+
+    @pytest.mark.parametrize("n,batch_size,steps", [(72, 16, 9), (72, 16, 4), (64, 16, 9), (72, 72, 3), (10, 3, 7),
+                                                    (72, 16, 0)])
+    def test_schedule_matches_the_inline_loop(self, n, batch_size, steps):
+        cfg = TrainConfig(steps=steps, batch_size=batch_size, seed=11)
+        batches = _batch_schedule(cfg, n)
+        assert batches.shape == (steps, batch_size)
+        assert np.array_equal(batches, inline_schedule(cfg, n))
+
+    def test_schedule_rejects_a_batch_larger_than_the_split(self):
+        with pytest.raises(ValueError, match="exceeds training set size 72"):
+            _batch_schedule(TrainConfig(batch_size=73), 72)
+
+    def test_rows_equal_a_forward_of_each_batch_bit_for_bit(self, setup, monkeypatch):
+        _, data, teacher = setup
+        train = data[0]
+        batches = _batch_schedule(DistillConfig(steps=6, batch_size=16, seed=5), len(train.labels))
+        rows = np.unique(batches)
+        assert len(rows) % 16, "the schedule must end in a padded chunk"
+        forwards = count_teacher_forwards(monkeypatch, teacher)
+        memo = TeacherLogits(teacher, train, 16)
+        memo.fill(teacher, train, batches)
+        assert len(forwards) == -(-len(rows) // 16)
+        assert all(len(tokens) == 16 for tokens in forwards)
+        assert np.array_equal(np.flatnonzero(memo.filled), rows)
+        for idx in batches:
+            expected = forward_batch(teacher, train.tokens[idx])[0]
+            assert memo.logits[idx].tobytes() == expected.tobytes()
+
+    def test_shared_memo_forwards_only_rows_not_yet_filled(self, setup, monkeypatch):
+        arch, data, teacher = setup
+        train = data[0]
+        forwards = count_teacher_forwards(monkeypatch, teacher)
+        memo = TeacherLogits(teacher, train, 16)
+        first = DistillConfig(steps=3, batch_size=16, seed=3, eval_every=0)
+        distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, first, data, memo)
+        assert len(forwards) == 3  # 48 unseen rows: three whole batches
+        filled = memo.filled.copy()
+
+        forwards.clear()
+        second = DistillConfig(steps=5, batch_size=16, seed=7, eval_every=0)
+        distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, second, data, memo)
+        new = np.setdiff1d(_batch_schedule(second, len(train.labels)), np.flatnonzero(filled))
+        assert 0 < len(new) < 5 * 16
+        assert len(forwards) == -(-len(new) // 16)
+        assert np.array_equal(np.flatnonzero(memo.filled & ~filled), new)
+
+        forwards.clear()
+        distill_student(build_classifier(arch.dense_twin(), Rng(9)), teacher, first, data, memo)
+        assert forwards == []  # every row of this schedule is already held
+
+    def test_shared_memo_trains_the_student_a_fresh_memo_trains(self, setup):
+        arch, data, teacher = setup
+        cfg = DistillConfig(steps=8, batch_size=16, learning_rate=1e-2, seed=3, eval_every=4)
+        shared = TeacherLogits(teacher, data[0], 16)
+        other = DistillConfig(steps=6, batch_size=16, seed=8, eval_every=0)
+        distill_student(build_classifier(arch.dense_twin(), Rng(1)), teacher, other, data, shared)
+        fresh_run = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data)
+        shared_run = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, shared)
+        assert state_hash(shared_run.model) == state_hash(fresh_run.model)
+        assert shared_run.log == fresh_run.log
+
+    def test_memo_of_another_teacher_is_rejected(self, setup):
+        arch, data, teacher = setup
+        memo = TeacherLogits(build_classifier(arch, Rng(99)), data[0], 16)
+        cfg = DistillConfig(steps=2, batch_size=16, seed=3, eval_every=0)
+        with pytest.raises(ValueError, match="another teacher"):
+            distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, memo)
+
+    def test_memo_of_another_split_is_rejected(self, setup):
+        arch, data, teacher = setup
+        memo = TeacherLogits(teacher, tiny_data(seed=1)[0], 16)
+        cfg = DistillConfig(steps=2, batch_size=16, seed=3, eval_every=0)
+        with pytest.raises(ValueError, match="another training split"):
+            distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, memo)
+
+    def test_an_equal_copy_of_the_split_is_accepted(self, setup):
+        arch, data, teacher = setup
+        train = data[0]
+        memo = TeacherLogits(teacher, Dataset(tokens=train.tokens.copy(), labels=train.labels.copy()), 16)
+        cfg = DistillConfig(steps=2, batch_size=16, seed=3, eval_every=0)
+        distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, memo)
+        assert memo.filled.sum() == 32
+
+    def test_memo_of_another_batch_size_is_rejected(self, setup):
+        arch, data, teacher = setup
+        memo = TeacherLogits(teacher, data[0], 16)
+        cfg = DistillConfig(steps=2, batch_size=8, seed=3, eval_every=0)
+        with pytest.raises(ValueError, match="batch_size 16, got batch_size 8"):
+            distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, memo)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_mode_none_never_forwards_the_teacher(self, setup, monkeypatch, shared):
+        arch, data, teacher = setup
+        forwards = count_teacher_forwards(monkeypatch, teacher)
+        memo = TeacherLogits(teacher, data[0], 16) if shared else None
+        cfg = DistillConfig(steps=3, batch_size=16, seed=3, eval_every=0, mode="none")
+        result = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, memo)
+        assert forwards == []
+        assert all(row["distill"] == 0.0 for row in result.log)
+        if shared:
+            assert not memo.filled.any()
