@@ -14,6 +14,17 @@ Only a training step asks for ``need_grad=True``, which also computes the
 activation derivatives and caches every intermediate the backward pass reads.
 Both modes evaluate the values in the same operation order, so their logits
 are bit-identical.
+
+A forward-only pass without router noise over more than ``FORWARD_BLOCK``
+sequences runs in ⌈b/FORWARD_BLOCK⌉ near-equal blocks and concatenates the
+logits, pooled features and routing arrays in row order. At the default
+shapes (seq_len 8, d_ff 128) each FFN intermediate of a 512-sequence pass is
+4 MB of float64, past a 2 MB per-core L2, while a 64-sequence block's is
+512 KB, so the few the GELU keeps alive stay in cache. Every block holds at
+least half of ``FORWARD_BLOCK`` sequences, and a row's bits do not depend on
+the block it lands in, so the blocked result equals the unblocked one. A
+training step stays one pass, because its backward sums over all rows, and
+so does a noisy pass, because the noise is drawn per call.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ import numpy as np
 from .numerics import NumericalError, Rng, ShapeError, check_number
 
 LAYER_NORM_EPS = 1e-5
+FORWARD_BLOCK = 64  # most sequences per forward-only block; see the module docstring
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
@@ -369,9 +381,12 @@ def state_hash(model: ClassifierModel) -> str:
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Per-token layer norm over the last axis; returns (y, xhat, inv_std)."""
-    mean = x.mean(axis=-1, keepdims=True)
+    # np.mean is this reduce followed by a divide by the count; calling the
+    # ufunc directly gives the same bits without numpy's Python wrapper.
+    d = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
     centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv_std
     return gain * xhat + bias, xhat, inv_std
@@ -426,18 +441,51 @@ def forward_batch(
 
     Returns (logits, cache). The cache always carries each block's routing
     arrays under ``stage`` (``kind``, plus ``probs`` and ``sel`` for an MoE
-    stage) for the balance loss and load statistics. With ``need_grad=True``
-    it also holds the layer-norm statistics, the stage inputs, activations
-    and their derivatives, so it can feed ``backward_from_logits``; the
-    default, forward-only pass keeps none of them and is what scoring should
-    use. The logits are bit-identical either way. Router noise is drawn only
-    when an rng is supplied.
+    stage) for the balance loss and load statistics, and the pooled features
+    under ``pooled``. With ``need_grad=True`` it also holds the layer-norm
+    statistics, the stage inputs, activations and their derivatives, so it
+    can feed ``backward_from_logits``; the default, forward-only pass keeps
+    none of them and is what scoring should use. The logits are
+    bit-identical either way. Router noise is drawn only when an rng is
+    supplied.
+
+    A forward-only, noise-free pass over more than ``FORWARD_BLOCK``
+    sequences runs in near-equal blocks of at most that many and returns the
+    concatenated results.
     """
+    if tokens.ndim != 3:
+        raise ShapeError(f"tokens must be (batch, seq_len, d_model), got shape {tokens.shape}")
     b, s, d = tokens.shape
     if s != model.arch.seq_len or d != model.arch.d_model:
         raise ShapeError(
             f"tokens shaped {(s, d)} but model expects ({model.arch.seq_len}, {model.arch.d_model})"
         )
+    k = -(-b // FORWARD_BLOCK)
+    if need_grad or rng is not None or k <= 1:
+        # The backward pass sums over all rows and the noise is drawn per call.
+        return _forward(model, tokens, rng, need_grad)
+    parts = [_forward(model, tokens[b * i // k : b * (i + 1) // k], None, False) for i in range(k)]
+    blocks = []
+    for per_part in zip(*(cache["blocks"] for _, cache in parts)):
+        stage = dict(per_part[0]["stage"])
+        for key in ("probs", "sel"):
+            if key in stage:
+                stage[key] = np.concatenate([blk["stage"][key] for blk in per_part])
+        blocks.append({"stage": stage})
+    cache = {
+        "tokens": tokens,
+        "need_grad": False,
+        "blocks": blocks,
+        "pooled": np.concatenate([cache["pooled"] for _, cache in parts]),
+    }
+    return np.concatenate([logits for logits, _ in parts]), cache
+
+
+def _forward(
+    model: ClassifierModel, tokens: np.ndarray, rng: Rng | None, need_grad: bool
+) -> tuple[np.ndarray, dict]:
+    """One unblocked pass of ``forward_batch`` over already-checked tokens."""
+    b, s, d = tokens.shape
     x = tokens.reshape(-1, d) @ model.embed
     x = x.reshape(b, s, d)
     cache: dict = {"tokens": tokens, "need_grad": need_grad, "blocks": []}

@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ClassifierModel, forward_batch, state_hash
-from .numerics import NumericalError, Rng, check_number
+from .numerics import NumericalError, Rng, ShapeError, check_number
 
 GradientSet = dict[str, np.ndarray]
 
 DISTILL_MODES = ("soft", "hard", "none")
-EVAL_BATCH = 512  # sequences per forward pass when scoring accuracy
 BALANCE_SAMPLE = 256  # test sequences behind a trained model's final balance loss
 BALANCE_COEFF = 0.01  # weight of the balance loss when training an MoE (Switch Transformer)
 
@@ -168,10 +167,11 @@ def _layer_norm_backward(d_y: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
     d_gain = (d_y * xhat).sum(axis=(0, 1))
     d_bias = d_y.sum(axis=(0, 1))
     d_xhat = d_y * gain
+    d = d_xhat.shape[-1]
     d_x = inv_std * (
         d_xhat
-        - d_xhat.mean(axis=-1, keepdims=True)
-        - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)
+        - np.add.reduce(d_xhat, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / d)
     )
     return d_x, d_gain, d_bias
 
@@ -326,11 +326,10 @@ class TrainResult:
 
 def evaluate_accuracy(model: ClassifierModel, tokens: np.ndarray, labels: np.ndarray) -> float:
     """Argmax accuracy with routing noise disabled."""
-    hits = 0
-    for start in range(0, len(labels), EVAL_BATCH):
-        logits, _ = forward_batch(model, tokens[start : start + EVAL_BATCH], rng=None)
-        hits += int((np.argmax(logits, axis=1) == labels[start : start + EVAL_BATCH]).sum())
-    return hits / len(labels)
+    if len(labels) == 0 or np.shape(labels) != (len(tokens),):
+        raise ShapeError(f"cannot score {len(tokens)} sequences against labels shaped {np.shape(labels)}")
+    logits, _ = forward_batch(model, tokens, rng=None)
+    return int((np.argmax(logits, axis=1) == labels).sum()) / len(labels)
 
 
 def _measure_balance(model: ClassifierModel, tokens: np.ndarray) -> float:

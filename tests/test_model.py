@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from moegather import model as model_mod
 from moegather.model import (
+    FORWARD_BLOCK,
     Architecture,
     FeedForward,
     MoELayer,
@@ -20,6 +22,7 @@ from moegather.model import (
 )
 from moegather.numerics import NumericalError, Rng, ShapeError
 from moegather.training import _pooled_balance
+from moegather.workbench.config import default_config
 
 
 def ffn_forward(ffn, x):
@@ -428,6 +431,12 @@ class TestModelPlumbing:
         with pytest.raises(ShapeError):
             forward_batch(model, np.zeros((2, 5, 6)))
 
+    @pytest.mark.parametrize("shape", [(3, 6), (1, 2, 3, 6)])
+    def test_forward_batch_needs_3d_tokens(self, shape):
+        model = build_classifier(small_arch(), Rng(0))
+        with pytest.raises(ShapeError, match="batch, seq_len, d_model"):
+            forward_batch(model, np.zeros(shape))
+
 
 def _gelu_with_grad_oracle(x):
     """The direct, out-of-place expressions the in-place kernel must reproduce."""
@@ -505,3 +514,77 @@ class TestForwardOnly:
             assert set(blk) == {"stage"}  # no layer-norm xhat / inv_std
             assert set(blk["stage"]) == routing  # no x, h_act, y or per-expert records
             assert {"ln1", "ln2"} <= set(grad_blk) and "x" in grad_blk["stage"]
+
+
+@pytest.fixture(scope="module")
+def default_models():
+    arch = default_config(0).arch
+    return {"moe": build_classifier(arch, Rng(21)), "dense": build_classifier(arch.dense_twin(), Rng(21))}
+
+
+@pytest.fixture(scope="module")
+def default_tokens(default_models):
+    arch = default_models["moe"].arch
+    return Rng(22).normal(size=(512, arch.seq_len, arch.d_model))
+
+
+class TestBlockedForward:
+    """A forward-only, noise-free pass runs in blocks of at most FORWARD_BLOCK
+    sequences; the ``need_grad=True`` pass is never blocked, so it is the oracle."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 100, 129, 257, 512])
+    @pytest.mark.parametrize("stage", ["moe", "dense"])
+    def test_blocked_pass_bit_identical_to_unblocked(self, default_models, default_tokens, stage, n):
+        model, tokens = default_models[stage], default_tokens[:n]
+        logits, cache = forward_batch(model, tokens)
+        want, oracle = forward_batch(model, tokens, need_grad=True)
+        assert np.array_equal(logits, want)
+        assert np.array_equal(cache["pooled"], oracle["pooled"])
+        assert set(cache) == set(oracle) and cache["tokens"] is tokens
+        assert not cache["need_grad"]
+        routing = {"kind", "probs", "sel"} if stage == "moe" else {"kind"}
+        for blk, oracle_blk in zip(cache["blocks"], oracle["blocks"], strict=True):
+            assert set(blk) == {"stage"} and set(blk["stage"]) == routing
+            for key in routing - {"kind"}:
+                assert np.array_equal(blk["stage"][key], oracle_blk["stage"][key])
+
+    def test_blocks_are_near_equal_and_in_row_order(self, monkeypatch):
+        model = build_classifier(small_arch(), Rng(23))
+        tokens = Rng(24).normal(size=(599, 3, 6))
+        real = model_mod._forward
+        seen = []
+
+        def recording(model, tokens, rng, need_grad):
+            seen.append(tokens)
+            return real(model, tokens, rng, need_grad)
+
+        monkeypatch.setattr(model_mod, "_forward", recording)
+        for n in range(1, 600):
+            seen.clear()
+            forward_batch(model, tokens[:n])
+            sizes = [len(t) for t in seen]
+            assert len(sizes) == -(-n // FORWARD_BLOCK) and sum(sizes) == n
+            assert max(sizes) <= FORWARD_BLOCK and max(sizes) - min(sizes) <= 1
+            if n > FORWARD_BLOCK:
+                # 65 rows split 32 + 33; a short tail block never occurs
+                assert min(sizes) >= FORWARD_BLOCK // 2
+            assert np.array_equal(np.concatenate(seen), tokens[:n])
+
+    def test_noisy_pass_stays_unblocked(self, default_models, default_tokens):
+        model = default_models["moe"]
+        noisy, _ = forward_batch(model, default_tokens[:100], Rng(25))
+        want, _ = forward_batch(model, default_tokens[:100], Rng(25), need_grad=True)
+        assert np.array_equal(noisy, want)
+
+    def test_one_forward_batch_call_runs_eight_blocks(self, monkeypatch, default_models, default_tokens):
+        calls = {"forward_batch": 0, "_forward": 0}
+        for name in calls:
+            real = getattr(model_mod, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(model_mod, name, counting)
+        model_mod.forward_batch(default_models["dense"], default_tokens)
+        assert calls == {"forward_batch": 1, "_forward": 8}

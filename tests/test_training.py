@@ -3,7 +3,7 @@ import pytest
 
 from moegather import training
 from moegather.model import Architecture, build_classifier, forward_batch, state_hash
-from moegather.numerics import NumericalError, Rng
+from moegather.numerics import NumericalError, Rng, ShapeError
 from moegather.training import (
     AdamState,
     DistillConfig,
@@ -356,6 +356,14 @@ class TestTrainingLoops:
         if eval_every:
             assert result.final_heldout_acc == result.log[-1]["heldout_acc"]
         assert result.final_heldout_acc == real(result.model, data[1].tokens, data[1].labels)
+
+    @pytest.mark.parametrize("n_tokens,labels_shape", [(0, (0,)), (24, (23,)), (23, (24,)), (24, (24, 1))])
+    def test_accuracy_needs_one_label_per_sequence(self, n_tokens, labels_shape):
+        model = build_classifier(tiny_arch(), Rng(0))
+        test = tiny_data()[1]
+        labels = np.zeros(labels_shape, dtype=np.int64)
+        with pytest.raises(ShapeError, match="labels"):
+            training.evaluate_accuracy(model, test.tokens[:n_tokens], labels)
 
 
 def inline_schedule(cfg, n):
