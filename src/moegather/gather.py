@@ -1,8 +1,9 @@
 """Build a dense student from a trained mixture-of-experts teacher.
 
 Layers that match the student structurally (embedding, mixers, layer norms,
-head) are copied verbatim. Each MoE stage is collapsed into a single dense
-feed-forward stage by one of four weight-merging methods:
+head) are copied verbatim. The teacher's MoE stage, which every block shares,
+is collapsed into a single dense feed-forward stage by one of four
+weight-merging methods:
 
 * ``sum``   - elementwise sum of expert weight matrices
 * ``avg``   - elementwise mean
@@ -36,10 +37,10 @@ class StructureError(ValueError):
 
 @dataclass
 class GatherConfig:
-    """How to collapse each MoE stage into a dense one.
+    """How to collapse the MoE stage into a dense one.
 
     ``seed`` is only recorded as provenance: every tensor of the student comes
-    from the teacher (matched layers copied, stages merged), so the gathered
+    from the teacher (matched layers copied, the stage merged), so the gathered
     weights are the same for every seed.
     """
 
@@ -67,7 +68,7 @@ class GatherConfig:
 
 @dataclass
 class LayerGatherRecord:
-    """What happened while merging one MoE stage."""
+    """What happened while merging the MoE stage."""
 
     layer: str
     method: str
@@ -109,16 +110,16 @@ class GatherReport:
 
 
 def _matched_tensors(model: ClassifierModel) -> dict[str, np.ndarray]:
-    """The model's tensors outside its feed-forward stages."""
-    prefixes = tuple(f"{prefix}." for prefix, _ in model.stages())
-    return {name: t for name, t in model.tensors().items() if not name.startswith(prefixes)}
+    """The model's tensors outside its feed-forward stage."""
+    [(prefix, _)] = model.stages()
+    return {name: t for name, t in model.tensors().items() if not name.startswith(f"{prefix}.")}
 
 
 def copy_matched(teacher: ClassifierModel, student: ClassifierModel) -> None:
     """Copy every structurally matched layer from teacher into student.
 
-    Covers every tensor outside the feed-forward stages (embedding, per-block
-    layer norms and mixers, head); the stages are left untouched. Raises
+    Covers every tensor outside the feed-forward stage (embedding, per-block
+    layer norms and mixers, head); the stage is left untouched. Raises
     :class:`StructureError` naming the first mismatched layer.
     """
     src, dst = _matched_tensors(teacher), _matched_tensors(student)
@@ -243,20 +244,17 @@ def _gather_stage(moe: MoELayer, cfg: GatherConfig, layer_name: str) -> tuple[Fe
 def build_student(teacher: ClassifierModel, cfg: GatherConfig) -> tuple[ClassifierModel, GatherReport]:
     """Gather a dense student from an MoE teacher.
 
-    The student shares every matched layer with the teacher and replaces each
-    MoE stage with a dense stage merged per ``cfg``. Parameter sharing in the
-    teacher carries over: a shared MoE stage becomes one shared dense stage.
+    The student copies every matched layer from the teacher, and its blocks
+    share one dense stage merged per ``cfg`` from the teacher's shared MoE
+    stage. The report holds that one stage's record.
     """
     if teacher.arch.stage != "moe":
         raise StructureError("teacher has no MoE stage to gather from")
     student = build_classifier(teacher.arch.dense_twin(), Rng(cfg.seed))
     copy_matched(teacher, student)
-    report = GatherReport(method=cfg.method, svd_ratio=cfg.svd_ratio, bias_policy=cfg.bias_policy)
-    gathered: dict[int, FeedForward] = {}
-    for name, stage in teacher.stages():
-        dense, record = _gather_stage(stage, cfg, name)
-        report.layers.append(record)
-        gathered[id(stage)] = dense
-    for tb, sb in zip(teacher.blocks, student.blocks):
-        sb.stage = gathered[id(tb.stage)]
+    [(name, stage)] = teacher.stages()
+    dense, record = _gather_stage(stage, cfg, name)
+    for block in student.blocks:
+        block.stage = dense
+    report = GatherReport(cfg.method, cfg.svd_ratio, cfg.bias_policy, layers=[record])
     return student, report

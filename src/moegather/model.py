@@ -3,8 +3,9 @@
 A model is an input projection, a stack of residual blocks, a mean pool, and
 a linear head. Each block applies a fixed (non-trainable, seeded) linear token
 mixer followed by a per-token feed-forward stage, both behind layer norms.
-The feed-forward stage is either a single dense :class:`FeedForward` or an
-:class:`MoELayer` that routes every token to its top-k experts.
+Every block shares one feed-forward stage, as in WideNet. It is either a
+single dense :class:`FeedForward` or an :class:`MoELayer` that routes every
+token to its top-k experts.
 
 ``forward_batch`` is the one forward implementation and ``router_probs`` the
 one router gate, for any number of token rows. The forward pass is
@@ -230,7 +231,6 @@ class Architecture:
     seq_len: int
     num_classes: int
     num_blocks: int = 2
-    parameter_sharing: bool = True
     activation: str = "gelu"
     stage: str = "dense"  # "dense" | "moe"
     num_experts: int = 1
@@ -276,22 +276,22 @@ class ClassifierModel:
     head_b: np.ndarray  # (num_classes,)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Trainable tensors, in canonical order; a shared stage appears once."""
+        """Trainable tensors, in canonical order; the shared stage appears once."""
         params: dict[str, np.ndarray] = {"embed": self.embed}
         for i, blk in enumerate(self.blocks):
             params[f"block{i}.ln1.gain"] = blk.ln1_gain
             params[f"block{i}.ln1.bias"] = blk.ln1_bias
             params[f"block{i}.ln2.gain"] = blk.ln2_gain
             params[f"block{i}.ln2.bias"] = blk.ln2_bias
-        for prefix, stage in self.stages():
-            if isinstance(stage, MoELayer):
-                params[f"{prefix}.router"] = stage.router.weight
-                for e, expert in enumerate(stage.experts):
-                    for name, tensor in expert.tensors().items():
-                        params[f"{prefix}.expert{e}.{name}"] = tensor
-            else:
-                for name, tensor in stage.tensors().items():
-                    params[f"{prefix}.{name}"] = tensor
+        [(prefix, stage)] = self.stages()
+        if isinstance(stage, MoELayer):
+            params[f"{prefix}.router"] = stage.router.weight
+            for e, expert in enumerate(stage.experts):
+                for name, tensor in expert.tensors().items():
+                    params[f"{prefix}.expert{e}.{name}"] = tensor
+        else:
+            for name, tensor in stage.tensors().items():
+                params[f"{prefix}.{name}"] = tensor
         params["head.w"] = self.head_w
         params["head.b"] = self.head_b
         return params
@@ -305,10 +305,9 @@ class ClassifierModel:
         return {**self.parameters(), **self.constants()}
 
     def stages(self) -> list[tuple[str, FeedForward | MoELayer]]:
-        """Unique feed-forward stages with their parameter-name prefixes."""
-        if self.arch.parameter_sharing:
-            return [("stage", self.blocks[0].stage)]
-        return [(f"block{i}.stage", blk.stage) for i, blk in enumerate(self.blocks)]
+        """The one feed-forward stage that every block shares (WideNet-style
+        parameter sharing), with its parameter-name prefix."""
+        return [("stage", self.blocks[0].stage)]
 
 
 def _init_linear(rng: Rng, d_in: int, d_out: int) -> np.ndarray:
@@ -335,10 +334,11 @@ def _build_stage(arch: Architecture, rng: Rng) -> FeedForward | MoELayer:
 
 
 def build_classifier(arch: Architecture, rng: Rng) -> ClassifierModel:
-    """Construct and initialize a model; deterministic given the rng seed."""
+    """Construct and initialize a model; deterministic given the rng seed.
+    Every block holds the same feed-forward stage."""
     d = arch.d_model
     embed = _init_linear(rng, d, d)
-    shared = _build_stage(arch, rng) if arch.parameter_sharing else None
+    shared = _build_stage(arch, rng)
     blocks = []
     for _ in range(arch.num_blocks):
         blocks.append(
@@ -348,7 +348,7 @@ def build_classifier(arch: Architecture, rng: Rng) -> ClassifierModel:
                 ln2_gain=np.ones(d),
                 ln2_bias=np.zeros(d),
                 mixer=rng.normal(size=(arch.seq_len, arch.seq_len), scale=1.0 / np.sqrt(arch.seq_len)),
-                stage=shared if shared is not None else _build_stage(arch, rng),
+                stage=shared,
             )
         )
     head_w = _init_linear(rng, d, arch.num_classes)
@@ -366,8 +366,7 @@ def tensor_elements(arch: Architecture) -> int:
     d, h, c = arch.d_model, arch.d_ff, arch.num_classes
     ffn = 2 * d * h + h + d
     stage = ffn if arch.stage == "dense" else arch.num_experts * (ffn + d)
-    stages = 1 if arch.parameter_sharing else arch.num_blocks
-    return d * d + arch.num_blocks * (4 * d + arch.seq_len**2) + stages * stage + d * c + c
+    return d * d + arch.num_blocks * (4 * d + arch.seq_len**2) + stage + d * c + c
 
 
 def state_hash(model: ClassifierModel) -> str:
@@ -437,7 +436,8 @@ def forward_batch(
     *,
     need_grad: bool = False,
 ) -> tuple[np.ndarray, dict]:
-    """Run a (batch, seq_len, d_model) token array through the model.
+    """Run a (batch, seq_len, d_model) token array, or anything
+    ``np.asarray`` turns into one, through the model.
 
     Returns (logits, cache). The cache always carries each block's routing
     arrays under ``stage`` (``kind``, plus ``probs`` and ``sel`` for an MoE
@@ -453,6 +453,7 @@ def forward_batch(
     sequences runs in near-equal blocks of at most that many and returns the
     concatenated results.
     """
+    tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 3:
         raise ShapeError(f"tokens must be (batch, seq_len, d_model), got shape {tokens.shape}")
     b, s, d = tokens.shape

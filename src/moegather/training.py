@@ -24,7 +24,6 @@ from .numerics import NumericalError, Rng, ShapeError, check_number
 
 GradientSet = dict[str, np.ndarray]
 
-DISTILL_MODES = ("soft", "hard", "none")
 BALANCE_SAMPLE = 256  # test sequences behind a trained model's final balance loss
 BALANCE_COEFF = 0.01  # weight of the balance loss when training an MoE (Switch Transformer)
 
@@ -60,22 +59,18 @@ class TrainConfig:
 class DistillConfig(TrainConfig):
     """Settings for student refinement against a frozen teacher: the loop
     settings, with their own defaults, plus ``alpha``, the weight of the
-    label loss against the distillation loss, and the distillation ``mode``.
+    label loss against the soft-target distillation loss.
 
-    The pipeline and CLI ``distill`` train each student on
-    ``derive_seed(seed, "distill-{role}")`` from the experiment seed (see
-    ``ExperimentConfig.distill_config``), so a config's ``distill.seed`` is
-    only recorded."""
+    The pipeline and CLI ``distill`` set ``seed`` per student, to
+    ``derive_seed(seed, "distill-{role}")`` of the experiment seed (see
+    ``ExperimentConfig.distill_config``); a config has no ``distill.seed``."""
 
     steps: int = 800
     learning_rate: float = 1e-3
     alpha: float = 0.25
-    mode: str = "soft"
 
     def __post_init__(self):
         check_number("alpha", self.alpha, at_most=1.0)
-        if self.mode not in DISTILL_MODES:
-            raise ValueError(f"mode must be one of {DISTILL_MODES}, got {self.mode!r}")
         super().__post_init__()
 
 
@@ -94,13 +89,11 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nd
     return float(-ls[rows, labels].mean()), dlogits / logits.shape[0]
 
 
-def _distill_terms(logits: np.ndarray, teacher_logits: np.ndarray, cfg: DistillConfig):
+def _distill_terms(logits: np.ndarray, teacher_logits: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean distillation loss over the batch and its gradient w.r.t. the
-    student logits. Soft mode is KL(teacher || student) of the softmax
-    outputs: Hinton et al.'s soft-target loss on unscaled logits."""
+    student logits: KL(teacher || student) of the softmax outputs, Hinton et
+    al.'s soft-target loss on unscaled logits."""
     b = logits.shape[0]
-    if cfg.mode == "hard":
-        return _cross_entropy(logits, np.argmax(teacher_logits, axis=1))
     ls_s = _log_softmax(logits)
     ls_t = _log_softmax(teacher_logits)
     p_s, p_t = np.exp(ls_s), np.exp(ls_t)
@@ -183,7 +176,7 @@ def backward_from_logits(model: ClassifierModel, cache: dict, d_logits: np.ndarr
     is the balance term's gradient w.r.t. each gate probability row of every
     MoE stage; None means no balance term.
 
-    Gradients accumulate per tensor, so a stage shared by several blocks
+    Gradients accumulate per tensor, so the stage that every block shares
     collects all of their contributions in one array. ``cache`` must come
     from ``forward_batch(..., need_grad=True)``.
     """
@@ -229,23 +222,22 @@ def loss_and_grads(
     labels: np.ndarray,
     *,
     teacher_logits: np.ndarray | None = None,
-    distill: DistillConfig | None = None,
+    alpha: float = DistillConfig.alpha,
     balance_coeff: float = 0.0,
     rng: Rng | None = None,
 ) -> tuple[LossBreakdown, GradientSet]:
     """One training objective evaluation: batch-mean loss and its exact
     gradients. When distilling, ``teacher_logits`` holds the frozen
     teacher's noise-free logits of the same rows (one row per sequence of
-    ``tokens``); they are constants, so no teacher tensor enters the
-    gradient set."""
+    ``tokens``) and ``alpha`` weighs the label loss against the
+    distillation loss; the logits are constants, so no teacher tensor
+    enters the gradient set. Without them ``alpha`` is unused."""
     labels = np.asarray(labels)
     logits, cache = forward_batch(model, tokens, rng=rng, need_grad=True)
     main, d_main = _cross_entropy(logits, labels)
 
-    distilling = distill is not None and distill.mode != "none" and teacher_logits is not None
-    if distilling:
-        distill_val, d_distill = _distill_terms(logits, teacher_logits, distill)
-        alpha = distill.alpha
+    if teacher_logits is not None:
+        distill_val, d_distill = _distill_terms(logits, teacher_logits)
         d_logits = alpha * d_main + (1.0 - alpha) * d_distill
         total = alpha * main + (1.0 - alpha) * distill_val
     else:
@@ -410,7 +402,8 @@ def _run_training(model: ClassifierModel, cfg: TrainConfig, data, batches: np.nd
     rng = Rng(cfg.seed)
     noise_rng = rng.derive("router-noise") if model.arch.stage == "moe" else None
     schedule = LinearDecaySchedule(cfg.learning_rate, steps)
-    distill = cfg if teacher_logits is not None else None
+    # a supervised run passes a TrainConfig, which has no alpha; without teacher logits none is read
+    alpha = cfg.alpha if teacher_logits is not None else DistillConfig.alpha
     params = model.parameters()
     state = AdamState.for_params(params)
     log: list[dict] = []
@@ -421,7 +414,7 @@ def _run_training(model: ClassifierModel, cfg: TrainConfig, data, batches: np.nd
             train.tokens[idx],
             train.labels[idx],
             teacher_logits=None if teacher_logits is None else teacher_logits[idx],
-            distill=distill,
+            alpha=alpha,
             balance_coeff=balance_coeff,
             rng=noise_rng,
         )
@@ -463,20 +456,16 @@ def distill_student(student: ClassifierModel, teacher: ClassifierModel,
     the rows of this run's batch schedule that it does not hold yet; pass one
     memo to every student of a run (same teacher, training split and
     ``batch_size``) to forward each row once. Without one, the student gets a
-    memo of its own; with ``mode: "none"`` no memo is filled and the teacher
-    is never forwarded. The teacher is verified bit-identical before and
-    after training.
+    memo of its own. The teacher is verified bit-identical before and after
+    training.
     """
     teacher_before = state_hash(teacher)
     train = data[0]
     batches = _batch_schedule(cfg, len(train.labels))
-    teacher_logits = None
-    if cfg.mode != "none":
-        if memo is None:
-            memo = TeacherLogits(teacher, train, cfg.batch_size)
-        memo.fill(teacher, train, batches)
-        teacher_logits = memo.logits
-    result = _run_training(student, cfg, data, batches, teacher_logits=teacher_logits)
+    if memo is None:
+        memo = TeacherLogits(teacher, train, cfg.batch_size)
+    memo.fill(teacher, train, batches)
+    result = _run_training(student, cfg, data, batches, teacher_logits=memo.logits)
     if state_hash(teacher) != teacher_before:
         raise RuntimeError("teacher weights changed during distillation")
     return result

@@ -132,16 +132,11 @@ def _parse_lambda_grid(text: str) -> list[float]:
     return [round(start + k * step, 10) for k in range(math.floor(span) + 1)]
 
 
-def _first_moe_stage(model) -> MoELayer:
-    for _, stage in model.stages():
-        if isinstance(stage, MoELayer):
-            return stage
-    raise StructureError("model has no MoE stage")
-
-
 def _cmd_noise_scan(args) -> int:
     teacher, meta = load_checkpoint(args.teacher)
-    stage = _first_moe_stage(teacher)
+    [(_, stage)] = teacher.stages()
+    if not isinstance(stage, MoELayer):
+        raise StructureError("model has no MoE stage")
     task = _task_from_meta(meta, args.teacher)
     if args.tokens < 1:
         raise ConfigError(f"--tokens must be at least 1, got {args.tokens}")
@@ -157,16 +152,15 @@ def _cmd_noise_scan(args) -> int:
 
 def _cmd_flops(args) -> int:
     model, _ = load_checkpoint(args.model)
-    stages = [(name, flops_per_token(stage)) for name, stage in model.stages()]
+    [(name, stage)] = model.stages()
     report = {
-        "per_stage": [{"stage": name, "flops_per_token": f} for name, f in stages],
+        "per_stage": [{"stage": name, "flops_per_token": flops_per_token(stage)}],
         "parameters": count_parameters(model),
     }
-    first = model.blocks[0].stage
-    if isinstance(first, MoELayer):
-        dense_equiv = flops_per_token(first.experts[0])
+    if isinstance(stage, MoELayer):
+        dense_equiv = flops_per_token(stage.experts[0])
         report["dense_equivalent_flops"] = dense_equiv
-        report["moe_to_dense_ratio"] = flops_per_token(first) / dense_equiv
+        report["moe_to_dense_ratio"] = flops_per_token(stage) / dense_equiv
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

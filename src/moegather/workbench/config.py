@@ -86,7 +86,7 @@ class ExperimentConfig:
             "model": self.arch.to_dict(),
             "task": self.task.to_dict(),
             "teach": vars(self.teach).copy(),
-            "distill": vars(self.distill).copy(),
+            "distill": {k: v for k, v in vars(self.distill).items() if k != "seed"},
             "gather": {
                 "methods": list(self.gather_methods),
                 "svd_ratio": self.svd_ratio,
@@ -118,7 +118,6 @@ def default_config(seed: int = 0, out_dir: str | os.PathLike = ExperimentConfig.
             "seq_len": 8,
             "num_classes": 8,
             "num_blocks": 2,
-            "parameter_sharing": True,
             "activation": "gelu",
             "stage": "moe",
             "num_experts": 4,
@@ -189,7 +188,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     teach_d = _block(raw, "teach")
     teach_d.setdefault("seed", derive_seed(seed, "teach"))
     distill_d = _block(raw, "distill")
-    distill_d.setdefault("seed", derive_seed(seed, "distill"))
+    if "seed" in distill_d:
+        # each student trains on derive_seed(seed, "distill-{role}"); see distill_config
+        raise ConfigError("distill.seed is not a setting: student seeds derive from the top-level seed")
     distill_d.setdefault("alpha", profile["alpha"])
 
     gather_d = _block(raw, "gather")

@@ -78,6 +78,13 @@ def test_retired_architecture_key(ckpt):
         load_checkpoint(ckpt)
 
 
+def test_architecture_recording_parameter_sharing(ckpt):
+    # checkpoints written while sharing the feed-forward stage across blocks was a setting
+    rewrite(ckpt, lambda m: m["architecture"].update(parameter_sharing=True))
+    with pytest.raises(SchemaError, match="bad architecture block: .*parameter_sharing"):
+        load_checkpoint(ckpt)
+
+
 def test_oversized_architecture_rejected_before_allocation(ckpt):
     # shapes still match the payload; building this architecture would need terabytes
     rewrite(ckpt, lambda m: m["architecture"].update(d_model=10**6))

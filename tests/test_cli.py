@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from moegather.workbench import cli
-from moegather.workbench.checkpoint import load_checkpoint, save_checkpoint
+from moegather.workbench.checkpoint import _HEADER, MAGIC, load_checkpoint, save_checkpoint
 from moegather.workbench.config import SEED_ENV_VAR, config_from_dict
 from moegather.workbench.pipeline import run_pipeline
 
@@ -112,6 +112,23 @@ def test_bad_task_metadata_is_a_checkpoint_error(pipe, tmp_path, capsys, command
     argv = {"eval": ["eval", "--model", bad], "noise-scan": ["noise-scan", "--teacher", bad, "--out", tmp_path / "s.csv"]}
     assert cli.main([str(a) for a in argv[command]]) == 1
     assert capsys.readouterr().err.startswith(f"error: checkpoint: {bad}: bad task metadata: ")
+
+
+@pytest.mark.parametrize("command", ["eval", "flops", "noise-scan"])
+def test_a_checkpoint_recording_parameter_sharing_is_a_checkpoint_error(pipe, tmp_path, capsys, command):
+    # checkpoints written while parameter sharing was a setting record it in their architecture
+    raw = (pipe / "teacher.ckpt").read_bytes()
+    _, version, meta_len = _HEADER.unpack_from(raw)
+    meta = json.loads(raw[_HEADER.size : _HEADER.size + meta_len])
+    meta["architecture"]["parameter_sharing"] = True
+    blob = json.dumps(meta, sort_keys=True).encode()
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(_HEADER.pack(MAGIC, version, len(blob)) + blob + raw[_HEADER.size + meta_len :])
+    args = {"eval": ["--model", old], "flops": ["--model", old],
+            "noise-scan": ["--teacher", old, "--out", tmp_path / "s.csv"]}[command]
+    assert cli.main([command, *map(str, args)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint: bad architecture block: ") and "parameter_sharing" in err, err
 
 
 def test_scoring_commands_match_the_pipeline(pipe, tmp_path, capsys):
@@ -226,9 +243,10 @@ def test_retired_task_settings_are_config_errors(tmp_path, capsys, field, value)
 
 @pytest.mark.parametrize("block,field,value", [
     ("teach", "balance_coeff", 0.01), ("distill", "temperature", 1.0), ("model", "router_noise_std", 0.25),
+    ("distill", "seed", -1), ("distill", "seed", 0), ("distill", "mode", "soft"), ("model", "parameter_sharing", True),
 ])
 def test_retired_settings_are_config_errors(tmp_path, capsys, block, field, value):
-    # these settings are constants; a config that sets one, even to its value, is an error
+    # these settings are constants or removed; a config that sets one, even to its value, is an error
     config = tmp_path / "c.json"
     config.write_text(json.dumps({**TINY_CONFIG, block: {**TINY_CONFIG[block], field: value}}))
     assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
@@ -247,7 +265,7 @@ def test_retired_settings_are_config_errors(tmp_path, capsys, block, field, valu
     # block None is the top level; block SEED_ENV_VAR sets that variable instead
     (None, "seed", [1]), (None, "seed", "3"), (None, "seed", 2.5), (None, "seed", True), (None, "seed", -1),
     (SEED_ENV_VAR, "seed", "abc"), (SEED_ENV_VAR, "seed", "-1"),
-    ("teach", "seed", "x"), ("distill", "seed", -1), ("task", "seed", 2.5), ("gather", "svd_ratio", "0.5"),
+    ("teach", "seed", "x"), ("task", "seed", 2.5), ("gather", "svd_ratio", "0.5"),
 ])
 def test_numeric_settings_must_be_valid(tmp_path, monkeypatch, capsys, block, field, value):
     raw = dict(TINY_CONFIG)

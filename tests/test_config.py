@@ -45,7 +45,7 @@ def test_profiles_set_alpha_and_svd_ratio_unless_given():
 
 def test_seed_env_var_overrides_the_seed_and_every_derived_seed(monkeypatch):
     raw = default_config().to_dict()
-    for block in ("task", "teach", "distill"):
+    for block in ("task", "teach"):
         del raw[block]["seed"]  # derived from the top-level seed
     want = config_from_dict({**raw, "seed": 7})
     monkeypatch.setenv(SEED_ENV_VAR, "7")
@@ -54,7 +54,6 @@ def test_seed_env_var_overrides_the_seed_and_every_derived_seed(monkeypatch):
     assert got.seed == 7
     assert got.task.seed == derive_seed(7, "task")
     assert got.teach.seed == derive_seed(7, "teach")
-    assert got.distill.seed == derive_seed(7, "distill")
     assert all(got.gather_config(m).seed == derive_seed(7, f"gather-{m}") for m in got.gather_methods)
     assert got.distill_config("gather_svdkg").seed == derive_seed(7, "distill-gather_svdkg")
 

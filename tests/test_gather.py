@@ -47,8 +47,7 @@ def make_bank(rng, num_experts=4, d=6, h=8):
 
 def moe_arch(**kw):
     defaults = dict(
-        d_model=6, d_ff=8, seq_len=3, num_classes=4, num_blocks=2,
-        parameter_sharing=True, stage="moe", num_experts=4, top_k=2,
+        d_model=6, d_ff=8, seq_len=3, num_classes=4, num_blocks=2, stage="moe", num_experts=4, top_k=2,
     )
     defaults.update(kw)
     return Architecture(**defaults)
@@ -339,13 +338,6 @@ class TestBuildStudent:
         student, _ = build_student(teacher, GatherConfig(method="avg"))
         assert student.blocks[0].stage is student.blocks[1].stage
 
-    def test_unshared_teacher_keeps_stages_separate(self):
-        teacher = build_classifier(moe_arch(parameter_sharing=False), Rng(5))
-        student, report = build_student(teacher, GatherConfig(method="avg"))
-        assert student.blocks[0].stage is not student.blocks[1].stage
-        assert len(report.layers) == 2
-        assert not np.array_equal(student.blocks[0].stage.w1, student.blocks[1].stage.w1)
-
     def test_matched_bias_policy_pairs_units(self):
         teacher = build_classifier(moe_arch(), Rng(6))
         cfg = GatherConfig(method="topkg", bias_policy="matched")
@@ -357,11 +349,10 @@ class TestBuildStudent:
         expected_b2 = np.mean([e.b2 for e in experts], axis=0)
         assert np.allclose(student.blocks[0].stage.b2, expected_b2)
 
-    @pytest.mark.parametrize("sharing", [True, False])
     @pytest.mark.parametrize("method", ["sum", "avg", "topkg", "svdkg"])
-    def test_seed_does_not_change_the_student(self, method, sharing):
+    def test_seed_does_not_change_the_student(self, method):
         # every student tensor comes from the teacher; the seed is provenance only
-        teacher = build_classifier(moe_arch(parameter_sharing=sharing), Rng(8))
+        teacher = build_classifier(moe_arch(), Rng(8))
         ratio = 0.75 if method == "svdkg" else None
         hashes = {state_hash(build_student(teacher, GatherConfig(method, ratio, seed=seed))[0]) for seed in range(3)}
         assert len(hashes) == 1
@@ -452,39 +443,40 @@ class TestGatherProperties:
 
 
 class TestReportResiduals:
-    """Each report's residual_w1/residual_w2 against a direct oracle, on an
-    unshared teacher so that every layer gets its own record."""
+    """Each report's residual_w1/residual_w2 against a direct oracle, for the
+    one record of the teacher's shared stage."""
 
     @staticmethod
     def gathered(method, zero_expert=False):
-        teacher = build_classifier(moe_arch(parameter_sharing=False), Rng(11))
+        """(teacher stage, student stage, its record) of one gather."""
+        teacher = build_classifier(moe_arch(), Rng(11))
         if zero_expert:
             for t in teacher.blocks[0].stage.experts[0].tensors().values():
                 t[...] = 0.0
         student, report = build_student(teacher, GatherConfig(method, 1.0 if method == "svdkg" else None))
-        return zip(teacher.blocks, student.blocks, report.layers)
+        [record] = report.layers
+        return teacher.blocks[0].stage, student.blocks[0].stage, record
 
     @pytest.mark.parametrize("method", ["sum", "avg"])
     def test_merges_report_the_distance_to_the_merged_weights(self, method):
-        for tb, sb, record in self.gathered(method):
-            for i, e in enumerate(tb.stage.experts):
-                for w, merged, residual in ((e.w1, sb.stage.w1, record.residual_w1),
-                                            (e.w2, sb.stage.w2, record.residual_w2)):
-                    want = np.linalg.norm(w - merged) / np.linalg.norm(w)
-                    assert abs(residual[i] - want) <= 1e-12 * want
+        moe, dense, record = self.gathered(method)
+        for i, e in enumerate(moe.experts):
+            for w, merged, residual in ((e.w1, dense.w1, record.residual_w1), (e.w2, dense.w2, record.residual_w2)):
+                want = np.linalg.norm(w - merged) / np.linalg.norm(w)
+                assert abs(residual[i] - want) <= 1e-12 * want
 
     def test_topkg_reports_the_weight_of_the_dropped_units(self):
-        for tb, _, record in self.gathered("topkg"):
-            for e, kept, r1, r2 in zip(tb.stage.experts, record.selected_units, record.residual_w1, record.residual_w2):
-                dropped = np.setdiff1d(np.arange(e.d_ff), kept)
-                assert abs(r1 - np.linalg.norm(e.w1[:, dropped]) / np.linalg.norm(e.w1)) <= 1e-12
-                assert abs(r2 - np.linalg.norm(e.w2[dropped, :]) / np.linalg.norm(e.w2)) <= 1e-12
+        moe, _, record = self.gathered("topkg")
+        for e, kept, r1, r2 in zip(moe.experts, record.selected_units, record.residual_w1, record.residual_w2):
+            dropped = np.setdiff1d(np.arange(e.d_ff), kept)
+            assert abs(r1 - np.linalg.norm(e.w1[:, dropped]) / np.linalg.norm(e.w1)) <= 1e-12
+            assert abs(r2 - np.linalg.norm(e.w2[dropped, :]) / np.linalg.norm(e.w2)) <= 1e-12
 
     def test_svdkg_at_full_ratio_reports_no_residual(self):
-        for _, _, record in self.gathered("svdkg"):
-            assert max(record.residual_w1 + record.residual_w2) <= 1e-12
+        _, _, record = self.gathered("svdkg")
+        assert max(record.residual_w1 + record.residual_w2) <= 1e-12
 
     @pytest.mark.parametrize("method", ["sum", "avg", "topkg", "svdkg"])
     def test_an_all_zero_expert_has_zero_residual(self, method):
-        _, _, record = next(self.gathered(method, zero_expert=True))
+        _, _, record = self.gathered(method, zero_expert=True)
         assert record.residual_w1[0] == 0.0 and record.residual_w2[0] == 0.0

@@ -15,7 +15,6 @@ from moegather.model import (
     activation_value,
     activation_with_grad,
     build_classifier,
-    count_parameters,
     forward_batch,
     router_probs,
     tensor_elements,
@@ -244,8 +243,7 @@ def _onehotish(n, i):
 
 def small_arch(stage="dense", **kw):
     defaults = dict(
-        d_model=6, d_ff=8, seq_len=3, num_classes=4, num_blocks=2,
-        parameter_sharing=True, stage=stage,
+        d_model=6, d_ff=8, seq_len=3, num_classes=4, num_blocks=2, stage=stage,
     )
     if stage == "moe":
         defaults.update(num_experts=3, top_k=2)
@@ -277,14 +275,6 @@ class TestClassifierForward:
         after, _ = classifier_forward(model, tokens)
         assert model.blocks[1].stage is model.blocks[0].stage
         assert not np.allclose(before, after)
-        # the same mutation on an unshared model leaves block 1 untouched
-        solo = build_classifier(small_arch(parameter_sharing=False), Rng(2))
-        solo.blocks[0].stage.b1[...] += 0.5
-        assert not np.allclose(solo.blocks[1].stage.b1, solo.blocks[0].stage.b1)
-
-    def test_unshared_blocks_are_independent(self):
-        model = build_classifier(small_arch(parameter_sharing=False), Rng(2))
-        assert model.blocks[0].stage is not model.blocks[1].stage
 
     def test_matches_straight_line_scalar_reimplementation(self):
         model = build_classifier(small_arch(stage="moe"), Rng(4))
@@ -406,15 +396,9 @@ def _scalar_forward(model, tokens):
 
 
 class TestModelPlumbing:
-    def test_parameter_count_shared_vs_unshared(self):
-        shared = build_classifier(small_arch(stage="moe"), Rng(0))
-        unshared = build_classifier(small_arch(stage="moe", parameter_sharing=False), Rng(0))
-        assert count_parameters(unshared) > count_parameters(shared)
-
     @pytest.mark.parametrize("stage", ["dense", "moe"])
-    @pytest.mark.parametrize("sharing", [True, False])
-    def test_tensor_elements_counts_a_built_model(self, stage, sharing):
-        arch = small_arch(stage=stage, parameter_sharing=sharing, num_blocks=3)
+    def test_tensor_elements_counts_a_built_model(self, stage):
+        arch = small_arch(stage=stage, num_blocks=3)
         model = build_classifier(arch, Rng(0))
         assert tensor_elements(arch) == sum(t.size for t in model.tensors().values())
 
@@ -436,6 +420,17 @@ class TestModelPlumbing:
         model = build_classifier(small_arch(), Rng(0))
         with pytest.raises(ShapeError, match="batch, seq_len, d_model"):
             forward_batch(model, np.zeros(shape))
+        with pytest.raises(ShapeError, match="batch, seq_len, d_model"):
+            forward_batch(model, np.zeros(shape).tolist())
+
+    @pytest.mark.parametrize("stage", ["dense", "moe"])
+    def test_forward_batch_accepts_a_nested_list(self, stage):
+        model = build_classifier(small_arch(stage=stage), Rng(0))
+        tokens = Rng(1).normal(size=(5, 3, 6))
+        logits, cache = forward_batch(model, tokens)
+        assert cache["tokens"] is tokens  # a float64 array is used as it is
+        from_list, _ = forward_batch(model, tokens.tolist())
+        assert from_list.tobytes() == logits.tobytes()
 
 
 def _gelu_with_grad_oracle(x):

@@ -28,8 +28,7 @@ def train_teacher(arch, cfg, data):
 
 def tiny_arch(stage="moe", **kw):
     defaults = dict(
-        d_model=8, d_ff=10, seq_len=4, num_classes=3, num_blocks=2,
-        parameter_sharing=True, stage=stage,
+        d_model=8, d_ff=10, seq_len=4, num_classes=3, num_blocks=2, stage=stage,
     )
     if stage == "moe":
         defaults.update(num_experts=2, top_k=1)
@@ -54,18 +53,7 @@ def tiny_data(seed=0, n=96, arch=None):
 
 def soft_kd_loss(z_s, z_t):
     """Soft KD loss of one logit row, through the batched training kernel."""
-    return _distill_terms(np.asarray(z_s)[None, :], np.asarray(z_t)[None, :], DistillConfig(mode="soft"))[0]
-
-
-def hard_kd_loss(z_s, z_t):
-    """Hard KD loss of one logit row, through the batched training kernel."""
-    return _distill_terms(np.asarray(z_s)[None, :], np.asarray(z_t)[None, :], DistillConfig(mode="hard"))[0]
-
-
-def cross_entropy(z, label):
-    """Scalar oracle: negative log-likelihood of ``label`` under softmax(z)."""
-    p = np.exp(z - z.max())
-    return float(-np.log(p[label] / p.sum()))
+    return _distill_terms(np.asarray(z_s)[None, :], np.asarray(z_t)[None, :])[0]
 
 
 class TestSoftKdLoss:
@@ -104,29 +92,6 @@ class TestSoftKdLoss:
             distill_student(build_classifier(arch.dense_twin(), Rng(1)), teacher, cfg, data)
 
 
-class TestHardKdLoss:
-    def test_saturated_correct_prediction(self):
-        assert hard_kd_loss(np.array([0.0, 20.0]), np.array([0.2, 0.9])) < 1e-8
-
-    def test_uniform_student_gives_log_c(self):
-        for c in (2, 5, 9):
-            loss = hard_kd_loss(np.zeros(c), Rng(c).normal(size=c))
-            assert loss == pytest.approx(np.log(c), abs=1e-12)
-
-    def test_matches_scalar_ce_oracle(self):
-        rng = Rng(4)
-        z_s, z_t = rng.normal(size=6), rng.normal(size=6)
-        target = int(np.argmax(z_t))
-        p = np.exp(z_s - z_s.max())
-        p /= p.sum()
-        assert hard_kd_loss(z_s, z_t) == pytest.approx(-np.log(p[target]), abs=1e-12)
-
-    def test_argmax_tie_takes_lower_index(self):
-        z_t = np.array([2.0, 2.0, 0.0])
-        z_s = np.array([5.0, -5.0, 0.0])
-        assert hard_kd_loss(z_s, z_t) == pytest.approx(cross_entropy(z_s, 0), abs=1e-12)
-
-
 class TestTotalLoss:
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
     def test_total_is_alpha_weighted_sum(self, alpha):
@@ -134,9 +99,8 @@ class TestTotalLoss:
         student = build_classifier(tiny_arch("dense"), Rng(18))
         tokens = Rng(19).normal(size=(4, 4, 8))
         labels = np.array([0, 2, 1, 0])
-        cfg = DistillConfig(alpha=alpha, mode="soft")
         teacher_logits = forward_batch(teacher, tokens)[0]
-        loss, _ = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, distill=cfg)
+        loss, _ = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, alpha=alpha)
         assert loss.distill > 0.0 and loss.balance == 0.0
         assert loss.total == alpha * loss.main + (1.0 - alpha) * loss.distill
 
@@ -162,7 +126,7 @@ def _fd_check(model, grads, loss_fn, h=1e-5, tol=1e-4, stride=1):
 
 class TestBackward:
     def test_cross_entropy_plus_balance_matches_finite_differences(self):
-        arch = tiny_arch(parameter_sharing=False, num_experts=2, top_k=1)
+        arch = tiny_arch(num_experts=2, top_k=1)
         model = build_classifier(arch, Rng(0))
         tokens = Rng(1).normal(size=(4, 4, 8))
         labels = np.array([0, 1, 2, 0])
@@ -173,18 +137,16 @@ class TestBackward:
 
         _fd_check(model, grads, loss, stride=3)
 
-    @pytest.mark.parametrize("mode", ["soft", "hard"])
-    def test_distill_gradients_match_finite_differences(self, mode):
+    def test_distill_gradients_match_finite_differences(self):
         teacher = build_classifier(tiny_arch(num_experts=2, top_k=2), Rng(2))
         student = build_classifier(tiny_arch("dense"), Rng(3))
         tokens = Rng(4).normal(size=(4, 4, 8))
         labels = np.array([1, 2, 0, 1])
-        cfg = DistillConfig(alpha=0.25, mode=mode)
         teacher_logits = forward_batch(teacher, tokens)[0]
-        _, grads = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, distill=cfg)
+        _, grads = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, alpha=0.25)
 
         def loss():
-            return loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, distill=cfg)[0].total
+            return loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, alpha=0.25)[0].total
 
         _fd_check(student, grads, loss, stride=5)
 
@@ -194,7 +156,7 @@ class TestBackward:
         tokens = Rng(7).normal(size=(3, 4, 8))
         labels = np.array([0, 1, 2])
         teacher_logits = forward_batch(teacher, tokens)[0]
-        _, grads = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, distill=DistillConfig())
+        _, grads = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits)
         assert set(grads) == set(student.parameters())
 
     def test_distill_gradient_vanishes_at_equality(self):
@@ -203,9 +165,8 @@ class TestBackward:
         student = build_classifier(tiny_arch("dense"), Rng(8))
         tokens = Rng(9).normal(size=(4, 4, 8))
         labels = np.array([0, 1, 2, 0])
-        cfg = DistillConfig(alpha=0.0, mode="soft")
         teacher_logits = forward_batch(teacher, tokens)[0]
-        _, grads = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, distill=cfg)
+        _, grads = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, alpha=0.0)
         norm = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
         assert norm < 1e-8
 
@@ -214,9 +175,8 @@ class TestBackward:
         student = build_classifier(tiny_arch("dense"), Rng(11))
         tokens = Rng(12).normal(size=(4, 4, 8))
         labels = np.array([2, 1, 0, 2])
-        cfg = DistillConfig(alpha=1.0, mode="soft")
         teacher_logits = forward_batch(teacher, tokens)[0]
-        with_kd, g1 = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, distill=cfg)
+        with_kd, g1 = loss_and_grads(student, tokens, labels, teacher_logits=teacher_logits, alpha=1.0)
         plain, g2 = loss_and_grads(student, tokens, labels)
         assert with_kd.total == pytest.approx(plain.total, abs=1e-15)
         for name in g1:
@@ -495,15 +455,3 @@ class TestTeacherLogits:
         cfg = DistillConfig(steps=2, batch_size=8, seed=3, eval_every=0)
         with pytest.raises(ValueError, match="batch_size 16, got batch_size 8"):
             distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, memo)
-
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_mode_none_never_forwards_the_teacher(self, setup, monkeypatch, shared):
-        arch, data, teacher = setup
-        forwards = count_teacher_forwards(monkeypatch, teacher)
-        memo = TeacherLogits(teacher, data[0], 16) if shared else None
-        cfg = DistillConfig(steps=3, batch_size=16, seed=3, eval_every=0, mode="none")
-        result = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, memo)
-        assert forwards == []
-        assert all(row["distill"] == 0.0 for row in result.log)
-        if shared:
-            assert not memo.filled.any()
