@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .model import ClassifierModel, FeedForward, MoELayer, build_classifier
-from .numerics import Rng, SvdFactors, column_norms, row_norms, svd, top_k_indices, truncate_svd
+from .model import Block, ClassifierModel, FeedForward, MoELayer
+from .numerics import SvdFactors, column_norms, row_norms, svd, top_k_indices, truncate_svd
 
 GATHER_METHODS = ("sum", "avg", "topkg", "svdkg")
 BIAS_POLICIES = ("average", "matched")
@@ -244,17 +244,20 @@ def _gather_stage(moe: MoELayer, cfg: GatherConfig, layer_name: str) -> tuple[Fe
 def build_student(teacher: ClassifierModel, cfg: GatherConfig) -> tuple[ClassifierModel, GatherReport]:
     """Gather a dense student from an MoE teacher.
 
-    The student copies every matched layer from the teacher, and its blocks
-    share one dense stage merged per ``cfg`` from the teacher's shared MoE
-    stage. The report holds that one stage's record.
+    The student holds copies of every matched layer of the teacher, and its
+    blocks share one dense stage merged per ``cfg`` from the teacher's shared
+    MoE stage. The report holds that one stage's record.
     """
     if teacher.arch.stage != "moe":
         raise StructureError("teacher has no MoE stage to gather from")
-    student = build_classifier(teacher.arch.dense_twin(), Rng(cfg.seed))
-    copy_matched(teacher, student)
     [(name, stage)] = teacher.stages()
     dense, record = _gather_stage(stage, cfg, name)
-    for block in student.blocks:
-        block.stage = dense
+    blocks = [
+        Block(b.ln1_gain.copy(), b.ln1_bias.copy(), b.ln2_gain.copy(), b.ln2_bias.copy(), b.mixer.copy(), dense)
+        for b in teacher.blocks
+    ]
+    student = ClassifierModel(
+        teacher.arch.dense_twin(), teacher.embed.copy(), blocks, teacher.head_w.copy(), teacher.head_b.copy()
+    )
     report = GatherReport(cfg.method, cfg.svd_ratio, cfg.bias_policy, layers=[record])
     return student, report

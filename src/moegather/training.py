@@ -136,18 +136,28 @@ def _stage_backward(stage, stage_cache: dict, d_out: np.ndarray, grad: dict[int,
     if stage_cache["kind"] == "dense":
         return _ffn_backward(stage, stage_cache, d_out, grad)
 
-    x, probs = stage_cache["x"], stage_cache["probs"]
+    x, probs, sel = stage_cache["x"], stage_cache["probs"], stage_cache["sel"]
+    order, bounds, gates = stage_cache["order"], stage_cache["bounds"], stage_cache["gates"]
+    n, k = sel.shape
     d_probs = np.zeros_like(probs)
     if balance_dp is not None:
         d_probs += balance_dp
-    d_x = np.zeros_like(x)
+    # gate path: output depends linearly on the selected gate probability
+    d_probs[np.arange(n)[:, None], sel] += np.einsum("nd,nkd->nk", d_out, stage_cache["y"])
+    # expert path, in the forward's expert order: each slot's output gradient
+    # weighted by its gate (a constant w.r.t. the expert's weights), replaced
+    # slice by slice with the expert's input gradient
+    d_sorted = d_out[order // k]
+    d_sorted *= gates.ravel()[order][:, None]
     for e, ec in stage_cache["experts"].items():
-        idx = ec["idx"]
-        d_ye_path = d_out[idx]
-        # gate path: output depends linearly on the selected gate probability
-        d_probs[idx, e] += np.einsum("nd,nd->n", d_ye_path, ec["y"])
-        # expert path, weighted by the (constant w.r.t. weights) gate value
-        d_x[idx] += _ffn_backward(stage.experts[e], ec, d_ye_path * ec["gate"][:, None], grad)
+        lo, hi = bounds[e], bounds[e + 1]
+        d_sorted[lo:hi] = _ffn_backward(stage.experts[e], ec, d_sorted[lo:hi], grad)
+    d_slots = np.empty_like(d_sorted)
+    d_slots[order] = d_sorted
+    d_slots = d_slots.reshape(n, k, x.shape[1])
+    d_x = np.zeros_like(x)
+    for j in range(k):
+        d_x += d_slots[:, j]
     # softmax backward: additive routing noise is a constant shift
     d_logits = probs * (d_probs - (d_probs * probs).sum(axis=1, keepdims=True))
     grad[id(stage.router.weight)] += x.T @ d_logits

@@ -357,6 +357,17 @@ class TestBuildStudent:
         hashes = {state_hash(build_student(teacher, GatherConfig(method, ratio, seed=seed))[0]) for seed in range(3)}
         assert len(hashes) == 1
 
+    @pytest.mark.parametrize("method", ["sum", "avg", "topkg", "svdkg"])
+    def test_student_holds_copies_of_the_teacher(self, method):
+        teacher = build_classifier(moe_arch(), Rng(10))
+        before = state_hash(teacher)
+        student, _ = build_student(teacher, GatherConfig(method, 0.75 if method == "svdkg" else None))
+        for name, t in student.tensors().items():
+            if not name.startswith("stage."):
+                assert np.array_equal(t, teacher.tensors()[name])
+            t[...] += 1.0  # mutate every student tensor, matched and gathered
+        assert state_hash(teacher) == before
+
     def test_dense_teacher_rejected(self):
         dense = build_classifier(moe_arch().dense_twin(), Rng(7))
         with pytest.raises(StructureError):

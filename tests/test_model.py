@@ -192,6 +192,82 @@ class TestMoeForward:
         assert s1 == s2 and np.array_equal(p1, p2)
 
 
+def mask_dispatch_forward(stage, x, rng, need_grad):
+    """Oracle: the per-expert mask dispatch that the sorted dispatch replaced.
+    Each expert finds its tokens with a mask, runs them, and adds its gated
+    output into place. Returns (out, cache); with ``need_grad`` the cache holds
+    each expert's FFN cache."""
+    probs = router_probs(x, stage.router, rng)
+    sel = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, : stage.router.top_k], axis=1)
+    gates = np.take_along_axis(probs, sel, axis=1)
+    out = np.zeros_like(x)
+    per_expert = {}
+    for e, expert in enumerate(stage.experts):
+        hits = np.nonzero((sel == e).any(axis=1))[0]
+        if hits.size == 0:
+            continue
+        ye, ffn_cache = _stage_forward_dense(expert, x[hits], need_grad)
+        g = gates[hits][sel[hits] == e]
+        out[hits] += g[:, None] * ye
+        if need_grad:
+            per_expert[e] = ffn_cache
+    cache = {"kind": "moe", "probs": probs, "sel": sel}
+    if need_grad:
+        cache.update(x=x, experts=per_expert)
+    return out, cache
+
+
+class TestSortedDispatch:
+    """``_stage_forward_moe`` groups the (token, expert) slots by expert with
+    one stable sort; the mask dispatch above is its byte-for-byte oracle."""
+
+    @staticmethod
+    def assert_same_as_oracle(layer, x, noise_seed=None, need_grad=False):
+        rngs = [None, None] if noise_seed is None else [Rng(noise_seed), Rng(noise_seed)]
+        out, cache = _stage_forward_moe(layer, x, rngs[0], need_grad)
+        want, oracle = mask_dispatch_forward(layer, x, rngs[1], need_grad)
+        assert out.tobytes() == want.tobytes()
+        for key in ("probs", "sel"):
+            assert cache[key].dtype == oracle[key].dtype
+            assert cache[key].tobytes() == oracle[key].tobytes()
+        if noise_seed is not None:  # both drew the same amount of noise
+            assert rngs[0].normal() == rngs[1].normal()
+        if need_grad:
+            assert cache["experts"].keys() == oracle["experts"].keys()
+            for e, ec in cache["experts"].items():
+                for key in ("x", "h_act", "h_grad"):
+                    assert ec[key].tobytes() == oracle["experts"][e][key].tobytes()
+        return cache
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 64, 512])
+    @pytest.mark.parametrize("top_k", [1, 2, 3, 4])
+    def test_bit_identical_to_mask_dispatch(self, top_k, n):
+        rng = Rng(40 + top_k)
+        layer = make_moe(rng, d=32, h=128, num_experts=4, top_k=top_k)
+        x = rng.normal(size=(n, 32))
+        for need_grad in (False, True):
+            self.assert_same_as_oracle(layer, x, need_grad=need_grad)
+        self.assert_same_as_oracle(layer, x, noise_seed=n, need_grad=True)
+
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    def test_an_expert_without_tokens(self, top_k):
+        rng = Rng(50 + top_k)
+        layer = make_moe(rng, d=32, h=128, num_experts=4, top_k=top_k)
+        layer.router.weight[:, 1] = -10.0  # never picked for positive inputs
+        x = np.abs(rng.normal(size=(64, 32)))
+        cache = self.assert_same_as_oracle(layer, x, need_grad=True)
+        assert not (cache["sel"] == 1).any() and 1 not in cache["experts"]
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_every_token_to_one_expert(self, n):
+        # a zero router ties every gate; the stable sort then picks expert 0
+        layer = make_moe(Rng(60), d=32, h=128, num_experts=4, top_k=1)
+        layer.router.weight[...] = 0.0
+        x = Rng(61).normal(size=(n, 32))
+        cache = self.assert_same_as_oracle(layer, x, need_grad=True)
+        assert (cache["sel"] == 0).all() and list(cache["experts"]) == [0]
+
+
 def balance_loss(probs):
     """Balance loss of a pool of (tokens, num_experts) gate rows, via the training kernel."""
     return _pooled_balance({"blocks": [{"stage": {"kind": "moe", "probs": np.asarray(probs)}}]})[0]
@@ -409,6 +485,20 @@ class TestModelPlumbing:
             Router(weight=np.zeros((3, 2)), top_k=3)
         with pytest.raises(ValueError):
             Architecture(d_model=4, d_ff=4, seq_len=2, num_classes=2, stage="bogus")
+
+    @pytest.mark.parametrize("top_k", [1.5, 2.0, "2", True, None, 0, -1])
+    def test_router_top_k_must_be_a_positive_integer(self, top_k):
+        with pytest.raises(ValueError, match="top_k must be a positive integer"):
+            Router(weight=np.zeros((3, 2)), top_k=top_k)
+
+    def test_router_takes_a_nested_list_weight(self):
+        weight = Rng(0).normal(size=(3, 2))
+        assert Router(weight, top_k=1).weight is weight  # a float64 array is used as it is
+        from_list = Router(weight=weight.tolist(), top_k=1)
+        assert from_list.weight.dtype == np.float64 and from_list.weight.tobytes() == weight.tobytes()
+        assert from_list.num_experts == 2
+        with pytest.raises(ShapeError, match="2-D"):
+            Router(weight=[1.0, 2.0], top_k=1)
 
     def test_forward_batch_shape_check(self):
         model = build_classifier(small_arch(), Rng(0))

@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
+from moegather import model as model_mod
 from moegather import training
-from moegather.model import Architecture, build_classifier, forward_batch, state_hash
+from moegather.model import (
+    Architecture,
+    FeedForward,
+    MoELayer,
+    Router,
+    _stage_forward_dense,
+    _stage_forward_moe,
+    build_classifier,
+    forward_batch,
+    router_probs,
+    state_hash,
+)
 from moegather.numerics import NumericalError, Rng, ShapeError
 from moegather.training import (
     AdamState,
@@ -195,6 +207,142 @@ class TestBackward:
         logits, cache = forward_batch(model, Rng(14).normal(size=(3, 4, 8)))
         with pytest.raises(ValueError, match="need_grad"):
             backward_from_logits(model, cache, np.ones_like(logits))
+
+
+def mask_dispatch_forward(stage, x, rng):
+    """Oracle: the per-expert mask dispatch that the sorted dispatch replaced,
+    with its backward cache (per expert: rows ``idx``, output ``y``, gate and
+    FFN cache)."""
+    probs = router_probs(x, stage.router, rng)
+    sel = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, : stage.router.top_k], axis=1)
+    gates = np.take_along_axis(probs, sel, axis=1)
+    out = np.zeros_like(x)
+    per_expert = {}
+    for e, expert in enumerate(stage.experts):
+        hits = np.nonzero((sel == e).any(axis=1))[0]
+        if hits.size == 0:
+            continue
+        ye, ffn_cache = _stage_forward_dense(expert, x[hits], True)
+        g = gates[hits][sel[hits] == e]
+        out[hits] += g[:, None] * ye
+        per_expert[e] = {**ffn_cache, "idx": hits, "y": ye, "gate": g}
+    return out, {"kind": "moe", "probs": probs, "sel": sel, "x": x, "experts": per_expert}
+
+
+def mask_dispatch_backward(stage, stage_cache, d_out, grad, balance_dp):
+    """Oracle: the MoE branch of ``_stage_backward`` for the mask dispatch,
+    one masked gather and scatter per expert."""
+    x, probs = stage_cache["x"], stage_cache["probs"]
+    d_probs = np.zeros_like(probs)
+    if balance_dp is not None:
+        d_probs += balance_dp
+    d_x = np.zeros_like(x)
+    for e, ec in stage_cache["experts"].items():
+        idx = ec["idx"]
+        d_ye_path = d_out[idx]
+        d_probs[idx, e] += np.einsum("nd,nd->n", d_ye_path, ec["y"])
+        d_x[idx] += training._ffn_backward(stage.experts[e], ec, d_ye_path * ec["gate"][:, None], grad)
+    d_logits = probs * (d_probs - (d_probs * probs).sum(axis=1, keepdims=True))
+    grad[id(stage.router.weight)] += x.T @ d_logits
+    d_x += d_logits @ stage.router.weight.T
+    return d_x
+
+
+def default_shape_moe(rng, top_k, num_experts=4, d=32, h=128):
+    def ffn():
+        return FeedForward(rng.normal(size=(d, h), scale=0.2), rng.normal(size=h), rng.normal(size=(h, d), scale=0.1),
+                           rng.normal(size=d))
+    return MoELayer([ffn() for _ in range(num_experts)], Router(rng.normal(size=(d, num_experts)), top_k))
+
+
+def stage_grads(layer, x, d_out, balance_dp, seed, forward, backward):
+    """Stage output, input gradient and every stage parameter gradient of one
+    forward and backward with router noise from ``Rng(seed)``."""
+    grad = {id(layer.router.weight): np.zeros_like(layer.router.weight)}
+    for expert in layer.experts:
+        grad.update({id(t): np.zeros_like(t) for t in expert.tensors().values()})
+    rng = Rng(seed)
+    out, cache = forward(layer, x, rng)
+    d_x = backward(layer, cache, d_out, grad, balance_dp)
+    return out, d_x, grad, rng.normal()
+
+
+class TestSortedDispatchBackward:
+    """The sorted dispatch's forward and backward against the mask dispatch,
+    byte for byte, router noise and balance term included."""
+
+    def assert_same_as_oracle(self, layer, x, seed=0):
+        rng = Rng(seed + 1)
+        d_out = rng.normal(size=x.shape)
+        balance_dp = rng.normal(size=(len(x), layer.num_experts))
+        got = stage_grads(layer, x, d_out, balance_dp, seed,
+                          lambda *a: _stage_forward_moe(*a, True), training._stage_backward)
+        want = stage_grads(layer, x, d_out, balance_dp, seed, mask_dispatch_forward, mask_dispatch_backward)
+        for a, b in zip(got[:2], want[:2]):
+            assert a.tobytes() == b.tobytes()
+        assert got[2].keys() == want[2].keys()
+        for key in got[2]:
+            assert got[2][key].tobytes() == want[2][key].tobytes()
+        assert got[3] == want[3]  # the same noise draws
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 64, 512])
+    @pytest.mark.parametrize("top_k", [1, 2, 3, 4])
+    def test_gradients_bit_identical_to_mask_dispatch(self, top_k, n):
+        rng = Rng(70 + top_k)
+        self.assert_same_as_oracle(default_shape_moe(rng, top_k), rng.normal(size=(n, 32)), seed=n)
+
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    def test_an_expert_without_tokens(self, top_k):
+        rng = Rng(80 + top_k)
+        layer = default_shape_moe(rng, top_k)
+        layer.router.weight[:, 2] = -10.0  # never picked for positive inputs
+        x = np.abs(rng.normal(size=(64, 32)))
+        assert not (_stage_forward_moe(layer, x, Rng(0), False)[1]["sel"] == 2).any()
+        self.assert_same_as_oracle(layer, x)
+
+    def test_every_token_to_one_expert(self):
+        layer = default_shape_moe(Rng(90), top_k=1)
+        layer.router.weight[...] = 0.0
+        x = Rng(91).normal(size=(64, 32))
+        assert (_stage_forward_moe(layer, x, None, False)[1]["sel"] == 0).all()
+        self.assert_same_as_oracle(layer, x)
+
+    def test_whole_model_gradients_bit_identical(self, monkeypatch):
+        model = build_classifier(tiny_arch(d_model=32, d_ff=128, num_experts=4, top_k=2), Rng(92))
+        tokens = Rng(93).normal(size=(64, 4, 32))
+        labels = np.arange(64) % 3
+        teacher_logits = Rng(94).normal(size=(64, 3))
+
+        def run():
+            return loss_and_grads(model, tokens, labels, teacher_logits=teacher_logits,
+                                  balance_coeff=training.BALANCE_COEFF, rng=Rng(95))
+
+        got_loss, got = run()
+        real_backward = training._stage_backward
+
+        def backward(stage, cache, *args):
+            oracle = mask_dispatch_backward if cache["kind"] == "moe" else real_backward
+            return oracle(stage, cache, *args)
+
+        monkeypatch.setattr(model_mod, "_stage_forward_moe", lambda stage, x, rng, _: mask_dispatch_forward(stage, x, rng))
+        monkeypatch.setattr(training, "_stage_backward", backward)
+        want_loss, want = run()
+        assert got_loss == want_loss
+        assert got.keys() == want.keys()
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 32, 33, 128])
+    def test_slot_dot_products_match_per_expert_rows(self, d):
+        # the gate path takes every slot's dot product in one einsum; the mask
+        # dispatch took them per expert over gathered rows
+        rng = Rng(96)
+        a, y = rng.normal(size=(50, d)), rng.normal(size=(50, 3, d))
+        slots = np.einsum("nd,nkd->nk", a, y)
+        rows = np.array([0, 3, 4, 17, 49])
+        for j in range(3):
+            assert slots[:, j].tobytes() == np.einsum("nd,nd->n", a, np.ascontiguousarray(y[:, j])).tobytes()
+            assert slots[rows, j].tobytes() == np.einsum("nd,nd->n", a[rows], y[rows, j]).tobytes()
 
 
 class TestOptimizer:
