@@ -146,6 +146,14 @@ class FeedForward:
     activation: str = "gelu"
 
     def __post_init__(self):
+        try:
+            self.w1, self.b1, self.w2, self.b2 = (
+                np.asarray(t, dtype=np.float64) for t in (self.w1, self.b1, self.w2, self.b2)
+            )
+        except ValueError as exc:  # a ragged nested list, or an entry that is no number
+            raise ShapeError(f"feed-forward tensors must be rectangular arrays of numbers: {exc}") from exc
+        if self.w1.ndim != 2:
+            raise ShapeError(f"feed-forward w1 must be 2-D, got shape {self.w1.shape}")
         d, h = self.w1.shape
         if self.b1.shape != (h,) or self.w2.shape != (h, d) or self.b2.shape != (d,):
             raise ShapeError(

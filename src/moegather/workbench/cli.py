@@ -80,9 +80,8 @@ def _cmd_gather(args) -> int:
     cfg = load_config(args.config)
     teacher, _ = _load_for(cfg, args.teacher)
     meta = cfg.checkpoint_meta(f"gather_{args.method}")
-    report_path = Path(args.out).with_suffix(".report.json")
-    gather_stage(teacher, cfg.gather_config(args.method), meta, args.out, report_path)
-    print(json.dumps({"checkpoint": args.out, "report": str(report_path)}))
+    _, report = gather_stage(teacher, cfg.gather_config(args.method), meta, args.out)
+    print(json.dumps({"checkpoint": args.out, "report": str(report)}))
     return 0
 
 

@@ -44,6 +44,8 @@ class ExperimentConfig:
         for m in self.gather_methods:
             if m not in GATHER_METHODS:
                 raise ConfigError(f"unknown gather method {m!r}")
+            if self.gather_methods.count(m) > 1:
+                raise ConfigError(f"gather method {m!r} is listed more than once")
         if not self.gather_methods:
             raise ConfigError("at least one gather method is required")
         if self.task.d_model != self.arch.d_model:

@@ -2,11 +2,10 @@
 
 One task family, ``gaussian_mixture``, stands in for real image/text corpora
 at desk scale: each class owns a center direction with several satellite
-modes around it; every token draws its own mode, so pooled features separate
-classes coarsely while telling boundary tokens apart needs per-mode
-(nonlinear, capacity-hungry) structure. The overall separation is calibrated
-per seed so that a linear probe on mean-pooled tokens lands inside a target
-accuracy band. ``kind`` names the family in every task description.
+modes around it, and every token draws its own mode. The overall separation
+is calibrated per seed so that a linear probe on mean-pooled tokens lands
+inside a target accuracy band. ``kind`` names the family in every task
+description.
 """
 
 from __future__ import annotations

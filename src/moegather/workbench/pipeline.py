@@ -1,11 +1,12 @@
 """End-to-end experiment pipeline.
 
-Stages: generate data, train the MoE teacher, train a dense-from-scratch
-baseline, gather a student per requested method, distill every student (plus
-two reference initializations), evaluate everything, and emit a summary.
+``run_pipeline`` runs its stages as plain statements, each inside a
+``with _stage(name):`` block: data, teach (the MoE teacher), dense-scratch
+(a dense baseline), reference-inits, gather (a student per requested
+method), distill (every student) and evaluate (the summary).
 The distill stage keeps one teacher-logit memo per run, so the frozen
-teacher is forwarded once per training row that any student visits, not once
-per student step.
+teacher is forwarded once per training row that any student visits, not
+once per student step.
 
 The two reference initializations isolate what gathering contributes:
 
@@ -13,21 +14,22 @@ The two reference initializations isolate what gathering contributes:
 * ``matched_copy_kd``  - matched layers copied from the teacher, feed-forward
                          stage left random, then distilled
 
-Every artifact lands in the config's output directory; a stage failure
-aborts with the stage name but keeps whatever was already written.
+Every artifact lands in the config's output directory. A failing stage raises
+``PipelineError`` with its name; what earlier stages wrote stays on disk.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import astuple, replace
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 
-from ..gather import GatherConfig, GatherReport, build_student, copy_matched
+from ..gather import GatherConfig, build_student, copy_matched
 from ..metrics import NoiseScanRow, UndefinedMetricError, flops_per_token, moe_benefits
 from ..model import Architecture, ClassifierModel, build_classifier, count_parameters
 from ..numerics import Rng
@@ -54,9 +56,11 @@ def _csv_columns(kind: str) -> list[str]:
     return _load_schema("csv_columns.json")[kind]
 
 
-def write_training_log(rows: list[dict], path) -> None:
+def _write_csv(kind: str, rows: list[dict], path) -> None:
+    """Write dict rows under the header of a CSV artifact ("training_log" or
+    "summary"); keys outside the header are left out."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_csv_columns("training_log"))
+        writer = csv.DictWriter(fh, fieldnames=_csv_columns(kind), extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -72,11 +76,11 @@ def validate_summary(summary: dict) -> None:
     jsonschema.validate(summary, _load_schema("summary.schema.json"))
 
 
-def _run_stage(name: str, fn, *args):
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as a PipelineError naming the stage."""
     try:
-        return fn(*args)
-    except PipelineError:
-        raise
+        yield
     except Exception as exc:
         raise PipelineError(name, exc) from exc
 
@@ -88,18 +92,19 @@ def train_stage(arch: Architecture, tc: TrainConfig, data, meta: dict, path) -> 
     model = build_classifier(arch, Rng(tc.seed).derive("init"))
     result = train_classifier(model, tc, data)
     save_checkpoint(result.model, {**meta, "training": vars(tc).copy()}, path)
-    write_training_log(result.log, Path(path).with_suffix(".log.csv"))
+    _write_csv("training_log", result.log, Path(path).with_suffix(".log.csv"))
     return result
 
 
-def gather_stage(teacher: ClassifierModel, gcfg: GatherConfig, meta: dict, path,
-                 report_path) -> tuple[ClassifierModel, GatherReport]:
+def gather_stage(teacher: ClassifierModel, gcfg: GatherConfig, meta: dict, path) -> tuple[ClassifierModel, Path]:
     """Gather stage: build a dense student, save it at ``path`` with ``meta``
-    plus the gather settings and report, and write the report as JSON."""
+    plus the gather settings and report, and return it with the path of the
+    report's JSON: ``path`` less ``.ckpt``, then ``.init``, plus ``.report.json``."""
+    report_path = Path(str(path).removesuffix(".ckpt").removesuffix(".init") + ".report.json")
     student, report = build_student(teacher, gcfg)
     save_checkpoint(student, {**meta, "gather": {**gcfg.to_dict(), "report": report.to_dict()}}, path)
-    Path(report_path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    return student, report
+    report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    return student, report_path
 
 
 def distill_stage(student: ClassifierModel, teacher: ClassifierModel, dcfg: DistillConfig,
@@ -109,7 +114,7 @@ def distill_stage(student: ClassifierModel, teacher: ClassifierModel, dcfg: Dist
     ``meta`` plus the distillation settings, and its log as ``<stem>.log.csv``."""
     result = distill_student(student, teacher, dcfg, data, memo)
     save_checkpoint(result.model, {**meta, "training": vars(dcfg).copy()}, path)
-    write_training_log(result.log, Path(path).with_suffix(".log.csv"))
+    _write_csv("training_log", result.log, Path(path).with_suffix(".log.csv"))
     return result
 
 
@@ -120,62 +125,61 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
-    data = _run_stage("data", generate_dataset, cfg.task)
+    with _stage("data"):
+        data = generate_dataset(cfg.task)
 
-    meta = cfg.checkpoint_meta("teacher")
-    teacher_result = _run_stage("teach", train_stage, cfg.arch, cfg.teach, data, meta, out / "teacher.ckpt")
+    with _stage("teach"):
+        teacher_result = train_stage(cfg.arch, cfg.teach, data, cfg.checkpoint_meta("teacher"), out / "teacher.ckpt")
     teacher = teacher_result.model
     teacher_hash = file_sha256(out / "teacher.ckpt")
 
     # the dense baseline gets a training budget comparable to teach + distill
-    dense_tc = replace(
-        cfg.teach, steps=cfg.teach.steps + cfg.distill.steps, seed=derive_seed(cfg.seed, "dense-scratch")
-    )
-    meta = cfg.checkpoint_meta("dense_scratch")
-    dense_result = _run_stage(
-        "dense-scratch", train_stage, cfg.arch.dense_twin(), dense_tc, data, meta, out / "dense_scratch.ckpt"
-    )
+    dense_arch = cfg.arch.dense_twin()
+    dense_tc = replace(cfg.teach, steps=cfg.teach.steps + cfg.distill.steps,
+                       seed=derive_seed(cfg.seed, "dense-scratch"))
+    with _stage("dense-scratch"):
+        meta = cfg.checkpoint_meta("dense_scratch")
+        dense_result = train_stage(dense_arch, dense_tc, data, meta, out / "dense_scratch.ckpt")
 
-    students: dict[str, dict] = {}
-
-    def make_reference_inits():
-        dense_arch = cfg.arch.dense_twin()
+    # student name -> (initial model, its init checkpoint, its gather report or None)
+    students: dict[str, tuple[ClassifierModel, Path, Path | None]] = {}
+    with _stage("reference-inits"):
         random_student = build_classifier(dense_arch, Rng(derive_seed(cfg.seed, "random-init")))
         copy_student = build_classifier(dense_arch, Rng(derive_seed(cfg.seed, "copy-init")))
         copy_matched(teacher, copy_student)
         for name, student in (("random_init_kd", random_student), ("matched_copy_kd", copy_student)):
-            init_path = out / f"{name}.init.ckpt"
-            save_checkpoint(student, cfg.checkpoint_meta(name), init_path)
-            students[name] = {"model": student, "init": init_path, "report": None}
+            init = out / f"{name}.init.ckpt"
+            save_checkpoint(student, cfg.checkpoint_meta(name), init)
+            students[name] = (student, init, None)
 
-    _run_stage("reference-inits", make_reference_inits)
-
-    def gather_all():
+    with _stage("gather"):
         for method in cfg.gather_methods:
             name = f"gather_{method}"
-            init_path = out / f"{name}.init.ckpt"
-            report_path = out / f"{name}.report.json"
-            meta = cfg.checkpoint_meta(name)
-            student, _ = gather_stage(teacher, cfg.gather_config(method), meta, init_path, report_path)
-            students[name] = {"model": student, "init": init_path, "report": report_path}
+            init = out / f"{name}.init.ckpt"
+            student, report = gather_stage(teacher, cfg.gather_config(method), cfg.checkpoint_meta(name), init)
+            students[name] = (student, init, report)
 
-    _run_stage("gather", gather_all)
-
-    def distill_all():
+    results: dict[str, TrainResult] = {}
+    with _stage("distill"):
         memo = TeacherLogits(teacher, data[0], cfg.distill.batch_size)
-        for name, entry in students.items():
-            dcfg = cfg.distill_config(name)
-            meta = {**cfg.checkpoint_meta(name), "initialized_from": entry["init"].name}
-            entry["result"] = distill_stage(entry["model"], teacher, dcfg, data, meta, out / f"{name}.ckpt", memo)
+        for name, (student, init, _) in students.items():
+            meta = {**cfg.checkpoint_meta(name), "initialized_from": init.name}
+            results[name] = distill_stage(student, teacher, cfg.distill_config(name), data, meta,
+                                          out / f"{name}.ckpt", memo)
 
-    _run_stage("distill", distill_all)
-
-    def evaluate():
+    with _stage("evaluate"):
         teacher_acc = teacher_result.final_heldout_acc
         dense_acc = dense_result.final_heldout_acc
-
-        def variant(name: str, result: TrainResult, benefits, init=None, report=None) -> dict:
-            return {
+        rows = [("dense_scratch", dense_result, 0.0, None, None)]
+        for name, (_, init, report) in students.items():
+            result = results[name]
+            try:
+                benefits = moe_benefits(result.final_heldout_acc, dense_acc, teacher_acc)
+            except UndefinedMetricError:
+                benefits = None
+            rows.append((name, result, benefits, init.name, report.name if report else None))
+        variants = [
+            {
                 "variant": name,
                 "seed": cfg.seed,
                 "accuracy": result.final_heldout_acc,
@@ -186,16 +190,8 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
                 "flops_per_token": flops_per_token(result.model.blocks[0].stage),
                 "parameters": count_parameters(result.model),
             }
-
-        variants = [variant("dense_scratch", dense_result, 0.0)]
-        for name, entry in students.items():
-            result: TrainResult = entry["result"]
-            try:
-                benefits = moe_benefits(result.final_heldout_acc, dense_acc, teacher_acc)
-            except UndefinedMetricError:
-                benefits = None
-            report = entry["report"].name if entry["report"] else None
-            variants.append(variant(name, result, benefits, entry["init"].name, report))
+            for name, result, benefits, init, report in rows
+        ]
         summary = {
             "seed": cfg.seed,
             "config": cfg.to_dict(),
@@ -212,11 +208,5 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         }
         validate_summary(summary)
         (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        columns = _csv_columns("summary")
-        with open(out / "summary.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows([row[c] for c in columns] for row in variants)
-        return summary
-
-    return _run_stage("evaluate", evaluate)
+        _write_csv("summary", variants, out / "summary.csv")
+    return summary

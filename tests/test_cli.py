@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from moegather.workbench import cli
+from moegather.workbench import pipeline as pipeline_mod
 from moegather.workbench.checkpoint import _HEADER, MAGIC, load_checkpoint, save_checkpoint
 from moegather.workbench.config import SEED_ENV_VAR, config_from_dict
-from moegather.workbench.pipeline import run_pipeline
+from moegather.workbench.pipeline import PipelineError, run_pipeline
 
 
 def _documented_commands():
@@ -75,6 +76,7 @@ def test_stage_commands_reproduce_the_pipeline(pipe, tmp_path, monkeypatch, caps
         teacher, init = got / "teacher.ckpt", got / "gather_svdkg.init.ckpt"
         _run(["teach", "--config", config, "--out", teacher], capsys)
         out = _run(["gather", "--config", config, "--teacher", teacher, "--method", "svdkg", "--out", init], capsys)
+        assert Path(out["report"]) == got / "gather_svdkg.report.json"  # the name the pipeline gives it
         assert Path(out["report"]).read_bytes() == (want / "gather_svdkg.report.json").read_bytes()
         _run(["distill", "--config", config, "--student", init, "--teacher", teacher,
               "--out", got / "gather_svdkg.ckpt"], capsys)
@@ -165,6 +167,62 @@ def test_pipeline_command_writes_the_pipeline_artifacts(pipe, tmp_path, monkeypa
         if name in ("config.json", "summary.json"):  # both record out_dir
             ours = ours.replace(str(out_dir).encode(), str(pipe).encode())
         assert ours == (pipe / name).read_bytes(), name
+
+
+# each stage of run_pipeline, the callee on pipeline_mod made to fail at its n-th call there, and the
+# files the stage writes for TINY_CONFIG
+STAGES = [
+    ("data", "generate_dataset", 1, []),
+    ("teach", "train_classifier", 1, ["teacher.ckpt", "teacher.log.csv"]),
+    ("dense-scratch", "train_classifier", 2, ["dense_scratch.ckpt", "dense_scratch.log.csv"]),
+    ("reference-inits", "copy_matched", 1, ["random_init_kd.init.ckpt", "matched_copy_kd.init.ckpt"]),
+    ("gather", "build_student", 1, ["gather_svdkg.init.ckpt", "gather_svdkg.report.json"]),
+    ("distill", "distill_student", 1, [f"{name}.{ext}" for name in ("random_init_kd", "matched_copy_kd", "gather_svdkg")
+                                       for ext in ("ckpt", "log.csv")]),
+    ("evaluate", "validate_summary", 1, ["summary.json", "summary.csv"]),
+]
+
+
+def _written(stages) -> list[str]:
+    """The files in the output directory once ``stages`` are done."""
+    return sorted(["config.json", *(name for *_, names in stages for name in names)])
+
+
+@pytest.mark.parametrize("index", range(len(STAGES)), ids=[stage for stage, *_ in STAGES])
+def test_a_failing_stage_is_named_and_keeps_what_earlier_stages_wrote(pipe, tmp_path, monkeypatch, capsys, index):
+    assert sorted(p.name for p in pipe.iterdir()) == _written(STAGES)
+    stage, callee, fail_at, _ = STAGES[index]
+    kept = _written(STAGES[:index])
+    real, calls = getattr(pipeline_mod, callee), []
+
+    def fail(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise RuntimeError(f"{callee} failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, callee, fail)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(tmp_path / "lib")}))
+    assert info.value.stage == stage
+    assert sorted(p.name for p in (tmp_path / "lib").iterdir()) == kept
+
+    calls.clear()
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(tmp_path / "cli")}))
+    assert cli.main(["pipeline", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: pipeline: stage={stage}: {callee} failed\n"
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == kept
+
+
+def test_a_repeated_gather_method_fails_at_load(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(out_dir), "gather": {"methods": ["svdkg", "svdkg"]}}))
+    assert cli.main(["pipeline", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: config: gather method 'svdkg' is listed more than once\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("field,value", [

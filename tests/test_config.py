@@ -96,3 +96,10 @@ def test_topkg_spreads_the_remainder_units_over_the_first_experts():
     student, report = build_student(teacher, cfg.gather_config("topkg"))
     assert [len(units) for units in report.layers[0].selected_units] == [3, 3, 2]
     assert student.blocks[0].stage.w1.shape == (32, 8)
+
+
+@pytest.mark.parametrize("methods", [["svdkg", "svdkg"], ["sum", "topkg", "sum"]])
+def test_a_repeated_gather_method_is_a_config_error(methods):
+    raw = default_config().to_dict()
+    with pytest.raises(ConfigError, match=f"gather method {methods[0]!r} is listed more than once"):
+        config_from_dict({**raw, "gather": {**raw["gather"], "methods": methods}})

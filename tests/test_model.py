@@ -500,6 +500,27 @@ class TestModelPlumbing:
         with pytest.raises(ShapeError, match="2-D"):
             Router(weight=[1.0, 2.0], top_k=1)
 
+    def test_feed_forward_takes_nested_lists(self):
+        rng = Rng(0)
+        tensors = [rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=(4, 3)), rng.normal(size=3)]
+        ffn = FeedForward(*tensors)
+        # float64 arrays are used as they are: gradients are keyed by id and copies write in place
+        assert all(got is want for got, want in zip(ffn.tensors().values(), tensors))
+        from_lists = FeedForward(*(t.tolist() for t in tensors))
+        assert (from_lists.d_model, from_lists.d_ff) == (3, 4)
+        for got, want in zip(from_lists.tensors().values(), tensors):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("w1,b1", [
+        ([[0.0] * 4, [0.0] * 4, [0.0] * 3], [0.0] * 4),
+        ([0.0] * 3, [0.0] * 4),
+        ([np.zeros((3, 4)).tolist()], [0.0] * 4),
+        (np.zeros((3, 4)).tolist(), [[0.0] * 4]),
+    ], ids=["ragged-w1", "1-D-w1", "3-D-w1", "2-D-b1"])
+    def test_feed_forward_lists_of_the_wrong_shape_are_shape_errors(self, w1, b1):
+        with pytest.raises(ShapeError):
+            FeedForward(w1, b1, np.zeros((4, 3)).tolist(), [0.0] * 3)
+
     def test_forward_batch_shape_check(self):
         model = build_classifier(small_arch(), Rng(0))
         with pytest.raises(ShapeError):
