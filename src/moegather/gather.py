@@ -16,6 +16,9 @@ weight-merging methods:
 
 Biases are averaged across experts by default; ``matched`` (top-k only)
 instead selects the first-layer bias entries belonging to the kept units.
+
+``build_student`` also returns a flat :class:`GatherReport` of what the merge
+threw away; its docstring says what each field holds.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .model import Block, ClassifierModel, FeedForward, MoELayer
-from .numerics import SvdFactors, column_norms, row_norms, svd, top_k_indices, truncate_svd
+from .numerics import SvdFactors, check_number, svd, top_k_indices, truncate_svd
 
 GATHER_METHODS = ("sum", "avg", "topkg", "svdkg")
 BIAS_POLICIES = ("average", "matched")
@@ -55,8 +58,7 @@ class GatherConfig:
         if self.bias_policy not in BIAS_POLICIES:
             raise ValueError(f"bias_policy must be one of {BIAS_POLICIES}, got {self.bias_policy!r}")
         if self.method == "svdkg":
-            if self.svd_ratio is None or not 0.0 < self.svd_ratio <= 1.0:
-                raise ValueError(f"svdkg needs svd_ratio in (0, 1], got {self.svd_ratio}")
+            check_number("svd_ratio", self.svd_ratio, positive=True, at_most=1.0)
         elif self.svd_ratio is not None:
             raise ValueError(f"svd_ratio only applies to svdkg, not {self.method!r}")
         if self.bias_policy == "matched" and self.method != "topkg":
@@ -67,19 +69,29 @@ class GatherConfig:
 
 
 @dataclass
-class LayerGatherRecord:
-    """What happened while merging the MoE stage."""
+class GatherReport:
+    """What merging the teacher's shared MoE stage threw away: the settings
+    (``method``, ``svd_ratio``, ``bias_policy``) and lists of one entry per
+    expert, in the teacher's order:
 
-    layer: str
+    * ``ranks_w1``/``ranks_w2``: retained SVD rank (empty unless svdkg)
+    * ``singular_values_w1``/``_w2``: full spectrum, descending (empty unless svdkg)
+    * ``selected_units``: kept hidden units, ascending (empty unless topkg)
+    * ``residual_w1``/``residual_w2``: ||W - K|| / ||W|| (0 when W is 0), K being
+      what the student keeps of W: the merged W (sum, avg), W with its dropped
+      units zeroed (topkg), the truncated reconstruction (svdkg)
+
+    ``to_dict`` adds ``rank_total_w1``/``rank_total_w2``, the rank sums.
+    """
+
     method: str
-    # svdkg: retained rank per expert and the per-expert singular spectra
+    svd_ratio: float | None
+    bias_policy: str
     ranks_w1: list[int] = field(default_factory=list)
     ranks_w2: list[int] = field(default_factory=list)
     singular_values_w1: list[list[float]] = field(default_factory=list)
     singular_values_w2: list[list[float]] = field(default_factory=list)
-    # topkg: hidden units kept per expert, ascending within each expert
     selected_units: list[list[int]] = field(default_factory=list)
-    # relative residual of each expert against the merged/extracted weights
     residual_w1: list[float] = field(default_factory=list)
     residual_w2: list[float] = field(default_factory=list)
 
@@ -92,21 +104,7 @@ class LayerGatherRecord:
         return sum(self.ranks_w2)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["rank_total_w1"] = self.rank_total_w1
-        d["rank_total_w2"] = self.rank_total_w2
-        return d
-
-
-@dataclass
-class GatherReport:
-    method: str
-    svd_ratio: float | None
-    bias_policy: str
-    layers: list[LayerGatherRecord] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "layers": [layer.to_dict() for layer in self.layers]}
+        return {**asdict(self), "rank_total_w1": self.rank_total_w1, "rank_total_w2": self.rank_total_w2}
 
 
 def _matched_tensors(model: ClassifierModel) -> dict[str, np.ndarray]:
@@ -133,9 +131,7 @@ def copy_matched(teacher: ClassifierModel, student: ClassifierModel) -> None:
 
 def average_bias(experts: list[FeedForward]) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise mean of each bias vector across the expert bank."""
-    b1 = np.mean([e.b1 for e in experts], axis=0)
-    b2 = np.mean([e.b2 for e in experts], axis=0)
-    return b1, b2
+    return np.mean([e.b1 for e in experts], axis=0), np.mean([e.b2 for e in experts], axis=0)
 
 
 def gather_sum(experts: list[FeedForward]) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +145,7 @@ def gather_avg(experts: list[FeedForward]) -> tuple[np.ndarray, np.ndarray]:
 def unit_scores(expert: FeedForward) -> np.ndarray:
     """Importance of each hidden unit: paired first-layer column norm plus
     second-layer row norm. Both index the same intermediate dimension."""
-    return column_norms(expert.w1) + row_norms(expert.w2)
+    return np.linalg.norm(expert.w1, axis=0) + np.linalg.norm(expert.w2, axis=1)
 
 
 def gather_topkg(experts: list[FeedForward]) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
@@ -168,9 +164,7 @@ def gather_topkg(experts: list[FeedForward]) -> tuple[np.ndarray, np.ndarray, li
     return w1, w2, selected
 
 
-def svdkg_merge(
-    factors: list[SvdFactors], ratio: float
-) -> tuple[np.ndarray, list[SvdFactors], list[np.ndarray]]:
+def svdkg_merge(factors: list[SvdFactors], ratio: float) -> tuple[np.ndarray, list[SvdFactors], list[np.ndarray]]:
     """Merge one weight-matrix role across experts by truncated SVD.
 
     Each expert's decomposition is truncated to the smallest rank reaching
@@ -183,62 +177,49 @@ def svdkg_merge(
     return np.sum(recons, axis=0), truncated, recons
 
 
-def gather_svdkg(
-    experts: list[FeedForward], ratio: float
-) -> tuple[np.ndarray, np.ndarray, LayerGatherRecord]:
-    """Merge both weight matrices of an expert bank by truncated SVD."""
-    record = LayerGatherRecord(layer="", method="svdkg")
-    full1 = [svd(e.w1) for e in experts]
-    full2 = [svd(e.w2) for e in experts]
-    w1, trunc1, recon1 = svdkg_merge(full1, ratio)
-    w2, trunc2, recon2 = svdkg_merge(full2, ratio)
-    for e, g1, g2, f1, f2, r1, r2 in zip(experts, full1, full2, trunc1, trunc2, recon1, recon2):
-        record.ranks_w1.append(f1.rank)
-        record.ranks_w2.append(f2.rank)
-        record.singular_values_w1.append([float(x) for x in g1.S])
-        record.singular_values_w2.append([float(x) for x in g2.S])
-        record.residual_w1.append(_relative_residual(e.w1, r1))
-        record.residual_w2.append(_relative_residual(e.w2, r2))
-    return w1, w2, record
+def gather_svdkg(experts: list[FeedForward], ratio: float) -> tuple[np.ndarray, np.ndarray, list, list, dict]:
+    """Merge both weight matrices of an expert bank by truncated SVD.
+
+    Returns (w1, w2, kept1, kept2, spectra): each expert's truncated
+    reconstructions of w1 and w2, and the report's ``ranks_*`` and
+    ``singular_values_*`` keyed by field name.
+    """
+    full1, full2 = [svd(e.w1) for e in experts], [svd(e.w2) for e in experts]
+    (w1, trunc1, kept1), (w2, trunc2, kept2) = svdkg_merge(full1, ratio), svdkg_merge(full2, ratio)
+    spectra = {
+        "ranks_w1": [f.rank for f in trunc1], "ranks_w2": [f.rank for f in trunc2],
+        "singular_values_w1": [f.S.tolist() for f in full1], "singular_values_w2": [f.S.tolist() for f in full2],
+    }
+    return w1, w2, kept1, kept2, spectra
 
 
 def _relative_residual(original: np.ndarray, approx: np.ndarray) -> float:
     denom = np.linalg.norm(original)
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(original - approx) / denom)
+    return float(np.linalg.norm(original - approx) / denom) if denom else 0.0
 
 
-def _gather_stage(moe: MoELayer, cfg: GatherConfig, layer_name: str) -> tuple[FeedForward, LayerGatherRecord]:
+def _gather_stage(moe: MoELayer, cfg: GatherConfig) -> tuple[FeedForward, GatherReport]:
     experts = moe.experts
-    b1_avg, b2_avg = average_bias(experts)
+    b1, b2 = average_bias(experts)
     if cfg.method == "svdkg":
-        w1, w2, record = gather_svdkg(experts, cfg.svd_ratio)
-        b1, b2 = b1_avg, b2_avg
+        w1, w2, kept1, kept2, fields = gather_svdkg(experts, cfg.svd_ratio)
     elif cfg.method == "topkg":
         w1, w2, selected = gather_topkg(experts)
-        record = LayerGatherRecord(layer=layer_name, method="topkg", selected_units=selected)
-        for e, idx in zip(experts, selected):
-            kept1 = np.zeros_like(e.w1)
-            kept1[:, idx] = e.w1[:, idx]
-            kept2 = np.zeros_like(e.w2)
-            kept2[idx, :] = e.w2[idx, :]
-            record.residual_w1.append(_relative_residual(e.w1, kept1))
-            record.residual_w2.append(_relative_residual(e.w2, kept2))
+        masks = [np.isin(np.arange(e.d_ff), idx) for e, idx in zip(experts, selected)]
+        kept1 = [e.w1 * m for e, m in zip(experts, masks)]
+        kept2 = [e.w2 * m[:, None] for e, m in zip(experts, masks)]
+        fields = {"selected_units": selected}
         if cfg.bias_policy == "matched":
             b1 = np.concatenate([e.b1[idx] for e, idx in zip(experts, selected)])
-            b2 = b2_avg
-        else:
-            b1, b2 = b1_avg, b2_avg
     else:
-        merge = gather_sum if cfg.method == "sum" else gather_avg
-        w1, w2 = merge(experts)
-        record = LayerGatherRecord(layer=layer_name, method=cfg.method)
-        record.residual_w1 = [_relative_residual(e.w1, w1) for e in experts]
-        record.residual_w2 = [_relative_residual(e.w2, w2) for e in experts]
-        b1, b2 = b1_avg, b2_avg
-    record.layer = layer_name
-    return FeedForward(w1=w1, b1=b1, w2=w2, b2=b2, activation=experts[0].activation), record
+        w1, w2 = (gather_sum if cfg.method == "sum" else gather_avg)(experts)
+        kept1, kept2, fields = [w1] * len(experts), [w2] * len(experts), {}
+    report = GatherReport(
+        cfg.method, cfg.svd_ratio, cfg.bias_policy, **fields,
+        residual_w1=[_relative_residual(e.w1, k) for e, k in zip(experts, kept1)],
+        residual_w2=[_relative_residual(e.w2, k) for e, k in zip(experts, kept2)],
+    )
+    return FeedForward(w1=w1, b1=b1, w2=w2, b2=b2, activation=experts[0].activation), report
 
 
 def build_student(teacher: ClassifierModel, cfg: GatherConfig) -> tuple[ClassifierModel, GatherReport]:
@@ -246,12 +227,12 @@ def build_student(teacher: ClassifierModel, cfg: GatherConfig) -> tuple[Classifi
 
     The student holds copies of every matched layer of the teacher, and its
     blocks share one dense stage merged per ``cfg`` from the teacher's shared
-    MoE stage. The report holds that one stage's record.
+    MoE stage. The report says what that merge threw away.
     """
     if teacher.arch.stage != "moe":
         raise StructureError("teacher has no MoE stage to gather from")
-    [(name, stage)] = teacher.stages()
-    dense, record = _gather_stage(stage, cfg, name)
+    [(_, stage)] = teacher.stages()
+    dense, report = _gather_stage(stage, cfg)
     blocks = [
         Block(b.ln1_gain.copy(), b.ln1_bias.copy(), b.ln2_gain.copy(), b.ln2_bias.copy(), b.mixer.copy(), dense)
         for b in teacher.blocks
@@ -259,5 +240,4 @@ def build_student(teacher: ClassifierModel, cfg: GatherConfig) -> tuple[Classifi
     student = ClassifierModel(
         teacher.arch.dense_twin(), teacher.embed.copy(), blocks, teacher.head_w.copy(), teacher.head_b.copy()
     )
-    report = GatherReport(cfg.method, cfg.svd_ratio, cfg.bias_policy, layers=[record])
     return student, report

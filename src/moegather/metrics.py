@@ -48,8 +48,6 @@ def flops_per_token(layer: FeedForward | MoELayer) -> int:
 
 @dataclass(frozen=True)
 class NoiseScanRow:
-    # fields in the order of the "noise_scan" columns in schemas/csv_columns.json:
-    # the CSV writer writes astuple(row)
     svd_ratio: float
     mean_signal_norm: float
     mean_noise_norm: float

@@ -150,7 +150,7 @@ class FeedForward:
             self.w1, self.b1, self.w2, self.b2 = (
                 np.asarray(t, dtype=np.float64) for t in (self.w1, self.b1, self.w2, self.b2)
             )
-        except ValueError as exc:  # a ragged nested list, or an entry that is no number
+        except (TypeError, ValueError) as exc:  # a ragged nested list, or an entry that is no number
             raise ShapeError(f"feed-forward tensors must be rectangular arrays of numbers: {exc}") from exc
         if self.w1.ndim != 2:
             raise ShapeError(f"feed-forward w1 must be 2-D, got shape {self.w1.shape}")
@@ -186,7 +186,10 @@ class Router:
     top_k: int
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
+        try:
+            self.weight = np.asarray(self.weight, dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # a ragged nested list, or an entry that is no number
+            raise ShapeError(f"router weight must be a rectangular array of numbers: {exc}") from exc
         if self.weight.ndim != 2:
             raise ShapeError("router weight must be 2-D")
         check_number("top_k", self.top_k, integer=True, positive=True)

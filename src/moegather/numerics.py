@@ -27,8 +27,6 @@ __all__ = [
     "svd",
     "truncate_svd",
     "top_k_indices",
-    "column_norms",
-    "row_norms",
 ]
 
 class ShapeError(ValueError):
@@ -77,16 +75,6 @@ def check_number(name: str, value, *, integer: bool = False, positive: bool = Fa
         kind = "integer" if integer else "finite number"
         bound = f" at most {at_most:g}" if at_most < math.inf else ""
         raise ValueError(f"{name} must be a {sign} {kind}{bound}, got {value!r}")
-
-
-def column_norms(a) -> np.ndarray:
-    """Euclidean norm of each column."""
-    return np.linalg.norm(as_matrix(a), axis=0)
-
-
-def row_norms(a) -> np.ndarray:
-    """Euclidean norm of each row."""
-    return np.linalg.norm(as_matrix(a), axis=1)
 
 
 def top_k_indices(scores, k: int) -> list[int]:

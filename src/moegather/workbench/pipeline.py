@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import astuple, replace
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -57,8 +57,8 @@ def _csv_columns(kind: str) -> list[str]:
 
 
 def _write_csv(kind: str, rows: list[dict], path) -> None:
-    """Write dict rows under the header of a CSV artifact ("training_log" or
-    "summary"); keys outside the header are left out."""
+    """Write dict rows under the header of a CSV artifact; keys outside the
+    header are left out."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_csv_columns(kind), extrasaction="ignore")
         writer.writeheader()
@@ -66,10 +66,9 @@ def _write_csv(kind: str, rows: list[dict], path) -> None:
 
 
 def write_noise_scan_csv(rows: list[NoiseScanRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_columns("noise_scan"))
-        writer.writerows(astuple(row) for row in rows)
+    # the header names two columns apart from the row's fields: lambda and ratio
+    rows = [{**asdict(r), "lambda": r.svd_ratio, "ratio": r.noise_signal_ratio} for r in rows]
+    _write_csv("noise_scan", rows, path)
 
 
 def validate_summary(summary: dict) -> None:

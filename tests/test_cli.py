@@ -1,13 +1,18 @@
+import csv
 import json
 import shlex
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import pytest
 
+from moegather.metrics import noise_scan
 from moegather.workbench import cli
 from moegather.workbench import pipeline as pipeline_mod
 from moegather.workbench.checkpoint import _HEADER, MAGIC, load_checkpoint, save_checkpoint
 from moegather.workbench.config import SEED_ENV_VAR, config_from_dict
+from moegather.workbench.data import SyntheticTaskSpec, generate_dataset
 from moegather.workbench.pipeline import PipelineError, run_pipeline
 
 
@@ -87,6 +92,30 @@ def test_stage_commands_reproduce_the_pipeline(pipe, tmp_path, monkeypatch, caps
     scan = tmp_path / "scan.csv"
     assert _run(["noise-scan", "--teacher", teacher, "--lambdas", "0.25:1.0:0.25", "--tokens", 64,
                  "--out", scan], capsys)["rows"] == 4
+    header, *rows = csv.reader(scan.read_text().splitlines())
+    assert header == _schema("csv_columns.json")["noise_scan"]
+    model, meta = load_checkpoint(teacher)
+    task = SyntheticTaskSpec.from_dict(meta["task"])
+    tokens = generate_dataset(task)[0].tokens.reshape(-1, task.d_model)[:64]
+    want = noise_scan(model.blocks[0].stage, [0.25, 0.5, 0.75, 1.0], tokens)
+    assert [[float(x) for x in row] for row in rows] == [
+        [r.svd_ratio, r.mean_signal_norm, r.mean_noise_norm, r.noise_signal_ratio, r.mean_selected_gate] for r in want
+    ]
+
+
+def _schema(name: str):
+    return json.loads(resources.files("moegather.schemas").joinpath(name).read_text())
+
+
+def test_gather_reports_follow_their_schema_and_match_the_init_checkpoint(pipe):
+    schema = _schema("gather_report.schema.json")
+    paths = sorted(pipe.glob("gather_*.report.json"))
+    assert [p.name for p in paths] == ["gather_svdkg.report.json"]  # TINY_CONFIG gathers svdkg only
+    for path in paths:
+        report = json.loads(path.read_text())
+        jsonschema.validate(report, schema)
+        _, meta = load_checkpoint(path.with_name(path.name.removesuffix(".report.json") + ".init.ckpt"))
+        assert meta["gather"]["report"] == report
 
 
 @pytest.mark.parametrize("command", ["gather", "distill"])
@@ -324,6 +353,7 @@ def test_retired_settings_are_config_errors(tmp_path, capsys, block, field, valu
     (None, "seed", [1]), (None, "seed", "3"), (None, "seed", 2.5), (None, "seed", True), (None, "seed", -1),
     (SEED_ENV_VAR, "seed", "abc"), (SEED_ENV_VAR, "seed", "-1"),
     ("teach", "seed", "x"), ("task", "seed", 2.5), ("gather", "svd_ratio", "0.5"),
+    ("gather", "svd_ratio", 0), ("gather", "svd_ratio", 1.5), ("gather", "svd_ratio", float("nan")),
 ])
 def test_numeric_settings_must_be_valid(tmp_path, monkeypatch, capsys, block, field, value):
     raw = dict(TINY_CONFIG)
@@ -347,7 +377,7 @@ def test_gather_settings_of_an_unlisted_method_fail_at_load(pipe, tmp_path, caps
     out = tmp_path / "s.ckpt"
     argv = ["gather", "--config", config, "--teacher", pipe / "teacher.ckpt", "--method", "svdkg", "--out", out]
     assert cli.main([str(a) for a in argv]) == 1
-    assert capsys.readouterr().err == "error: config: svdkg needs svd_ratio in (0, 1], got 2.0\n"
+    assert capsys.readouterr().err == "error: config: svd_ratio must be a positive finite number at most 1, got 2.0\n"
     assert not out.exists()
 
 

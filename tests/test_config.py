@@ -94,7 +94,7 @@ def test_topkg_spreads_the_remainder_units_over_the_first_experts():
     cfg = config_from_dict({**raw, "gather": {**raw["gather"], "methods": ["topkg"]}})
     teacher = build_classifier(cfg.arch, Rng(0))
     student, report = build_student(teacher, cfg.gather_config("topkg"))
-    assert [len(units) for units in report.layers[0].selected_units] == [3, 3, 2]
+    assert [len(units) for units in report.selected_units] == [3, 3, 2]
     assert student.blocks[0].stage.w1.shape == (32, 8)
 
 

@@ -158,6 +158,23 @@ class TestBiasAndSimpleMerges:
 
 
 class TestTopKG:
+    @pytest.mark.parametrize("a,want", [
+        (np.eye(2), [1.0, 1.0]),
+        (np.array([[3.0], [4.0]]), [5.0]),
+        (Rng(4).normal(size=(5, 3)), None),  # None: the scalar loop below is the oracle
+    ], ids=["identity", "three_four_five", "scalar_loop_oracle"])
+    def test_unit_scores_add_paired_norms(self, a, want):
+        d, h = a.shape
+        if want is None:
+            want = [sum(a[i, j] ** 2 for i in range(d)) ** 0.5 for j in range(h)]
+
+        def scores(w1, w2):
+            return unit_scores(FeedForward(w1, np.zeros(h), w2, np.zeros(d)))
+
+        assert np.abs(scores(a, np.zeros((h, d))) - want).max() < 1e-12  # column norms of w1
+        assert np.abs(scores(np.zeros((d, h)), a.T) - want).max() < 1e-12  # row norms of w2
+        assert np.abs(scores(a, 2 * a.T) - 3 * np.asarray(want)).max() < 1e-12
+
     def test_single_expert_identity(self):
         rng = Rng(0)
         e = make_ffn(rng)
@@ -224,14 +241,14 @@ class TestSvdKG:
     def test_single_expert_full_ratio_roundtrip(self):
         rng = Rng(0)
         e = make_ffn(rng)
-        w1, w2, record = gather_svdkg([e], 1.0)
+        w1, w2, *_ = gather_svdkg([e], 1.0)
         assert np.linalg.norm(w1 - e.w1) / np.linalg.norm(e.w1) < 1e-8
         assert np.linalg.norm(w2 - e.w2) / np.linalg.norm(e.w2) < 1e-8
 
     def test_full_ratio_equals_sum(self):
         rng = Rng(1)
         bank = make_bank(rng, num_experts=3)
-        w1, w2, _ = gather_svdkg(bank, 1.0)
+        w1, w2, *_ = gather_svdkg(bank, 1.0)
         w1_sum, w2_sum = gather_sum(bank)
         assert np.linalg.norm(w1 - w1_sum) / np.linalg.norm(w1_sum) < 1e-8
         assert np.linalg.norm(w2 - w2_sum) / np.linalg.norm(w2_sum) < 1e-8
@@ -248,8 +265,8 @@ class TestSvdKG:
             w1 = np.outer(u, v)
             total_w1 += w1
             bank.append(FeedForward(w1, rng.normal(size=h), rng.normal(size=(h, d)), rng.normal(size=d)))
-        w1_g, _, record = gather_svdkg(bank, ratio)
-        assert record.ranks_w1 == [1, 1, 1]
+        w1_g, *_, spectra = gather_svdkg(bank, ratio)
+        assert spectra["ranks_w1"] == [1, 1, 1]
         assert np.abs(w1_g - total_w1).max() < 1e-10
 
     def test_matches_truncate_then_sum_oracle(self):
@@ -257,7 +274,7 @@ class TestSvdKG:
         rng = Rng(3)
         bank = make_bank(rng, num_experts=4, d=6, h=9)
         ratio = 0.75
-        w1_g, w2_g, record = gather_svdkg(bank, ratio)
+        w1_g, w2_g, *_ = gather_svdkg(bank, ratio)
         for role, merged in (("w1", w1_g), ("w2", w2_g)):
             expected = np.zeros_like(merged)
             for expert in bank:
@@ -273,17 +290,13 @@ class TestSvdKG:
         rng = Rng(4)
         bank = make_bank(rng, num_experts=3)
         ratio = 0.6
-        _, _, record = gather_svdkg(bank, ratio)
-        for ranks, spectra in (
-            (record.ranks_w1, record.singular_values_w1),
-            (record.ranks_w2, record.singular_values_w2),
-        ):
-            for k, spectrum in zip(ranks, spectra):
+        *_, spectra = gather_svdkg(bank, ratio)
+        for role in ("w1", "w2"):
+            for k, spectrum in zip(spectra[f"ranks_{role}"], spectra[f"singular_values_{role}"]):
                 s = np.asarray(spectrum)
                 total = s.sum()
                 assert s[:k].sum() >= ratio * total
                 assert k == 1 or s[: k - 1].sum() < ratio * total
-        assert record.rank_total_w1 == sum(record.ranks_w1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_monotone_approach_to_full_merge(self, seed):
@@ -343,7 +356,7 @@ class TestBuildStudent:
         cfg = GatherConfig(method="topkg", bias_policy="matched")
         student, report = build_student(teacher, cfg)
         experts = teacher.blocks[0].stage.experts
-        selected = report.layers[0].selected_units
+        selected = report.selected_units
         expected_b1 = np.concatenate([experts[e].b1[idx] for e, idx in enumerate(selected)])
         assert np.array_equal(student.blocks[0].stage.b1, expected_b1)
         expected_b2 = np.mean([e.b2 for e in experts], axis=0)
@@ -383,6 +396,27 @@ class TestBuildStudent:
         with pytest.raises(ValueError):
             GatherConfig(method="nope")
 
+    @pytest.mark.parametrize("ratio", ["0.5", True, 0, 1.5, float("nan")])
+    def test_svd_ratio_must_be_a_number_in_the_unit_interval(self, ratio):
+        with pytest.raises(ValueError, match="svd_ratio must be a positive finite number at most 1"):
+            GatherConfig(method="svdkg", svd_ratio=ratio)
+
+    @pytest.mark.parametrize("method", ["sum", "avg", "topkg", "svdkg"])
+    def test_report_is_flat_and_fills_only_its_methods_fields(self, method):
+        teacher = build_classifier(moe_arch(), Rng(12))
+        ratio = 0.75 if method == "svdkg" else None
+        _, report = build_student(teacher, GatherConfig(method, ratio))
+        d = report.to_dict()
+        per_method = {"svdkg": ["ranks_w1", "ranks_w2", "singular_values_w1", "singular_values_w2"],
+                      "topkg": ["selected_units"]}
+        assert set(d) == {"method", "svd_ratio", "bias_policy", "residual_w1", "residual_w2",
+                          "rank_total_w1", "rank_total_w2", *per_method["svdkg"], *per_method["topkg"]}
+        assert (d["method"], d["svd_ratio"], d["bias_policy"]) == (method, ratio, "average")
+        for key in (*per_method["svdkg"], *per_method["topkg"]):
+            assert len(d[key]) == (4 if key in per_method.get(method, []) else 0), key
+        assert len(d["residual_w1"]) == len(d["residual_w2"]) == 4
+        assert (d["rank_total_w1"], d["rank_total_w2"]) == (sum(d["ranks_w1"]), sum(d["ranks_w2"]))
+
 
 class TestGatherProperties:
     @pytest.mark.parametrize("method", ["sum", "avg", "topkg", "svdkg"])
@@ -392,7 +426,7 @@ class TestGatherProperties:
         if method == "topkg":
             w1, w2, _ = gather_topkg(bank)
         elif method == "svdkg":
-            w1, w2, _ = gather_svdkg(bank, 0.5)
+            w1, w2, *_ = gather_svdkg(bank, 0.5)
         else:
             w1, w2 = (gather_sum if method == "sum" else gather_avg)(bank)
         assert w1.shape == bank[0].w1.shape
@@ -406,8 +440,8 @@ class TestGatherProperties:
         shuffled = [bank[i] for i in perm]
         assert np.allclose(gather_sum(bank)[0], gather_sum(shuffled)[0], atol=1e-12)
         assert np.allclose(gather_avg(bank)[1], gather_avg(shuffled)[1], atol=1e-12)
-        a, _, _ = gather_svdkg(bank, 0.7)
-        b, _, _ = gather_svdkg(shuffled, 0.7)
+        a, *_ = gather_svdkg(bank, 0.7)
+        b, *_ = gather_svdkg(shuffled, 0.7)
         assert np.abs(a - b).max() < 1e-8
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -455,39 +489,38 @@ class TestGatherProperties:
 
 class TestReportResiduals:
     """Each report's residual_w1/residual_w2 against a direct oracle, for the
-    one record of the teacher's shared stage."""
+    teacher's one shared stage."""
 
     @staticmethod
     def gathered(method, zero_expert=False):
-        """(teacher stage, student stage, its record) of one gather."""
+        """(teacher stage, student stage, report) of one gather."""
         teacher = build_classifier(moe_arch(), Rng(11))
         if zero_expert:
             for t in teacher.blocks[0].stage.experts[0].tensors().values():
                 t[...] = 0.0
         student, report = build_student(teacher, GatherConfig(method, 1.0 if method == "svdkg" else None))
-        [record] = report.layers
-        return teacher.blocks[0].stage, student.blocks[0].stage, record
+        return teacher.blocks[0].stage, student.blocks[0].stage, report
 
     @pytest.mark.parametrize("method", ["sum", "avg"])
     def test_merges_report_the_distance_to_the_merged_weights(self, method):
-        moe, dense, record = self.gathered(method)
+        moe, dense, report = self.gathered(method)
         for i, e in enumerate(moe.experts):
-            for w, merged, residual in ((e.w1, dense.w1, record.residual_w1), (e.w2, dense.w2, record.residual_w2)):
+            for w, merged, residual in ((e.w1, dense.w1, report.residual_w1), (e.w2, dense.w2, report.residual_w2)):
                 want = np.linalg.norm(w - merged) / np.linalg.norm(w)
                 assert abs(residual[i] - want) <= 1e-12 * want
 
     def test_topkg_reports_the_weight_of_the_dropped_units(self):
-        moe, _, record = self.gathered("topkg")
-        for e, kept, r1, r2 in zip(moe.experts, record.selected_units, record.residual_w1, record.residual_w2):
+        moe, _, report = self.gathered("topkg")
+        for e, kept, r1, r2 in zip(moe.experts, report.selected_units, report.residual_w1, report.residual_w2):
             dropped = np.setdiff1d(np.arange(e.d_ff), kept)
             assert abs(r1 - np.linalg.norm(e.w1[:, dropped]) / np.linalg.norm(e.w1)) <= 1e-12
             assert abs(r2 - np.linalg.norm(e.w2[dropped, :]) / np.linalg.norm(e.w2)) <= 1e-12
 
     def test_svdkg_at_full_ratio_reports_no_residual(self):
-        _, _, record = self.gathered("svdkg")
-        assert max(record.residual_w1 + record.residual_w2) <= 1e-12
+        _, _, report = self.gathered("svdkg")
+        assert max(report.residual_w1 + report.residual_w2) <= 1e-12
 
     @pytest.mark.parametrize("method", ["sum", "avg", "topkg", "svdkg"])
     def test_an_all_zero_expert_has_zero_residual(self, method):
-        _, _, record = self.gathered(method, zero_expert=True)
-        assert record.residual_w1[0] == 0.0 and record.residual_w2[0] == 0.0
+        _, _, report = self.gathered(method, zero_expert=True)
+        assert report.residual_w1[0] == 0.0 and report.residual_w2[0] == 0.0

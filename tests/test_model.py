@@ -499,6 +499,9 @@ class TestModelPlumbing:
         assert from_list.num_experts == 2
         with pytest.raises(ShapeError, match="2-D"):
             Router(weight=[1.0, 2.0], top_k=1)
+        for bad in ([[1.0, 2.0], [3.0]], {}):  # ragged, and no numbers at all
+            with pytest.raises(ShapeError, match="rectangular array of numbers"):
+                Router(weight=bad, top_k=1)
 
     def test_feed_forward_takes_nested_lists(self):
         rng = Rng(0)
@@ -516,7 +519,8 @@ class TestModelPlumbing:
         ([0.0] * 3, [0.0] * 4),
         ([np.zeros((3, 4)).tolist()], [0.0] * 4),
         (np.zeros((3, 4)).tolist(), [[0.0] * 4]),
-    ], ids=["ragged-w1", "1-D-w1", "3-D-w1", "2-D-b1"])
+        ({}, [0.0] * 4),
+    ], ids=["ragged-w1", "1-D-w1", "3-D-w1", "2-D-b1", "dict-w1"])
     def test_feed_forward_lists_of_the_wrong_shape_are_shape_errors(self, w1, b1):
         with pytest.raises(ShapeError):
             FeedForward(w1, b1, np.zeros((4, 3)).tolist(), [0.0] * 3)

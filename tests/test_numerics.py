@@ -6,8 +6,6 @@ from moegather.numerics import (
     Rng,
     ShapeError,
     SvdFactors,
-    column_norms,
-    row_norms,
     svd,
     top_k_indices,
     truncate_svd,
@@ -163,22 +161,6 @@ class TestTopK:
         got = top_k_indices(rng.normal(size=n), k)
         assert got == sorted(set(got))
         assert len(got) == k
-
-
-class TestNorms:
-    def test_identity(self):
-        assert np.allclose(column_norms(np.eye(2)), [1.0, 1.0])
-        assert np.allclose(row_norms(np.eye(2)), [1.0, 1.0])
-
-    def test_three_four_five(self):
-        assert column_norms(np.array([[3.0], [4.0]]))[0] == pytest.approx(5.0)
-
-    def test_matches_scalar_loop_oracle(self):
-        a = Rng(4).normal(size=(5, 3))
-        cols = np.array([sum(a[i, j] ** 2 for i in range(5)) ** 0.5 for j in range(3)])
-        rows = np.array([sum(a[i, j] ** 2 for j in range(3)) ** 0.5 for i in range(5)])
-        assert np.abs(column_norms(a) - cols).max() < 1e-12
-        assert np.abs(row_norms(a) - rows).max() < 1e-12
 
 
 class TestRng:
