@@ -10,7 +10,7 @@ import numpy as np
 
 from .gather import average_bias, svdkg_merge
 from .model import FeedForward, MoELayer, router_probs
-from .numerics import svd
+from .numerics import ShapeError, svd
 
 # Multiply-accumulate counted as two floating point operations.
 FLOPS_PER_MAC = 2
@@ -67,7 +67,7 @@ def noise_scan(moe: MoELayer, svd_ratios, tokens: np.ndarray) -> list[NoiseScanR
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 2 or tokens.shape[1] != moe.d_model or len(tokens) == 0:
-        raise ValueError(f"tokens must be (n, {moe.d_model}) with n >= 1, got shape {tokens.shape}")
+        raise ShapeError(f"tokens must be (n, {moe.d_model}) with n >= 1, got shape {tokens.shape}")
     ratios = sorted(float(r) for r in svd_ratios)
     factors = [svd(e.w1) for e in moe.experts]
     probs = router_probs(tokens, moe.router)

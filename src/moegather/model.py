@@ -21,9 +21,10 @@ sequences runs in ⌈b/FORWARD_BLOCK⌉ near-equal blocks and concatenates the
 logits, pooled features and routing arrays in row order. At the default
 shapes (seq_len 8, d_ff 128) each FFN intermediate of a 512-sequence pass is
 4 MB of float64, past a 2 MB per-core L2, while a 64-sequence block's is
-512 KB, so the few the GELU keeps alive stay in cache. Every block holds at
-least half of ``FORWARD_BLOCK`` sequences, and a row's bits do not depend on
-the block it lands in, so the blocked result equals the unblocked one. A
+512 KB, so the three the value-only GELU allocates stay in cache. Every
+block holds at least half of ``FORWARD_BLOCK`` sequences, and a row's bits
+do not depend on the block it lands in, so the blocked result equals the
+unblocked one. A
 training step stays one pass, because its backward sums over all rows, and
 so does a noisy pass, because the noise is drawn per call.
 
@@ -43,6 +44,17 @@ the selection is sorted within each token, slot order is expert order, so a
 token's output is still (0 + g_a*y_a) + g_b*y_b, bit for bit. The
 activation runs per expert slice; one call over all slots would keep 1 MB
 temporaries per 64-sequence block alive and ran slower end to end.
+
+The kernels here and in :mod:`moegather.training` write in place only into
+arrays they allocated themselves, never into an argument or an array a cache
+holds. An in-place kernel applies the same IEEE operations to each element,
+in the same order, as the out-of-place expression it stands for; where an
+operand order flips, it is one ``+`` or ``*``, which IEEE 754 makes
+commutative, and every reduction keeps its array and axes. So the results
+are bit-identical to the expressions, which ``tests/`` keeps as oracles.
+Layer norm allocates two full-size arrays (``xhat`` and ``y``), the GELU
+with its derivative five, and the feed-forward stage adds its bias to the
+product in place.
 """
 
 from __future__ import annotations
@@ -79,20 +91,21 @@ def _gelu_with_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # in place, but every product and sum keeps the order of the expressions
     #   y  = 0.5 * x * (1 + t)
     #   dy = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3 * A * x * x)
-    # so the results are bit-identical to evaluating them directly.
+    # so the results are bit-identical to evaluating them directly. Once t is
+    # formed, ``inner`` holds 1 + t and ``t`` holds 1 - t * t.
     x2 = x * x
     inner = _GELU_A * x2
     inner += 1.0
     t = _GELU_C * x
     t *= inner
     np.tanh(t, out=t)
-    dy = 1.0 + t
+    dy = np.add(t, 1.0, out=inner)
     half_x = 0.5 * x
     y = half_x * dy
     dy *= 0.5
-    np.multiply(t, t, out=inner)
-    np.subtract(1.0, inner, out=inner)
-    half_x *= inner
+    t *= t
+    np.subtract(1.0, t, out=t)
+    half_x *= t
     half_x *= _GELU_C
     x2 *= 3.0 * _GELU_A
     x2 += 1.0
@@ -409,16 +422,29 @@ def state_hash(model: ClassifierModel) -> str:
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """Per-token layer norm over the last axis; returns (y, xhat, inv_std)."""
+    """Per-token layer norm over the last axis; returns (y, xhat, inv_std).
+
+    The operations per element are those of
+    ``gain * ((x - mean) * inv_std) + bias``, with
+    ``mean = sum(x) / d`` and ``inv_std = 1 / sqrt(sum(c * c) / d + eps)``;
+    ``xhat`` is written into the centered array and ``y`` into the square's.
+    """
     # np.mean is this reduce followed by a divide by the count; calling the
     # ufunc directly gives the same bits without numpy's Python wrapper.
     d = x.shape[-1]
-    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
-    centered = x - mean
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv_std
-    return gain * xhat + bias, xhat, inv_std
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= d
+    xhat = x - mean
+    y = xhat * xhat
+    inv_std = np.add.reduce(y, axis=-1, keepdims=True)
+    inv_std /= d
+    inv_std += LAYER_NORM_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    np.multiply(gain, xhat, out=y)
+    y += bias
+    return y, xhat, inv_std
 
 
 def _activate(name: str, pre: np.ndarray, need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -429,11 +455,15 @@ def _activate(name: str, pre: np.ndarray, need_grad: bool) -> tuple[np.ndarray, 
 
 
 def _stage_forward_dense(stage: FeedForward, x: np.ndarray, need_grad: bool) -> tuple[np.ndarray, dict]:
-    h_act, h_grad = _activate(stage.activation, x @ stage.w1 + stage.b1, need_grad)
+    pre = x @ stage.w1
+    pre += stage.b1
+    h_act, h_grad = _activate(stage.activation, pre, need_grad)
     cache = {"kind": "dense"}
     if need_grad:
         cache.update(x=x, h_act=h_act, h_grad=h_grad)
-    return h_act @ stage.w2 + stage.b2, cache
+    out = h_act @ stage.w2
+    out += stage.b2
+    return out, cache
 
 
 def _stage_forward_moe(
@@ -534,15 +564,16 @@ def _forward(
     cache: dict = {"tokens": tokens, "need_grad": need_grad, "blocks": []}
     for blk in model.blocks:
         ln1_out, ln1_xhat, ln1_inv = layer_norm(x, blk.ln1_gain, blk.ln1_bias)
-        mixed = blk.mixer @ ln1_out
-        res1 = x + mixed
+        res1 = blk.mixer @ ln1_out
+        res1 += x
         ln2_out, ln2_xhat, ln2_inv = layer_norm(res1, blk.ln2_gain, blk.ln2_bias)
         flat = ln2_out.reshape(-1, d)
         if isinstance(blk.stage, MoELayer):
             out, stage_cache = _stage_forward_moe(blk.stage, flat, rng, need_grad)
         else:
             out, stage_cache = _stage_forward_dense(blk.stage, flat, need_grad)
-        x = res1 + out.reshape(b, s, d)
+        x = out.reshape(b, s, d)
+        x += res1
         blk_cache = {"stage": stage_cache}
         if need_grad:
             blk_cache.update(ln1=(ln1_xhat, ln1_inv), ln2=(ln2_xhat, ln2_inv))

@@ -11,6 +11,12 @@ Distillation reads the frozen teacher's logits from a :class:`TeacherLogits`
 memo, which forwards each training row once per memo, so students that share
 a memo share the teacher's work and the teacher stays out of the training
 loop.
+
+Adam keeps each moment of all parameters in one flat buffer
+(:class:`AdamState`), laid out in parameter order. A step checks the
+gradient set against the parameters, concatenates the gradients once and
+runs the update once over the flat buffers, with the per-element operations
+and order of the per-tensor update, then subtracts each parameter's slice.
 """
 
 from __future__ import annotations
@@ -125,7 +131,8 @@ def _ffn_backward(ffn, cache: dict, d_out: np.ndarray, grad: dict[int, np.ndarra
     its ``_stage_forward_dense`` cache; returns the input gradient."""
     grad[id(ffn.w2)] += cache["h_act"].T @ d_out
     grad[id(ffn.b2)] += d_out.sum(axis=0)
-    dh = (d_out @ ffn.w2.T) * cache["h_grad"]
+    dh = d_out @ ffn.w2.T
+    dh *= cache["h_grad"]
     grad[id(ffn.w1)] += cache["x"].T @ dh
     grad[id(ffn.b1)] += dh.sum(axis=0)
     return dh @ ffn.w1.T
@@ -167,15 +174,28 @@ def _stage_backward(stage, stage_cache: dict, d_out: np.ndarray, grad: dict[int,
 
 def _layer_norm_backward(d_y: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
                          gain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    d_gain = (d_y * xhat).sum(axis=(0, 1))
+    """Gradients of ``layer_norm`` given its cached ``xhat`` and ``inv_std``.
+
+    The operations per element are those of
+    ``inv_std * (d_xhat - r1 - xhat * r2)`` with ``d_xhat = d_y * gain``,
+    ``r1 = sum(d_xhat) / d`` and ``r2 = sum(d_xhat * xhat) / d``; one product
+    buffer holds ``d_y * xhat``, then ``d_xhat * xhat``, then ``xhat * r2``,
+    and ``d_x`` is written into ``d_xhat``.
+    """
+    prod = d_y * xhat
+    d_gain = prod.sum(axis=(0, 1))
     d_bias = d_y.sum(axis=(0, 1))
-    d_xhat = d_y * gain
-    d = d_xhat.shape[-1]
-    d_x = inv_std * (
-        d_xhat
-        - np.add.reduce(d_xhat, axis=-1, keepdims=True) / d
-        - xhat * (np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / d)
-    )
+    d_x = d_y * gain
+    d = d_x.shape[-1]
+    r1 = np.add.reduce(d_x, axis=-1, keepdims=True)
+    r1 /= d
+    np.multiply(d_x, xhat, out=prod)
+    r2 = np.add.reduce(prod, axis=-1, keepdims=True)
+    r2 /= d
+    np.multiply(xhat, r2, out=prod)
+    d_x -= r1
+    d_x -= prod
+    d_x *= inv_std
     return d_x, d_gain, d_bias
 
 
@@ -214,13 +234,14 @@ def backward_from_logits(model: ClassifierModel, cache: dict, d_logits: np.ndarr
         d_res1, d_g2, d_b2 = _layer_norm_backward(d_stage_in, ln2_xhat, ln2_inv, blk.ln2_gain)
         grad[id(blk.ln2_gain)] += d_g2
         grad[id(blk.ln2_bias)] += d_b2
-        d_res1 = d_res1 + d_x  # residual around the stage
+        d_res1 += d_x  # residual around the stage
         d_ln1_out = blk.mixer.T @ d_res1
         ln1_xhat, ln1_inv = blk_cache["ln1"]
         d_in, d_g1, d_b1 = _layer_norm_backward(d_ln1_out, ln1_xhat, ln1_inv, blk.ln1_gain)
         grad[id(blk.ln1_gain)] += d_g1
         grad[id(blk.ln1_bias)] += d_b1
-        d_x = d_res1 + d_in  # residual around the mixer
+        d_in += d_res1  # residual around the mixer
+        d_x = d_in
 
     grad[id(model.embed)] += tokens.reshape(-1, d).T @ d_x.reshape(-1, d)
     return {name: grad[id(p)] for name, p in params.items()}
@@ -283,16 +304,33 @@ class LinearDecaySchedule:
 
 @dataclass
 class AdamState:
+    """Adam's moments of one parameter set, and the step count.
+
+    Each moment is one flat buffer, laid out in the order of the parameters
+    it was made for; ``m[name]`` and ``v[name]`` are views into it shaped
+    like the parameter, so ``optimizer_step`` updates every tensor at once.
+    """
+
+    m_flat: np.ndarray
+    v_flat: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
 
     @staticmethod
     def for_params(params: dict[str, np.ndarray]) -> "AdamState":
-        return AdamState(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+        size = sum(p.size for p in params.values())
+        m_flat, v_flat = np.zeros(size), np.zeros(size)
+        return AdamState(m_flat, v_flat, _flat_views(m_flat, params), _flat_views(v_flat, params))
+
+
+def _flat_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Consecutive slices of ``flat`` shaped like the arrays of ``like``, in its order."""
+    views, lo = {}, 0
+    for name, p in like.items():
+        views[name] = flat[lo : lo + p.size].reshape(p.shape)
+        lo += p.size
+    return views
 
 
 ADAM_BETA1 = 0.9
@@ -300,22 +338,51 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _check_gradients(params: dict[str, np.ndarray], grads: GradientSet, state: AdamState) -> None:
+    if grads.keys() != params.keys():
+        missing = [name for name in params if name not in grads]
+        extra = [name for name in grads if name not in params]
+        raise ValueError(f"gradient set does not match the parameters: missing {missing}, extra {extra}")
+    if state.m.keys() != params.keys():
+        raise ValueError("optimizer state was made for another parameter set")
+    for name, p in params.items():
+        shape = np.shape(grads[name])
+        if shape != p.shape:
+            raise ShapeError(f"gradient of {name!r} is shaped {shape}, the parameter {p.shape}")
+
+
 def optimizer_step(params: dict[str, np.ndarray], grads: GradientSet,
                    state: AdamState, schedule: LinearDecaySchedule) -> None:
-    """In-place Adam update; the step index lives in the optimizer state."""
+    """In-place Adam update; the step index lives in the optimizer state.
+
+    The gradients are checked against the parameters before any state
+    changes. The update then runs once over the flat moments, in the
+    operations per element of
+    ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` after
+    ``m = B1 * m + (1 - B1) * g`` and ``v = B2 * v + (1 - B2) * g * g``.
+    """
+    _check_gradients(params, grads, state)
     lr = schedule.lr_at(state.t)
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    g = np.concatenate([grads[name] for name in state.m], axis=None)
+    m, v = state.m_flat, state.v_flat
+    m *= ADAM_BETA1
+    tmp = (1.0 - ADAM_BETA1) * g
+    m += tmp
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    step = np.divide(m, bc1, out=tmp)
+    step *= lr
+    den = np.divide(v, bc2, out=g)
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    step /= den
+    for name, delta in _flat_views(step, state.m).items():
+        params[name] -= delta
 
 
 @dataclass

@@ -10,7 +10,7 @@ from moegather.metrics import (
     noise_scan,
 )
 from moegather.model import FeedForward, MoELayer, Router, build_classifier, router_probs
-from moegather.numerics import Rng, svd
+from moegather.numerics import Rng, ShapeError, svd
 from moegather.workbench.config import default_config
 
 
@@ -112,3 +112,7 @@ class TestNoiseScan:
         with pytest.raises(ValueError, match="n >= 1"):
             noise_scan(make_moe(), [0.5], np.ones((0, 8)))
 
+    @pytest.mark.parametrize("shape", [(4, 7), (0, 8), (8,), (2, 4, 8)])
+    def test_a_malformed_token_array_is_a_shape_error(self, shape):
+        with pytest.raises(ShapeError, match=r"tokens must be \(n, 8\)"):
+            noise_scan(make_moe(), [0.5], np.ones(shape))

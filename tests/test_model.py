@@ -16,11 +16,12 @@ from moegather.model import (
     activation_with_grad,
     build_classifier,
     forward_batch,
+    layer_norm,
     router_probs,
     tensor_elements,
 )
 from moegather.numerics import NumericalError, Rng, ShapeError
-from moegather.training import _pooled_balance
+from moegather.training import _layer_norm_backward, _pooled_balance
 from moegather.workbench.config import default_config
 
 
@@ -591,6 +592,81 @@ class TestActivations:
         for lookup in (activation_value, activation_with_grad):
             with pytest.raises(ValueError, match="unknown activation"):
                 lookup("swish")
+
+
+def _layer_norm_oracle(x, gain, bias):
+    """The out-of-place expressions the in-place layer norm must reproduce."""
+    d = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
+    centered = x - mean
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(var + model_mod.LAYER_NORM_EPS)
+    xhat = centered * inv_std
+    return gain * xhat + bias, xhat, inv_std
+
+
+def _layer_norm_backward_oracle(d_y, xhat, inv_std, gain):
+    """The out-of-place expressions the in-place layer-norm backward must reproduce."""
+    d_gain = (d_y * xhat).sum(axis=(0, 1))
+    d_bias = d_y.sum(axis=(0, 1))
+    d_xhat = d_y * gain
+    d = d_xhat.shape[-1]
+    d_x = inv_std * (
+        d_xhat
+        - np.add.reduce(d_xhat, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / d)
+    )
+    return d_x, d_gain, d_bias
+
+
+class TestLayerNorm:
+    @staticmethod
+    def inputs(seed, b=5, s=8, d=32):
+        rng = Rng(seed)
+        x = rng.normal(size=(b, s, d))
+        x[0, 0] = 0.75  # a constant row: variance 0
+        x[0, 1, ::2], x[0, 1, 1::2] = 0.0, -0.0
+        x[0, 2] *= 1e-8
+        x[0, 3] *= 1e8
+        x[1, 4, :3] = [0.0, -0.0, 0.0]
+        gain = rng.normal(size=d)
+        gain[:2] = [0.0, -0.0]
+        bias = rng.normal(size=d)
+        bias[2] = -0.0
+        d_y = rng.normal(size=(b, s, d))
+        d_y[0, 5] = 0.0
+        d_y[0, 3] *= 1e-8
+        d_y[1, 2, ::3] = -0.0
+        return x, gain, bias, d_y
+
+    @pytest.mark.parametrize("seed,d", [(0, 32), (1, 32), (2, 7)])
+    def test_forward_and_backward_bit_identical_to_direct_expressions(self, seed, d):
+        x, gain, bias, d_y = self.inputs(seed, d=d)
+        got = layer_norm(x, gain, bias)
+        want = _layer_norm_oracle(x, gain, bias)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+        _, xhat, inv_std = want
+        got = _layer_norm_backward(d_y, xhat, inv_std, gain)
+        want = _layer_norm_backward_oracle(d_y, xhat, inv_std, gain)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+    def test_constant_row_normalizes_to_zero(self):
+        x, gain, bias, _ = self.inputs(0)
+        y, xhat, inv_std = layer_norm(x, gain, bias)
+        assert not np.any(xhat[0, 0]) and inv_std[0, 0, 0] == 1.0 / np.sqrt(model_mod.LAYER_NORM_EPS)
+        assert np.array_equal(_bits(y[0, 0]), _bits(gain * 0.0 + bias))
+
+    def test_no_argument_is_modified(self):
+        x, gain, bias, d_y = self.inputs(3)
+        args = (x, gain, bias, d_y)
+        before = [a.copy() for a in args]
+        _, xhat, inv_std = layer_norm(x, gain, bias)
+        cached = (xhat.copy(), inv_std.copy())
+        _layer_norm_backward(d_y, xhat, inv_std, gain)
+        for a, b in zip(args + (xhat, inv_std), before + list(cached), strict=True):
+            assert np.array_equal(_bits(a), _bits(b))
 
 
 class TestForwardOnly:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,10 @@ from moegather.model import (
 )
 from moegather.numerics import NumericalError, Rng, ShapeError
 from moegather.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    BALANCE_COEFF,
     AdamState,
     DistillConfig,
     LinearDecaySchedule,
@@ -209,6 +215,45 @@ class TestBackward:
             backward_from_logits(model, cache, np.ones_like(logits))
 
 
+def cache_arrays(obj, path="cache"):
+    """Every array a forward cache holds, with its path."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from cache_arrays(value, f"{path}[{key!r}]")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from cache_arrays(value, f"{path}[{i}]")
+
+
+def array_bytes(arrays):
+    return {name: (a.dtype, a.shape, a.tobytes()) for name, a in arrays}
+
+
+class TestCacheUntouched:
+    """The kernels write in place only into arrays they allocated; an
+    in-place write into a cached ``xhat``, ``h_act`` or ``h_grad`` would
+    change a second backward pass over the same cache."""
+
+    @pytest.mark.parametrize("stage", ["dense", "moe"])
+    def test_backward_twice_gives_the_same_gradients_and_leaves_the_cache_alone(self, stage):
+        arch = tiny_arch(stage, num_experts=3, top_k=2) if stage == "moe" else tiny_arch(stage)
+        model = build_classifier(arch, Rng(30))
+        tokens = Rng(31).normal(size=(6, 4, 8))
+        noise = Rng(32) if stage == "moe" else None
+        logits, cache = forward_batch(model, tokens, noise, need_grad=True)
+        d_logits = Rng(33).normal(size=logits.shape)
+        balance_dp = Rng(34).normal(size=arch.num_experts) if stage == "moe" else None
+        before = array_bytes(cache_arrays(cache))
+        assert any("'h_grad'" in name for name in before) and any("'ln2'" in name for name in before)
+        first = backward_from_logits(model, cache, d_logits, balance_dp)
+        assert array_bytes(cache_arrays(cache)) == before
+        second = backward_from_logits(model, cache, d_logits, balance_dp)
+        assert array_bytes(cache_arrays(cache)) == before
+        assert array_bytes(first.items()) == array_bytes(second.items())
+
+
 def mask_dispatch_forward(stage, x, rng):
     """Oracle: the per-expert mask dispatch that the sorted dispatch replaced,
     with its backward cache (per expert: rows ``idx``, output ``y``, gate and
@@ -345,6 +390,24 @@ class TestSortedDispatchBackward:
             assert slots[rows, j].tobytes() == np.einsum("nd,nd->n", a[rows], y[rows, j]).tobytes()
 
 
+def per_tensor_adam_oracle(params, grads, state, schedule):
+    """Oracle: the per-tensor Adam loop that the flat update replaced;
+    ``state`` holds per-name ``m`` and ``v`` arrays and the step count ``t``."""
+    lr = schedule.lr_at(state.t)
+    state.t += 1
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
 class TestOptimizer:
     def test_zero_gradients_fixed_point(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
@@ -382,6 +445,70 @@ class TestOptimizer:
         sched = LinearDecaySchedule(1.0, 5)
         assert sched.lr_at(0) == 1.0
         assert [round(sched.lr_at(i), 10) for i in range(5)] == [1.0, 0.75, 0.5, 0.25, 0.0]
+
+    @pytest.mark.parametrize("role", ["teacher", "dense_student"])
+    def test_flat_update_bit_identical_to_per_tensor_loop(self, role):
+        steps = 25
+        arch = tiny_arch() if role == "teacher" else tiny_arch("dense")
+        train = tiny_data()[0]
+        model, twin = build_classifier(arch, Rng(20)), build_classifier(arch, Rng(20))
+        params, twin_params = model.parameters(), twin.parameters()
+        state = AdamState.for_params(params)
+        oracle = SimpleNamespace(
+            m={k: np.zeros_like(p) for k, p in params.items()},
+            v={k: np.zeros_like(p) for k, p in params.items()},
+            t=0,
+        )
+        schedule = LinearDecaySchedule(1e-2, steps)
+        if role == "teacher":
+            noise, balance, teacher_logits = Rng(21), BALANCE_COEFF, None
+        else:
+            noise, balance = None, 0.0
+            teacher_logits = forward_batch(build_classifier(tiny_arch(), Rng(22)), train.tokens)[0]
+        batches = _batch_schedule(TrainConfig(steps=steps, batch_size=16, seed=23), len(train.labels))
+        for idx in batches:
+            _, grads = loss_and_grads(
+                model, train.tokens[idx], train.labels[idx],
+                teacher_logits=None if teacher_logits is None else teacher_logits[idx],
+                balance_coeff=balance, rng=noise,
+            )
+            optimizer_step(params, grads, state, schedule)
+            per_tensor_adam_oracle(twin_params, grads, oracle, schedule)
+            assert array_bytes(params.items()) == array_bytes(twin_params.items())
+        assert schedule.lr_at(steps - 1) == 0.0 and state.t == oracle.t == steps
+        assert array_bytes(state.m.items()) == array_bytes(oracle.m.items())
+        assert array_bytes(state.v.items()) == array_bytes(oracle.v.items())
+        for name in params:
+            assert np.shares_memory(state.m[name], state.m_flat)
+            assert np.shares_memory(state.v[name], state.v_flat)
+
+    @staticmethod
+    def assert_rejected_before_any_change(params, grads, error, match):
+        state = AdamState.for_params(params)
+        state.m_flat[:] = 0.25
+        before = [p.copy() for p in params.values()]
+        with pytest.raises(error, match=match):
+            optimizer_step(params, grads, state, LinearDecaySchedule(0.1, 10))
+        assert state.t == 0
+        assert (state.m_flat == 0.25).all() and not state.v_flat.any()
+        assert array_bytes(zip(params, params.values())) == array_bytes(zip(params, before))
+
+    @pytest.mark.parametrize(
+        "param_shape,grad_shape", [((3,), (1,)), ((3, 1), (3,)), ((3,), (3, 1)), ((2, 3), (3, 2))]
+    )
+    def test_a_mis_shaped_gradient_is_a_shape_error(self, param_shape, grad_shape):
+        params = {"b": np.zeros(2), "w": np.arange(6.0)[: int(np.prod(param_shape))].reshape(param_shape)}
+        grads = {"b": np.ones(2), "w": np.full(grad_shape, 0.5)}
+        self.assert_rejected_before_any_change(params, grads, ShapeError, "'w'")
+
+    @pytest.mark.parametrize("missing,extra", [("w", None), (None, "u"), ("w", "u")])
+    def test_a_missing_or_extra_gradient_is_a_value_error_naming_it(self, missing, extra):
+        params = {"b": np.zeros(2), "w": np.ones((2, 2))}
+        grads = {name: np.ones_like(p) for name, p in params.items() if name != missing}
+        if extra:
+            grads[extra] = np.ones(2)
+        match = "missing \\['w'\\]" if missing else "extra \\['u'\\]"
+        self.assert_rejected_before_any_change(params, grads, ValueError, match)
 
 
 class TestTrainingLoops:
