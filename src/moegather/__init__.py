@@ -2,7 +2,7 @@
 expert knowledge into a dense student, refine the student by distillation,
 and quantify how much of the MoE's benefit the student preserves."""
 
-from .gather import GatherConfig, GatherReport, build_student, copy_matched
+from .gather import GatherConfig, GatherReport, build_student
 from .metrics import flops_per_token, moe_benefits, noise_scan
 from .model import (
     Architecture,
@@ -38,7 +38,6 @@ __all__ = [
     "TrainConfig",
     "build_classifier",
     "build_student",
-    "copy_matched",
     "distill_student",
     "flops_per_token",
     "moe_benefits",

@@ -3,7 +3,8 @@
 Layers that match the student structurally (embedding, mixers, layer norms,
 head) are copied verbatim. The teacher's MoE stage, which every block shares,
 is collapsed into a single dense feed-forward stage by one of four
-weight-merging methods:
+weight-merging methods, and ``model_from_tensors`` assembles the student from
+the copies and the merged stage:
 
 * ``sum``   - elementwise sum of expert weight matrices
 * ``avg``   - elementwise mean
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .model import Block, ClassifierModel, FeedForward, MoELayer
+from .model import ClassifierModel, FeedForward, MoELayer, model_from_tensors
 from .numerics import SvdFactors, check_number, svd, top_k_indices, truncate_svd
 
 GATHER_METHODS = ("sum", "avg", "topkg", "svdkg")
@@ -107,26 +108,11 @@ class GatherReport:
         return {**asdict(self), "rank_total_w1": self.rank_total_w1, "rank_total_w2": self.rank_total_w2}
 
 
-def _matched_tensors(model: ClassifierModel) -> dict[str, np.ndarray]:
-    """The model's tensors outside its feed-forward stage."""
+def matched_tensors(model: ClassifierModel) -> dict[str, np.ndarray]:
+    """Copies of the model's tensors outside its feed-forward stage: the
+    embedding, per-block layer norms and mixers, and the head."""
     [(prefix, _)] = model.stages()
-    return {name: t for name, t in model.tensors().items() if not name.startswith(f"{prefix}.")}
-
-
-def copy_matched(teacher: ClassifierModel, student: ClassifierModel) -> None:
-    """Copy every structurally matched layer from teacher into student.
-
-    Covers every tensor outside the feed-forward stage (embedding, per-block
-    layer norms and mixers, head); the stage is left untouched. Raises
-    :class:`StructureError` naming the first mismatched layer.
-    """
-    src, dst = _matched_tensors(teacher), _matched_tensors(student)
-    for name in dict.fromkeys([*src, *dst]):
-        t_shape, s_shape = (m[name].shape if name in m else "absent" for m in (src, dst))
-        if t_shape != s_shape:
-            raise StructureError(f"layer {name!r}: teacher shape {t_shape} != student shape {s_shape}")
-    for name, tensor in src.items():
-        dst[name][...] = tensor
+    return {name: t.copy() for name, t in model.tensors().items() if not name.startswith(f"{prefix}.")}
 
 
 def average_bias(experts: list[FeedForward]) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +184,8 @@ def _relative_residual(original: np.ndarray, approx: np.ndarray) -> float:
     return float(np.linalg.norm(original - approx) / denom) if denom else 0.0
 
 
-def _gather_stage(moe: MoELayer, cfg: GatherConfig) -> tuple[FeedForward, GatherReport]:
+def _gather_stage(moe: MoELayer, cfg: GatherConfig) -> tuple[dict[str, np.ndarray], GatherReport]:
+    """The merged dense stage's tensors, keyed like ``FeedForward.tensors()``, and the report."""
     experts = moe.experts
     b1, b2 = average_bias(experts)
     if cfg.method == "svdkg":
@@ -219,25 +206,20 @@ def _gather_stage(moe: MoELayer, cfg: GatherConfig) -> tuple[FeedForward, Gather
         residual_w1=[_relative_residual(e.w1, k) for e, k in zip(experts, kept1)],
         residual_w2=[_relative_residual(e.w2, k) for e, k in zip(experts, kept2)],
     )
-    return FeedForward(w1=w1, b1=b1, w2=w2, b2=b2, activation=experts[0].activation), report
+    return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}, report
 
 
 def build_student(teacher: ClassifierModel, cfg: GatherConfig) -> tuple[ClassifierModel, GatherReport]:
     """Gather a dense student from an MoE teacher.
 
-    The student holds copies of every matched layer of the teacher, and its
-    blocks share one dense stage merged per ``cfg`` from the teacher's shared
-    MoE stage. The report says what that merge threw away.
+    The student is assembled by ``model_from_tensors`` from copies of the
+    teacher's matched tensors plus one dense stage, merged per ``cfg`` from
+    the teacher's shared MoE stage, which all its blocks share. The report
+    says what that merge threw away.
     """
     if teacher.arch.stage != "moe":
         raise StructureError("teacher has no MoE stage to gather from")
-    [(_, stage)] = teacher.stages()
+    [(prefix, stage)] = teacher.stages()
     dense, report = _gather_stage(stage, cfg)
-    blocks = [
-        Block(b.ln1_gain.copy(), b.ln1_bias.copy(), b.ln2_gain.copy(), b.ln2_bias.copy(), b.mixer.copy(), dense)
-        for b in teacher.blocks
-    ]
-    student = ClassifierModel(
-        teacher.arch.dense_twin(), teacher.embed.copy(), blocks, teacher.head_w.copy(), teacher.head_b.copy()
-    )
-    return student, report
+    tensors = {**matched_tensors(teacher), **{f"{prefix}.{n}": t for n, t in dense.items()}}
+    return model_from_tensors(teacher.arch.dense_twin(), tensors), report

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -68,6 +69,7 @@ from .numerics import NumericalError, Rng, ShapeError, check_number
 
 LAYER_NORM_EPS = 1e-5
 FORWARD_BLOCK = 64  # most sequences per forward-only block; see the module docstring
+_LAYER_NORMS = ("ln1.gain", "ln1.bias", "ln2.gain", "ln2.bias")  # tensor names within a block, in order
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
@@ -318,34 +320,26 @@ class ClassifierModel:
     head_w: np.ndarray  # (d_model, num_classes)
     head_b: np.ndarray  # (num_classes,)
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Trainable tensors, in canonical order; the shared stage appears once."""
-        params: dict[str, np.ndarray] = {"embed": self.embed}
-        for i, blk in enumerate(self.blocks):
-            params[f"block{i}.ln1.gain"] = blk.ln1_gain
-            params[f"block{i}.ln1.bias"] = blk.ln1_bias
-            params[f"block{i}.ln2.gain"] = blk.ln2_gain
-            params[f"block{i}.ln2.bias"] = blk.ln2_bias
-        [(prefix, stage)] = self.stages()
-        if isinstance(stage, MoELayer):
-            params[f"{prefix}.router"] = stage.router.weight
-            for e, expert in enumerate(stage.experts):
-                for name, tensor in expert.tensors().items():
-                    params[f"{prefix}.expert{e}.{name}"] = tensor
-        else:
-            for name, tensor in stage.tensors().items():
-                params[f"{prefix}.{name}"] = tensor
-        params["head.w"] = self.head_w
-        params["head.b"] = self.head_b
-        return params
-
-    def constants(self) -> dict[str, np.ndarray]:
-        """Fixed (non-trainable) tensors that still belong in a checkpoint."""
-        return {f"block{i}.mixer": blk.mixer for i, blk in enumerate(self.blocks)}
-
     def tensors(self) -> dict[str, np.ndarray]:
-        """Every tensor of the model: the parameters, then the constants."""
-        return {**self.parameters(), **self.constants()}
+        """Every tensor of the model, named and ordered by ``tensor_layout``:
+        the parameters, then the fixed (non-trainable) mixers, which a
+        checkpoint still holds. The shared stage appears once."""
+        [(_, stage)] = self.stages()
+        moe = isinstance(stage, MoELayer)
+        arrays = [
+            self.embed,
+            *(t for b in self.blocks for t in (b.ln1_gain, b.ln1_bias, b.ln2_gain, b.ln2_bias)),  # _LAYER_NORMS order
+            *([stage.router.weight] if moe else []),
+            *(t for ffn in (stage.experts if moe else [stage]) for t in ffn.tensors().values()),
+            self.head_w,
+            self.head_b,
+            *(b.mixer for b in self.blocks),
+        ]
+        return {name: t for (name, _), t in zip(tensor_layout(self.arch), arrays, strict=True)}
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Trainable tensors, in canonical order: all but the mixers."""
+        return {name: t for name, t in self.tensors().items() if not name.endswith(".mixer")}
 
     def stages(self) -> list[tuple[str, FeedForward | MoELayer]]:
         """The one feed-forward stage that every block shares (WideNet-style
@@ -357,59 +351,73 @@ def _init_linear(rng: Rng, d_in: int, d_out: int) -> np.ndarray:
     return rng.normal(size=(d_in, d_out), scale=np.sqrt(2.0 / (d_in + d_out)))
 
 
-def _build_stage(arch: Architecture, rng: Rng) -> FeedForward | MoELayer:
-    d, h = arch.d_model, arch.d_ff
-
-    def make_ffn() -> FeedForward:
-        return FeedForward(
-            w1=_init_linear(rng, d, h),
-            b1=np.zeros(h),
-            w2=_init_linear(rng, h, d),
-            b2=np.zeros(d),
-            activation=arch.activation,
-        )
-
+def _expert_prefixes(arch: Architecture) -> list[str]:
+    """Name prefix of each feed-forward network in the stage, in order."""
     if arch.stage == "dense":
-        return make_ffn()
-    experts = [make_ffn() for _ in range(arch.num_experts)]
-    router = Router(weight=rng.normal(size=(d, arch.num_experts), scale=0.02), top_k=arch.top_k)
-    return MoELayer(experts=experts, router=router)
+        return ["stage."]
+    return [f"stage.expert{e}." for e in range(arch.num_experts)]
+
+
+def tensor_layout(arch: Architecture):
+    """Yield ``(name, shape)`` for every tensor of a model built from
+    ``arch``, in ``ClassifierModel.tensors()`` order, from the shapes alone.
+    Lazy, so a caller comparing against it stops at the first difference."""
+    d, h, c, s = arch.d_model, arch.d_ff, arch.num_classes, arch.seq_len
+    yield "embed", (d, d)
+    yield from ((f"block{i}.{name}", (d,)) for i in range(arch.num_blocks) for name in _LAYER_NORMS)
+    if arch.stage == "moe":
+        yield "stage.router", (d, arch.num_experts)
+    for prefix in _expert_prefixes(arch):
+        yield from ((prefix + "w1", (d, h)), (prefix + "b1", (h,)), (prefix + "w2", (h, d)), (prefix + "b2", (d,)))
+    yield from (("head.w", (d, c)), ("head.b", (c,)))
+    yield from ((f"block{i}.mixer", (s, s)) for i in range(arch.num_blocks))
+
+
+def model_from_tensors(arch: Architecture, tensors: dict[str, np.ndarray]) -> ClassifierModel:
+    """The inverse of ``ClassifierModel.tensors()``: a model of ``arch`` made
+    of the arrays in ``tensors``, keyed by the names of ``tensor_layout(arch)``
+    in any order. It takes them without copying; a caller copies what it
+    borrows. Every block holds the one stage. A missing, extra or misshaped
+    tensor is a :class:`ShapeError`."""
+    layout = dict(islice(tensor_layout(arch), len(tensors) + 1))  # a walk no longer than the input
+    for name in dict.fromkeys([*layout, *tensors]):
+        given, implied = np.shape(tensors[name]) if name in tensors else "none", layout.get(name, "none")
+        if given != implied:
+            raise ShapeError(f"tensor {name!r} has shape {given}, but the architecture implies {implied}")
+    t = tensors
+    ffns = [
+        FeedForward(t[p + "w1"], t[p + "b1"], t[p + "w2"], t[p + "b2"], arch.activation)
+        for p in _expert_prefixes(arch)
+    ]
+    stage = ffns[0] if arch.stage == "dense" else MoELayer(ffns, Router(t["stage.router"], arch.top_k))
+    blocks = [
+        Block(*(t[f"block{i}.{name}"] for name in (*_LAYER_NORMS, "mixer")), stage)
+        for i in range(arch.num_blocks)
+    ]
+    return ClassifierModel(arch, t["embed"], blocks, t["head.w"], t["head.b"])
 
 
 def build_classifier(arch: Architecture, rng: Rng) -> ClassifierModel:
     """Construct and initialize a model; deterministic given the rng seed.
-    Every block holds the same feed-forward stage."""
-    d = arch.d_model
-    embed = _init_linear(rng, d, d)
-    shared = _build_stage(arch, rng)
-    blocks = []
-    for _ in range(arch.num_blocks):
-        blocks.append(
-            Block(
-                ln1_gain=np.ones(d),
-                ln1_bias=np.zeros(d),
-                ln2_gain=np.ones(d),
-                ln2_bias=np.zeros(d),
-                mixer=rng.normal(size=(arch.seq_len, arch.seq_len), scale=1.0 / np.sqrt(arch.seq_len)),
-                stage=shared,
-            )
-        )
-    head_w = _init_linear(rng, d, arch.num_classes)
-    head_b = np.zeros(arch.num_classes)
-    return ClassifierModel(arch=arch, embed=embed, blocks=blocks, head_w=head_w, head_b=head_b)
+    Draws the embedding, each expert's w1 and w2, the router, each block's
+    mixer and the head weight, in that order; the layer-norm gains start at
+    one and every other tensor at zero. Every block holds the same stage."""
+    d, h, s = arch.d_model, arch.d_ff, arch.seq_len
+    t = {"embed": _init_linear(rng, d, d)}
+    for p in _expert_prefixes(arch):
+        t[p + "w1"], t[p + "w2"] = _init_linear(rng, d, h), _init_linear(rng, h, d)
+    if arch.stage == "moe":
+        t["stage.router"] = rng.normal(size=(d, arch.num_experts), scale=0.02)
+    for i in range(arch.num_blocks):
+        t[f"block{i}.mixer"] = rng.normal(size=(s, s), scale=1.0 / np.sqrt(s))
+    t["head.w"] = _init_linear(rng, d, arch.num_classes)
+    for name, shape in tensor_layout(arch):
+        t.setdefault(name, (np.ones if name.endswith(".gain") else np.zeros)(shape))
+    return model_from_tensors(arch, t)
 
 
 def count_parameters(model: ClassifierModel) -> int:
     return sum(t.size for t in model.parameters().values())
-
-
-def tensor_elements(arch: Architecture) -> int:
-    """Values in the parameters and constants of a model built from ``arch``,
-    counted from the shapes alone, without building it."""
-    d, h, c = arch.d_model, arch.d_ff, arch.num_classes
-    ffn = 2 * d * h + h + d
-    stage = ffn if arch.stage == "dense" else arch.num_experts * (ffn + d)
-    return d * d + arch.num_blocks * (4 * d + arch.seq_len**2) + stage + d * c + c
 
 
 def state_hash(model: ClassifierModel) -> str:

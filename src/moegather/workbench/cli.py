@@ -14,7 +14,8 @@ Subcommands mirror the pipeline stages so each can run standalone:
 ``teach``, ``gather`` and ``distill`` each run one stage of the pipeline that
 ``--config`` describes and write what ``pipeline`` writes for it. Every
 command exits 0 on success and nonzero with an ``error: <kind>: ...``
-diagnostic on stderr otherwise. ``ONES_SEED`` overrides the config seed.
+diagnostic on stderr otherwise. ``ONES_SEED`` overrides the config seed; a
+config that pins ``task.seed`` or ``teach.seed`` is then a config error.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ A config bundles the teacher architecture, the synthetic task, training
 settings for the teach and distill stages, and the gathering choices. Two
 named profiles ship with the package: ``vision`` (alpha 0.25, SVD ratio 0.75)
 and ``nlp`` (alpha 0.75, SVD ratio 0.25). The environment variable
-``ONES_SEED`` overrides the config seed at load time.
+``ONES_SEED`` overrides the config seed at load time; it refuses a config
+that pins ``task.seed`` or ``teach.seed``, which the override cannot reach.
 """
 
 from __future__ import annotations
@@ -141,8 +142,13 @@ def default_config(seed: int = 0, out_dir: str | os.PathLike = ExperimentConfig.
 
 
 def _top_level_seed(raw: dict) -> int:
-    """The config's ``seed``, or ``ONES_SEED`` when that is set."""
+    """The config's ``seed``, or ``ONES_SEED`` when that is set and the
+    config pins neither ``task.seed`` nor ``teach.seed``."""
     text = os.environ.get(SEED_ENV_VAR)
+    for name in ("task", "teach"):
+        if text is not None and isinstance(raw.get(name), dict) and "seed" in raw[name]:
+            raise ConfigError(f"{SEED_ENV_VAR} is set, but the config pins {name}.seed, "
+                              "which the override would not reach")
     # text that is not a non-negative integer stays text for check_number to report
     seed = raw.get("seed", 0) if text is None else int(text) if text.strip().isdecimal() else text
     try:

@@ -12,7 +12,8 @@ The two reference initializations isolate what gathering contributes:
 
 * ``random_init_kd``   - fully random student, distilled (init carries nothing)
 * ``matched_copy_kd``  - matched layers copied from the teacher, feed-forward
-                         stage left random, then distilled
+                         stage left random, then distilled: a random dense
+                         model's tensors overlaid with ``matched_tensors``
 
 Every artifact lands in the config's output directory. A failing stage raises
 ``PipelineError`` with its name; what earlier stages wrote stays on disk.
@@ -29,9 +30,9 @@ from pathlib import Path
 
 import jsonschema
 
-from ..gather import GatherConfig, build_student, copy_matched
+from ..gather import GatherConfig, build_student, matched_tensors
 from ..metrics import NoiseScanRow, UndefinedMetricError, flops_per_token, moe_benefits
-from ..model import Architecture, ClassifierModel, build_classifier, count_parameters
+from ..model import Architecture, ClassifierModel, build_classifier, count_parameters, model_from_tensors
 from ..numerics import Rng
 from ..training import DistillConfig, TeacherLogits, TrainConfig, TrainResult, distill_student, train_classifier
 from .checkpoint import file_sha256, save_checkpoint
@@ -144,8 +145,8 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     students: dict[str, tuple[ClassifierModel, Path, Path | None]] = {}
     with _stage("reference-inits"):
         random_student = build_classifier(dense_arch, Rng(derive_seed(cfg.seed, "random-init")))
-        copy_student = build_classifier(dense_arch, Rng(derive_seed(cfg.seed, "copy-init")))
-        copy_matched(teacher, copy_student)
+        copy_init = build_classifier(dense_arch, Rng(derive_seed(cfg.seed, "copy-init"))).tensors()
+        copy_student = model_from_tensors(dense_arch, {**copy_init, **matched_tensors(teacher)})
         for name, student in (("random_init_kd", random_student), ("matched_copy_kd", copy_student)):
             init = out / f"{name}.init.ckpt"
             save_checkpoint(student, cfg.checkpoint_meta(name), init)

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moegather.model import Architecture, build_classifier, state_hash
+import moegather
+from moegather.model import Architecture, build_classifier, state_hash, tensor_layout
 from moegather.numerics import Rng
 from moegather.workbench.checkpoint import (
     _HEADER,
@@ -14,6 +19,7 @@ from moegather.workbench.checkpoint import (
     CheckpointError,
     NonFiniteTensorError,
     SchemaError,
+    TruncatedPayloadError,
     load_checkpoint,
     save_checkpoint,
 )
@@ -90,6 +96,73 @@ def test_oversized_architecture_rejected_before_allocation(ckpt):
     rewrite(ckpt, lambda m: m["architecture"].update(d_model=10**6))
     with pytest.raises(SchemaError, match="architecture implies"):
         load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("field", ["num_blocks", "num_experts"])
+def test_an_architecture_of_two_to_the_forty_is_rejected_at_once(ckpt, field):
+    # its layout is compared lazily, so the load stops at the first tensor it
+    # does not declare instead of walking 2**40 blocks or experts
+    rewrite(ckpt, lambda m: m["architecture"].update({field: 2**40}))
+    with pytest.raises(SchemaError, match="architecture implies"):
+        load_checkpoint(ckpt)
+
+
+def test_metadata_longer_than_the_file(ckpt):
+    meta, payload = split(ckpt)
+    blob = json.dumps(meta).encode()
+    ckpt.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, 2**62) + blob + payload)
+    with pytest.raises(TruncatedPayloadError, match="metadata block extends past end of file"):
+        load_checkpoint(ckpt)
+
+
+def test_loaded_model_shares_no_memory_with_the_file_bytes(ckpt, monkeypatch):
+    views, frombuffer = [], np.frombuffer
+
+    def recording(*args, **kwargs):
+        views.append(frombuffer(*args, **kwargs))
+        return views[-1]
+
+    monkeypatch.setattr(np, "frombuffer", recording)
+    model, _ = load_checkpoint(ckpt)
+    assert views
+    for name, t in model.tensors().items():
+        assert t.flags.writeable, name
+        assert not any(np.shares_memory(t, v) for v in views), name
+
+
+# Each load runs in a child process whose address space is capped, so a load
+# that reads or allocates what the file cannot hold fails fast there instead
+# of exhausting the machine, and one that waits on a FIFO for a writer times out.
+_CAPPED_EVAL = """
+import resource, sys
+from moegather.workbench import cli
+resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+sys.exit(cli.main(["eval", "--model", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero") or sys.platform != "linux", reason="needs Linux and /dev/zero")
+def test_unbounded_inputs_end_in_a_checkpoint_error_under_an_address_space_cap(ckpt, tmp_path):
+    huge_meta = tmp_path / "huge_meta.ckpt"
+    huge_meta.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, 2**62) + b"{}")
+    huge_layout = tmp_path / "huge_layout.ckpt"
+    arch = {**split(ckpt)[0]["architecture"], "d_model": 10**5}  # a 10**10-value embedding
+    huge_shapes = [{"name": n, "shape": list(s)} for n, s in tensor_layout(Architecture.from_dict(arch))]
+    huge_layout.write_bytes(ckpt.read_bytes())
+    rewrite(huge_layout, lambda m: m.update(architecture=arch, tensors=huge_shapes))
+    fifo = tmp_path / "fifo.ckpt"
+    os.mkfifo(fifo)
+    src = str(Path(moegather.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for path, message in [("/dev/zero", "/dev/zero is not a regular file"),
+                          (fifo, "fifo.ckpt is not a regular file"),
+                          (huge_meta, "metadata block extends past end of file"),
+                          (huge_layout, "but metadata declares")]:
+        run = subprocess.run([sys.executable, "-c", _CAPPED_EVAL, str(path)], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1 and run.stderr.startswith("error: checkpoint: "), run.stderr
+        assert message in run.stderr, run.stderr
 
 
 def test_negative_shape(ckpt):

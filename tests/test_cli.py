@@ -5,6 +5,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from moegather.metrics import noise_scan
@@ -204,7 +205,7 @@ STAGES = [
     ("data", "generate_dataset", 1, []),
     ("teach", "train_classifier", 1, ["teacher.ckpt", "teacher.log.csv"]),
     ("dense-scratch", "train_classifier", 2, ["dense_scratch.ckpt", "dense_scratch.log.csv"]),
-    ("reference-inits", "copy_matched", 1, ["random_init_kd.init.ckpt", "matched_copy_kd.init.ckpt"]),
+    ("reference-inits", "model_from_tensors", 1, ["random_init_kd.init.ckpt", "matched_copy_kd.init.ckpt"]),
     ("gather", "build_student", 1, ["gather_svdkg.init.ckpt", "gather_svdkg.report.json"]),
     ("distill", "distill_student", 1, [f"{name}.{ext}" for name in ("random_init_kd", "matched_copy_kd", "gather_svdkg")
                                        for ext in ("ckpt", "log.csv")]),
@@ -243,6 +244,36 @@ def test_a_failing_stage_is_named_and_keeps_what_earlier_stages_wrote(pipe, tmp_
     assert cli.main(["pipeline", "--config", str(config)]) == 1
     assert capsys.readouterr().err == f"error: pipeline: stage={stage}: {callee} failed\n"
     assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == kept
+
+
+def test_no_student_shares_memory_with_the_teacher(tmp_path, monkeypatch):
+    # covers the reference inits, assembled in the pipeline, and the gathered students
+    seen, real = [], pipeline_mod.distill_student
+
+    def recording(student, teacher, dcfg, *args):
+        seen.append((student, teacher))
+        return real(student, teacher, dcfg, *args)
+
+    monkeypatch.setattr(pipeline_mod, "distill_student", recording)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(tmp_path)}))
+    assert len(seen) == 3
+    for student, teacher in seen:
+        for name, s in student.tensors().items():
+            assert not any(np.shares_memory(s, t) for t in teacher.tensors().values()), name
+
+
+def test_a_seed_override_cannot_reach_a_pinned_stage_seed(tmp_path, monkeypatch, capsys):
+    # a config.json that the pipeline wrote pins task.seed and teach.seed
+    config = tmp_path / "c.json"
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    config.write_text(json.dumps(config_from_dict(TINY_CONFIG).to_dict()))
+    monkeypatch.setenv(SEED_ENV_VAR, "7")
+    assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config: {SEED_ENV_VAR} is set, but the config pins task.seed, which the override would not reach\n"
+    )
+    assert not (tmp_path / "t.ckpt").exists()
 
 
 def test_a_repeated_gather_method_fails_at_load(tmp_path, capsys):

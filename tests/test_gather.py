@@ -10,11 +10,11 @@ from moegather.gather import (
     StructureError,
     average_bias,
     build_student,
-    copy_matched,
     gather_avg,
     gather_sum,
     gather_svdkg,
     gather_topkg,
+    matched_tensors,
     svdkg_merge,
     unit_scores,
 )
@@ -27,6 +27,7 @@ from moegather.model import (
     build_classifier,
     count_parameters,
     forward_batch,
+    model_from_tensors,
     state_hash,
 )
 from moegather.numerics import Rng, svd
@@ -54,52 +55,15 @@ def moe_arch(**kw):
 
 
 class TestCopyMatched:
-    def test_matched_layers_bit_identical(self):
-        teacher = build_classifier(moe_arch(), Rng(0))
-        student = build_classifier(moe_arch().dense_twin(), Rng(1))
-        copy_matched(teacher, student)
-        assert np.array_equal(student.embed, teacher.embed)
-        assert np.array_equal(student.head_w, teacher.head_w)
-        assert np.array_equal(student.head_b, teacher.head_b)
-        for tb, sb in zip(teacher.blocks, student.blocks):
-            assert np.array_equal(sb.ln1_gain, tb.ln1_gain)
-            assert np.array_equal(sb.ln2_bias, tb.ln2_bias)
-            assert np.array_equal(sb.mixer, tb.mixer)
-
-    def test_copy_leaves_stage_untouched(self):
-        teacher = build_classifier(moe_arch(), Rng(0))
-        student = build_classifier(moe_arch().dense_twin(), Rng(1))
-        stage_before = {k: v.copy() for k, v in student.blocks[0].stage.tensors().items()}
-        copy_matched(teacher, student)
-        for k, v in student.blocks[0].stage.tensors().items():
-            assert np.array_equal(v, stage_before[k])
-
-    def test_shape_mismatch_names_layer(self):
-        teacher = build_classifier(moe_arch(), Rng(0))
-        student = build_classifier(moe_arch(seq_len=4).dense_twin(), Rng(1))
-        with pytest.raises(StructureError, match="mixer"):
-            copy_matched(teacher, student)
-
-    def test_block_count_mismatch_names_first_missing_layer(self):
-        teacher = build_classifier(moe_arch(), Rng(0))
-        student = build_classifier(moe_arch(num_blocks=3).dense_twin(), Rng(1))
-        with pytest.raises(StructureError, match="'block2.ln1.gain': teacher shape absent"):
-            copy_matched(teacher, student)
-
     def test_forced_gate_oracle(self):
         # teacher with gates pinned to one expert (a one-expert router gives
-        # every token gate 1) == student carrying that expert's weights in its
-        # dense stage
+        # every token gate 1) == the dense model assembled from the teacher's
+        # matched tensors and that expert's weights
         arch = moe_arch(num_experts=1, top_k=1)
         teacher = build_classifier(arch, Rng(2))
-        student = build_classifier(arch.dense_twin(), Rng(3))
-        copy_matched(teacher, student)
         chosen = teacher.blocks[0].stage.experts[0]
-        stage = student.blocks[0].stage
-        stage.w1[...] = chosen.w1
-        stage.b1[...] = chosen.b1
-        stage.w2[...] = chosen.w2
-        stage.b2[...] = chosen.b2
+        stage = {f"stage.{name}": t.copy() for name, t in chosen.tensors().items()}
+        student = model_from_tensors(arch.dense_twin(), {**matched_tensors(teacher), **stage})
         tokens = Rng(4).normal(size=(5, 3, 6))
         forced, _ = forward_batch(teacher, tokens)
         plain, _ = forward_batch(student, tokens)
@@ -380,6 +344,17 @@ class TestBuildStudent:
                 assert np.array_equal(t, teacher.tensors()[name])
             t[...] += 1.0  # mutate every student tensor, matched and gathered
         assert state_hash(teacher) == before
+
+    @pytest.mark.parametrize("method,ratio,bias_policy", [
+        ("sum", None, "average"), ("avg", None, "average"), ("topkg", None, "average"),
+        ("topkg", None, "matched"), ("svdkg", 0.75, "average"), ("svdkg", 1.0, "average"),
+    ])
+    def test_student_shares_no_memory_with_the_teacher(self, method, ratio, bias_policy):
+        teacher = build_classifier(moe_arch(), Rng(10))
+        student, _ = build_student(teacher, GatherConfig(method, ratio, bias_policy))
+        for name, s in student.tensors().items():
+            for source, t in teacher.tensors().items():
+                assert not np.shares_memory(s, t), (name, source)
 
     def test_dense_teacher_rejected(self):
         dense = build_classifier(moe_arch().dense_twin(), Rng(7))

@@ -17,8 +17,10 @@ from moegather.model import (
     build_classifier,
     forward_batch,
     layer_norm,
+    model_from_tensors,
     router_probs,
-    tensor_elements,
+    state_hash,
+    tensor_layout,
 )
 from moegather.numerics import NumericalError, Rng, ShapeError
 from moegather.training import _layer_norm_backward, _pooled_balance
@@ -474,10 +476,32 @@ def _scalar_forward(model, tokens):
 
 class TestModelPlumbing:
     @pytest.mark.parametrize("stage", ["dense", "moe"])
-    def test_tensor_elements_counts_a_built_model(self, stage):
+    def test_tensor_layout_lists_a_built_model(self, stage):
         arch = small_arch(stage=stage, num_blocks=3)
         model = build_classifier(arch, Rng(0))
-        assert tensor_elements(arch) == sum(t.size for t in model.tensors().values())
+        assert list(tensor_layout(arch)) == [(n, t.shape) for n, t in model.tensors().items()]
+
+    @pytest.mark.parametrize("stage", ["dense", "moe"])
+    def test_model_from_tensors_inverts_tensors(self, stage):
+        model = build_classifier(small_arch(stage=stage, num_blocks=3), Rng(1))
+        tensors = model.tensors()
+        rebuilt = model_from_tensors(model.arch, dict(reversed(tensors.items())))  # any order
+        assert state_hash(rebuilt) == state_hash(model)
+        assert all(rebuilt.tensors()[n] is t for n, t in tensors.items())  # taken, not copied
+        assert all(blk.stage is rebuilt.blocks[0].stage for blk in rebuilt.blocks)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda t: t.pop("block1.mixer"), r"'block1.mixer' has shape none, but the architecture implies \(3, 3\)"),
+        (lambda t: t.update(extra=np.zeros(2)), r"'extra' has shape \(2,\), but the architecture implies none"),
+        (lambda t: t.update({"stage.expert2.b1": np.zeros(7)}), r"'stage.expert2.b1' has shape \(7,\), .* \(8,\)"),
+        (lambda t: t.update({"head.w": np.zeros((4, 6))}), r"'head.w' has shape \(4, 6\), .* \(6, 4\)"),
+    ], ids=["missing", "extra", "misshaped", "transposed"])
+    def test_model_from_tensors_rejects_another_layout(self, edit, match):
+        model = build_classifier(small_arch(stage="moe"), Rng(2))
+        tensors = model.tensors()
+        edit(tensors)
+        with pytest.raises(ShapeError, match=match):
+            model_from_tensors(model.arch, tensors)
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
