@@ -12,7 +12,9 @@ Subcommands mirror the pipeline stages so each can run standalone:
     moegather pipeline   --config c.json
 
 ``teach``, ``gather`` and ``distill`` each run one stage of the pipeline that
-``--config`` describes and write what ``pipeline`` writes for it. Every
+``--config`` describes and write what ``pipeline`` writes for it.
+``pipeline`` runs every stage on up to two CPUs, with one worker process
+beside the command's own, and writes the same bytes on one CPU. Every
 command exits 0 on success and nonzero with an ``error: <kind>: ...``
 diagnostic on stderr otherwise. ``ONES_SEED`` overrides the config seed; a
 config that pins ``task.seed`` or ``teach.seed`` is then a config error.
@@ -34,7 +36,15 @@ from ..training import evaluate_accuracy
 from .checkpoint import CheckpointError, SchemaError, load_checkpoint
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import SyntheticTaskSpec, generate_dataset
-from .pipeline import PipelineError, distill_stage, gather_stage, run_pipeline, train_stage, write_noise_scan_csv
+from .pipeline import (
+    PipelineError,
+    distill_stage,
+    gather_stage,
+    run_pipeline,
+    save_trained,
+    train_stage,
+    write_noise_scan_csv,
+)
 
 MAX_LAMBDA_GRID = 1000  # ratios one noise-scan grid may hold
 
@@ -64,7 +74,8 @@ def _load_for(cfg: ExperimentConfig, path) -> tuple[ClassifierModel, dict]:
 def _cmd_teach(args) -> int:
     cfg = load_config(args.config)
     data = generate_dataset(cfg.task)
-    result = train_stage(cfg.arch, cfg.teach, data, cfg.checkpoint_meta("teacher"), args.out)
+    result = train_stage(cfg.arch, cfg.teach, data)
+    save_trained(result, cfg.teach, cfg.checkpoint_meta("teacher"), args.out)
     print(
         json.dumps(
             {
@@ -93,7 +104,8 @@ def _cmd_distill(args) -> int:
     role = student_meta.get("role", "student")
     meta = {**cfg.checkpoint_meta(role), "initialized_from": Path(args.student).name}
     data = generate_dataset(cfg.task)
-    result = distill_stage(student, teacher, cfg.distill_config(role), data, meta, args.out)
+    [result] = distill_stage(cfg, teacher, {role: student}, data)
+    save_trained(result, cfg.distill_config(role), meta, args.out)
     print(json.dumps({"checkpoint": args.out, "heldout_accuracy": result.final_heldout_acc}))
     return 0
 

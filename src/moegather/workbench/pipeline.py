@@ -4,9 +4,36 @@
 ``with _stage(name):`` block: data, teach (the MoE teacher), dense-scratch
 (a dense baseline), reference-inits, gather (a student per requested
 method), distill (every student) and evaluate (the summary).
-The distill stage keeps one teacher-logit memo per run, so the frozen
-teacher is forwarded once per training row that any student visits, not
-once per student step.
+
+The stages run on up to two lanes, one per CPU the process may use
+(``os.sched_getaffinity``), at most two. The main lane is the calling
+process. The second lane is one worker process,
+``python -m moegather.workbench.worker``, that it starts and talks to over
+two private pipes:
+
+* while the main lane makes the dataset and trains the teacher, the worker
+  makes its own copy of the dataset from ``cfg.task`` and trains
+  dense-scratch;
+* after gather, the main lane distills the first half of the students and
+  the worker the second half, loading the teacher and the students' initial
+  models from the checkpoints the main lane has written.
+
+Each lane keeps its own teacher-logit memo and fills only the rows its
+students visit; a memo row has the same bits whichever rows fill it with it,
+so the split changes no result. The worker writes no file: it returns each
+``TrainResult``, and the main process writes every file in stage order.
+With one CPU the same stage functions run inline, in that order, and every
+file has the same bytes either way.
+
+A failing stage raises ``PipelineError`` with its name, on either lane; a
+worker that dies fails the stage that waits for it. The output directory
+then holds what the one-lane run holds when that stage fails: the files of
+the earlier stages and, in distill, those of the students before the first
+one without a result (a dead worker returns none of its half). The worker has exited when ``run_pipeline`` returns or
+raises: it is killed at once on a failure, and otherwise given
+``_WORKER_EXIT_S`` to exit after its task pipe closes. It holds its own
+dataset, the teacher and its students, about as much memory as the main
+process.
 
 The two reference initializations isolate what gathering contributes:
 
@@ -14,18 +41,21 @@ The two reference initializations isolate what gathering contributes:
 * ``matched_copy_kd``  - matched layers copied from the teacher, feed-forward
                          stage left random, then distilled: a random dense
                          model's tensors overlaid with ``matched_tensors``
-
-Every artifact lands in the config's output directory. A failing stage raises
-``PipelineError`` with its name; what earlier stages wrote stays on disk.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from contextlib import contextmanager
+import os
+import pickle
+import subprocess
+import sys
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, replace
+from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import jsonschema
@@ -34,8 +64,8 @@ from ..gather import GatherConfig, build_student, matched_tensors
 from ..metrics import NoiseScanRow, UndefinedMetricError, flops_per_token, moe_benefits
 from ..model import Architecture, ClassifierModel, build_classifier, count_parameters, model_from_tensors
 from ..numerics import Rng
-from ..training import DistillConfig, TeacherLogits, TrainConfig, TrainResult, distill_student, train_classifier
-from .checkpoint import file_sha256, save_checkpoint
+from ..training import TeacherLogits, TrainConfig, TrainResult, distill_student, train_classifier
+from .checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, derive_seed
 from .data import generate_dataset
 
@@ -45,6 +75,9 @@ class PipelineError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):  # the default would pass only the message to __init__
+        return type(self), (self.stage, self.cause)
 
 
 def _load_schema(name: str) -> dict:
@@ -85,15 +118,26 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-def train_stage(arch: Architecture, tc: TrainConfig, data, meta: dict, path) -> TrainResult:
-    """Teach (or dense-scratch) stage: train a freshly initialised model, save
-    its checkpoint at ``path`` with ``meta`` plus the training settings, and
-    its log next to it as ``<stem>.log.csv``."""
-    model = build_classifier(arch, Rng(tc.seed).derive("init"))
-    result = train_classifier(model, tc, data)
+def train_stage(arch: Architecture, tc: TrainConfig, data) -> TrainResult:
+    """Compute half of teach and dense-scratch: train a freshly initialised model."""
+    return train_classifier(build_classifier(arch, Rng(tc.seed).derive("init")), tc, data)
+
+
+def distill_stage(cfg: ExperimentConfig, teacher: ClassifierModel, students: dict[str, ClassifierModel], data):
+    """Compute half of the distill stage: yield the result of refining each
+    of ``students`` (name -> initial model), in order, on the settings
+    ``cfg.distill_config(name)``. They all read one teacher-logit memo."""
+    memo = TeacherLogits(teacher, data[0], cfg.distill.batch_size)
+    for name, student in students.items():
+        yield distill_student(student, teacher, cfg.distill_config(name), data, memo)
+
+
+def save_trained(result: TrainResult, tc: TrainConfig, meta: dict, path) -> None:
+    """Write half of teach, dense-scratch and distill: save the trained
+    model's checkpoint at ``path`` with ``meta`` plus the training settings,
+    and its log next to it as ``<stem>.log.csv``."""
     save_checkpoint(result.model, {**meta, "training": vars(tc).copy()}, path)
     _write_csv("training_log", result.log, Path(path).with_suffix(".log.csv"))
-    return result
 
 
 def gather_stage(teacher: ClassifierModel, gcfg: GatherConfig, meta: dict, path) -> tuple[ClassifierModel, Path]:
@@ -107,15 +151,107 @@ def gather_stage(teacher: ClassifierModel, gcfg: GatherConfig, meta: dict, path)
     return student, report_path
 
 
-def distill_stage(student: ClassifierModel, teacher: ClassifierModel, dcfg: DistillConfig,
-                  data, meta: dict, path, memo: TeacherLogits | None = None) -> TrainResult:
-    """Distill stage: refine the student, reading the teacher's logits from
-    ``memo`` (a fresh one when None), save its checkpoint at ``path`` with
-    ``meta`` plus the distillation settings, and its log as ``<stem>.log.csv``."""
-    result = distill_student(student, teacher, dcfg, data, memo)
-    save_checkpoint(result.model, {**meta, "training": vars(dcfg).copy()}, path)
-    _write_csv("training_log", result.log, Path(path).with_suffix(".log.csv"))
-    return result
+def _dense_scratch(cfg: ExperimentConfig) -> tuple[Architecture, TrainConfig]:
+    """The dense baseline's architecture and settings: the teacher's shapes
+    with one dense stage, and a training budget comparable to teach + distill."""
+    tc = replace(cfg.teach, steps=cfg.teach.steps + cfg.distill.steps, seed=derive_seed(cfg.seed, "dense-scratch"))
+    return cfg.arch.dense_twin(), tc
+
+
+# -- the second lane ---------------------------------------------------------
+
+_WORKER_EXIT_S = 10.0  # how long an idle worker may take to exit once its task pipe closes
+
+
+def _lane_count() -> int:
+    """Lanes for one run: the CPUs this process may run on, at most two."""
+    return min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+
+
+@lru_cache(maxsize=1)
+def _lane_dataset(task):
+    """The worker's copy of the dataset, made once for dense-scratch and distill."""
+    return generate_dataset(task)
+
+
+def _dense_lane(cfg: ExperimentConfig):
+    """Dense-scratch on the worker."""
+    yield train_stage(*_dense_scratch(cfg), _lane_dataset(cfg.task))
+
+
+def _distill_lane(cfg: ExperimentConfig, teacher_path: Path, inits: dict[str, Path]):
+    """The worker's half of distill (``inits``: student name -> its init checkpoint)."""
+    teacher, _ = load_checkpoint(teacher_path)
+    students = {name: load_checkpoint(path)[0] for name, path in inits.items()}
+    yield from distill_stage(cfg, teacher, students, _lane_dataset(cfg.task))
+
+
+class _Worker:
+    """The second lane: a ``python -m moegather.workbench.worker`` process,
+    started by the first ``submit``, and the two private pipes to it. The
+    process has exited when the ``with`` block ends."""
+
+    def __init__(self):
+        self.proc: subprocess.Popen | None = None
+
+    def __enter__(self) -> _Worker:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        """End the process: at once when the block raised, otherwise by closing
+        its task pipe and killing it if it has not exited ``_WORKER_EXIT_S`` later."""
+        if self.proc is None:
+            return
+        if exc_type is not None:
+            self.proc.kill()
+        with suppress(OSError):  # bytes a failed send left in the buffer cannot be flushed
+            self._tasks.close()
+        self._replies.close()
+        try:
+            self.proc.wait(timeout=_WORKER_EXIT_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+    def submit(self, fn, *args) -> None:
+        """Queue ``fn(*args)`` on the worker; ``fn`` is a generator function
+        of this module, such as ``_dense_lane``."""
+        if self.proc is None:
+            self._start()
+        pickle.dump((fn, args), self._tasks)
+        self._tasks.flush()
+
+    def _start(self) -> None:
+        task_r, task_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        # the worker imports moegather from where this process did (a caller may have put it on sys.path)
+        root = str(Path(__file__).resolve().parents[2])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))}
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-m", "moegather.workbench.worker", str(task_r), str(reply_w)],
+                pass_fds=(task_r, reply_w), stdin=subprocess.DEVNULL, env=env,
+            )
+        except BaseException:
+            os.close(task_w)
+            os.close(reply_r)
+            raise
+        finally:
+            os.close(task_r)
+            os.close(reply_w)
+        self._tasks, self._replies = os.fdopen(task_w, "wb"), os.fdopen(reply_r, "rb")
+
+    def results(self):
+        """Yield what the oldest unread task yielded, then raise the error
+        that ended it, if any."""
+        try:
+            items, error = pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError):  # the worker died before or while replying
+            raise RuntimeError(f"the worker process ended with exit status {self.proc.wait()}") from None
+        yield from items
+        if error is not None:
+            raise error
+
 
 
 def run_pipeline(cfg: ExperimentConfig) -> dict:
@@ -124,48 +260,58 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    dense_arch, dense_tc = _dense_scratch(cfg)
 
-    with _stage("data"):
-        data = generate_dataset(cfg.task)
+    with _Worker() if _lane_count() > 1 else nullcontext() as worker:
+        if worker:
+            with _stage("dense-scratch"):  # starts on the worker here and ends below
+                worker.submit(_dense_lane, cfg)
 
-    with _stage("teach"):
-        teacher_result = train_stage(cfg.arch, cfg.teach, data, cfg.checkpoint_meta("teacher"), out / "teacher.ckpt")
-    teacher = teacher_result.model
-    teacher_hash = file_sha256(out / "teacher.ckpt")
+        with _stage("data"):
+            data = generate_dataset(cfg.task)
 
-    # the dense baseline gets a training budget comparable to teach + distill
-    dense_arch = cfg.arch.dense_twin()
-    dense_tc = replace(cfg.teach, steps=cfg.teach.steps + cfg.distill.steps,
-                       seed=derive_seed(cfg.seed, "dense-scratch"))
-    with _stage("dense-scratch"):
-        meta = cfg.checkpoint_meta("dense_scratch")
-        dense_result = train_stage(dense_arch, dense_tc, data, meta, out / "dense_scratch.ckpt")
+        with _stage("teach"):
+            teacher_result = train_stage(cfg.arch, cfg.teach, data)
+            save_trained(teacher_result, cfg.teach, cfg.checkpoint_meta("teacher"), out / "teacher.ckpt")
+        teacher = teacher_result.model
+        teacher_hash = file_sha256(out / "teacher.ckpt")
 
-    # student name -> (initial model, its init checkpoint, its gather report or None)
-    students: dict[str, tuple[ClassifierModel, Path, Path | None]] = {}
-    with _stage("reference-inits"):
-        random_student = build_classifier(dense_arch, Rng(derive_seed(cfg.seed, "random-init")))
-        copy_init = build_classifier(dense_arch, Rng(derive_seed(cfg.seed, "copy-init"))).tensors()
-        copy_student = model_from_tensors(dense_arch, {**copy_init, **matched_tensors(teacher)})
-        for name, student in (("random_init_kd", random_student), ("matched_copy_kd", copy_student)):
-            init = out / f"{name}.init.ckpt"
-            save_checkpoint(student, cfg.checkpoint_meta(name), init)
-            students[name] = (student, init, None)
+        with _stage("dense-scratch"):
+            [dense_result] = worker.results() if worker else [train_stage(dense_arch, dense_tc, data)]
+            save_trained(dense_result, dense_tc, cfg.checkpoint_meta("dense_scratch"), out / "dense_scratch.ckpt")
 
-    with _stage("gather"):
-        for method in cfg.gather_methods:
-            name = f"gather_{method}"
-            init = out / f"{name}.init.ckpt"
-            student, report = gather_stage(teacher, cfg.gather_config(method), cfg.checkpoint_meta(name), init)
-            students[name] = (student, init, report)
+        # student name -> (initial model, its init checkpoint, its gather report or None)
+        students: dict[str, tuple[ClassifierModel, Path, Path | None]] = {}
+        with _stage("reference-inits"):
+            random_student = build_classifier(dense_arch, Rng(derive_seed(cfg.seed, "random-init")))
+            copy_init = build_classifier(dense_arch, Rng(derive_seed(cfg.seed, "copy-init"))).tensors()
+            copy_student = model_from_tensors(dense_arch, {**copy_init, **matched_tensors(teacher)})
+            for name, student in (("random_init_kd", random_student), ("matched_copy_kd", copy_student)):
+                init = out / f"{name}.init.ckpt"
+                save_checkpoint(student, cfg.checkpoint_meta(name), init)
+                students[name] = (student, init, None)
 
-    results: dict[str, TrainResult] = {}
-    with _stage("distill"):
-        memo = TeacherLogits(teacher, data[0], cfg.distill.batch_size)
-        for name, (student, init, _) in students.items():
-            meta = {**cfg.checkpoint_meta(name), "initialized_from": init.name}
-            results[name] = distill_stage(student, teacher, cfg.distill_config(name), data, meta,
-                                          out / f"{name}.ckpt", memo)
+        with _stage("gather"):
+            for method in cfg.gather_methods:
+                name = f"gather_{method}"
+                init = out / f"{name}.init.ckpt"
+                student, report = gather_stage(teacher, cfg.gather_config(method), cfg.checkpoint_meta(name), init)
+                students[name] = (student, init, report)
+
+        results: dict[str, TrainResult] = {}
+        with _stage("distill"):
+            names = list(students)
+            half = (len(names) + 1) // 2 if worker else len(names)
+            mine, theirs = names[:half], names[half:]
+            if theirs:
+                worker.submit(_distill_lane, cfg, out / "teacher.ckpt", {name: students[name][1] for name in theirs})
+            trained = zip(mine, distill_stage(cfg, teacher, {name: students[name][0] for name in mine}, data))
+            if theirs:  # read once the main lane's students are written
+                trained = chain(trained, zip(theirs, worker.results()))
+            for name, result in trained:
+                results[name] = result
+                meta = {**cfg.checkpoint_meta(name), "initialized_from": students[name][1].name}
+                save_trained(result, cfg.distill_config(name), meta, out / f"{name}.ckpt")
 
     with _stage("evaluate"):
         teacher_acc = teacher_result.final_heldout_acc

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
+import pickle
 import shlex
+import signal
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from moegather.metrics import noise_scan
 from moegather.workbench import cli
 from moegather.workbench import pipeline as pipeline_mod
+from moegather.workbench import worker as worker_mod
 from moegather.workbench.checkpoint import _HEADER, MAGIC, load_checkpoint, save_checkpoint
 from moegather.workbench.config import SEED_ENV_VAR, config_from_dict
 from moegather.workbench.data import SyntheticTaskSpec, generate_dataset
@@ -190,13 +194,133 @@ def test_pipeline_command_writes_the_pipeline_artifacts(pipe, tmp_path, monkeypa
     config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(out_dir)}))
     assert _run(["pipeline", "--config", config], capsys) == {"out_dir": str(out_dir), "variants": 4}
 
-    names = sorted(p.name for p in pipe.iterdir())
-    assert sorted(p.name for p in out_dir.iterdir()) == names
+    _assert_same_files(out_dir, pipe)
+
+
+def _assert_same_files(ours: Path, theirs: Path) -> None:
+    """The two output directories hold the same files with the same bytes,
+    apart from the out_dir that config.json and summary.json record."""
+    names = sorted(p.name for p in theirs.iterdir())
+    assert sorted(p.name for p in ours.iterdir()) == names
     for name in names:
-        ours = (out_dir / name).read_bytes()
-        if name in ("config.json", "summary.json"):  # both record out_dir
-            ours = ours.replace(str(out_dir).encode(), str(pipe).encode())
-        assert ours == (pipe / name).read_bytes(), name
+        got = (ours / name).read_bytes()
+        if name in ("config.json", "summary.json"):
+            got = got.replace(str(ours).encode(), str(theirs).encode())
+        assert got == (theirs / name).read_bytes(), name
+
+
+def _one_lane(monkeypatch) -> None:
+    """Run the pipeline inline, so that what a test patches here reaches every stage."""
+    monkeypatch.setattr(pipeline_mod, "_lane_count", lambda: 1)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """The workers that run_pipeline starts, on two lanes whatever the CPU count."""
+    started = []
+
+    class Recorded(pipeline_mod._Worker):
+        def _start(self):
+            super()._start()
+            started.append(self)
+
+    monkeypatch.setattr(pipeline_mod, "_Worker", Recorded)
+    monkeypatch.setattr(pipeline_mod, "_lane_count", lambda: 2)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    return started
+
+
+def _assert_no_worker_left(workers) -> None:
+    assert workers and all(w.proc.returncode is not None for w in workers)
+    with pytest.raises(ChildProcessError):  # no child at all, not even an unreaped one
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_two_lanes_write_the_bytes_of_one(tmp_path, monkeypatch, workers):
+    raw = {**TINY_CONFIG, "gather": {"methods": ["sum", "svdkg"]}}  # two students on each lane
+    run_pipeline(config_from_dict({**raw, "out_dir": str(tmp_path / "two")}))
+    _assert_no_worker_left(workers)
+    _one_lane(monkeypatch)
+    run_pipeline(config_from_dict({**raw, "out_dir": str(tmp_path / "one")}))
+    assert len(workers) == 1
+    _assert_same_files(tmp_path / "two", tmp_path / "one")
+
+
+# what the worker runs in place of its stage task, and the error the stage then fails with
+WORKER_FAILURES = {
+    "raises": ("raise RuntimeError('worker lane failed')", "worker lane failed"),
+    "killed": ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)",
+               "the worker process ended with exit status -9"),
+}
+
+
+@pytest.mark.parametrize("how", WORKER_FAILURES)
+@pytest.mark.parametrize("stage, task, callee, fail_at", [
+    ("dense-scratch", "_dense_lane", "train_classifier", 2),
+    ("distill", "_distill_lane", "distill_student", 3),  # the worker's first student of TINY_CONFIG's three
+])
+def test_a_failing_worker_is_named_and_leaves_the_one_lane_files(tmp_path, monkeypatch, workers,
+                                                                  stage, task, callee, fail_at, how):
+    code, message = WORKER_FAILURES[how]
+    submit = pipeline_mod._Worker.submit
+
+    def failing(self, fn, *args):
+        if fn is getattr(pipeline_mod, task):
+            fn, args = exec, (code,)
+        submit(self, fn, *args)
+
+    monkeypatch.setattr(pipeline_mod._Worker, "submit", failing)
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(tmp_path / "two")}))
+    assert (info.value.stage, str(info.value.cause)) == (stage, message)
+    _assert_no_worker_left(workers)
+
+    # the one-lane run whose same student fails
+    _one_lane(monkeypatch)
+    real, calls = getattr(pipeline_mod, callee), []
+
+    def fail(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise RuntimeError(message)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, callee, fail)
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(tmp_path / "one")}))
+    assert info.value.stage == stage
+    _assert_same_files(tmp_path / "two", tmp_path / "one")
+
+
+def test_a_main_lane_failure_kills_the_busy_worker(tmp_path, monkeypatch, workers):
+    def fail(*args, **kwargs):
+        raise RuntimeError("train_classifier failed")
+
+    monkeypatch.setattr(pipeline_mod, "train_classifier", fail)  # teach, while the worker trains dense-scratch
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(tmp_path)}))
+    assert info.value.stage == "teach"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    _assert_no_worker_left(workers)
+    assert workers[0].proc.returncode == -signal.SIGKILL
+
+
+def test_a_pipeline_error_survives_pickling():
+    error = pickle.loads(pickle.dumps(PipelineError("teach", ValueError("boom"))))
+    assert (type(error), error.stage, str(error)) == (PipelineError, "teach", "stage 'teach' failed: boom")
+    assert (type(error.cause), error.cause.args) == (ValueError, ("boom",))
+
+
+class _TwoArgumentError(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_the_worker_sends_an_error_that_does_not_survive_pickling_as_its_text():
+    with pytest.raises(TypeError):
+        pickle.loads(pickle.dumps(_TwoArgumentError(1, 2)))
+    error = worker_mod._portable(_TwoArgumentError(1, 2))
+    assert (type(error), str(error)) == (RuntimeError, "_TwoArgumentError: 1 and 2")
 
 
 # each stage of run_pipeline, the callee on pipeline_mod made to fail at its n-th call there, and the
@@ -221,6 +345,7 @@ def _written(stages) -> list[str]:
 @pytest.mark.parametrize("index", range(len(STAGES)), ids=[stage for stage, *_ in STAGES])
 def test_a_failing_stage_is_named_and_keeps_what_earlier_stages_wrote(pipe, tmp_path, monkeypatch, capsys, index):
     assert sorted(p.name for p in pipe.iterdir()) == _written(STAGES)
+    _one_lane(monkeypatch)
     stage, callee, fail_at, _ = STAGES[index]
     kept = _written(STAGES[:index])
     real, calls = getattr(pipeline_mod, callee), []
@@ -256,6 +381,7 @@ def test_no_student_shares_memory_with_the_teacher(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline_mod, "distill_student", recording)
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    _one_lane(monkeypatch)
     run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(tmp_path)}))
     assert len(seen) == 3
     for student, teacher in seen:
