@@ -14,7 +14,9 @@ Subcommands mirror the pipeline stages so each can run standalone:
 ``teach``, ``gather`` and ``distill`` each run one stage of the pipeline that
 ``--config`` describes and write what ``pipeline`` writes for it.
 ``pipeline`` runs every stage on up to two CPUs, with one worker process
-beside the command's own, and writes the same bytes on one CPU. Every
+beside the command's own, and writes the same bytes on one CPU. Each process
+runs BLAS on one thread, which importing ``moegather`` sets, unless the caller
+set a BLAS thread variable such as ``OPENBLAS_NUM_THREADS``. Every
 command exits 0 on success and nonzero with an ``error: <kind>: ...``
 diagnostic on stderr otherwise. ``ONES_SEED`` overrides the config seed; a
 config that pins ``task.seed`` or ``teach.seed`` is then a config error.
@@ -237,30 +239,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what main() reports each error as, tried in order: a subclass before its base
+_ERROR_KINDS = (
+    (ConfigError, "config"), (CheckpointError, "checkpoint"), (StructureError, "structure"),
+    (UndefinedMetricError, "metric"), (ShapeError, "shape"), (NumericalError, "numerical"),
+    (OSError, "io"), (MemoryError, "memory"), (ValueError, "argument"), (RuntimeError, "runtime"),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except PipelineError as exc:
+    except PipelineError as exc:  # a RuntimeError that names its stage
         return _fail("pipeline", f"stage={exc.stage}: {exc.cause}")
-    except ConfigError as exc:
-        return _fail("config", str(exc))
-    except CheckpointError as exc:
-        return _fail("checkpoint", str(exc))
-    except StructureError as exc:
-        return _fail("structure", str(exc))
-    except UndefinedMetricError as exc:
-        return _fail("metric", str(exc))
-    except ShapeError as exc:
-        return _fail("shape", str(exc))
-    except NumericalError as exc:
-        return _fail("numerical", str(exc))
-    except OSError as exc:
-        return _fail("io", str(exc))
-    except ValueError as exc:
-        return _fail("argument", str(exc))
-    except RuntimeError as exc:  # after PipelineError and NumericalError, which subclass it
-        return _fail("runtime", str(exc))
+    except tuple(t for t, _ in _ERROR_KINDS) as exc:
+        kind = next(k for t, k in _ERROR_KINDS if isinstance(exc, t))
+        return _fail(kind, str(exc) or type(exc).__name__)  # numpy's MemoryError may have no text
 
 
 def entrypoint() -> None:

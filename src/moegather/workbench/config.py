@@ -61,6 +61,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"task num_classes {self.task.num_classes} != model head width {self.arch.num_classes}"
             )
+        for name, loop in (("teach", self.teach), ("distill", self.distill)):
+            if loop.batch_size > self.task.train_size:
+                raise ConfigError(f"{name}.batch_size {loop.batch_size} exceeds task.train_size {self.task.train_size}")
         # fail early on bad gathering settings rather than mid-pipeline, for
         # every method: CLI `gather --method` may run one the config does not list
         for m in GATHER_METHODS:

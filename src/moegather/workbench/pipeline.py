@@ -5,9 +5,12 @@
 (a dense baseline), reference-inits, gather (a student per requested
 method), distill (every student) and evaluate (the summary).
 
-The stages run on up to two lanes, one per CPU the process may use
-(``os.sched_getaffinity``), at most two. The main lane is the calling
-process. The second lane is one worker process,
+The stages run on one lane per CPU the process may use
+(``os.sched_getaffinity``), at most two, each on one BLAS thread: importing
+``moegather`` pins it, since a thread per CPU in each lane made a run several
+times slower. A caller that imported numpy before ``moegather`` keeps its own
+thread count in the main lane; the worker imports ``moegather`` first. The
+main lane is the calling process. The second lane is one worker process,
 ``python -m moegather.workbench.worker``, that it starts and talks to over
 two private pipes:
 

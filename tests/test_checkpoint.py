@@ -137,8 +137,15 @@ _CAPPED_EVAL = """
 import resource, sys
 from moegather.workbench import cli
 resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
-sys.exit(cli.main(["eval", "--model", sys.argv[1]]))
+sys.exit(cli.main(["eval", "--model", *sys.argv[1:]]))
 """
+
+
+def _run_capped_eval(*args):
+    src = str(Path(moegather.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", _CAPPED_EVAL, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero") or sys.platform != "linux", reason="needs Linux and /dev/zero")
@@ -152,17 +159,23 @@ def test_unbounded_inputs_end_in_a_checkpoint_error_under_an_address_space_cap(c
     rewrite(huge_layout, lambda m: m.update(architecture=arch, tensors=huge_shapes))
     fifo = tmp_path / "fifo.ckpt"
     os.mkfifo(fifo)
-    src = str(Path(moegather.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for path, message in [("/dev/zero", "/dev/zero is not a regular file"),
                           (fifo, "fifo.ckpt is not a regular file"),
                           (huge_meta, "metadata block extends past end of file"),
                           (huge_layout, "but metadata declares")]:
-        run = subprocess.run([sys.executable, "-c", _CAPPED_EVAL, str(path)], env=env,
-                             capture_output=True, text=True, timeout=60)
+        run = _run_capped_eval(path)
         assert run.returncode == 1 and run.stderr.startswith("error: checkpoint: "), run.stderr
         assert message in run.stderr, run.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs Linux")
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_a_task_too_large_to_generate_is_a_memory_error_under_an_address_space_cap(ckpt, split):
+    task = {"kind": "gaussian_mixture", "num_classes": 2, "d_model": 4, "seq_len": 3,
+            "train_size": 10**13, "test_size": 10, "seed": 0}
+    rewrite(ckpt, lambda m: m.update(task=task))
+    run = _run_capped_eval(ckpt, "--split", split)  # both splits are generated, so both fail
+    assert run.returncode == 1 and run.stderr.startswith("error: memory: "), run.stderr
 
 
 def test_negative_shape(ckpt):

@@ -411,6 +411,17 @@ def test_a_repeated_gather_method_fails_at_load(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("block", ["teach", "distill"])
+def test_a_batch_larger_than_the_training_set_fails_at_load(tmp_path, capsys, block):
+    out_dir = tmp_path / "out"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(out_dir),
+                                  block: {**TINY_CONFIG[block], "batch_size": 500}}))
+    assert cli.main(["pipeline", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: config: {block}.batch_size 500 exceeds task.train_size 200\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("field,value", [
     ("modes_per_class", 1.5), ("modes_per_class", 0), ("train_size", 200.5), ("seq_len", 4.0),
     ("test_size", True),
