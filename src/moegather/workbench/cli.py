@@ -18,8 +18,7 @@ beside the command's own, and writes the same bytes on one CPU. Each process
 runs BLAS on one thread, which importing ``moegather`` sets, unless the caller
 set a BLAS thread variable such as ``OPENBLAS_NUM_THREADS``. Every
 command exits 0 on success and nonzero with an ``error: <kind>: ...``
-diagnostic on stderr otherwise. ``ONES_SEED`` overrides the config seed; a
-config that pins ``task.seed`` or ``teach.seed`` is then a config error.
+diagnostic on stderr otherwise.
 """
 
 from __future__ import annotations
@@ -115,8 +114,7 @@ def _cmd_distill(args) -> int:
 def _cmd_eval(args) -> int:
     model, meta = load_checkpoint(args.model)
     task = _task_from_meta(meta, args.model)
-    train, test = generate_dataset(task)
-    split = train if args.split == "train" else test
+    [split] = generate_dataset(task, splits=(args.split,))
     acc = evaluate_accuracy(model, split.tokens, split.labels)
     scores = {"accuracy": acc, "split": args.split, "n": len(split.labels), "model": args.model}
     payload = json.dumps(scores, indent=2, sort_keys=True) + "\n"
@@ -154,7 +152,7 @@ def _cmd_noise_scan(args) -> int:
     task = _task_from_meta(meta, args.teacher)
     if args.tokens < 1:
         raise ConfigError(f"--tokens must be at least 1, got {args.tokens}")
-    train, _ = generate_dataset(task)
+    [train] = generate_dataset(task, splits=("train",))
     tokens = train.tokens.reshape(-1, task.d_model)[: args.tokens]
     if len(tokens) < args.tokens:
         raise ConfigError(f"task provides only {len(tokens)} tokens, need {args.tokens}")

@@ -3,9 +3,8 @@
 A config bundles the teacher architecture, the synthetic task, training
 settings for the teach and distill stages, and the gathering choices. Two
 named profiles ship with the package: ``vision`` (alpha 0.25, SVD ratio 0.75)
-and ``nlp`` (alpha 0.75, SVD ratio 0.25). The environment variable
-``ONES_SEED`` overrides the config seed at load time; it refuses a config
-that pins ``task.seed`` or ``teach.seed``, which the override cannot reach.
+and ``nlp`` (alpha 0.75, SVD ratio 0.25). A run's seeds come from its
+config alone.
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ from ..model import Architecture
 from ..numerics import Rng, check_number
 from ..training import DistillConfig, TrainConfig
 from .data import SyntheticTaskSpec
-
-SEED_ENV_VAR = "ONES_SEED"
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
@@ -144,23 +140,6 @@ def default_config(seed: int = 0, out_dir: str | os.PathLike = ExperimentConfig.
     return config_from_dict(cfg)
 
 
-def _top_level_seed(raw: dict) -> int:
-    """The config's ``seed``, or ``ONES_SEED`` when that is set and the
-    config pins neither ``task.seed`` nor ``teach.seed``."""
-    text = os.environ.get(SEED_ENV_VAR)
-    for name in ("task", "teach"):
-        if text is not None and isinstance(raw.get(name), dict) and "seed" in raw[name]:
-            raise ConfigError(f"{SEED_ENV_VAR} is set, but the config pins {name}.seed, "
-                              "which the override would not reach")
-    # text that is not a non-negative integer stays text for check_number to report
-    seed = raw.get("seed", 0) if text is None else int(text) if text.strip().isdecimal() else text
-    try:
-        check_number("seed", seed, integer=True)
-    except ValueError as exc:
-        raise ConfigError(str(exc) if text is None else f"{SEED_ENV_VAR}: {exc}") from exc
-    return seed
-
-
 def _block(raw: dict, name: str) -> dict:
     """A copy of the config's ``name`` block, empty when absent."""
     block = raw.get(name, {})
@@ -176,7 +155,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raw = json.loads(json.dumps(raw))  # deep copy + reject non-JSON values
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"settings must be JSON values: {exc}") from exc
-    seed = _top_level_seed(raw)
+    seed = raw.get("seed", 0)
+    try:
+        check_number("seed", seed, integer=True)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     profile_name = "vision" if raw.get("profile") is None else raw["profile"]
     if not isinstance(profile_name, str) or profile_name not in PROFILES:
         raise ConfigError(f"unknown profile {profile_name!r}; available: {sorted(PROFILES)}")

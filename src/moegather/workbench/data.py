@@ -169,15 +169,18 @@ def _calibrate_mixture_scale(sampler: _MixtureSampler, spec: SyntheticTaskSpec) 
     return final
 
 
-def generate_dataset(spec: SyntheticTaskSpec) -> tuple[Dataset, Dataset]:
-    """Deterministic (train, test) pair; the two splits draw from disjoint
-    derived streams so they never share a sample."""
+def generate_dataset(spec: SyntheticTaskSpec, splits: tuple[str, ...] = ("train", "test")) -> tuple[Dataset, ...]:
+    """Deterministic splits of the task, in the order ``splits`` names them
+    ("train", "test" or both); the two draw from disjoint derived streams, so
+    they never share a sample, and each has the same bytes whichever others
+    are made with it."""
     sampler = _MixtureSampler(spec)
     scale = _calibrate_mixture_scale(sampler, spec)
     rng = Rng(spec.seed)
+    sizes = {"train": spec.train_size, "test": spec.test_size}
 
-    def make(n: int, stream: Rng) -> Dataset:
-        drawn = sampler.draw(n, stream)
+    def make(name: str) -> Dataset:
+        drawn = sampler.draw(sizes[name], rng.derive(name))
         return sampler.assemble(drawn, scale, out=drawn.noise)
 
-    return make(spec.train_size, rng.derive("train")), make(spec.test_size, rng.derive("test"))
+    return tuple(make(name) for name in splits)

@@ -319,27 +319,30 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
     with _stage("evaluate"):
         teacher_acc = teacher_result.final_heldout_acc
         dense_acc = dense_result.final_heldout_acc
-        rows = [("dense_scratch", dense_result, 0.0, None, None)]
-        for name, (_, init, report) in students.items():
-            result = results[name]
-            try:
-                benefits = moe_benefits(result.final_heldout_acc, dense_acc, teacher_acc)
+
+        def benefits(result: TrainResult) -> float | None:
+            """The variant's MoE benefits, or None where the ratio is undefined."""
+            try:  # + 0.0 writes a zero ratio over a negative gap as 0.0, not -0.0
+                return moe_benefits(result.final_heldout_acc, dense_acc, teacher_acc) + 0.0
             except UndefinedMetricError:
-                benefits = None
-            rows.append((name, result, benefits, init.name, report.name if report else None))
+                return None
+
+        rows = [("dense_scratch", dense_result, None, None)]
+        for name, (_, init, report) in students.items():
+            rows.append((name, results[name], init.name, report.name if report else None))
         variants = [
             {
                 "variant": name,
                 "seed": cfg.seed,
                 "accuracy": result.final_heldout_acc,
-                "benefits": benefits,
+                "benefits": benefits(result),
                 "checkpoint": f"{name}.ckpt",
                 "init_checkpoint": init,
                 "gather_report": report,
                 "flops_per_token": flops_per_token(result.model.blocks[0].stage),
                 "parameters": count_parameters(result.model),
             }
-            for name, result, benefits, init, report in rows
+            for name, result, init, report in rows
         ]
         summary = {
             "seed": cfg.seed,

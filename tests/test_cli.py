@@ -11,12 +11,12 @@ import jsonschema
 import numpy as np
 import pytest
 
-from moegather.metrics import noise_scan
+from moegather.metrics import UndefinedMetricError, noise_scan
 from moegather.workbench import cli
 from moegather.workbench import pipeline as pipeline_mod
 from moegather.workbench import worker as worker_mod
 from moegather.workbench.checkpoint import _HEADER, MAGIC, load_checkpoint, save_checkpoint
-from moegather.workbench.config import SEED_ENV_VAR, config_from_dict
+from moegather.workbench.config import config_from_dict
 from moegather.workbench.data import SyntheticTaskSpec, generate_dataset
 from moegather.workbench.pipeline import PipelineError, run_pipeline
 
@@ -61,25 +61,21 @@ def _run(argv, capsys):
 
 @pytest.fixture(scope="module")
 def pipe(tmp_path_factory):
-    """Directory of run_pipeline's artifacts for TINY_CONFIG, without a seed override."""
+    """Directory of run_pipeline's artifacts for TINY_CONFIG."""
     out = tmp_path_factory.mktemp("pipeline")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv(SEED_ENV_VAR, raising=False)
-        run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(out)}))
+    run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(out)}))
     return out
 
 
-def test_stage_commands_reproduce_the_pipeline(pipe, tmp_path, monkeypatch, capsys):
+def test_stage_commands_reproduce_the_pipeline(pipe, tmp_path, capsys):
     config = tmp_path / "c.json"
-    config.write_text(json.dumps(TINY_CONFIG))
-    for seed in (None, "7"):
-        if seed is None:
-            monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    for seed in (TINY_CONFIG["seed"], 7):
+        config.write_text(json.dumps({**TINY_CONFIG, "seed": seed}))
+        if seed == TINY_CONFIG["seed"]:
             want = pipe
-        else:  # the override reaches every stage through the config
-            monkeypatch.setenv(SEED_ENV_VAR, seed)
+        else:  # the seed reaches every stage through the config
             want = tmp_path / f"pipeline-{seed}"
-            run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(want)}))
+            run_pipeline(config_from_dict({**TINY_CONFIG, "seed": seed, "out_dir": str(want)}))
             assert (want / "teacher.ckpt").read_bytes() != (pipe / "teacher.ckpt").read_bytes()
         got = tmp_path / f"cli-{seed}"
         got.mkdir()
@@ -187,8 +183,7 @@ def test_scoring_commands_match_the_pipeline(pipe, tmp_path, capsys):
         assert out["parameters"] == entry["parameters"]
 
 
-def test_pipeline_command_writes_the_pipeline_artifacts(pipe, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_pipeline_command_writes_the_pipeline_artifacts(pipe, tmp_path, capsys):
     out_dir = tmp_path / "out"
     config = tmp_path / "c.json"
     config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(out_dir)}))
@@ -226,7 +221,6 @@ def workers(monkeypatch):
 
     monkeypatch.setattr(pipeline_mod, "_Worker", Recorded)
     monkeypatch.setattr(pipeline_mod, "_lane_count", lambda: 2)
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     return started
 
 
@@ -357,7 +351,6 @@ def test_a_failing_stage_is_named_and_keeps_what_earlier_stages_wrote(pipe, tmp_
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline_mod, callee, fail)
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     with pytest.raises(PipelineError) as info:
         run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(tmp_path / "lib")}))
     assert info.value.stage == stage
@@ -380,7 +373,6 @@ def test_no_student_shares_memory_with_the_teacher(tmp_path, monkeypatch):
         return real(student, teacher, dcfg, *args)
 
     monkeypatch.setattr(pipeline_mod, "distill_student", recording)
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     _one_lane(monkeypatch)
     run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(tmp_path)}))
     assert len(seen) == 3
@@ -389,17 +381,33 @@ def test_no_student_shares_memory_with_the_teacher(tmp_path, monkeypatch):
             assert not any(np.shares_memory(s, t) for t in teacher.tensors().values()), name
 
 
-def test_a_seed_override_cannot_reach_a_pinned_stage_seed(tmp_path, monkeypatch, capsys):
-    # a config.json that the pipeline wrote pins task.seed and teach.seed
-    config = tmp_path / "c.json"
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    config.write_text(json.dumps(config_from_dict(TINY_CONFIG).to_dict()))
-    monkeypatch.setenv(SEED_ENV_VAR, "7")
-    assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
-    assert capsys.readouterr().err == (
-        f"error: config: {SEED_ENV_VAR} is set, but the config pins task.seed, which the override would not reach\n"
-    )
-    assert not (tmp_path / "t.ckpt").exists()
+def _summary_with_benefits(tmp_path, monkeypatch, ratio):
+    """The summary.json and summary.csv rows of a one-lane run whose every
+    benefit ratio is ``ratio()``."""
+    monkeypatch.setattr(pipeline_mod, "moe_benefits", lambda *scores: ratio())
+    _one_lane(monkeypatch)
+    run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(tmp_path)}))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    pipeline_mod.validate_summary(summary)
+    return summary, list(csv.DictReader((tmp_path / "summary.csv").read_text().splitlines()))
+
+
+def test_an_undefined_benefit_ratio_is_null_for_every_variant(tmp_path, monkeypatch):
+    def undefined():
+        raise UndefinedMetricError("score_moe equals score_dense; benefit ratio undefined")
+
+    summary, rows = _summary_with_benefits(tmp_path, monkeypatch, undefined)
+    names = ["dense_scratch", "random_init_kd", "matched_copy_kd", "gather_svdkg"]
+    assert {v["variant"]: v["benefits"] for v in summary["variants"]} == dict.fromkeys(names)
+    assert {row["variant"]: row["benefits"] for row in rows} == dict.fromkeys(names, "")
+
+
+def test_a_zero_benefit_ratio_is_written_without_a_sign(tmp_path, monkeypatch):
+    # (dense - dense) / (moe - dense) with the teacher below dense-scratch is -0.0
+    summary, rows = _summary_with_benefits(tmp_path, monkeypatch, lambda: -0.0)
+    assert "-0.0" not in (tmp_path / "summary.json").read_text()
+    assert [v["benefits"] for v in summary["variants"]] == [0.0] * 4
+    assert [row["benefits"] for row in rows] == ["0.0"] * 4
 
 
 def test_a_repeated_gather_method_fails_at_load(tmp_path, capsys):
@@ -517,17 +525,14 @@ def test_retired_settings_are_config_errors(tmp_path, capsys, block, field, valu
     ("model", "d_ff", 0), ("model", "num_experts", "x"), ("model", "top_k", 1.5),
     ("task", "mode_spread", "x"), ("task", "token_noise", "x"), ("task", "probe_band", [0.9, 0.1]),
     ("gather", "svd_ratio", True),
-    # block None is the top level; block SEED_ENV_VAR sets that variable instead
+    # block None is the top level
     (None, "seed", [1]), (None, "seed", "3"), (None, "seed", 2.5), (None, "seed", True), (None, "seed", -1),
-    (SEED_ENV_VAR, "seed", "abc"), (SEED_ENV_VAR, "seed", "-1"),
     ("teach", "seed", "x"), ("task", "seed", 2.5), ("gather", "svd_ratio", "0.5"),
     ("gather", "svd_ratio", 0), ("gather", "svd_ratio", 1.5), ("gather", "svd_ratio", float("nan")),
 ])
-def test_numeric_settings_must_be_valid(tmp_path, monkeypatch, capsys, block, field, value):
+def test_numeric_settings_must_be_valid(tmp_path, capsys, block, field, value):
     raw = dict(TINY_CONFIG)
-    if block == SEED_ENV_VAR:
-        monkeypatch.setenv(SEED_ENV_VAR, value)
-    elif block is None:
+    if block is None:
         raw[field] = value
     else:
         raw[block] = {**raw[block], field: value}

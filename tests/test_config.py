@@ -8,18 +8,12 @@ from moegather.model import build_classifier
 from moegather.numerics import Rng
 from moegather.workbench.config import (
     PROFILES,
-    SEED_ENV_VAR,
     ConfigError,
     config_from_dict,
     default_config,
     derive_seed,
     load_config,
 )
-
-
-@pytest.fixture(autouse=True)
-def no_seed_override(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
 
 
 @pytest.mark.parametrize("profile", sorted(PROFILES))
@@ -43,19 +37,26 @@ def test_profiles_set_alpha_and_svd_ratio_unless_given():
     assert (explicit.distill.alpha, explicit.svd_ratio) == (0.5, 0.25)
 
 
-def test_seed_env_var_overrides_the_seed_and_every_derived_seed(monkeypatch):
+def test_the_config_seed_reaches_every_derived_seed():
     raw = default_config().to_dict()
     for block in ("task", "teach"):
         del raw[block]["seed"]  # derived from the top-level seed
-    want = config_from_dict({**raw, "seed": 7})
-    monkeypatch.setenv(SEED_ENV_VAR, "7")
-    got = config_from_dict({**raw, "seed": 0})
-    assert got.to_dict() == want.to_dict()
+    got = config_from_dict({**raw, "seed": 7})
     assert got.seed == 7
     assert got.task.seed == derive_seed(7, "task")
     assert got.teach.seed == derive_seed(7, "teach")
     assert all(got.gather_config(m).seed == derive_seed(7, f"gather-{m}") for m in got.gather_methods)
     assert got.distill_config("gather_svdkg").seed == derive_seed(7, "distill-gather_svdkg")
+
+
+def test_a_leftover_ones_seed_variable_changes_nothing(monkeypatch):
+    # ONES_SEED once overrode the config seed; a shell that still sets it must not move a run
+    raw = {**default_config().to_dict(), "seed": 7}
+    for block in ("task", "teach"):
+        del raw[block]["seed"]  # so that every seed derives from the top-level one
+    want = config_from_dict(raw).to_dict()
+    monkeypatch.setenv("ONES_SEED", "3")
+    assert config_from_dict(raw).to_dict() == want
 
 
 def test_out_dir_may_be_a_path(tmp_path):

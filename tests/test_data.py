@@ -52,3 +52,16 @@ def test_mixture_matches_the_per_probe_reference(overrides):
     assert data._calibrate_mixture_scale(data._MixtureSampler(spec), spec) == scale
     for got, ref in zip(generate_dataset(spec), want):
         assert np.array_equal(got.tokens, ref.tokens) and np.array_equal(got.labels, ref.labels)
+
+
+@pytest.mark.parametrize("splits", [("train",), ("test",), ("test", "train")], ids="-".join)
+def test_named_splits_have_the_bytes_of_the_pair_and_calibrate_once(monkeypatch, splits):
+    spec = SyntheticTaskSpec(kind="gaussian_mixture", num_classes=3, d_model=6, seq_len=4,
+                             train_size=120, test_size=30, seed=5)
+    pair = dict(zip(("train", "test"), generate_dataset(spec)))
+    calls, real = [], data._calibrate_mixture_scale
+    monkeypatch.setattr(data, "_calibrate_mixture_scale", lambda *a: calls.append(None) or real(*a))
+    got = generate_dataset(spec, splits=splits)
+    assert len(calls) == 1 and len(got) == len(splits)
+    for name, ds in zip(splits, got):
+        assert np.array_equal(ds.tokens, pair[name].tokens) and np.array_equal(ds.labels, pair[name].labels)
