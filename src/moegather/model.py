@@ -116,17 +116,8 @@ def _gelu_with_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, dy
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x, 0.0)
-
-
-def _relu_with_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mask = x > 0.0
-    return np.where(mask, x, 0.0), mask.astype(np.float64)
-
-
-_ACTIVATIONS = {"gelu": _gelu, "relu": _relu}
-_ACTIVATIONS_WITH_GRAD = {"gelu": _gelu_with_grad, "relu": _relu_with_grad}
+_ACTIVATIONS = {"gelu": _gelu}
+_ACTIVATIONS_WITH_GRAD = {"gelu": _gelu_with_grad}
 
 
 def _lookup(table: dict, name: str):

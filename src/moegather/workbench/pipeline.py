@@ -12,14 +12,14 @@ times slower. A caller that imported numpy before ``moegather`` keeps its own
 thread count in the main lane; the worker imports ``moegather`` first. The
 main lane is the calling process. The second lane is one worker process,
 ``python -m moegather.workbench.worker``, that it starts and talks to over
-two private pipes:
+the worker's stdin and stdout:
 
 * while the main lane makes the dataset and trains the teacher, the worker
   makes its own copy of the dataset from ``cfg.task`` and trains
   dense-scratch;
 * after gather, the main lane distills the first half of the students and
-  the worker the second half, loading the teacher and the students' initial
-  models from the checkpoints the main lane has written.
+  the worker the second half; its task carries the teacher and those
+  students' initial models.
 
 Each lane keeps its own teacher-logit memo and fills only the rows its
 students visit; a memo row has the same bits whichever rows fill it with it,
@@ -34,7 +34,7 @@ then holds what the one-lane run holds when that stage fails: the files of
 the earlier stages and, in distill, those of the students before the first
 one without a result (a dead worker returns none of its half). The worker has exited when ``run_pipeline`` returns or
 raises: it is killed at once on a failure, and otherwise given
-``_WORKER_EXIT_S`` to exit after its task pipe closes. It holds its own
+``_WORKER_EXIT_S`` to exit after its stdin closes. It holds its own
 dataset, the teacher and its students, about as much memory as the main
 process.
 
@@ -68,7 +68,7 @@ from ..metrics import NoiseScanRow, UndefinedMetricError, flops_per_token, moe_b
 from ..model import Architecture, ClassifierModel, build_classifier, count_parameters, model_from_tensors
 from ..numerics import Rng
 from ..training import TeacherLogits, TrainConfig, TrainResult, distill_student, train_classifier
-from .checkpoint import file_sha256, load_checkpoint, save_checkpoint
+from .checkpoint import file_sha256, save_checkpoint
 from .config import ExperimentConfig, derive_seed
 from .data import generate_dataset
 
@@ -163,7 +163,7 @@ def _dense_scratch(cfg: ExperimentConfig) -> tuple[Architecture, TrainConfig]:
 
 # -- the second lane ---------------------------------------------------------
 
-_WORKER_EXIT_S = 10.0  # how long an idle worker may take to exit once its task pipe closes
+_WORKER_EXIT_S = 10.0  # how long an idle worker may take to exit once its stdin closes
 
 
 def _lane_count() -> int:
@@ -182,17 +182,16 @@ def _dense_lane(cfg: ExperimentConfig):
     yield train_stage(*_dense_scratch(cfg), _lane_dataset(cfg.task))
 
 
-def _distill_lane(cfg: ExperimentConfig, teacher_path: Path, inits: dict[str, Path]):
-    """The worker's half of distill (``inits``: student name -> its init checkpoint)."""
-    teacher, _ = load_checkpoint(teacher_path)
-    students = {name: load_checkpoint(path)[0] for name, path in inits.items()}
+def _distill_lane(cfg: ExperimentConfig, teacher: ClassifierModel, students: dict[str, ClassifierModel]):
+    """The worker's half of distill (``students``: name -> initial model)."""
     yield from distill_stage(cfg, teacher, students, _lane_dataset(cfg.task))
 
 
 class _Worker:
     """The second lane: a ``python -m moegather.workbench.worker`` process,
-    started by the first ``submit``, and the two private pipes to it. The
-    process has exited when the ``with`` block ends."""
+    started by the first ``submit``, that reads tasks from its stdin and
+    writes replies to its stdout. The process has exited when the ``with``
+    block ends."""
 
     def __init__(self):
         self.proc: subprocess.Popen | None = None
@@ -202,14 +201,14 @@ class _Worker:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         """End the process: at once when the block raised, otherwise by closing
-        its task pipe and killing it if it has not exited ``_WORKER_EXIT_S`` later."""
+        its stdin and killing it if it has not exited ``_WORKER_EXIT_S`` later."""
         if self.proc is None:
             return
         if exc_type is not None:
             self.proc.kill()
         with suppress(OSError):  # bytes a failed send left in the buffer cannot be flushed
-            self._tasks.close()
-        self._replies.close()
+            self.proc.stdin.close()
+        self.proc.stdout.close()
         try:
             self.proc.wait(timeout=_WORKER_EXIT_S)
         except subprocess.TimeoutExpired:
@@ -221,40 +220,27 @@ class _Worker:
         of this module, such as ``_dense_lane``."""
         if self.proc is None:
             self._start()
-        pickle.dump((fn, args), self._tasks)
-        self._tasks.flush()
+        pickle.dump((fn, args), self.proc.stdin)
+        self.proc.stdin.flush()
 
     def _start(self) -> None:
-        task_r, task_w = os.pipe()
-        reply_r, reply_w = os.pipe()
         # the worker imports moegather from where this process did (a caller may have put it on sys.path)
         root = str(Path(__file__).resolve().parents[2])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))}
-        try:
-            self.proc = subprocess.Popen(
-                [sys.executable, "-m", "moegather.workbench.worker", str(task_r), str(reply_w)],
-                pass_fds=(task_r, reply_w), stdin=subprocess.DEVNULL, env=env,
-            )
-        except BaseException:
-            os.close(task_w)
-            os.close(reply_r)
-            raise
-        finally:
-            os.close(task_r)
-            os.close(reply_w)
-        self._tasks, self._replies = os.fdopen(task_w, "wb"), os.fdopen(reply_r, "rb")
+        self.proc = subprocess.Popen([sys.executable, "-m", "moegather.workbench.worker"],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
 
     def results(self):
         """Yield what the oldest unread task yielded, then raise the error
         that ended it, if any."""
         try:
-            items, error = pickle.load(self._replies)
-        except (EOFError, pickle.UnpicklingError):  # the worker died before or while replying
+            items, error = pickle.load(self.proc.stdout)
+        except (EOFError, pickle.UnpicklingError):  # the worker died before or while replying, or garbled it
+            self.proc.stdin.close()  # a worker still alive reads the end of its tasks and exits
             raise RuntimeError(f"the worker process ended with exit status {self.proc.wait()}") from None
         yield from items
         if error is not None:
             raise error
-
 
 
 def run_pipeline(cfg: ExperimentConfig) -> dict:
@@ -276,8 +262,8 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
         with _stage("teach"):
             teacher_result = train_stage(cfg.arch, cfg.teach, data)
             save_trained(teacher_result, cfg.teach, cfg.checkpoint_meta("teacher"), out / "teacher.ckpt")
+            teacher_hash = file_sha256(out / "teacher.ckpt")
         teacher = teacher_result.model
-        teacher_hash = file_sha256(out / "teacher.ckpt")
 
         with _stage("dense-scratch"):
             [dense_result] = worker.results() if worker else [train_stage(dense_arch, dense_tc, data)]
@@ -307,7 +293,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
             half = (len(names) + 1) // 2 if worker else len(names)
             mine, theirs = names[:half], names[half:]
             if theirs:
-                worker.submit(_distill_lane, cfg, out / "teacher.ckpt", {name: students[name][1] for name in theirs})
+                worker.submit(_distill_lane, cfg, teacher, {name: students[name][0] for name in theirs})
             trained = zip(mine, distill_stage(cfg, teacher, {name: students[name][0] for name in mine}, data))
             if theirs:  # read once the main lane's students are written
                 trained = chain(trained, zip(theirs, worker.results()))

@@ -1,12 +1,12 @@
 """Worker process of ``run_pipeline``'s second lane.
 
-    python -m moegather.workbench.worker TASK_FD REPLY_FD
+    python -m moegather.workbench.worker
 
-Reads pickled ``(function, args)`` tasks from the pipe ``TASK_FD`` until the
-pipe closes; each ``function(*args)`` is a generator. For each task it writes
-one pickled ``(items, error)`` reply to the pipe ``REPLY_FD``: the items the
-generator yielded, and the exception that ended it early, or None. Only the
-process that started the worker holds the other ends of both pipes.
+Reads pickled ``(function, args)`` tasks from stdin until it closes; each
+``function(*args)`` is a generator. For each task it writes one pickled
+``(items, error)`` reply to stdout: the items the generator yielded, and the
+exception that ended it early, or None. Anything else written to stdout, by
+the worker or a library it calls, goes to stderr instead.
 """
 
 from __future__ import annotations
@@ -25,22 +25,24 @@ def _portable(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def serve(task_fd: int, reply_fd: int) -> None:
+def serve(tasks, replies) -> None:
+    """Answer each task read from the binary stream ``tasks`` on ``replies``."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the parent, which ends this process
-    with os.fdopen(task_fd, "rb") as tasks, os.fdopen(reply_fd, "wb") as replies:
-        while True:
-            try:
-                fn, args = pickle.load(tasks)
-            except EOFError:
-                return
-            items, error = [], None
-            try:
-                items.extend(fn(*args))  # keeps what was yielded before a failure
-            except Exception as exc:
-                error = _portable(exc)
-            pickle.dump((items, error), replies)
-            replies.flush()
+    while True:
+        try:
+            fn, args = pickle.load(tasks)
+        except EOFError:
+            return
+        items, error = [], None
+        try:
+            items.extend(fn(*args))  # keeps what was yielded before a failure
+        except Exception as exc:
+            error = _portable(exc)
+        pickle.dump((items, error), replies)
+        replies.flush()
 
 
 if __name__ == "__main__":
-    serve(int(sys.argv[1]), int(sys.argv[2]))
+    with os.fdopen(os.dup(1), "wb") as replies:
+        os.dup2(2, 1)  # fd 1 now reaches stderr, so nothing printed can land in a reply
+        serve(sys.stdin.buffer, replies)

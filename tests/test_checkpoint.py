@@ -91,6 +91,13 @@ def test_architecture_recording_parameter_sharing(ckpt):
         load_checkpoint(ckpt)
 
 
+def test_architecture_recording_relu(ckpt):
+    # checkpoints written while ReLU was an activation
+    rewrite(ckpt, lambda m: m["architecture"].update(activation="relu"))
+    with pytest.raises(SchemaError, match="bad architecture block: unknown activation 'relu'"):
+        load_checkpoint(ckpt)
+
+
 def test_oversized_architecture_rejected_before_allocation(ckpt):
     # shapes still match the payload; building this architecture would need terabytes
     rewrite(ckpt, lambda m: m["architecture"].update(d_model=10**6))

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import pickle
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from moegather.metrics import UndefinedMetricError, noise_scan
+from moegather.model import ClassifierModel, state_hash
 from moegather.workbench import cli
 from moegather.workbench import pipeline as pipeline_mod
 from moegather.workbench import worker as worker_mod
@@ -245,6 +247,7 @@ WORKER_FAILURES = {
     "raises": ("raise RuntimeError('worker lane failed')", "worker lane failed"),
     "killed": ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)",
                "the worker process ended with exit status -9"),
+    "prints": ("print('stray'); raise RuntimeError('worker lane failed')", "worker lane failed"),
 }
 
 
@@ -286,6 +289,23 @@ def test_a_failing_worker_is_named_and_leaves_the_one_lane_files(tmp_path, monke
     _assert_same_files(tmp_path / "two", tmp_path / "one")
 
 
+def test_the_distill_task_carries_the_models_not_their_checkpoints(tmp_path, monkeypatch, workers):
+    tasks, submit = [], pipeline_mod._Worker.submit
+
+    def recording(self, fn, *args):
+        tasks.append((fn, args))
+        submit(self, fn, *args)
+
+    monkeypatch.setattr(pipeline_mod._Worker, "submit", recording)
+    run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(tmp_path)}))
+    assert [fn for fn, _ in tasks] == [pipeline_mod._dense_lane, pipeline_mod._distill_lane]
+    _, teacher, students = tasks[1][1]
+    assert list(students) == ["gather_svdkg"]  # the second half of TINY_CONFIG's three students
+    for model, path in [(teacher, "teacher.ckpt"), (students["gather_svdkg"], "gather_svdkg.init.ckpt")]:
+        assert isinstance(model, ClassifierModel)
+        assert state_hash(model) == state_hash(load_checkpoint(tmp_path / path)[0]), path
+
+
 def test_a_main_lane_failure_kills_the_busy_worker(tmp_path, monkeypatch, workers):
     def fail(*args, **kwargs):
         raise RuntimeError("train_classifier failed")
@@ -317,11 +337,24 @@ def test_the_worker_sends_an_error_that_does_not_survive_pickling_as_its_text():
     assert (type(error), str(error)) == (RuntimeError, "_TwoArgumentError: 1 and 2")
 
 
+def test_what_the_worker_prints_reaches_stderr_and_not_its_replies(capfd):
+    with pipeline_mod._Worker() as worker:
+        worker.submit(exec, "print('stray', flush=True); print('end')")
+        worker.proc.stdin.close()
+        replies = io.BytesIO(worker.proc.stdout.read())  # the worker exits once its stdin closes
+    assert worker.proc.returncode == 0
+    items, error = pickle.load(replies)
+    assert not replies.read()  # one reply and nothing else
+    assert (items, type(error)) == ([], TypeError)  # exec is no generator function
+    assert capfd.readouterr().err == "stray\nend\n"
+
+
 # each stage of run_pipeline, the callee on pipeline_mod made to fail at its n-th call there, and the
 # files the stage writes for TINY_CONFIG
 STAGES = [
     ("data", "generate_dataset", 1, []),
     ("teach", "train_classifier", 1, ["teacher.ckpt", "teacher.log.csv"]),
+    ("teach", "file_sha256", 1, []),
     ("dense-scratch", "train_classifier", 2, ["dense_scratch.ckpt", "dense_scratch.log.csv"]),
     ("reference-inits", "model_from_tensors", 1, ["random_init_kd.init.ckpt", "matched_copy_kd.init.ckpt"]),
     ("gather", "build_student", 1, ["gather_svdkg.init.ckpt", "gather_svdkg.report.json"]),
@@ -336,7 +369,12 @@ def _written(stages) -> list[str]:
     return sorted(["config.json", *(name for *_, names in stages for name in names)])
 
 
-@pytest.mark.parametrize("index", range(len(STAGES)), ids=[stage for stage, *_ in STAGES])
+# a stage's name, plus the failing callee where an earlier entry names the same stage
+STAGE_IDS = [stage if stage not in [s for s, *_ in STAGES[:i]] else f"{stage}-{callee}"
+             for i, (stage, callee, *_) in enumerate(STAGES)]
+
+
+@pytest.mark.parametrize("index", range(len(STAGES)), ids=STAGE_IDS)
 def test_a_failing_stage_is_named_and_keeps_what_earlier_stages_wrote(pipe, tmp_path, monkeypatch, capsys, index):
     assert sorted(p.name for p in pipe.iterdir()) == _written(STAGES)
     _one_lane(monkeypatch)
@@ -507,6 +545,7 @@ def test_retired_task_settings_are_config_errors(tmp_path, capsys, field, value)
 @pytest.mark.parametrize("block,field,value", [
     ("teach", "balance_coeff", 0.01), ("distill", "temperature", 1.0), ("model", "router_noise_std", 0.25),
     ("distill", "seed", -1), ("distill", "seed", 0), ("distill", "mode", "soft"), ("model", "parameter_sharing", True),
+    ("model", "activation", "relu"),
 ])
 def test_retired_settings_are_config_errors(tmp_path, capsys, block, field, value):
     # these settings are constants or removed; a config that sets one, even to its value, is an error
