@@ -7,10 +7,9 @@ probabilities of the selected experts (and, separately, through every gate
 probability via the balance loss, which is a direct function of them).
 
 A training run draws its whole batch schedule before the first step.
-Distillation reads the frozen teacher's logits from a :class:`TeacherLogits`
-memo, which forwards each training row once per memo, so students that share
-a memo share the teacher's work and the teacher stays out of the training
-loop.
+Distillation reads the frozen teacher's logits from one array that
+:func:`forward_teacher` fills before training, so the teacher stays out of
+the training loop, and students given one array share the teacher's work.
 
 Adam keeps each moment of all parameters in one flat buffer
 (:class:`AdamState`), laid out in parameter order. A step checks the
@@ -406,7 +405,7 @@ def _measure_balance(model: ClassifierModel, tokens: np.ndarray) -> float:
     return _pooled_balance(cache)[0]
 
 
-def _batch_schedule(cfg: TrainConfig, n: int) -> np.ndarray:
+def batch_schedule(cfg: TrainConfig, n: int) -> np.ndarray:
     """Row indices of every step's batch, shape ``(cfg.steps, cfg.batch_size)``.
 
     Each pass over the ``n`` training rows is a fresh permutation from the
@@ -423,50 +422,25 @@ def _batch_schedule(cfg: TrainConfig, n: int) -> np.ndarray:
     return rows.reshape(-1, batch_size)[: cfg.steps]
 
 
-class TeacherLogits:
-    """Memo of one frozen teacher's noise-free logits over one training split.
+def forward_teacher(teacher: ClassifierModel, tokens: np.ndarray, rows: np.ndarray, batch_size: int) -> np.ndarray:
+    """The frozen teacher's noise-free logits of ``rows`` of ``tokens``; every
+    other row is NaN, so a training step that reads one has a non-finite loss.
 
-    ``fill`` forwards the rows of a batch schedule that the memo does not
-    hold yet, in first-visit order and in chunks of exactly the schedule's
-    batch size, and stores only those rows. A row's logits have the same bits
-    in any batch of that size, at any position, so a memo row equals what a
-    teacher forward of each training batch would give. Batches of other
-    sizes (a lone row, say) can differ in the last bit; hence the last chunk
-    is padded with other rows rather than forwarded short.
+    The distinct rows go through the teacher in chunks of exactly
+    ``batch_size``: a row's logits have the same bits in any batch of that
+    size, at any position, but can differ in the last bit in a batch of
+    another size (a lone row, say), so the last chunk is padded with rows
+    outside it rather than forwarded short.
     """
-
-    def __init__(self, teacher: ClassifierModel, train, batch_size: int):
-        n = len(train.labels)
-        self.teacher_hash = state_hash(teacher)
-        self.tokens = train.tokens
-        self.batch_size = batch_size
-        self.logits = np.zeros((n, teacher.arch.num_classes))
-        self.filled = np.zeros(n, dtype=bool)
-
-    def fill(self, teacher: ClassifierModel, train, batches: np.ndarray) -> None:
-        """Make every row of ``batches`` (a ``_batch_schedule``) available in
-        ``self.logits``."""
-        if state_hash(teacher) != self.teacher_hash:
-            raise ValueError("teacher-logit memo: built for another teacher (state_hash differs)")
-        if train.tokens is not self.tokens and not np.array_equal(train.tokens, self.tokens):
-            raise ValueError("teacher-logit memo: built for another training split")
-        batch_size = batches.shape[1]
-        if batch_size != self.batch_size:
-            raise ValueError(
-                f"teacher-logit memo: built for batch_size {self.batch_size}, got batch_size {batch_size}"
-            )
-        visits = batches.ravel()
-        _, first = np.unique(visits, return_index=True)
-        new = visits[np.sort(first)]
-        new = new[~self.filled[new]]
-        for start in range(0, len(new), batch_size):
-            chunk = rows = new[start : start + batch_size]
-            if len(chunk) < batch_size:
-                pad = np.setdiff1d(np.arange(len(self.filled)), chunk)[: batch_size - len(chunk)]
-                rows = np.concatenate([chunk, pad])
-            logits, _ = forward_batch(teacher, self.tokens[rows], rng=None)
-            self.logits[chunk] = logits[: len(chunk)]
-        self.filled[new] = True
+    logits = np.full((len(tokens), teacher.arch.num_classes), np.nan)
+    rows = np.unique(rows)
+    for start in range(0, len(rows), batch_size):
+        chunk = batch = rows[start : start + batch_size]
+        if len(chunk) < batch_size:
+            pad = np.setdiff1d(np.arange(len(tokens)), chunk)[: batch_size - len(chunk)]
+            batch = np.concatenate([chunk, pad])
+        logits[chunk] = forward_batch(teacher, tokens[batch], rng=None)[0][: len(chunk)]
+    return logits
 
 
 def _run_training(model: ClassifierModel, cfg: TrainConfig, data, batches: np.ndarray, *,
@@ -522,27 +496,25 @@ def train_classifier(model: ClassifierModel, cfg: TrainConfig, data) -> TrainRes
     """Supervised training on the task loss; MoE models add the balance
     penalty and exploration noise, dense models train plain."""
     balance = BALANCE_COEFF if model.arch.stage == "moe" else 0.0
-    return _run_training(model, cfg, data, _batch_schedule(cfg, len(data[0].labels)), balance_coeff=balance)
+    return _run_training(model, cfg, data, batch_schedule(cfg, len(data[0].labels)), balance_coeff=balance)
 
 
 def distill_student(student: ClassifierModel, teacher: ClassifierModel,
-                    cfg: DistillConfig, data, memo: TeacherLogits | None = None) -> TrainResult:
+                    cfg: DistillConfig, data, teacher_logits: np.ndarray | None = None) -> TrainResult:
     """Refine the student against the frozen teacher.
 
-    Before the first step, ``memo`` forwards the teacher, noise-free, over
-    the rows of this run's batch schedule that it does not hold yet; pass one
-    memo to every student of a run (same teacher, training split and
-    ``batch_size``) to forward each row once. Without one, the student gets a
-    memo of its own. The teacher is verified bit-identical before and after
-    training.
+    ``teacher_logits`` are ``forward_teacher``'s over at least this run's
+    batch schedule at ``cfg.batch_size``; one array serves every student
+    whose schedule it covers. Without them the teacher is forwarded over
+    this run's schedule. The teacher is verified bit-identical before and
+    after training.
     """
     teacher_before = state_hash(teacher)
     train = data[0]
-    batches = _batch_schedule(cfg, len(train.labels))
-    if memo is None:
-        memo = TeacherLogits(teacher, train, cfg.batch_size)
-    memo.fill(teacher, train, batches)
-    result = _run_training(student, cfg, data, batches, teacher_logits=memo.logits)
+    batches = batch_schedule(cfg, len(train.labels))
+    if teacher_logits is None:
+        teacher_logits = forward_teacher(teacher, train.tokens, batches, cfg.batch_size)
+    result = _run_training(student, cfg, data, batches, teacher_logits=teacher_logits)
     if state_hash(teacher) != teacher_before:
         raise RuntimeError("teacher weights changed during distillation")
     return result

@@ -140,6 +140,13 @@ def default_config(seed: int = 0, out_dir: str | os.PathLike = ExperimentConfig.
     return config_from_dict(cfg)
 
 
+def _check_known(block: dict, known: tuple[str, ...], prefix: str = "") -> None:
+    """Reject a key outside ``known``, so that a misspelt setting is no silent default."""
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"unknown setting {prefix + key!r}; expected one of {list(known)}")
+
+
 def _block(raw: dict, name: str) -> dict:
     """A copy of the config's ``name`` block, empty when absent."""
     block = raw.get(name, {})
@@ -155,6 +162,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raw = json.loads(json.dumps(raw))  # deep copy + reject non-JSON values
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"settings must be JSON values: {exc}") from exc
+    _check_known(raw, ("seed", "out_dir", "profile", "model", "task", "teach", "distill", "gather"))
     seed = raw.get("seed", 0)
     try:
         check_number("seed", seed, integer=True)
@@ -188,6 +196,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     distill_d.setdefault("alpha", profile["alpha"])
 
     gather_d = _block(raw, "gather")
+    _check_known(gather_d, ("methods", "svd_ratio", "bias_policy"), "gather.")
     methods = gather_d.get("methods", list(GATHER_METHODS))
     if not isinstance(methods, list):
         raise ConfigError(f"gather methods must be a list of method names, got {methods!r}")

@@ -21,22 +21,22 @@ the worker's stdin and stdout:
   the worker the second half; its task carries the teacher and those
   students' initial models.
 
-Each lane keeps its own teacher-logit memo and fills only the rows its
-students visit; a memo row has the same bits whichever rows fill it with it,
-so the split changes no result. The worker writes no file: it returns each
-``TrainResult``, and the main process writes every file in stage order.
-With one CPU the same stage functions run inline, in that order, and every
-file has the same bytes either way.
+Each lane forwards the teacher once, over the union of its students'
+batch schedules; a row's teacher logits have the same bits whichever rows
+share its batch, so the split changes no result. The worker writes no file:
+it returns each ``TrainResult``, and the main process writes every file in
+stage order. With one CPU the same stage functions run inline, in that
+order, and every file has the same bytes either way.
 
 A failing stage raises ``PipelineError`` with its name, on either lane; a
 worker that dies fails the stage that waits for it. The output directory
 then holds what the one-lane run holds when that stage fails: the files of
 the earlier stages and, in distill, those of the students before the first
-one without a result (a dead worker returns none of its half). The worker has exited when ``run_pipeline`` returns or
-raises: it is killed at once on a failure, and otherwise given
-``_WORKER_EXIT_S`` to exit after its stdin closes. It holds its own
-dataset, the teacher and its students, about as much memory as the main
-process.
+one without a result (a dead worker returns none of its half). The worker
+has exited when ``run_pipeline`` returns or raises: it is killed at once on
+a failure, and otherwise given ``_WORKER_EXIT_S`` to exit after its stdin
+closes. It holds its own dataset, the teacher and its students, about as
+much memory as the main process.
 
 The two reference initializations isolate what gathering contributes:
 
@@ -62,12 +62,13 @@ from itertools import chain
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 from ..gather import GatherConfig, build_student, matched_tensors
 from ..metrics import NoiseScanRow, UndefinedMetricError, flops_per_token, moe_benefits
 from ..model import Architecture, ClassifierModel, build_classifier, count_parameters, model_from_tensors
 from ..numerics import Rng
-from ..training import TeacherLogits, TrainConfig, TrainResult, distill_student, train_classifier
+from ..training import TrainConfig, TrainResult, batch_schedule, distill_student, forward_teacher, train_classifier
 from .checkpoint import file_sha256, save_checkpoint
 from .config import ExperimentConfig, derive_seed
 from .data import generate_dataset
@@ -127,12 +128,14 @@ def train_stage(arch: Architecture, tc: TrainConfig, data) -> TrainResult:
 
 
 def distill_stage(cfg: ExperimentConfig, teacher: ClassifierModel, students: dict[str, ClassifierModel], data):
-    """Compute half of the distill stage: yield the result of refining each
-    of ``students`` (name -> initial model), in order, on the settings
-    ``cfg.distill_config(name)``. They all read one teacher-logit memo."""
-    memo = TeacherLogits(teacher, data[0], cfg.distill.batch_size)
+    """Compute half of the distill stage: forward the teacher once over the
+    union of the batch schedules of ``students`` (name -> initial model),
+    then yield the result of refining each, in order, on the settings
+    ``cfg.distill_config(name)``."""
+    rows = np.concatenate([batch_schedule(cfg.distill_config(name), len(data[0].labels)) for name in students])
+    logits = forward_teacher(teacher, data[0].tokens, rows, cfg.distill.batch_size)
     for name, student in students.items():
-        yield distill_student(student, teacher, cfg.distill_config(name), data, memo)
+        yield distill_student(student, teacher, cfg.distill_config(name), data, logits)
 
 
 def save_trained(result: TrainResult, tc: TrainConfig, meta: dict, path) -> None:

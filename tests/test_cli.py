@@ -12,8 +12,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+from moegather import training
 from moegather.metrics import UndefinedMetricError, noise_scan
 from moegather.model import ClassifierModel, state_hash
+from moegather.training import batch_schedule
 from moegather.workbench import cli
 from moegather.workbench import pipeline as pipeline_mod
 from moegather.workbench import worker as worker_mod
@@ -240,6 +242,32 @@ def test_two_lanes_write_the_bytes_of_one(tmp_path, monkeypatch, workers):
     run_pipeline(config_from_dict({**raw, "out_dir": str(tmp_path / "one")}))
     assert len(workers) == 1
     _assert_same_files(tmp_path / "two", tmp_path / "one")
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_a_lane_forwards_the_teacher_once_over_its_students_schedules(tmp_path, monkeypatch, request, lanes):
+    workers = request.getfixturevalue("workers") if lanes == 2 else []
+    if lanes == 1:
+        _one_lane(monkeypatch)
+    real_forward, real_stage, forwards = training.forward_batch, pipeline_mod.distill_stage, []
+
+    def counting(model, tokens, *args, **kwargs):
+        forwards.append((model.arch.stage, len(tokens)))
+        return real_forward(model, tokens, *args, **kwargs)
+
+    def distill_stage(*args):
+        forwards.clear()  # count the main lane's forwards from its distill stage on
+        return real_stage(*args)
+
+    monkeypatch.setattr(training, "forward_batch", counting)
+    monkeypatch.setattr(pipeline_mod, "distill_stage", distill_stage)
+    cfg = config_from_dict({**TINY_CONFIG, "gather": {"methods": ["sum", "svdkg"]}, "out_dir": str(tmp_path)})
+    run_pipeline(cfg)
+    assert len(workers) == lanes - 1
+    mine = ["random_init_kd", "matched_copy_kd", "gather_sum", "gather_svdkg"][: 4 // lanes]
+    union = np.unique([batch_schedule(cfg.distill_config(name), cfg.task.train_size) for name in mine])
+    b = cfg.distill.batch_size
+    assert [size for stage, size in forwards if stage == "moe"] == [b] * -(-len(union) // b)
 
 
 # what the worker runs in place of its stage task, and the error the stage then fails with
@@ -546,11 +574,18 @@ def test_retired_task_settings_are_config_errors(tmp_path, capsys, field, value)
     ("teach", "balance_coeff", 0.01), ("distill", "temperature", 1.0), ("model", "router_noise_std", 0.25),
     ("distill", "seed", -1), ("distill", "seed", 0), ("distill", "mode", "soft"), ("model", "parameter_sharing", True),
     ("model", "activation", "relu"),
+    # misspelt or unknown settings; block None is the top level
+    (None, "profle", "nlp"), (None, "sead", 3), ("gather", "svd_ration", 0.5), ("gather", "seed", 5),
 ])
 def test_retired_settings_are_config_errors(tmp_path, capsys, block, field, value):
     # these settings are constants or removed; a config that sets one, even to its value, is an error
+    raw = dict(TINY_CONFIG)
+    if block is None:
+        raw[field] = value
+    else:
+        raw[block] = {**raw[block], field: value}
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({**TINY_CONFIG, block: {**TINY_CONFIG[block], field: value}}))
+    config.write_text(json.dumps(raw))
     assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and field in err, err

@@ -26,12 +26,12 @@ from moegather.training import (
     AdamState,
     DistillConfig,
     LinearDecaySchedule,
-    TeacherLogits,
     TrainConfig,
-    _batch_schedule,
     _distill_terms,
     backward_from_logits,
+    batch_schedule,
     distill_student,
+    forward_teacher,
     loss_and_grads,
     optimizer_step,
     train_classifier,
@@ -465,7 +465,7 @@ class TestOptimizer:
         else:
             noise, balance = None, 0.0
             teacher_logits = forward_batch(build_classifier(tiny_arch(), Rng(22)), train.tokens)[0]
-        batches = _batch_schedule(TrainConfig(steps=steps, batch_size=16, seed=23), len(train.labels))
+        batches = batch_schedule(TrainConfig(steps=steps, batch_size=16, seed=23), len(train.labels))
         for idx in batches:
             _, grads = loss_and_grads(
                 model, train.tokens[idx], train.labels[idx],
@@ -645,88 +645,50 @@ class TestTeacherLogits:
                                                     (72, 16, 0)])
     def test_schedule_matches_the_inline_loop(self, n, batch_size, steps):
         cfg = TrainConfig(steps=steps, batch_size=batch_size, seed=11)
-        batches = _batch_schedule(cfg, n)
+        batches = batch_schedule(cfg, n)
         assert batches.shape == (steps, batch_size)
         assert np.array_equal(batches, inline_schedule(cfg, n))
 
     def test_schedule_rejects_a_batch_larger_than_the_split(self):
         with pytest.raises(ValueError, match="exceeds training set size 72"):
-            _batch_schedule(TrainConfig(batch_size=73), 72)
+            batch_schedule(TrainConfig(batch_size=73), 72)
 
     def test_rows_equal_a_forward_of_each_batch_bit_for_bit(self, setup, monkeypatch):
         _, data, teacher = setup
         train = data[0]
-        batches = _batch_schedule(DistillConfig(steps=6, batch_size=16, seed=5), len(train.labels))
-        rows = np.unique(batches)
-        assert len(rows) % 16, "the schedule must end in a padded chunk"
-        forwards = count_teacher_forwards(monkeypatch, teacher)
-        memo = TeacherLogits(teacher, train, 16)
-        memo.fill(teacher, train, batches)
-        assert len(forwards) == -(-len(rows) // 16)
-        assert all(len(tokens) == 16 for tokens in forwards)
-        assert np.array_equal(np.flatnonzero(memo.filled), rows)
-        for idx in batches:
-            expected = forward_batch(teacher, train.tokens[idx])[0]
-            assert memo.logits[idx].tobytes() == expected.tobytes()
+        assert len(train.labels) % 16
+        # 6 steps pad the last chunk with rows outside the set; 20 steps cover every row, so the pad comes from inside
+        for steps, covers_all in ((6, False), (20, True)):
+            batches = batch_schedule(DistillConfig(steps=steps, batch_size=16, seed=5), len(train.labels))
+            rows = np.unique(batches)
+            assert (len(rows) == len(train.labels)) == covers_all and len(rows) % 16
+            forwards = count_teacher_forwards(monkeypatch, teacher)
+            logits = forward_teacher(teacher, train.tokens, batches, 16)
+            assert len(forwards) == -(-len(rows) // 16)
+            assert all(len(tokens) == 16 for tokens in forwards)
+            assert np.array_equal(np.flatnonzero(~np.isnan(logits).any(axis=1)), rows)
+            assert np.isnan(np.delete(logits, rows, axis=0)).all()
+            for idx in batches:
+                expected = forward_batch(teacher, train.tokens[idx])[0]
+                assert logits[idx].tobytes() == expected.tobytes()
 
-    def test_shared_memo_forwards_only_rows_not_yet_filled(self, setup, monkeypatch):
+    def test_union_logits_train_the_student_its_own_logits_train(self, setup):
         arch, data, teacher = setup
         train = data[0]
-        forwards = count_teacher_forwards(monkeypatch, teacher)
-        memo = TeacherLogits(teacher, train, 16)
-        first = DistillConfig(steps=3, batch_size=16, seed=3, eval_every=0)
-        distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, first, data, memo)
-        assert len(forwards) == 3  # 48 unseen rows: three whole batches
-        filled = memo.filled.copy()
-
-        forwards.clear()
-        second = DistillConfig(steps=5, batch_size=16, seed=7, eval_every=0)
-        distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, second, data, memo)
-        new = np.setdiff1d(_batch_schedule(second, len(train.labels)), np.flatnonzero(filled))
-        assert 0 < len(new) < 5 * 16
-        assert len(forwards) == -(-len(new) // 16)
-        assert np.array_equal(np.flatnonzero(memo.filled & ~filled), new)
-
-        forwards.clear()
-        distill_student(build_classifier(arch.dense_twin(), Rng(9)), teacher, first, data, memo)
-        assert forwards == []  # every row of this schedule is already held
-
-    def test_shared_memo_trains_the_student_a_fresh_memo_trains(self, setup):
-        arch, data, teacher = setup
         cfg = DistillConfig(steps=8, batch_size=16, learning_rate=1e-2, seed=3, eval_every=4)
-        shared = TeacherLogits(teacher, data[0], 16)
         other = DistillConfig(steps=6, batch_size=16, seed=8, eval_every=0)
-        distill_student(build_classifier(arch.dense_twin(), Rng(1)), teacher, other, data, shared)
-        fresh_run = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data)
-        shared_run = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, shared)
-        assert state_hash(shared_run.model) == state_hash(fresh_run.model)
-        assert shared_run.log == fresh_run.log
+        union = np.concatenate([batch_schedule(c, len(train.labels)) for c in (other, cfg)])
+        logits = forward_teacher(teacher, train.tokens, union, 16)
+        own_run = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data)
+        union_run = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, logits)
+        assert state_hash(union_run.model) == state_hash(own_run.model)
+        assert union_run.log == own_run.log
 
-    def test_memo_of_another_teacher_is_rejected(self, setup):
-        arch, data, teacher = setup
-        memo = TeacherLogits(build_classifier(arch, Rng(99)), data[0], 16)
-        cfg = DistillConfig(steps=2, batch_size=16, seed=3, eval_every=0)
-        with pytest.raises(ValueError, match="another teacher"):
-            distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, memo)
-
-    def test_memo_of_another_split_is_rejected(self, setup):
-        arch, data, teacher = setup
-        memo = TeacherLogits(teacher, tiny_data(seed=1)[0], 16)
-        cfg = DistillConfig(steps=2, batch_size=16, seed=3, eval_every=0)
-        with pytest.raises(ValueError, match="another training split"):
-            distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, memo)
-
-    def test_an_equal_copy_of_the_split_is_accepted(self, setup):
+    def test_logits_that_miss_a_scheduled_row_stop_training(self, setup):
         arch, data, teacher = setup
         train = data[0]
-        memo = TeacherLogits(teacher, Dataset(tokens=train.tokens.copy(), labels=train.labels.copy()), 16)
-        cfg = DistillConfig(steps=2, batch_size=16, seed=3, eval_every=0)
-        distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, memo)
-        assert memo.filled.sum() == 32
-
-    def test_memo_of_another_batch_size_is_rejected(self, setup):
-        arch, data, teacher = setup
-        memo = TeacherLogits(teacher, data[0], 16)
-        cfg = DistillConfig(steps=2, batch_size=8, seed=3, eval_every=0)
-        with pytest.raises(ValueError, match="batch_size 16, got batch_size 8"):
-            distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, memo)
+        cfg = DistillConfig(steps=4, batch_size=16, seed=3, eval_every=0)
+        batches = batch_schedule(cfg, len(train.labels))
+        logits = forward_teacher(teacher, train.tokens, batches[:, 1:], 16)  # every step's first row is missed
+        with pytest.raises(NumericalError, match="step 0"):
+            distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, logits)
