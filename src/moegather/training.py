@@ -68,7 +68,8 @@ class DistillConfig(TrainConfig):
 
     The pipeline and CLI ``distill`` set ``seed`` per student, to
     ``derive_seed(seed, "distill-{role}")`` of the experiment seed (see
-    ``ExperimentConfig.distill_config``); a config has no ``distill.seed``."""
+    ``ExperimentConfig.distill_config``). A config states no seed but its
+    top-level ``seed``, from which every other derives (``workbench.config.DERIVED``)."""
 
     steps: int = 800
     learning_rate: float = 1e-3

@@ -3,8 +3,9 @@
 A config bundles the teacher architecture, the synthetic task, training
 settings for the teach and distill stages, and the gathering choices. Two
 named profiles ship with the package: ``vision`` (alpha 0.25, SVD ratio 0.75)
-and ``nlp`` (alpha 0.75, SVD ratio 0.25). A run's seeds come from its
-config alone.
+and ``nlp`` (alpha 0.75, SVD ratio 0.25). A config states each value once:
+every seed derives from the top-level ``seed``, the task's shapes come from
+the ``model`` block, and the teacher is an MoE with GELU (see ``DERIVED``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from .data import SyntheticTaskSpec
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+# Per block, the fields that config_from_dict fills in and to_dict leaves out.
+DERIVED = {"model": ("stage", "activation"), "task": ("seed", "d_model", "seq_len", "num_classes"),
+           "teach": ("seed",), "distill": ("seed",)}
 
 
 @dataclass
@@ -45,18 +51,9 @@ class ExperimentConfig:
                 raise ConfigError(f"gather method {m!r} is listed more than once")
         if not self.gather_methods:
             raise ConfigError("at least one gather method is required")
-        if self.task.d_model != self.arch.d_model:
-            raise ConfigError(
-                f"task d_model {self.task.d_model} != model d_model {self.arch.d_model}"
-            )
-        if self.task.seq_len != self.arch.seq_len:
-            raise ConfigError(
-                f"task seq_len {self.task.seq_len} != model seq_len {self.arch.seq_len}"
-            )
-        if self.task.num_classes != self.arch.num_classes:
-            raise ConfigError(
-                f"task num_classes {self.task.num_classes} != model head width {self.arch.num_classes}"
-            )
+        for name in ("d_model", "seq_len", "num_classes"):
+            if getattr(self.task, name) != getattr(self.arch, name):
+                raise ConfigError(f"task {name} {getattr(self.task, name)} != model {name} {getattr(self.arch, name)}")
         for name, loop in (("teach", self.teach), ("distill", self.distill)):
             if loop.batch_size > self.task.train_size:
                 raise ConfigError(f"{name}.batch_size {loop.batch_size} exceeds task.train_size {self.task.train_size}")
@@ -82,13 +79,13 @@ class ExperimentConfig:
         return replace(self.distill, seed=derive_seed(self.seed, f"distill-{role}"))
 
     def to_dict(self) -> dict:
+        """The config as a user writes it, without the ``DERIVED`` values."""
+        blocks = {"model": self.arch.to_dict(), "task": self.task.to_dict(),
+                  "teach": vars(self.teach), "distill": vars(self.distill)}
         return {
             "seed": self.seed,
             "out_dir": self.out_dir,
-            "model": self.arch.to_dict(),
-            "task": self.task.to_dict(),
-            "teach": vars(self.teach).copy(),
-            "distill": {k: v for k, v in vars(self.distill).items() if k != "seed"},
+            **{name: {k: v for k, v in block.items() if k not in DERIVED[name]} for name, block in blocks.items()},
             "gather": {
                 "methods": list(self.gather_methods),
                 "svd_ratio": self.svd_ratio,
@@ -109,7 +106,9 @@ def derive_seed(seed: int, tag: str) -> int:
 def default_config(seed: int = 0, out_dir: str | os.PathLike = ExperimentConfig.out_dir,
                    profile: str = "vision") -> ExperimentConfig:
     """Desk-scale defaults: d_model 32, d_ff 128, 4 experts with top-2
-    routing, two parameter-shared blocks, ~20k training sequences."""
+    routing, two parameter-shared blocks, ~20k training sequences. Every
+    seed derives from ``seed``, and the task takes its shapes from the
+    model; see ``DERIVED``."""
     cfg = {
         "seed": seed,
         "out_dir": out_dir,
@@ -120,16 +119,11 @@ def default_config(seed: int = 0, out_dir: str | os.PathLike = ExperimentConfig.
             "seq_len": 8,
             "num_classes": 8,
             "num_blocks": 2,
-            "activation": "gelu",
-            "stage": "moe",
             "num_experts": 4,
             "top_k": 2,
         },
         "task": {
             "kind": "gaussian_mixture",
-            "num_classes": 8,
-            "d_model": 32,
-            "seq_len": 8,
             "train_size": 20000,
             "test_size": 2000,
             "modes_per_class": 4,
@@ -173,27 +167,24 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown profile {profile_name!r}; available: {sorted(PROFILES)}")
     profile = PROFILES[profile_name]
 
-    model_d = _block(raw, "model")
-    model_d.setdefault("stage", "moe")
+    blocks = {name: _block(raw, name) for name in DERIVED}
+    derived = [f"{name}.{key}" for name, keys in DERIVED.items() for key in keys if key in blocks[name]]
+    if derived:  # even when set to its derived value: a config states each value once
+        raise ConfigError(f"{derived[0]} is not a setting: seeds derive from the top-level seed, "
+                          "the task's shapes from the model block, and the teacher is an MoE with GELU")
     try:
-        arch = Architecture.from_dict(model_d)
+        arch = Architecture.from_dict({**blocks["model"], "stage": "moe"})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model block: {exc}") from exc
 
-    task_d = _block(raw, "task")
-    task_d.setdefault("seed", derive_seed(seed, "task"))
+    shapes = {"d_model": arch.d_model, "seq_len": arch.seq_len, "num_classes": arch.num_classes}
     try:
-        task = SyntheticTaskSpec.from_dict(task_d)
+        task = SyntheticTaskSpec.from_dict({**blocks["task"], **shapes, "seed": derive_seed(seed, "task")})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad task block: {exc}") from exc
 
-    teach_d = _block(raw, "teach")
-    teach_d.setdefault("seed", derive_seed(seed, "teach"))
-    distill_d = _block(raw, "distill")
-    if "seed" in distill_d:
-        # each student trains on derive_seed(seed, "distill-{role}"); see distill_config
-        raise ConfigError("distill.seed is not a setting: student seeds derive from the top-level seed")
-    distill_d.setdefault("alpha", profile["alpha"])
+    teach_d = {**blocks["teach"], "seed": derive_seed(seed, "teach")}
+    distill_d = {"alpha": profile["alpha"], **blocks["distill"]}  # each student's seed: see distill_config
 
     gather_d = _block(raw, "gather")
     _check_known(gather_d, ("methods", "svd_ratio", "bias_policy"), "gather.")

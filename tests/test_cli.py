@@ -20,7 +20,7 @@ from moegather.workbench import cli
 from moegather.workbench import pipeline as pipeline_mod
 from moegather.workbench import worker as worker_mod
 from moegather.workbench.checkpoint import _HEADER, MAGIC, load_checkpoint, save_checkpoint
-from moegather.workbench.config import config_from_dict
+from moegather.workbench.config import DERIVED, config_from_dict
 from moegather.workbench.data import SyntheticTaskSpec, generate_dataset
 from moegather.workbench.pipeline import PipelineError, run_pipeline
 
@@ -47,9 +47,8 @@ def test_eval_split_spellings(flag):
 TINY_CONFIG = {
     "seed": 0,
     "model": {"d_model": 8, "d_ff": 8, "seq_len": 4, "num_classes": 3, "num_blocks": 2,
-              "stage": "moe", "num_experts": 2, "top_k": 1},
-    "task": {"kind": "gaussian_mixture", "num_classes": 3, "d_model": 8, "seq_len": 4,
-             "train_size": 200, "test_size": 60, "modes_per_class": 2},
+              "num_experts": 2, "top_k": 1},
+    "task": {"kind": "gaussian_mixture", "train_size": 200, "test_size": 60, "modes_per_class": 2},
     "teach": {"steps": 6, "batch_size": 16, "eval_every": 3},
     "distill": {"steps": 4, "batch_size": 16, "eval_every": 2},
     "gather": {"methods": ["svdkg"]},
@@ -497,8 +496,7 @@ def test_a_batch_larger_than_the_training_set_fails_at_load(tmp_path, capsys, bl
 
 
 @pytest.mark.parametrize("field,value", [
-    ("modes_per_class", 1.5), ("modes_per_class", 0), ("train_size", 200.5), ("seq_len", 4.0),
-    ("test_size", True),
+    ("modes_per_class", 1.5), ("modes_per_class", 0), ("train_size", 200.5), ("test_size", True),
 ])
 def test_task_sizes_must_be_positive_integers(tmp_path, capsys, field, value):
     config = tmp_path / "c.json"
@@ -574,6 +572,10 @@ def test_retired_task_settings_are_config_errors(tmp_path, capsys, field, value)
     ("teach", "balance_coeff", 0.01), ("distill", "temperature", 1.0), ("model", "router_noise_std", 0.25),
     ("distill", "seed", -1), ("distill", "seed", 0), ("distill", "mode", "soft"), ("model", "parameter_sharing", True),
     ("model", "activation", "relu"),
+    # values a run works out: seeds from `seed`, task shapes from the model block, a fixed stage and activation
+    ("model", "stage", "moe"), ("model", "stage", "dense"), ("model", "activation", "gelu"),
+    ("task", "seed", 2.5), ("task", "d_model", 8), ("task", "seq_len", 4.0), ("task", "num_classes", 3),
+    ("teach", "seed", -1), ("teach", "seed", "x"),
     # misspelt or unknown settings; block None is the top level
     (None, "profle", "nlp"), (None, "sead", 3), ("gather", "svd_ration", 0.5), ("gather", "seed", 5),
 ])
@@ -589,19 +591,21 @@ def test_retired_settings_are_config_errors(tmp_path, capsys, block, field, valu
     assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and field in err, err
+    if field in DERIVED.get(block, ()):
+        assert err.startswith(f"error: config: {block}.{field} is not a setting: "), err
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 @pytest.mark.parametrize("block,field,value", [
-    ("teach", "seed", -1), ("teach", "eval_every", float("nan")), ("distill", "steps", 1.5),
+    ("teach", "eval_every", float("nan")), ("distill", "steps", 1.5),
     ("distill", "learning_rate", float("inf")), ("distill", "batch_size", 0),
     ("distill", "alpha", True), ("distill", "alpha", 1.5),
-    ("model", "d_ff", 0), ("model", "num_experts", "x"), ("model", "top_k", 1.5),
+    ("model", "d_ff", 0), ("model", "num_experts", "x"), ("model", "top_k", 1.5), ("model", "seq_len", 4.0),
     ("task", "mode_spread", "x"), ("task", "token_noise", "x"), ("task", "probe_band", [0.9, 0.1]),
     ("gather", "svd_ratio", True),
     # block None is the top level
     (None, "seed", [1]), (None, "seed", "3"), (None, "seed", 2.5), (None, "seed", True), (None, "seed", -1),
-    ("teach", "seed", "x"), ("task", "seed", 2.5), ("gather", "svd_ratio", "0.5"),
+    ("gather", "svd_ratio", "0.5"),
     ("gather", "svd_ratio", 0), ("gather", "svd_ratio", 1.5), ("gather", "svd_ratio", float("nan")),
 ])
 def test_numeric_settings_must_be_valid(tmp_path, capsys, block, field, value):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from moegather.gather import build_student
 from moegather.model import build_classifier
 from moegather.numerics import Rng
 from moegather.workbench.config import (
+    DERIVED,
     PROFILES,
     ConfigError,
     config_from_dict,
@@ -22,6 +24,13 @@ def test_written_config_loads_back_unchanged(tmp_path, profile):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")  # as run_pipeline writes it
     assert load_config(path).to_dict() == cfg.to_dict()
+    written = json.loads(path.read_text())
+    assert all(not set(keys) & written[block].keys() for block, keys in DERIVED.items())
+
+
+def test_a_written_config_moves_as_a_whole_with_its_seed():
+    # every seed derives from the top-level one, so editing it in config.json mixes no two seeds
+    assert config_from_dict({**default_config(0).to_dict(), "seed": 7}).to_dict() == default_config(7).to_dict()
 
 
 def test_profiles_set_alpha_and_svd_ratio_unless_given():
@@ -38,10 +47,7 @@ def test_profiles_set_alpha_and_svd_ratio_unless_given():
 
 
 def test_the_config_seed_reaches_every_derived_seed():
-    raw = default_config().to_dict()
-    for block in ("task", "teach"):
-        del raw[block]["seed"]  # derived from the top-level seed
-    got = config_from_dict({**raw, "seed": 7})
+    got = config_from_dict({**default_config().to_dict(), "seed": 7})
     assert got.seed == 7
     assert got.task.seed == derive_seed(7, "task")
     assert got.teach.seed == derive_seed(7, "teach")
@@ -52,8 +58,6 @@ def test_the_config_seed_reaches_every_derived_seed():
 def test_a_leftover_ones_seed_variable_changes_nothing(monkeypatch):
     # ONES_SEED once overrode the config seed; a shell that still sets it must not move a run
     raw = {**default_config().to_dict(), "seed": 7}
-    for block in ("task", "teach"):
-        del raw[block]["seed"]  # so that every seed derives from the top-level one
     want = config_from_dict(raw).to_dict()
     monkeypatch.setenv("ONES_SEED", "3")
     assert config_from_dict(raw).to_dict() == want
@@ -66,7 +70,7 @@ def test_out_dir_may_be_a_path(tmp_path):
 
 
 @pytest.mark.parametrize("block,field,value", [
-    ("gather", "methods", {"svdkg"}), ("teach", "steps", np.int64(5)), ("task", "seed", object()),
+    ("gather", "methods", {"svdkg"}), ("teach", "steps", np.int64(5)), ("task", "train_size", object()),
 ], ids=["set", "numpy-int", "object"])
 def test_a_setting_that_is_not_json_is_a_config_error(block, field, value):
     raw = default_config().to_dict()
@@ -104,3 +108,16 @@ def test_a_repeated_gather_method_is_a_config_error(methods):
     raw = default_config().to_dict()
     with pytest.raises(ConfigError, match=f"gather method {methods[0]!r} is listed more than once"):
         config_from_dict({**raw, "gather": {**raw["gather"], "methods": methods}})
+
+
+@pytest.mark.parametrize("part,change,message", [
+    ("arch", {"stage": "dense"}, "the teacher architecture must use an MoE stage"),
+    ("task", {"d_model": 16}, "task d_model 16 != model d_model 32"),
+    ("task", {"seq_len": 4}, "task seq_len 4 != model seq_len 8"),
+    ("task", {"num_classes": 5}, "task num_classes 5 != model num_classes 8"),
+], ids=["dense-arch", "d_model", "seq_len", "num_classes"])
+def test_an_experiment_built_directly_keeps_its_invariants(part, change, message):
+    # a config file cannot reach these checks, since it states neither the stage nor the task's shapes
+    cfg = default_config()
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        replace(cfg, **{part: replace(getattr(cfg, part), **change)})
