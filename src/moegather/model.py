@@ -21,12 +21,12 @@ sequences runs in ⌈b/FORWARD_BLOCK⌉ near-equal blocks and concatenates the
 logits, pooled features and routing arrays in row order. At the default
 shapes (seq_len 8, d_ff 128) each FFN intermediate of a 512-sequence pass is
 4 MB of float64, past a 2 MB per-core L2, while a 64-sequence block's is
-512 KB, so the three the value-only GELU allocates stay in cache. Every
-block holds at least half of ``FORWARD_BLOCK`` sequences, and a row's bits
-do not depend on the block it lands in, so the blocked result equals the
-unblocked one. A
-training step stays one pass, because its backward sums over all rows, and
-so does a noisy pass, because the noise is drawn per call.
+512 KB, so the three the value-only GELU allocates stay in cache. A row's
+logits have the same bits in any forward of two or more sequences, whichever
+rows share it (a lone sequence may differ in the last bit), and every block
+holds at least half of ``FORWARD_BLOCK``, so the blocked result equals the
+unblocked one. A training step stays one pass, because its backward sums
+over all rows, and so does a noisy pass, because the noise is drawn per call.
 
 An MoE stage dispatches its tokens with one stable sort. A token's k
 selected experts, in ascending order, fill its k slots, and slot (t, j) is

@@ -10,6 +10,8 @@ A training run draws its whole batch schedule before the first step.
 Distillation reads the frozen teacher's logits from one array that
 :func:`forward_teacher` fills before training, so the teacher stays out of
 the training loop, and students given one array share the teacher's work.
+Its chunks need not match the batches: a row's logits have the same bits in
+any forward of two or more sequences (a lone one may differ in the last bit).
 
 Adam keeps each moment of all parameters in one flat buffer
 (:class:`AdamState`), laid out in parameter order. A step checks the
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ClassifierModel, forward_batch, state_hash
+from .model import FORWARD_BLOCK, ClassifierModel, forward_batch, state_hash
 from .numerics import NumericalError, Rng, ShapeError, check_number
 
 GradientSet = dict[str, np.ndarray]
@@ -306,22 +308,19 @@ class LinearDecaySchedule:
 class AdamState:
     """Adam's moments of one parameter set, and the step count.
 
-    Each moment is one flat buffer, laid out in the order of the parameters
-    it was made for; ``m[name]`` and ``v[name]`` are views into it shaped
-    like the parameter, so ``optimizer_step`` updates every tensor at once.
+    Each moment is one flat buffer, laid out in the order of ``names``, the
+    parameters it was made for, so ``optimizer_step`` updates every tensor at once.
     """
 
-    m_flat: np.ndarray
-    v_flat: np.ndarray
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    names: tuple[str, ...]
     t: int = 0
 
     @staticmethod
     def for_params(params: dict[str, np.ndarray]) -> "AdamState":
         size = sum(p.size for p in params.values())
-        m_flat, v_flat = np.zeros(size), np.zeros(size)
-        return AdamState(m_flat, v_flat, _flat_views(m_flat, params), _flat_views(v_flat, params))
+        return AdamState(np.zeros(size), np.zeros(size), tuple(params))
 
 
 def _flat_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -343,7 +342,7 @@ def _check_gradients(params: dict[str, np.ndarray], grads: GradientSet, state: A
         missing = [name for name in params if name not in grads]
         extra = [name for name in grads if name not in params]
         raise ValueError(f"gradient set does not match the parameters: missing {missing}, extra {extra}")
-    if state.m.keys() != params.keys():
+    if tuple(params) != state.names or state.m.size != sum(p.size for p in params.values()):
         raise ValueError("optimizer state was made for another parameter set")
     for name, p in params.items():
         shape = np.shape(grads[name])
@@ -351,9 +350,9 @@ def _check_gradients(params: dict[str, np.ndarray], grads: GradientSet, state: A
             raise ShapeError(f"gradient of {name!r} is shaped {shape}, the parameter {p.shape}")
 
 
-def optimizer_step(params: dict[str, np.ndarray], grads: GradientSet,
-                   state: AdamState, schedule: LinearDecaySchedule) -> None:
-    """In-place Adam update; the step index lives in the optimizer state.
+def optimizer_step(params: dict[str, np.ndarray], grads: GradientSet, state: AdamState, lr: float) -> None:
+    """In-place Adam update at learning rate ``lr``; the step index, which
+    drives the bias correction, lives in the optimizer state.
 
     The gradients are checked against the parameters before any state
     changes. The update then runs once over the flat moments, in the
@@ -362,12 +361,11 @@ def optimizer_step(params: dict[str, np.ndarray], grads: GradientSet,
     ``m = B1 * m + (1 - B1) * g`` and ``v = B2 * v + (1 - B2) * g * g``.
     """
     _check_gradients(params, grads, state)
-    lr = schedule.lr_at(state.t)
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    g = np.concatenate([grads[name] for name in state.m], axis=None)
-    m, v = state.m_flat, state.v_flat
+    g = np.concatenate([grads[name] for name in params], axis=None)
+    m, v = state.m, state.v
     m *= ADAM_BETA1
     tmp = (1.0 - ADAM_BETA1) * g
     m += tmp
@@ -381,7 +379,7 @@ def optimizer_step(params: dict[str, np.ndarray], grads: GradientSet,
     np.sqrt(den, out=den)
     den += ADAM_EPS
     step /= den
-    for name, delta in _flat_views(step, state.m).items():
+    for name, delta in _flat_views(step, params).items():
         params[name] -= delta
 
 
@@ -423,24 +421,23 @@ def batch_schedule(cfg: TrainConfig, n: int) -> np.ndarray:
     return rows.reshape(-1, batch_size)[: cfg.steps]
 
 
-def forward_teacher(teacher: ClassifierModel, tokens: np.ndarray, rows: np.ndarray, batch_size: int) -> np.ndarray:
+def forward_teacher(teacher: ClassifierModel, tokens: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The frozen teacher's noise-free logits of ``rows`` of ``tokens``; every
     other row is NaN, so a training step that reads one has a non-finite loss.
 
-    The distinct rows go through the teacher in chunks of exactly
-    ``batch_size``: a row's logits have the same bits in any batch of that
-    size, at any position, but can differ in the last bit in a batch of
-    another size (a lone row, say), so the last chunk is padded with rows
-    outside it rather than forwarded short.
+    The n distinct rows go through the teacher in ⌈n/FORWARD_BLOCK⌉
+    near-equal chunks, split as ``forward_batch`` splits its blocks, so at
+    most ``FORWARD_BLOCK`` sequences of ``tokens`` are copied at a time. A
+    row's logits have the same bits in any forward of two or more sequences,
+    so each equals its value in a forward of any batch that holds it. A lone
+    sequence may differ in the last bit; a chunk is one only when n is 1.
     """
     logits = np.full((len(tokens), teacher.arch.num_classes), np.nan)
     rows = np.unique(rows)
-    for start in range(0, len(rows), batch_size):
-        chunk = batch = rows[start : start + batch_size]
-        if len(chunk) < batch_size:
-            pad = np.setdiff1d(np.arange(len(tokens)), chunk)[: batch_size - len(chunk)]
-            batch = np.concatenate([chunk, pad])
-        logits[chunk] = forward_batch(teacher, tokens[batch], rng=None)[0][: len(chunk)]
+    k = -(-len(rows) // FORWARD_BLOCK)
+    for i in range(k):
+        chunk = rows[len(rows) * i // k : len(rows) * (i + 1) // k]
+        logits[chunk] = forward_batch(teacher, tokens[chunk], rng=None)[0]
     return logits
 
 
@@ -472,7 +469,7 @@ def _run_training(model: ClassifierModel, cfg: TrainConfig, data, batches: np.nd
         )
         if not np.isfinite(breakdown.total):
             raise NumericalError(f"training diverged (non-finite loss) at step {step}")
-        optimizer_step(params, grads, state, schedule)
+        optimizer_step(params, grads, state, lr)
         row = {
             "step": step,
             "main": breakdown.main,
@@ -505,7 +502,7 @@ def distill_student(student: ClassifierModel, teacher: ClassifierModel,
     """Refine the student against the frozen teacher.
 
     ``teacher_logits`` are ``forward_teacher``'s over at least this run's
-    batch schedule at ``cfg.batch_size``; one array serves every student
+    batch schedule; one array serves every student
     whose schedule it covers. Without them the teacher is forwarded over
     this run's schedule. The teacher is verified bit-identical before and
     after training.
@@ -514,7 +511,7 @@ def distill_student(student: ClassifierModel, teacher: ClassifierModel,
     train = data[0]
     batches = batch_schedule(cfg, len(train.labels))
     if teacher_logits is None:
-        teacher_logits = forward_teacher(teacher, train.tokens, batches, cfg.batch_size)
+        teacher_logits = forward_teacher(teacher, train.tokens, batches)
     result = _run_training(student, cfg, data, batches, teacher_logits=teacher_logits)
     if state_hash(teacher) != teacher_before:
         raise RuntimeError("teacher weights changed during distillation")

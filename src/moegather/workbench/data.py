@@ -174,10 +174,12 @@ def generate_dataset(spec: SyntheticTaskSpec, splits: tuple[str, ...] = ("train"
     ("train", "test" or both); the two draw from disjoint derived streams, so
     they never share a sample, and each has the same bytes whichever others
     are made with it."""
+    sizes = {"train": spec.train_size, "test": spec.test_size}
+    if not set(splits) <= sizes.keys():
+        raise ValueError(f"splits must each be 'train' or 'test', got {list(splits)!r}")
     sampler = _MixtureSampler(spec)
     scale = _calibrate_mixture_scale(sampler, spec)
     rng = Rng(spec.seed)
-    sizes = {"train": spec.train_size, "test": spec.test_size}
 
     def make(name: str) -> Dataset:
         drawn = sampler.draw(sizes[name], rng.derive(name))

@@ -21,12 +21,12 @@ the worker's stdin and stdout:
   the worker the second half; its task carries the teacher and those
   students' initial models.
 
-Each lane forwards the teacher once, over the union of its students'
-batch schedules; a row's teacher logits have the same bits whichever rows
-share its batch, so the split changes no result. The worker writes no file:
-it returns each ``TrainResult``, and the main process writes every file in
-stage order. With one CPU the same stage functions run inline, in that
-order, and every file has the same bytes either way.
+Each lane forwards the teacher once, over the union of its students' batch
+schedules; a row's teacher logits have the same bits in any forward of two or
+more sequences (a lone one may differ), so the split changes no result. The
+worker writes no file: it returns each ``TrainResult``, and the main process
+writes every file in stage order. With one CPU the same stage functions run
+inline, in that order, and every file has the same bytes either way.
 
 A failing stage raises ``PipelineError`` with its name, on either lane; a
 worker that dies fails the stage that waits for it. The output directory
@@ -133,7 +133,7 @@ def distill_stage(cfg: ExperimentConfig, teacher: ClassifierModel, students: dic
     then yield the result of refining each, in order, on the settings
     ``cfg.distill_config(name)``."""
     rows = np.concatenate([batch_schedule(cfg.distill_config(name), len(data[0].labels)) for name in students])
-    logits = forward_teacher(teacher, data[0].tokens, rows, cfg.distill.batch_size)
+    logits = forward_teacher(teacher, data[0].tokens, rows)
     for name, student in students.items():
         yield distill_student(student, teacher, cfg.distill_config(name), data, logits)
 

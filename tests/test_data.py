@@ -65,3 +65,16 @@ def test_named_splits_have_the_bytes_of_the_pair_and_calibrate_once(monkeypatch,
     assert len(calls) == 1 and len(got) == len(splits)
     for name, ds in zip(splits, got):
         assert np.array_equal(ds.tokens, pair[name].tokens) and np.array_equal(ds.labels, pair[name].labels)
+
+
+@pytest.mark.parametrize("splits", [("val",), ("train", "val"), ("Test",), "train"], ids=repr)
+def test_an_unknown_split_is_a_value_error_before_calibration(monkeypatch, splits):
+    spec = SyntheticTaskSpec(kind="gaussian_mixture", num_classes=3, d_model=6, seq_len=4,
+                             train_size=120, test_size=30, seed=5)
+
+    def calibrate(*args):
+        raise AssertionError("calibration ran")
+
+    monkeypatch.setattr(data, "_calibrate_mixture_scale", calibrate)
+    with pytest.raises(ValueError, match="'train' or 'test'"):
+        generate_dataset(spec, splits=splits)

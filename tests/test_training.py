@@ -6,6 +6,7 @@ import pytest
 from moegather import model as model_mod
 from moegather import training
 from moegather.model import (
+    FORWARD_BLOCK,
     Architecture,
     FeedForward,
     MoELayer,
@@ -390,10 +391,9 @@ class TestSortedDispatchBackward:
             assert slots[rows, j].tobytes() == np.einsum("nd,nd->n", a[rows], y[rows, j]).tobytes()
 
 
-def per_tensor_adam_oracle(params, grads, state, schedule):
+def per_tensor_adam_oracle(params, grads, state, lr):
     """Oracle: the per-tensor Adam loop that the flat update replaced;
     ``state`` holds per-name ``m`` and ``v`` arrays and the step count ``t``."""
-    lr = schedule.lr_at(state.t)
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
@@ -413,18 +413,17 @@ class TestOptimizer:
         params = {"w": np.array([1.0, -2.0, 3.0])}
         state = AdamState.for_params(params)
         before = params["w"].copy()
-        optimizer_step(params, {"w": np.zeros(3)}, state, LinearDecaySchedule(0.1, 10))
+        optimizer_step(params, {"w": np.zeros(3)}, state, 0.1)
         assert np.array_equal(params["w"], before)
 
     def test_matches_hand_computed_adam_trajectory(self):
         # single scalar, constant lr, grads 1.0, -0.5, 2.0
         p = {"x": np.array([0.0])}
         state = AdamState.for_params(p)
-        sched = LinearDecaySchedule(0.1, 1)  # a one-step schedule keeps its base lr: constant 0.1
         m = v = 0.0
         x = 0.0
         for t, g in enumerate([1.0, -0.5, 2.0], start=1):
-            optimizer_step(p, {"x": np.array([g])}, state, sched)
+            optimizer_step(p, {"x": np.array([g])}, state, 0.1)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mhat = m / (1 - 0.9**t)
@@ -438,7 +437,7 @@ class TestOptimizer:
         params = {"w": np.array([1.0])}
         state = AdamState.for_params(params)
         state.t = 3  # at the last step of a 4-step run
-        optimizer_step(params, {"w": np.array([10.0])}, state, sched)
+        optimizer_step(params, {"w": np.array([10.0])}, state, sched.lr_at(state.t))
         assert params["w"][0] == 1.0
 
     def test_linear_decay_endpoints(self):
@@ -472,25 +471,24 @@ class TestOptimizer:
                 teacher_logits=None if teacher_logits is None else teacher_logits[idx],
                 balance_coeff=balance, rng=noise,
             )
-            optimizer_step(params, grads, state, schedule)
-            per_tensor_adam_oracle(twin_params, grads, oracle, schedule)
+            lr = schedule.lr_at(state.t)
+            optimizer_step(params, grads, state, lr)
+            per_tensor_adam_oracle(twin_params, grads, oracle, lr)
             assert array_bytes(params.items()) == array_bytes(twin_params.items())
         assert schedule.lr_at(steps - 1) == 0.0 and state.t == oracle.t == steps
-        assert array_bytes(state.m.items()) == array_bytes(oracle.m.items())
-        assert array_bytes(state.v.items()) == array_bytes(oracle.v.items())
-        for name in params:
-            assert np.shares_memory(state.m[name], state.m_flat)
-            assert np.shares_memory(state.v[name], state.v_flat)
+        assert state.names == tuple(params)
+        assert state.m.tobytes() == np.concatenate([m.ravel() for m in oracle.m.values()]).tobytes()
+        assert state.v.tobytes() == np.concatenate([v.ravel() for v in oracle.v.values()]).tobytes()
 
     @staticmethod
-    def assert_rejected_before_any_change(params, grads, error, match):
-        state = AdamState.for_params(params)
-        state.m_flat[:] = 0.25
+    def assert_rejected_before_any_change(params, grads, error, match, state=None):
+        state = state or AdamState.for_params(params)
+        state.m[:] = 0.25
         before = [p.copy() for p in params.values()]
         with pytest.raises(error, match=match):
-            optimizer_step(params, grads, state, LinearDecaySchedule(0.1, 10))
+            optimizer_step(params, grads, state, 0.1)
         assert state.t == 0
-        assert (state.m_flat == 0.25).all() and not state.v_flat.any()
+        assert (state.m == 0.25).all() and not state.v.any()
         assert array_bytes(zip(params, params.values())) == array_bytes(zip(params, before))
 
     @pytest.mark.parametrize(
@@ -509,6 +507,13 @@ class TestOptimizer:
             grads[extra] = np.ones(2)
         match = "missing \\['w'\\]" if missing else "extra \\['u'\\]"
         self.assert_rejected_before_any_change(params, grads, ValueError, match)
+
+    @pytest.mark.parametrize("sizes", [{"b": 2, "u": 2}, {"w": 2, "b": 2}, {"b": 2}, {"b": 2, "w": 3}])
+    def test_a_state_made_for_other_parameters_is_a_value_error(self, sizes):
+        params = {"b": np.zeros(2), "w": np.ones(2)}
+        grads = {name: np.ones_like(p) for name, p in params.items()}
+        state = AdamState.for_params({name: np.zeros(size) for name, size in sizes.items()})
+        self.assert_rejected_before_any_change(params, grads, ValueError, "another parameter set", state)
 
 
 class TestTrainingLoops:
@@ -656,21 +661,28 @@ class TestTeacherLogits:
     def test_rows_equal_a_forward_of_each_batch_bit_for_bit(self, setup, monkeypatch):
         _, data, teacher = setup
         train = data[0]
-        assert len(train.labels) % 16
-        # 6 steps pad the last chunk with rows outside the set; 20 steps cover every row, so the pad comes from inside
-        for steps, covers_all in ((6, False), (20, True)):
+        forwards = count_teacher_forwards(monkeypatch, teacher)
+        # 2 steps make one chunk, 6 steps two, and 20 steps two over every row
+        for steps in (2, 6, 20):
             batches = batch_schedule(DistillConfig(steps=steps, batch_size=16, seed=5), len(train.labels))
             rows = np.unique(batches)
-            assert (len(rows) == len(train.labels)) == covers_all and len(rows) % 16
-            forwards = count_teacher_forwards(monkeypatch, teacher)
-            logits = forward_teacher(teacher, train.tokens, batches, 16)
-            assert len(forwards) == -(-len(rows) // 16)
-            assert all(len(tokens) == 16 for tokens in forwards)
-            assert np.array_equal(np.flatnonzero(~np.isnan(logits).any(axis=1)), rows)
+            union = forward_batch(teacher, train.tokens[rows])[0]
+            forwards.clear()
+            logits = forward_teacher(teacher, train.tokens, batches)
+            sizes = [len(tokens) for tokens in forwards]
+            assert len(sizes) == -(-len(rows) // FORWARD_BLOCK) and sum(sizes) == len(rows)
+            assert max(sizes) <= FORWARD_BLOCK and max(sizes) - min(sizes) <= 1
+            assert logits[rows].tobytes() == union.tobytes()
             assert np.isnan(np.delete(logits, rows, axis=0)).all()
             for idx in batches:
-                expected = forward_batch(teacher, train.tokens[idx])[0]
-                assert logits[idx].tobytes() == expected.tobytes()
+                assert logits[idx].tobytes() == forward_batch(teacher, train.tokens[idx])[0].tobytes()
+
+    def test_a_zero_step_distill_forwards_the_teacher_not_at_all(self, setup, monkeypatch):
+        arch, data, teacher = setup
+        forwards = count_teacher_forwards(monkeypatch, teacher)
+        cfg = DistillConfig(steps=0, batch_size=16, seed=3, eval_every=0)
+        result = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data)
+        assert forwards == [] and result.log == []
 
     def test_union_logits_train_the_student_its_own_logits_train(self, setup):
         arch, data, teacher = setup
@@ -678,7 +690,7 @@ class TestTeacherLogits:
         cfg = DistillConfig(steps=8, batch_size=16, learning_rate=1e-2, seed=3, eval_every=4)
         other = DistillConfig(steps=6, batch_size=16, seed=8, eval_every=0)
         union = np.concatenate([batch_schedule(c, len(train.labels)) for c in (other, cfg)])
-        logits = forward_teacher(teacher, train.tokens, union, 16)
+        logits = forward_teacher(teacher, train.tokens, union)
         own_run = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data)
         union_run = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, logits)
         assert state_hash(union_run.model) == state_hash(own_run.model)
@@ -689,6 +701,6 @@ class TestTeacherLogits:
         train = data[0]
         cfg = DistillConfig(steps=4, batch_size=16, seed=3, eval_every=0)
         batches = batch_schedule(cfg, len(train.labels))
-        logits = forward_teacher(teacher, train.tokens, batches[:, 1:], 16)  # every step's first row is missed
+        logits = forward_teacher(teacher, train.tokens, batches[:, 1:])  # every step's first row is missed
         with pytest.raises(NumericalError, match="step 0"):
             distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data, logits)
