@@ -48,7 +48,7 @@ class TrainConfig:
     """Settings of the training loop; supervised training (teacher or dense
     baseline) uses them as they are."""
 
-    steps: int = 2000
+    steps: int = 1500
     batch_size: int = 64
     learning_rate: float = 3e-3
     seed: int = 0
@@ -73,7 +73,7 @@ class DistillConfig(TrainConfig):
     ``ExperimentConfig.distill_config``). A config states no seed but its
     top-level ``seed``, from which every other derives (``workbench.config.DERIVED``)."""
 
-    steps: int = 800
+    steps: int = 700
     learning_rate: float = 1e-3
     alpha: float = 0.25
 

@@ -121,7 +121,7 @@ def load_checkpoint(path) -> tuple[ClassifierModel, dict]:
             raise TruncatedPayloadError("metadata block extends past end of file")
         try:
             meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise SchemaError(f"metadata is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(meta, dict) or "architecture" not in meta or "tensors" not in meta:
             raise SchemaError("metadata must declare 'architecture' and 'tensors'")

@@ -11,8 +11,10 @@ Subcommands mirror the pipeline stages so each can run standalone:
     moegather flops      --model s.ckpt
     moegather pipeline   --config c.json
 
-``teach``, ``gather`` and ``distill`` each run one stage of the pipeline that
-``--config`` describes and write what ``pipeline`` writes for it.
+A ``--config`` file need state only what differs from the default experiment
+(``workbench.config``): ``{}`` runs it. ``teach``, ``gather`` and ``distill``
+each run one stage of the pipeline that ``--config`` describes and write what
+``pipeline`` writes for it.
 ``pipeline`` runs every stage on up to two CPUs, with one worker process
 beside the command's own, and writes the same bytes on one CPU. Each process
 runs BLAS on one thread, which importing ``moegather`` sets, unless the caller

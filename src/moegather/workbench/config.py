@@ -1,11 +1,15 @@
 """Experiment configuration: JSON in, validated dataclasses out.
 
 A config bundles the teacher architecture, the synthetic task, training
-settings for the teach and distill stages, and the gathering choices. Two
-named profiles ship with the package: ``vision`` (alpha 0.25, SVD ratio 0.75)
-and ``nlp`` (alpha 0.75, SVD ratio 0.25). A config states each value once:
-every seed derives from the top-level ``seed``, the task's shapes come from
-the ``model`` block, and the teacher is an MoE with GELU (see ``DERIVED``).
+settings for the teach and distill stages, and the gathering choices. A
+config states each value once and need state only what differs from the
+default experiment. Each block is built from three layers, later ones
+winning: ``DEFAULTS`` (the default experiment's values that no settings class
+defaults), then the named profile, then the config's own block. Two profiles
+ship with the package: ``vision`` (alpha 0.25, SVD ratio 0.75, the settings
+classes' defaults) and ``nlp`` (alpha 0.75, SVD ratio 0.25). Every seed
+derives from the top-level ``seed``, the task's shapes come from the
+``model`` block, and the teacher is an MoE with GELU (see ``DERIVED``).
 """
 
 from __future__ import annotations
@@ -94,9 +98,14 @@ class ExperimentConfig:
         }
 
 
-# "vision" is the dataclass defaults; a config without a profile gets them too.
-_VISION = {"alpha": DistillConfig.alpha, "svd_ratio": ExperimentConfig.svd_ratio}
-PROFILES = {"vision": _VISION, "nlp": {**_VISION, "alpha": 0.75, "svd_ratio": 0.25}}
+# Per block, the default experiment's values that no settings class defaults:
+# the teacher's shapes and routing, and the task's kind and split sizes.
+DEFAULTS = {
+    "model": {"d_model": 32, "d_ff": 128, "seq_len": 8, "num_classes": 8, "num_experts": 4, "top_k": 2},
+    "task": {"kind": "gaussian_mixture", "train_size": 20000, "test_size": 2000},
+}
+# Per profile, what it changes in each block; "vision" is the default experiment.
+PROFILES = {"vision": {}, "nlp": {"distill": {"alpha": 0.75}, "gather": {"svd_ratio": 0.25}}}
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -105,33 +114,10 @@ def derive_seed(seed: int, tag: str) -> int:
 
 def default_config(seed: int = 0, out_dir: str | os.PathLike = ExperimentConfig.out_dir,
                    profile: str = "vision") -> ExperimentConfig:
-    """Desk-scale defaults: d_model 32, d_ff 128, 4 experts with top-2
-    routing, two parameter-shared blocks, ~20k training sequences. Every
-    seed derives from ``seed``, and the task takes its shapes from the
-    model; see ``DERIVED``."""
-    cfg = {
-        "seed": seed,
-        "out_dir": out_dir,
-        "profile": profile,
-        "model": {
-            "d_model": 32,
-            "d_ff": 128,
-            "seq_len": 8,
-            "num_classes": 8,
-            "num_blocks": 2,
-            "num_experts": 4,
-            "top_k": 2,
-        },
-        "task": {
-            "kind": "gaussian_mixture",
-            "train_size": 20000,
-            "test_size": 2000,
-            "modes_per_class": 4,
-        },
-        "teach": {"steps": 1500, "batch_size": 64, "learning_rate": 3e-3},
-        "distill": {"steps": 700, "batch_size": 64, "learning_rate": 1e-3},
-    }
-    return config_from_dict(cfg)
+    """The config that names only its seed, out_dir and profile: d_model 32,
+    d_ff 128, 4 experts with top-2 routing, two parameter-shared blocks,
+    ~20k training sequences (see ``DEFAULTS`` and the settings classes)."""
+    return config_from_dict({"seed": seed, "out_dir": out_dir, "profile": profile})
 
 
 def _check_known(block: dict, known: tuple[str, ...], prefix: str = "") -> None:
@@ -156,6 +142,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raw = json.loads(json.dumps(raw))  # deep copy + reject non-JSON values
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"settings must be JSON values: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"settings are nested too deeply: {exc}") from exc
     _check_known(raw, ("seed", "out_dir", "profile", "model", "task", "teach", "distill", "gather"))
     seed = raw.get("seed", 0)
     try:
@@ -167,11 +155,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown profile {profile_name!r}; available: {sorted(PROFILES)}")
     profile = PROFILES[profile_name]
 
-    blocks = {name: _block(raw, name) for name in DERIVED}
-    derived = [f"{name}.{key}" for name, keys in DERIVED.items() for key in keys if key in blocks[name]]
+    own = {name: _block(raw, name) for name in (*DERIVED, "gather")}
+    derived = [f"{name}.{key}" for name, keys in DERIVED.items() for key in keys if key in own[name]]
     if derived:  # even when set to its derived value: a config states each value once
         raise ConfigError(f"{derived[0]} is not a setting: seeds derive from the top-level seed, "
                           "the task's shapes from the model block, and the teacher is an MoE with GELU")
+    _check_known(own["gather"], ("methods", "svd_ratio", "bias_policy"), "gather.")
+    blocks = {name: {**DEFAULTS.get(name, {}), **profile.get(name, {}), **block} for name, block in own.items()}
     try:
         arch = Architecture.from_dict({**blocks["model"], "stage": "moe"})
     except (TypeError, ValueError) as exc:
@@ -183,21 +173,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad task block: {exc}") from exc
 
-    teach_d = {**blocks["teach"], "seed": derive_seed(seed, "teach")}
-    distill_d = {"alpha": profile["alpha"], **blocks["distill"]}  # each student's seed: see distill_config
-
-    gather_d = _block(raw, "gather")
-    _check_known(gather_d, ("methods", "svd_ratio", "bias_policy"), "gather.")
+    gather_d = blocks["gather"]
     methods = gather_d.get("methods", list(GATHER_METHODS))
     if not isinstance(methods, list):
         raise ConfigError(f"gather methods must be a list of method names, got {methods!r}")
     out_dir = raw.get("out_dir", ExperimentConfig.out_dir)
     if not isinstance(out_dir, str):
         raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
-    svd_ratio = gather_d.get("svd_ratio", profile["svd_ratio"])
+    svd_ratio = gather_d.get("svd_ratio", ExperimentConfig.svd_ratio)
     try:
-        teach = TrainConfig(**teach_d)
-        distill = DistillConfig(**distill_d)
+        teach = TrainConfig(**blocks["teach"], seed=derive_seed(seed, "teach"))
+        distill = DistillConfig(**blocks["distill"])  # each student's seed: see distill_config
         check_number("svd_ratio", svd_ratio, positive=True)  # GatherConfig reports a ratio above 1
         return ExperimentConfig(
             arch=arch,
@@ -218,10 +204,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
     return config_from_dict(raw)

@@ -33,7 +33,7 @@ class SyntheticTaskSpec:
     train_size: int
     test_size: int
     seed: int
-    modes_per_class: int = 2
+    modes_per_class: int = 4
     mode_spread: float = 0.7  # satellite distance from the class center
     token_noise: float = 1.0  # within-mode noise std per dimension
     probe_band: tuple[float, float] = (0.85, 0.95)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import moegather
 from moegather.model import Architecture, build_classifier, state_hash, tensor_layout
 from moegather.numerics import Rng
+from moegather.workbench import cli
 from moegather.workbench.checkpoint import (
     _HEADER,
     FORMAT_VERSION,
@@ -120,6 +121,18 @@ def test_metadata_longer_than_the_file(ckpt):
     ckpt.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, 2**62) + blob + payload)
     with pytest.raises(TruncatedPayloadError, match="metadata block extends past end of file"):
         load_checkpoint(ckpt)
+
+
+def test_metadata_nested_too_deeply(ckpt, capsys):
+    meta, payload = split(ckpt)
+    deep = b"[" * 100_000 + b"]" * 100_000
+    blob = json.dumps(meta).encode()[:-1] + b', "deep": ' + deep + b"}"
+    ckpt.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, len(blob)) + blob + payload)
+    with pytest.raises(SchemaError, match="metadata is not valid UTF-8 JSON: maximum recursion depth"):
+        load_checkpoint(ckpt)
+    for command in ("eval", "flops"):
+        assert cli.main([command, "--model", str(ckpt)]) == 1
+        assert capsys.readouterr().err.startswith("error: checkpoint: metadata is not valid UTF-8 JSON: ")
 
 
 def test_loaded_model_shares_no_memory_with_the_file_bytes(ckpt, monkeypatch):

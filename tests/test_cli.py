@@ -559,6 +559,16 @@ def test_config_of_the_wrong_shape_fails_at_load(tmp_path, capsys, override, mes
     assert not (tmp_path / "t.ckpt").exists()
 
 
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b'{"gather": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"],
+                         ids=["not-utf8", "nested-100000-deep"])
+def test_a_config_file_that_is_not_utf8_json_is_a_config_error(tmp_path, capsys, text):
+    config = tmp_path / "c.json"
+    config.write_bytes(text)
+    assert cli.main(["teach", "--config", str(config), "--out", str(tmp_path / "t.ckpt")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config: {config}: not valid UTF-8 JSON: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
 @pytest.mark.parametrize("field,value", [("kind", "noisy_parity"), ("flip_prob", 0.05)])
 def test_retired_task_settings_are_config_errors(tmp_path, capsys, field, value):
     config = tmp_path / "c.json"

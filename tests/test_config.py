@@ -33,6 +33,33 @@ def test_a_written_config_moves_as_a_whole_with_its_seed():
     assert config_from_dict({**default_config(0).to_dict(), "seed": 7}).to_dict() == default_config(7).to_dict()
 
 
+_WRITTEN = default_config(0).to_dict()
+SETTINGS = [(key,) for key, value in _WRITTEN.items() if not isinstance(value, dict)] + [
+    (block, key) for block, value in _WRITTEN.items() if isinstance(value, dict) for key in value]
+
+
+@pytest.mark.parametrize("path", SETTINGS, ids=["-".join(path) for path in SETTINGS])
+def test_every_setting_may_be_left_out(path):
+    # a setting a config leaves out takes the default experiment's value
+    raw = default_config(0).to_dict()
+    parent = raw[path[0]] if len(path) == 2 else raw
+    del parent[path[-1]]
+    assert config_from_dict(raw) == default_config(0)
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_a_config_naming_only_its_seed_and_profile_is_the_default_config(profile):
+    assert config_from_dict({"seed": 5, "profile": profile}) == default_config(5, profile=profile)
+
+
+def test_a_config_nested_too_deeply_is_a_config_error():
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    with pytest.raises(ConfigError, match="settings are nested too deeply"):
+        config_from_dict({**default_config().to_dict(), "gather": {"methods": deep}})
+
+
 def test_profiles_set_alpha_and_svd_ratio_unless_given():
     nlp = default_config(profile="nlp")
     assert (nlp.distill.alpha, nlp.svd_ratio) == (0.75, 0.25)
