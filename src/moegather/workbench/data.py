@@ -21,7 +21,7 @@ TASK_KINDS = ("gaussian_mixture",)
 _PROBE_RIDGE = 1e-3
 _CALIBRATION_TRAIN = 3000
 _CALIBRATION_EVAL = 1500
-_ASSEMBLY_BLOCK = 1024  # sequences per step when mixture tokens are assembled
+_ASSEMBLY_BLOCK = 1024  # sequences per step when mixture tokens are assembled or pooled
 
 
 @dataclass(frozen=True)
@@ -78,28 +78,26 @@ def _balanced_labels(n: int, num_classes: int, rng: Rng) -> np.ndarray:
     return reps[rng.permutation(n)]
 
 
+def _ridge_probe_accuracy(train_x: np.ndarray, train_labels: np.ndarray,
+                          test_x: np.ndarray, test_labels: np.ndarray) -> float:
+    """Ridge regression of one-hot targets on ``train_x`` and a bias column;
+    the share of ``test_x`` rows whose largest output is their label."""
+
+    def features(x: np.ndarray) -> np.ndarray:
+        return np.concatenate([x, np.ones((len(x), 1))], axis=1)
+
+    x = features(train_x)
+    y = np.eye(int(train_labels.max()) + 1)[train_labels]
+    gram = x.T @ x + _PROBE_RIDGE * np.eye(x.shape[1])
+    w = np.linalg.solve(gram, x.T @ y)
+    pred = np.argmax(features(test_x) @ w, axis=1)
+    return float((pred == test_labels).mean())
+
+
 def linear_probe_accuracy(train: Dataset, test: Dataset) -> float:
     """Ridge-regression probe on mean-pooled tokens to one-hot targets; the
     reference for how much of a task is linearly solvable."""
-
-    def features(ds: Dataset) -> np.ndarray:
-        return np.concatenate([ds.tokens.mean(axis=1), np.ones((len(ds), 1))], axis=1)
-
-    x = features(train)
-    y = np.eye(int(train.labels.max()) + 1)[train.labels]
-    gram = x.T @ x + _PROBE_RIDGE * np.eye(x.shape[1])
-    w = np.linalg.solve(gram, x.T @ y)
-    pred = np.argmax(features(test) @ w, axis=1)
-    return float((pred == test.labels).mean())
-
-
-@dataclass
-class _MixtureDraw:
-    """The scale-free parts of a mixture sample."""
-
-    labels: np.ndarray  # (n,) int64
-    modes: np.ndarray  # (n, seq_len) satellite mode of each token
-    noise: np.ndarray  # (n, seq_len, d_model), already times token_noise
+    return _ridge_probe_accuracy(train.tokens.mean(axis=1), train.labels, test.tokens.mean(axis=1), test.labels)
 
 
 class _MixtureSampler:
@@ -113,40 +111,64 @@ class _MixtureSampler:
         raw = centers + spec.mode_spread * satellites
         self.means = raw / np.linalg.norm(raw, axis=2, keepdims=True)
 
-    def draw(self, n: int, rng: Rng) -> _MixtureDraw:
+    def _draw(self, n: int, rng: Rng):
+        """A sample's labels, each token's satellite mode of its sequence's
+        class, and ``noise(k)``: the next ``k`` sequences' noise, times
+        ``token_noise``, from one stream, so draws in blocks give the values of
+        one draw."""
         spec = self.spec
         labels = _balanced_labels(n, spec.num_classes, rng.derive("labels"))
-        # every token draws its own satellite mode of the sequence's class
         modes = rng.derive("modes").integers(0, spec.modes_per_class, size=(n, spec.seq_len))
-        noise = rng.derive("tokens").normal(size=(n, spec.seq_len, spec.d_model))
-        noise *= spec.token_noise
-        return _MixtureDraw(labels=labels, modes=modes, noise=noise)
+        stream = rng.derive("tokens")
 
-    def assemble(self, drawn: _MixtureDraw, scale: float, out: np.ndarray) -> Dataset:
-        """Tokens ``scale * mean + noise``, written into ``out`` (which may be
-        ``drawn.noise`` itself) a block of sequences at a time, so no
-        full-size temporary is made."""
+        def noise(k: int) -> np.ndarray:
+            out = stream.normal(size=(k, spec.seq_len, spec.d_model))
+            out *= spec.token_noise
+            return out
+
+        return labels, modes, noise
+
+    def sample(self, n: int, rng: Rng, scale: float) -> Dataset:
+        """Tokens ``scale * mean + noise``: the noise is drawn whole and becomes
+        the tokens, and the scaled means are added into it a block of
+        sequences at a time, so no other full-size array is made."""
+        labels, modes, noise = self._draw(n, rng)
+        tokens = noise(n)
         table = scale * self.means
-        for start in range(0, len(out), _ASSEMBLY_BLOCK):
+        for start in range(0, n, _ASSEMBLY_BLOCK):
             rows = slice(start, start + _ASSEMBLY_BLOCK)
-            np.add(table[drawn.labels[rows, None], drawn.modes[rows]], drawn.noise[rows], out=out[rows])
-        return Dataset(tokens=out, labels=drawn.labels)
+            np.add(table[labels[rows, None], modes[rows]], tokens[rows], out=tokens[rows])
+        return Dataset(tokens=tokens, labels=labels)
+
+    def pooled(self, n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sample that ``sample(n, rng, scale)`` draws, kept as its labels
+        and two ``(n, d_model)`` arrays: the mean of each sequence's mode means
+        and the mean of its noise. Its mean-pooled tokens at any scale are
+        ``scale * means + noise`` up to rounding. Made a block of sequences at
+        a time, so no full-size array is made."""
+        labels, modes, noise = self._draw(n, rng)
+        mode_means, noise_means = np.empty((n, self.spec.d_model)), np.empty((n, self.spec.d_model))
+        for start in range(0, n, _ASSEMBLY_BLOCK):
+            rows = slice(start, start + _ASSEMBLY_BLOCK)
+            mode_means[rows] = self.means[labels[rows, None], modes[rows]].mean(axis=1)
+            noise_means[rows] = noise(min(_ASSEMBLY_BLOCK, n - start)).mean(axis=1)
+        return labels, mode_means, noise_means
 
 
 def _calibrate_mixture_scale(sampler: _MixtureSampler, spec: SyntheticTaskSpec) -> float:
     """Bisect the mode separation until a pooled linear probe lands inside the
     requested accuracy band. Deterministic: the calibration sample is drawn
-    once from its seeded streams and only re-assembled at each candidate scale."""
+    once from its seeded streams and kept as per-sequence means only, so each
+    candidate scale is scored on ``scale * means + noise`` without its tokens."""
     lo_acc, hi_acc = spec.probe_band
     target = 0.5 * (lo_acc + hi_acc)
     cal_rng = Rng(spec.seed).derive("calibration")
-    train = sampler.draw(_CALIBRATION_TRAIN, cal_rng.derive("train"))
-    test = sampler.draw(_CALIBRATION_EVAL, cal_rng.derive("eval"))
-    train_tokens, test_tokens = np.empty_like(train.noise), np.empty_like(test.noise)
+    train_labels, train_means, train_noise = sampler.pooled(_CALIBRATION_TRAIN, cal_rng.derive("train"))
+    test_labels, test_means, test_noise = sampler.pooled(_CALIBRATION_EVAL, cal_rng.derive("eval"))
 
     def probe(scale: float) -> float:
-        return linear_probe_accuracy(sampler.assemble(train, scale, train_tokens),
-                                     sampler.assemble(test, scale, test_tokens))
+        return _ridge_probe_accuracy(scale * train_means + train_noise, train_labels,
+                                     scale * test_means + test_noise, test_labels)
 
     lo, hi = 0.02, 64.0
     if probe(hi) < lo_acc:
@@ -180,9 +202,4 @@ def generate_dataset(spec: SyntheticTaskSpec, splits: tuple[str, ...] = ("train"
     sampler = _MixtureSampler(spec)
     scale = _calibrate_mixture_scale(sampler, spec)
     rng = Rng(spec.seed)
-
-    def make(name: str) -> Dataset:
-        drawn = sampler.draw(sizes[name], rng.derive(name))
-        return sampler.assemble(drawn, scale, out=drawn.noise)
-
-    return tuple(make(name) for name in splits)
+    return tuple(sampler.sample(sizes[name], rng.derive(name), scale) for name in splits)
