@@ -96,16 +96,8 @@ class GatherReport:
     residual_w1: list[float] = field(default_factory=list)
     residual_w2: list[float] = field(default_factory=list)
 
-    @property
-    def rank_total_w1(self) -> int:
-        return sum(self.ranks_w1)
-
-    @property
-    def rank_total_w2(self) -> int:
-        return sum(self.ranks_w2)
-
     def to_dict(self) -> dict:
-        return {**asdict(self), "rank_total_w1": self.rank_total_w1, "rank_total_w2": self.rank_total_w2}
+        return {**asdict(self), "rank_total_w1": sum(self.ranks_w1), "rank_total_w2": sum(self.ranks_w2)}
 
 
 def matched_tensors(model: ClassifierModel) -> dict[str, np.ndarray]:

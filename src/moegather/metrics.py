@@ -10,7 +10,7 @@ import numpy as np
 
 from .gather import average_bias, svdkg_merge
 from .model import FeedForward, MoELayer, router_probs
-from .numerics import ShapeError, svd
+from .numerics import ShapeError, as_array, svd
 
 # Multiply-accumulate counted as two floating point operations.
 FLOPS_PER_MAC = 2
@@ -65,7 +65,7 @@ def noise_scan(moe: MoELayer, svd_ratios, tokens: np.ndarray) -> list[NoiseScanR
     truncated foreign experts plus the bias-averaging mismatch. Signal plus
     noise is the gathered layer's output.
     """
-    tokens = np.asarray(tokens, dtype=np.float64)
+    tokens = as_array(tokens, "tokens")
     if tokens.ndim != 2 or tokens.shape[1] != moe.d_model or len(tokens) == 0:
         raise ShapeError(f"tokens must be (n, {moe.d_model}) with n >= 1, got shape {tokens.shape}")
     ratios = sorted(float(r) for r in svd_ratios)

@@ -65,7 +65,7 @@ from itertools import islice
 
 import numpy as np
 
-from .numerics import NumericalError, Rng, ShapeError, check_number
+from .numerics import NumericalError, Rng, ShapeError, as_array, check_number
 
 LAYER_NORM_EPS = 1e-5
 FORWARD_BLOCK = 64  # most sequences per forward-only block; see the module docstring
@@ -152,12 +152,9 @@ class FeedForward:
     activation: str = "gelu"
 
     def __post_init__(self):
-        try:
-            self.w1, self.b1, self.w2, self.b2 = (
-                np.asarray(t, dtype=np.float64) for t in (self.w1, self.b1, self.w2, self.b2)
-            )
-        except (TypeError, ValueError) as exc:  # a ragged nested list, or an entry that is no number
-            raise ShapeError(f"feed-forward tensors must be rectangular arrays of numbers: {exc}") from exc
+        self.w1, self.b1, self.w2, self.b2 = (
+            as_array(t, f"feed-forward {name}") for name, t in self.tensors().items()
+        )
         if self.w1.ndim != 2:
             raise ShapeError(f"feed-forward w1 must be 2-D, got shape {self.w1.shape}")
         d, h = self.w1.shape
@@ -192,10 +189,7 @@ class Router:
     top_k: int
 
     def __post_init__(self):
-        try:
-            self.weight = np.asarray(self.weight, dtype=np.float64)
-        except (TypeError, ValueError) as exc:  # a ragged nested list, or an entry that is no number
-            raise ShapeError(f"router weight must be a rectangular array of numbers: {exc}") from exc
+        self.weight = as_array(self.weight, "router weight")
         if self.weight.ndim != 2:
             raise ShapeError("router weight must be 2-D")
         check_number("top_k", self.top_k, integer=True, positive=True)
@@ -217,7 +211,7 @@ def router_probs(x: np.ndarray, router: Router, rng: Rng | None = None) -> np.nd
     """Gate probabilities for a (..., d_model) array of token rows. Noise of
     std 1/num_experts is drawn iff an rng is supplied (evaluation passes
     rng=None)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_array(x, "token rows")
     if x.shape[-1] != router.weight.shape[0]:
         raise ShapeError(f"token width {x.shape[-1]} != router input {router.weight.shape[0]}")
     logits = x @ router.weight
@@ -524,7 +518,7 @@ def forward_batch(
     sequences runs in near-equal blocks of at most that many and returns the
     concatenated results.
     """
-    tokens = np.asarray(tokens, dtype=np.float64)
+    tokens = as_array(tokens, "tokens")
     if tokens.ndim != 3:
         raise ShapeError(f"tokens must be (batch, seq_len, d_model), got shape {tokens.shape}")
     b, s, d = tokens.shape

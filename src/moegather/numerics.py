@@ -4,7 +4,8 @@ Everything operates on float64 numpy arrays with row-major semantics.
 All functions are pure; :class:`Rng` is the only stateful object and each
 logical consumer (init, batch order, router noise, ...) should own its own
 stream rather than share one. :func:`check_number` is the one range check
-of every numeric setting in the package.
+of every numeric setting in the package, and :func:`as_array` the one
+conversion of array input to float64.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "NumericalError",
     "SvdFactors",
     "Rng",
+    "as_array",
     "as_matrix",
     "as_vector",
     "check_number",
@@ -37,9 +39,19 @@ class NumericalError(RuntimeError):
     """Non-finite values encountered, or a decomposition failed to converge."""
 
 
+def as_array(data, what: str) -> np.ndarray:
+    """``data`` as a float64 array, itself when it already is one. A ragged
+    nested list, or an entry that is no number, is a :class:`ShapeError`
+    that names ``what``."""
+    try:
+        return np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"{what} must be a rectangular array of numbers: {exc}") from exc
+
+
 def as_matrix(data) -> np.ndarray:
     """Coerce to a finite 2-D float64 array (C order)."""
-    a = np.ascontiguousarray(data, dtype=np.float64)
+    a = np.ascontiguousarray(as_array(data, "matrix"))
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size == 0:
@@ -51,7 +63,7 @@ def as_matrix(data) -> np.ndarray:
 
 def as_vector(data) -> np.ndarray:
     """Coerce to a finite 1-D float64 array."""
-    v = np.ascontiguousarray(data, dtype=np.float64)
+    v = np.ascontiguousarray(as_array(data, "vector"))
     if v.ndim != 1:
         raise ShapeError(f"expected a 1-D vector, got ndim={v.ndim}")
     if not np.isfinite(v).all():

@@ -289,21 +289,6 @@ def loss_and_grads(
     return breakdown, backward_from_logits(model, cache, d_logits, balance_dp)
 
 
-@dataclass(frozen=True)
-class LinearDecaySchedule:
-    """Linear learning-rate decay to zero; the final step lands exactly on
-    0. A schedule of one step keeps ``base_lr``."""
-
-    base_lr: float
-    total_steps: int
-
-    def lr_at(self, step: int) -> float:
-        if self.total_steps <= 1:
-            return self.base_lr
-        frac = min(max(step / (self.total_steps - 1), 0.0), 1.0)
-        return self.base_lr - self.base_lr * frac
-
-
 @dataclass
 class AdamState:
     """Adam's moments of one parameter set, and the step count.
@@ -450,14 +435,14 @@ def _run_training(model: ClassifierModel, cfg: TrainConfig, data, batches: np.nd
     train, test = data
     rng = Rng(cfg.seed)
     noise_rng = rng.derive("router-noise") if model.arch.stage == "moe" else None
-    schedule = LinearDecaySchedule(cfg.learning_rate, steps)
     # a supervised run passes a TrainConfig, which has no alpha; without teacher logits none is read
     alpha = cfg.alpha if teacher_logits is not None else DistillConfig.alpha
     params = model.parameters()
     state = AdamState.for_params(params)
     log: list[dict] = []
     for step, idx in enumerate(batches):
-        lr = schedule.lr_at(state.t)
+        # linear decay to exactly 0 at the last step; a one-step run keeps the rate
+        lr = cfg.learning_rate - cfg.learning_rate * (step / (steps - 1)) if steps > 1 else cfg.learning_rate
         breakdown, grads = loss_and_grads(
             model,
             train.tokens[idx],
@@ -470,15 +455,7 @@ def _run_training(model: ClassifierModel, cfg: TrainConfig, data, batches: np.nd
         if not np.isfinite(breakdown.total):
             raise NumericalError(f"training diverged (non-finite loss) at step {step}")
         optimizer_step(params, grads, state, lr)
-        row = {
-            "step": step,
-            "main": breakdown.main,
-            "distill": breakdown.distill,
-            "balance": breakdown.balance,
-            "total": breakdown.total,
-            "lr": lr,
-            "heldout_acc": "",
-        }
+        row = {"step": step, **vars(breakdown), "lr": lr, "heldout_acc": ""}
         if cfg.eval_every and ((step + 1) % cfg.eval_every == 0 or step == steps - 1):
             row["heldout_acc"] = evaluate_accuracy(model, test.tokens, test.labels)
         log.append(row)

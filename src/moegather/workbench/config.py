@@ -117,7 +117,7 @@ def default_config(seed: int = 0, out_dir: str | os.PathLike = ExperimentConfig.
     """The config that names only its seed, out_dir and profile: d_model 32,
     d_ff 128, 4 experts with top-2 routing, two parameter-shared blocks,
     ~20k training sequences (see ``DEFAULTS`` and the settings classes)."""
-    return config_from_dict({"seed": seed, "out_dir": out_dir, "profile": profile})
+    return config_from_dict({"seed": seed, "out_dir": os.fspath(out_dir), "profile": profile})
 
 
 def _check_known(block: dict, known: tuple[str, ...], prefix: str = "") -> None:
@@ -136,8 +136,6 @@ def _block(raw: dict, name: str) -> dict:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if isinstance(raw.get("out_dir"), os.PathLike):
-        raw = {**raw, "out_dir": os.fspath(raw["out_dir"])}
     try:
         raw = json.loads(json.dumps(raw))  # deep copy + reject non-JSON values
     except (TypeError, ValueError) as exc:

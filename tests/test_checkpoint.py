@@ -21,6 +21,7 @@ from moegather.workbench.checkpoint import (
     NonFiniteTensorError,
     SchemaError,
     TruncatedPayloadError,
+    VersionMismatchError,
     load_checkpoint,
     save_checkpoint,
 )
@@ -120,6 +121,34 @@ def test_metadata_longer_than_the_file(ckpt):
     blob = json.dumps(meta).encode()
     ckpt.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, 2**62) + blob + payload)
     with pytest.raises(TruncatedPayloadError, match="metadata block extends past end of file"):
+        load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("key", ["architecture", "tensors"])
+def test_reserved_metadata_keys_are_refused(tmp_path, key):
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match=f"metadata keys \\['{key}'\\] are reserved"):
+        save_checkpoint(tiny_model(), {key: None}, path)
+    assert not path.exists()
+
+
+def test_a_file_shorter_than_the_header(ckpt):
+    ckpt.write_bytes(ckpt.read_bytes()[: _HEADER.size - 1])
+    with pytest.raises(TruncatedPayloadError, match=f"only {_HEADER.size - 1} bytes, shorter than the header"):
+        load_checkpoint(ckpt)
+
+
+def test_another_format_version(ckpt):
+    raw = ckpt.read_bytes()
+    _, _, meta_len = _HEADER.unpack_from(raw)
+    ckpt.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION + 1, meta_len) + raw[_HEADER.size :])
+    with pytest.raises(VersionMismatchError, match=f"format version {FORMAT_VERSION + 1} unsupported"):
+        load_checkpoint(ckpt)
+
+
+def test_a_payload_longer_than_declared(ckpt):
+    rewrite(ckpt, payload=split(ckpt)[1] + bytes(8))
+    with pytest.raises(SchemaError, match="longer than the declared"):
         load_checkpoint(ckpt)
 
 

@@ -149,6 +149,31 @@ def test_bad_task_metadata_is_a_checkpoint_error(pipe, tmp_path, capsys, command
     assert capsys.readouterr().err.startswith(f"error: checkpoint: {bad}: bad task metadata: ")
 
 
+def test_eval_of_a_checkpoint_without_a_task_is_a_config_error(pipe, tmp_path, capsys):
+    model, meta = load_checkpoint(pipe / "teacher.ckpt")
+    del meta["task"]
+    bare = tmp_path / "bare.ckpt"
+    save_checkpoint(model, meta, bare)
+    assert cli.main(["eval", "--model", str(bare)]) == 1
+    assert capsys.readouterr().err == f"error: config: {bare}: checkpoint metadata has no task description\n"
+
+
+TINY_TOKENS = TINY_CONFIG["task"]["train_size"] * TINY_CONFIG["model"]["seq_len"]  # in the training split
+
+
+@pytest.mark.parametrize("checkpoint,argv,error", [
+    ("teacher.ckpt", ["--lambdas", "0.1:1.0"], "error: config: bad lambda grid '0.1:1.0'; expected start:stop:step"),
+    ("gather_svdkg.ckpt", [], "error: structure: model has no MoE stage"),
+    ("teacher.ckpt", ["--tokens", str(TINY_TOKENS + 1)],
+     f"error: config: task provides only {TINY_TOKENS} tokens, need {TINY_TOKENS + 1}"),
+], ids=["lambda-grid", "dense-checkpoint", "too-many-tokens"])
+def test_noise_scan_refusals(pipe, tmp_path, capsys, checkpoint, argv, error):
+    out = tmp_path / "scan.csv"
+    assert cli.main(["noise-scan", "--teacher", str(pipe / checkpoint), *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == error + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "flops", "noise-scan"])
 def test_a_checkpoint_recording_parameter_sharing_is_a_checkpoint_error(pipe, tmp_path, capsys, command):
     # checkpoints written while parameter sharing was a setting record it in their architecture
@@ -345,6 +370,14 @@ def test_a_main_lane_failure_kills_the_busy_worker(tmp_path, monkeypatch, worker
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
     _assert_no_worker_left(workers)
     assert workers[0].proc.returncode == -signal.SIGKILL
+
+
+def test_a_worker_that_does_not_exit_in_time_is_killed(monkeypatch, workers):
+    monkeypatch.setattr(pipeline_mod, "_WORKER_EXIT_S", 0.2)
+    with pipeline_mod._Worker() as worker:
+        worker.submit(exec, "import time; time.sleep(60)")  # still busy when its stdin closes
+    assert worker.proc.returncode == -signal.SIGKILL
+    _assert_no_worker_left(workers)
 
 
 def test_a_pipeline_error_survives_pickling():

@@ -137,6 +137,15 @@ def test_a_repeated_gather_method_is_a_config_error(methods):
         config_from_dict({**raw, "gather": {**raw["gather"], "methods": methods}})
 
 
+@pytest.mark.parametrize("methods,message", [
+    (["sum", "median"], "unknown gather method 'median'"),
+    ([], "at least one gather method is required"),
+], ids=["unknown", "empty"])
+def test_the_gather_methods_must_be_known_and_not_empty(methods, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({"gather": {"methods": methods}})
+
+
 @pytest.mark.parametrize("part,change,message", [
     ("arch", {"stage": "dense"}, "the teacher architecture must use an MoE stage"),
     ("task", {"d_model": 16}, "task d_model 16 != model d_model 32"),

@@ -371,6 +371,10 @@ class TestBuildStudent:
         with pytest.raises(ValueError):
             GatherConfig(method="nope")
 
+    def test_an_unknown_bias_policy_is_refused(self):
+        with pytest.raises(ValueError, match="bias_policy must be one of .*, got 'median'"):
+            GatherConfig(method="sum", bias_policy="median")
+
     @pytest.mark.parametrize("ratio", ["0.5", True, 0, 1.5, float("nan")])
     def test_svd_ratio_must_be_a_number_in_the_unit_interval(self, ratio):
         with pytest.raises(ValueError, match="svd_ratio must be a positive finite number at most 1"):

@@ -507,6 +507,21 @@ class TestModelPlumbing:
         with pytest.raises(ValueError):
             Architecture(d_model=4, d_ff=4, seq_len=2, num_classes=2, stage="bogus")
 
+    @pytest.mark.parametrize("experts,router_width,match", [
+        ([], 1, "needs at least one expert"),
+        ([(6, 10), (6, 8)], 2, r"expert 1 shape \(6, 8\) != expert 0 shape \(6, 10\)"),
+        ([(6, 10), (6, 10)], 3, "router width 3 != expert count 2"),
+    ], ids=["no-experts", "unequal-experts", "router-width"])
+    def test_moe_layer_rejects_a_mismatched_bank(self, experts, router_width, match):
+        rng = Rng(0)
+        bank = [make_ffn(rng, d, h) for d, h in experts]
+        with pytest.raises(ShapeError, match=match):
+            MoELayer(bank, Router(weight=np.zeros((6, router_width)), top_k=1))
+
+    def test_moe_architecture_top_k_at_most_num_experts(self):
+        with pytest.raises(ValueError, match="top_k=3 out of range for 2 experts"):
+            small_arch(stage="moe", num_experts=2, top_k=3)
+
     @pytest.mark.parametrize("top_k", [1.5, 2.0, "2", True, None, 0, -1])
     def test_router_top_k_must_be_a_positive_integer(self, top_k):
         with pytest.raises(ValueError, match="top_k must be a positive integer"):

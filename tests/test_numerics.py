@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from moegather.metrics import noise_scan
+from moegather.model import Architecture, build_classifier, forward_batch, router_probs
 from moegather.numerics import (
     NumericalError,
     Rng,
     ShapeError,
     SvdFactors,
+    as_matrix,
+    as_vector,
     svd,
     top_k_indices,
     truncate_svd,
@@ -178,3 +182,36 @@ class TestRng:
     def test_distinct_tags_distinct_streams(self):
         r = Rng(5)
         assert not np.array_equal(r.derive("a").normal(size=8), r.derive("b").normal(size=8))
+
+
+def _moe_model():
+    arch = Architecture(d_model=2, d_ff=3, seq_len=1, num_classes=2, stage="moe", num_experts=2, top_k=1)
+    return build_classifier(arch, Rng(0))
+
+
+# each entry point given one array argument, which it must convert to float64
+ARRAY_ENTRY_POINTS = {
+    "forward_batch": lambda data: forward_batch(_moe_model(), [data]),
+    "router_probs": lambda data: router_probs(data, _moe_model().blocks[0].stage.router),
+    "noise_scan": lambda data: noise_scan(_moe_model().blocks[0].stage, [0.5], data),
+    "svd": svd,
+    "top_k_indices": lambda data: top_k_indices(data, 1),
+}
+
+
+class TestArrayInput:
+    @pytest.mark.parametrize("data", [[[1.0, 2.0], [3.0]], [[1.0, "x"], [3.0, 4.0]]], ids=["ragged", "non-numeric"])
+    @pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+    def test_a_malformed_array_is_a_shape_error(self, entry, data):
+        with pytest.raises(ShapeError, match="must be a rectangular array of numbers"):
+            ARRAY_ENTRY_POINTS[entry](data)
+
+    def test_as_matrix_needs_two_dimensions(self):
+        with pytest.raises(ShapeError, match="2-D"):
+            as_matrix([1.0, 2.0])
+
+    def test_as_vector_needs_one_dimension_and_finite_entries(self):
+        with pytest.raises(ShapeError, match="1-D"):
+            as_vector([[1.0, 2.0]])
+        with pytest.raises(NumericalError, match="non-finite"):
+            as_vector([1.0, np.nan])

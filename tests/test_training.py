@@ -15,6 +15,7 @@ from moegather.model import (
     _stage_forward_moe,
     build_classifier,
     forward_batch,
+    model_from_tensors,
     router_probs,
     state_hash,
 )
@@ -26,7 +27,6 @@ from moegather.training import (
     BALANCE_COEFF,
     AdamState,
     DistillConfig,
-    LinearDecaySchedule,
     TrainConfig,
     _distill_terms,
     backward_from_logits,
@@ -408,6 +408,13 @@ def per_tensor_adam_oracle(params, grads, state, lr):
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
+def lr_column(steps, learning_rate):
+    """The learning rate of each step of a ``steps``-step supervised run, read from its log."""
+    cfg = TrainConfig(steps=steps, batch_size=16, learning_rate=learning_rate, seed=0, eval_every=0)
+    result = train_classifier(build_classifier(tiny_arch("dense"), Rng(0)), cfg, tiny_data())
+    return [row["lr"] for row in result.log]
+
+
 class TestOptimizer:
     def test_zero_gradients_fixed_point(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
@@ -432,18 +439,19 @@ class TestOptimizer:
             assert p["x"][0] == pytest.approx(x, abs=1e-15)
 
     def test_final_step_of_linear_decay_is_noop(self):
-        sched = LinearDecaySchedule(0.5, 4)
-        assert sched.lr_at(3) == 0.0
+        lrs = lr_column(4, 0.5)
+        assert lrs[-1] == 0.0
         params = {"w": np.array([1.0])}
         state = AdamState.for_params(params)
         state.t = 3  # at the last step of a 4-step run
-        optimizer_step(params, {"w": np.array([10.0])}, state, sched.lr_at(state.t))
+        optimizer_step(params, {"w": np.array([10.0])}, state, lrs[-1])
         assert params["w"][0] == 1.0
 
     def test_linear_decay_endpoints(self):
-        sched = LinearDecaySchedule(1.0, 5)
-        assert sched.lr_at(0) == 1.0
-        assert [round(sched.lr_at(i), 10) for i in range(5)] == [1.0, 0.75, 0.5, 0.25, 0.0]
+        lrs = lr_column(5, 1e-2)
+        assert lrs[0] == 1e-2 and lrs[-1] == 0.0
+        assert [round(lr, 12) for lr in lrs] == [1e-2, 0.75e-2, 0.5e-2, 0.25e-2, 0.0]
+        assert lr_column(1, 1e-2) == [1e-2]  # a one-step run keeps its rate
 
     @pytest.mark.parametrize("role", ["teacher", "dense_student"])
     def test_flat_update_bit_identical_to_per_tensor_loop(self, role):
@@ -458,24 +466,23 @@ class TestOptimizer:
             v={k: np.zeros_like(p) for k, p in params.items()},
             t=0,
         )
-        schedule = LinearDecaySchedule(1e-2, steps)
+        lrs = lr_column(steps, 1e-2)
         if role == "teacher":
             noise, balance, teacher_logits = Rng(21), BALANCE_COEFF, None
         else:
             noise, balance = None, 0.0
             teacher_logits = forward_batch(build_classifier(tiny_arch(), Rng(22)), train.tokens)[0]
         batches = batch_schedule(TrainConfig(steps=steps, batch_size=16, seed=23), len(train.labels))
-        for idx in batches:
+        for idx, lr in zip(batches, lrs, strict=True):
             _, grads = loss_and_grads(
                 model, train.tokens[idx], train.labels[idx],
                 teacher_logits=None if teacher_logits is None else teacher_logits[idx],
                 balance_coeff=balance, rng=noise,
             )
-            lr = schedule.lr_at(state.t)
             optimizer_step(params, grads, state, lr)
             per_tensor_adam_oracle(twin_params, grads, oracle, lr)
             assert array_bytes(params.items()) == array_bytes(twin_params.items())
-        assert schedule.lr_at(steps - 1) == 0.0 and state.t == oracle.t == steps
+        assert lrs[-1] == 0.0 and state.t == oracle.t == steps
         assert state.names == tuple(params)
         assert state.m.tobytes() == np.concatenate([m.ravel() for m in oracle.m.values()]).tobytes()
         assert state.v.tobytes() == np.concatenate([v.ravel() for v in oracle.v.values()]).tobytes()
@@ -557,6 +564,15 @@ class TestTrainingLoops:
         assert state_hash(teacher) == before
         s2 = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data)
         assert state_hash(s1.model) == state_hash(s2.model)
+
+    def test_a_student_that_shares_a_teacher_array_is_caught(self):
+        arch = tiny_arch()
+        teacher = build_classifier(arch, Rng(2))
+        student = build_classifier(arch.dense_twin(), Rng(4))
+        aliased = model_from_tensors(student.arch, {**student.tensors(), "embed": teacher.embed})  # no copy
+        cfg = DistillConfig(steps=2, batch_size=16, learning_rate=1e-2, seed=3, eval_every=0)
+        with pytest.raises(RuntimeError, match="teacher weights changed during distillation"):
+            distill_student(aliased, teacher, cfg, tiny_data())
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
