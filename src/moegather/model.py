@@ -8,7 +8,9 @@ single dense :class:`FeedForward` or an :class:`MoELayer` that routes every
 token to its top-k experts.
 
 ``forward_batch`` is the one forward implementation and ``router_probs`` the
-one router gate, for any number of token rows. The forward pass is
+one router gate, for any number of token rows. ``log_softmax`` is the one
+softmax: the gate exponentiates it, and both training losses in
+:mod:`moegather.training` read it. The forward pass is
 forward-only by default: scoring, the frozen teacher's logits and the balance
 measurement compute activation values alone and keep only the routing arrays.
 Only a training step asks for ``need_grad=True``, which also computes the
@@ -55,6 +57,11 @@ are bit-identical to the expressions, which ``tests/`` keeps as oracles.
 Layer norm allocates two full-size arrays (``xhat`` and ``y``), the GELU
 with its derivative five, and the feed-forward stage adds its bias to the
 product in place.
+
+Every "same bits" here compares two computations on one BLAS kernel.
+Another kernel, such as OpenBLAS's under another ``OPENBLAS_CORETYPE``,
+moves results in their last bits, so ``tests/test_reference_run.py`` checks
+a tiny run against pinned numbers with a tolerance rather than by bytes.
 """
 
 from __future__ import annotations
@@ -201,10 +208,11 @@ class Router:
         return self.weight.shape[1]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def router_probs(x: np.ndarray, router: Router, rng: Rng | None = None) -> np.ndarray:
@@ -219,7 +227,8 @@ def router_probs(x: np.ndarray, router: Router, rng: Rng | None = None) -> np.nd
         raise NumericalError("router logits are non-finite: the input holds or overflows to inf/NaN")
     if rng is not None:
         logits = logits + rng.normal(size=logits.shape, scale=1.0 / router.num_experts)
-    return _softmax(logits)
+    probs = log_softmax(logits)
+    return np.exp(probs, out=probs)
 
 
 @dataclass

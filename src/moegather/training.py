@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FORWARD_BLOCK, ClassifierModel, forward_batch, state_hash
+from .model import FORWARD_BLOCK, ClassifierModel, forward_batch, log_softmax, state_hash
 from .numerics import NumericalError, Rng, ShapeError, check_number
 
 GradientSet = dict[str, np.ndarray]
@@ -82,31 +82,29 @@ class DistillConfig(TrainConfig):
         super().__post_init__()
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Batch-mean negative log-likelihood of integer labels and its gradient
-    w.r.t. the logits."""
-    rows = np.arange(logits.shape[0])
-    ls = _log_softmax(logits)
-    dlogits = np.exp(ls)
-    dlogits[rows, labels] -= 1.0
-    return float(-ls[rows, labels].mean()), dlogits / logits.shape[0]
-
-
-def _distill_terms(logits: np.ndarray, teacher_logits: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean distillation loss over the batch and its gradient w.r.t. the
-    student logits: KL(teacher || student) of the softmax outputs, Hinton et
-    al.'s soft-target loss on unscaled logits."""
-    b = logits.shape[0]
-    ls_s = _log_softmax(logits)
-    ls_t = _log_softmax(teacher_logits)
-    p_s, p_t = np.exp(ls_s), np.exp(ls_t)
-    loss = float(np.sum(p_t * (ls_t - ls_s)) / b)
-    return loss, (p_s - p_t) / b
+def _objective(logits: np.ndarray, labels: np.ndarray, teacher_logits: np.ndarray | None,
+               alpha: float) -> tuple[float, float, float, np.ndarray]:
+    """(label loss, distillation loss, total, the total's gradient w.r.t.
+    ``logits``), weighed as ``loss_and_grads`` says. The label loss is the
+    batch-mean negative log-likelihood, the distillation loss KL(teacher ||
+    student) of the softmax outputs: Hinton et al.'s soft-target loss on
+    unscaled logits."""
+    b = len(logits)
+    rows = np.arange(b)
+    ls = log_softmax(logits)
+    p = np.exp(ls)
+    main = float(-ls[rows, labels].mean())
+    if teacher_logits is None:
+        p[rows, labels] -= 1.0
+        p /= b
+        return main, 0.0, main, p
+    ls_t = log_softmax(teacher_logits)
+    p_t = np.exp(ls_t)
+    distill = float(np.sum(p_t * (ls_t - ls)) / b)
+    d_distill = (p - p_t) / b
+    p[rows, labels] -= 1.0
+    p /= b
+    return main, distill, alpha * main + (1.0 - alpha) * distill, alpha * p + (1.0 - alpha) * d_distill
 
 
 def _pooled_balance(cache: dict) -> tuple[float, np.ndarray, int]:
@@ -267,17 +265,7 @@ def loss_and_grads(
     enters the gradient set. Without them ``alpha`` is unused."""
     labels = np.asarray(labels)
     logits, cache = forward_batch(model, tokens, rng=rng, need_grad=True)
-    main, d_main = _cross_entropy(logits, labels)
-
-    if teacher_logits is not None:
-        distill_val, d_distill = _distill_terms(logits, teacher_logits)
-        d_logits = alpha * d_main + (1.0 - alpha) * d_distill
-        total = alpha * main + (1.0 - alpha) * distill_val
-    else:
-        distill_val = 0.0
-        d_logits = d_main
-        total = main
-
+    main, distill_val, total, d_logits = _objective(logits, labels, teacher_logits, alpha)
     balance, balance_dp = 0.0, None
     if balance_coeff > 0.0:
         balance, m, rows = _pooled_balance(cache)

@@ -137,13 +137,17 @@ def _parse_lambda_grid(text: str) -> list[float]:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad lambda grid {text!r}; expected start:stop:step") from exc
+    bounds = f"lambda grid {text!r} must satisfy 0 < start <= stop <= 1, step > 0"
     if not (0 < start <= stop <= 1 + 1e-12 and 0 < step < math.inf):  # also false for NaN
-        raise ConfigError(f"lambda grid {text!r} must satisfy 0 < start <= stop <= 1, step > 0")
+        raise ConfigError(bounds)
     span = (stop + 1e-9 - start) / step  # the grid holds floor(span) + 1 ratios
     if span >= MAX_LAMBDA_GRID:
         raise ConfigError(f"lambda grid {text!r} must satisfy (stop - start) / step < {MAX_LAMBDA_GRID}, "
                           f"so it holds at most {MAX_LAMBDA_GRID} ratios")
-    return [round(start + k * step, 10) for k in range(math.floor(span) + 1)]
+    grid = [round(start + k * step, 10) for k in range(math.floor(span) + 1)]
+    if grid[0] == 0:  # a start below 5e-11 rounds to 0
+        raise ConfigError(f"{bounds}, but start rounds to 0 at 10 decimals")
+    return grid
 
 
 def _cmd_noise_scan(args) -> int:

@@ -43,6 +43,8 @@ class SyntheticTaskSpec:
             raise ValueError(f"kind must be one of {TASK_KINDS}, got {self.kind!r}")
         for name in ("num_classes", "d_model", "seq_len", "train_size", "test_size", "modes_per_class"):
             check_number(name, getattr(self, name), integer=True, positive=True)
+        if self.num_classes < 2:  # one class would make every loss 0
+            raise ValueError(f"num_classes must be a count of at least 2, got {self.num_classes}")
         check_number("seed", self.seed, integer=True)
         check_number("mode_spread", self.mode_spread)
         check_number("token_noise", self.token_noise)

@@ -26,7 +26,10 @@ schedules; a row's teacher logits have the same bits in any forward of two or
 more sequences (a lone one may differ), so the split changes no result. The
 worker writes no file: it returns each ``TrainResult``, and the main process
 writes every file in stage order. With one CPU the same stage functions run
-inline, in that order, and every file has the same bytes either way.
+inline, in that order, and every file has the same bytes either way. Bytes
+hold per BLAS kernel: another kernel moves results in their last bits, and
+``tests/test_reference_run.py`` checks a tiny run's numbers across kernels
+with a tolerance.
 
 A failing stage raises ``PipelineError`` with its name, on either lane; a
 worker that dies fails the stage that waits for it. The output directory

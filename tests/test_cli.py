@@ -651,6 +651,7 @@ def test_retired_settings_are_config_errors(tmp_path, capsys, block, field, valu
     (None, "seed", [1]), (None, "seed", "3"), (None, "seed", 2.5), (None, "seed", True), (None, "seed", -1),
     ("gather", "svd_ratio", "0.5"),
     ("gather", "svd_ratio", 0), ("gather", "svd_ratio", 1.5), ("gather", "svd_ratio", float("nan")),
+    ("model", "num_classes", 1),
 ])
 def test_numeric_settings_must_be_valid(tmp_path, capsys, block, field, value):
     raw = dict(TINY_CONFIG)
@@ -676,10 +677,10 @@ def test_gather_settings_of_an_unlisted_method_fail_at_load(pipe, tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["nan:1:0.1", "0.1:1:nan", "0.5:1:1e-20"])
+@pytest.mark.parametrize("grid", ["nan:1:0.1", "0.1:1:nan", "0.5:1:1e-20", "1e-300:1:0.5"])
 def test_noise_scan_rejects_a_non_finite_lambda_grid(pipe, tmp_path, capsys, grid):
-    # a NaN bound has no grid size, and a tiny step a grid too large to hold;
-    # either must fail before the grid is built
+    # a NaN bound has no grid size, a tiny step a grid too large to hold, and
+    # a tiny start a first ratio that rounds to 0; each must fail before the scan
     argv = ["noise-scan", "--teacher", str(pipe / "teacher.ckpt"), "--lambdas", grid,
             "--out", str(tmp_path / "scan.csv")]
     assert cli.main(argv) == 1

@@ -28,7 +28,7 @@ from moegather.training import (
     AdamState,
     DistillConfig,
     TrainConfig,
-    _distill_terms,
+    _objective,
     backward_from_logits,
     batch_schedule,
     distill_student,
@@ -71,8 +71,9 @@ def tiny_data(seed=0, n=96, arch=None):
 
 
 def soft_kd_loss(z_s, z_t):
-    """Soft KD loss of one logit row, through the batched training kernel."""
-    return _distill_terms(np.asarray(z_s)[None, :], np.asarray(z_t)[None, :])[0]
+    """Soft KD loss of one logit row, through the batched training kernel:
+    the total at alpha 0, which weighs the label loss by nothing."""
+    return _objective(np.asarray(z_s)[None, :], np.array([0]), np.asarray(z_t)[None, :], 0.0)[2]
 
 
 class TestSoftKdLoss:
