@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .model import ClassifierModel, FeedForward, MoELayer, model_from_tensors
-from .numerics import SvdFactors, check_number, svd, top_k_indices, truncate_svd
+from .numerics import NumericalError, SvdFactors, check_number, svd, top_k_indices, truncate_svd
 
 GATHER_METHODS = ("sum", "avg", "topkg", "svdkg")
 BIAS_POLICIES = ("average", "matched")
@@ -136,7 +136,7 @@ def gather_topkg(experts: list[FeedForward]) -> tuple[np.ndarray, np.ndarray, li
     """
     base, rem = divmod(experts[0].d_ff, len(experts))
     quota = [base + (i < rem) for i in range(len(experts))]
-    selected = [top_k_indices(unit_scores(e), k) if k else [] for e, k in zip(experts, quota)]
+    selected = [top_k_indices(unit_scores(e), k).tolist() if k else [] for e, k in zip(experts, quota)]
     w1 = np.concatenate([e.w1[:, idx] for e, idx in zip(experts, selected)], axis=1)
     w2 = np.concatenate([e.w2[idx, :] for e, idx in zip(experts, selected)], axis=0)
     return w1, w2, selected
@@ -207,11 +207,14 @@ def build_student(teacher: ClassifierModel, cfg: GatherConfig) -> tuple[Classifi
     The student is assembled by ``model_from_tensors`` from copies of the
     teacher's matched tensors plus one dense stage, merged per ``cfg`` from
     the teacher's shared MoE stage, which all its blocks share. The report
-    says what that merge threw away.
+    says what that merge threw away. A non-finite entry in any expert
+    tensor is a :class:`NumericalError`, whatever the method.
     """
     if teacher.arch.stage != "moe":
         raise StructureError("teacher has no MoE stage to gather from")
     [(prefix, stage)] = teacher.stages()
+    if not all(np.isfinite(t).all() for e in stage.experts for t in e.tensors().values()):
+        raise NumericalError("teacher's MoE stage has non-finite entries")
     dense, report = _gather_stage(stage, cfg)
     tensors = {**matched_tensors(teacher), **{f"{prefix}.{n}": t for n, t in dense.items()}}
     return model_from_tensors(teacher.arch.dense_twin(), tensors), report

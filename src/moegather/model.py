@@ -19,7 +19,7 @@ Both modes evaluate the values in the same operation order, so their logits
 are bit-identical.
 
 A forward-only pass without router noise over more than ``FORWARD_BLOCK``
-sequences runs in ⌈b/FORWARD_BLOCK⌉ near-equal blocks and concatenates the
+sequences runs in the blocks of ``row_blocks`` and concatenates the
 logits, pooled features and routing arrays in row order. At the default
 shapes (seq_len 8, d_ff 128) each FFN intermediate of a 512-sequence pass is
 4 MB of float64, past a 2 MB per-core L2, while a 64-sequence block's is
@@ -72,7 +72,7 @@ from itertools import islice
 
 import numpy as np
 
-from .numerics import NumericalError, Rng, ShapeError, as_array, check_number
+from .numerics import NumericalError, Rng, ShapeError, as_array, check_number, top_k_indices
 
 LAYER_NORM_EPS = 1e-5
 FORWARD_BLOCK = 64  # most sequences per forward-only block; see the module docstring
@@ -473,7 +473,7 @@ def _stage_forward_moe(
 ) -> tuple[np.ndarray, dict]:
     n, k = len(x), stage.router.top_k
     probs = router_probs(x, stage.router, rng)
-    sel = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, :k], axis=1)
+    sel = top_k_indices(probs, k)
     gates = probs[np.arange(n)[:, None], sel]
     # Slots (token t, rank j) flattened to t*k + j, grouped by expert with
     # ascending tokens inside each group; see the module docstring.
@@ -503,6 +503,14 @@ def _stage_forward_moe(
     return out, cache
 
 
+def row_blocks(n: int) -> list[slice]:
+    """Rows 0..n-1 split into ⌈n/FORWARD_BLOCK⌉ near-equal slices, in order:
+    slice i of k is rows n*i//k to n*(i+1)//k. With two or more slices each
+    holds at least FORWARD_BLOCK // 2 rows (see the module docstring)."""
+    k = -(-n // FORWARD_BLOCK)
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
 def forward_batch(
     model: ClassifierModel,
     tokens: np.ndarray,
@@ -524,8 +532,7 @@ def forward_batch(
     supplied.
 
     A forward-only, noise-free pass over more than ``FORWARD_BLOCK``
-    sequences runs in near-equal blocks of at most that many and returns the
-    concatenated results.
+    sequences runs in the blocks of ``row_blocks``, its results concatenated.
     """
     tokens = as_array(tokens, "tokens")
     if tokens.ndim != 3:
@@ -535,11 +542,10 @@ def forward_batch(
         raise ShapeError(
             f"tokens shaped {(s, d)} but model expects ({model.arch.seq_len}, {model.arch.d_model})"
         )
-    k = -(-b // FORWARD_BLOCK)
-    if need_grad or rng is not None or k <= 1:
+    if need_grad or rng is not None or b <= FORWARD_BLOCK:
         # The backward pass sums over all rows and the noise is drawn per call.
         return _forward(model, tokens, rng, need_grad)
-    parts = [_forward(model, tokens[b * i // k : b * (i + 1) // k], None, False) for i in range(k)]
+    parts = [_forward(model, tokens[rows], None, False) for rows in row_blocks(b)]
     blocks = []
     for per_part in zip(*(cache["blocks"] for _, cache in parts)):
         stage = dict(per_part[0]["stage"])

@@ -4,8 +4,10 @@ Everything operates on float64 numpy arrays with row-major semantics.
 All functions are pure; :class:`Rng` is the only stateful object and each
 logical consumer (init, batch order, router noise, ...) should own its own
 stream rather than share one. :func:`check_number` is the one range check
-of every numeric setting in the package, and :func:`as_array` the one
-conversion of array input to float64.
+of every numeric setting in the package, :func:`as_array` the one
+conversion of array input to float64, and :func:`top_k_indices` the one
+top-k (the router's experts, Top-KG's units). Callers own the finiteness of
+arrays; only :func:`svd`, whose LAPACK call would fail, refuses a non-finite one.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ __all__ = [
     "SvdFactors",
     "Rng",
     "as_array",
-    "as_matrix",
-    "as_vector",
     "check_number",
     "svd",
     "truncate_svd",
@@ -49,28 +49,6 @@ def as_array(data, what: str) -> np.ndarray:
         raise ShapeError(f"{what} must be a rectangular array of numbers: {exc}") from exc
 
 
-def as_matrix(data) -> np.ndarray:
-    """Coerce to a finite 2-D float64 array (C order)."""
-    a = np.ascontiguousarray(as_array(data, "matrix"))
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.size == 0:
-        raise ShapeError("matrix must be non-empty")
-    if not np.isfinite(a).all():
-        raise NumericalError("matrix contains non-finite entries")
-    return a
-
-
-def as_vector(data) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
-    v = np.ascontiguousarray(as_array(data, "vector"))
-    if v.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got ndim={v.ndim}")
-    if not np.isfinite(v).all():
-        raise NumericalError("vector contains non-finite entries")
-    return v
-
-
 def check_number(name: str, value, *, integer: bool = False, positive: bool = False,
                  at_most: float = math.inf) -> None:
     """Raise ValueError unless ``value`` is a finite number (an int when
@@ -89,15 +67,14 @@ def check_number(name: str, value, *, integer: bool = False, positive: bool = Fa
         raise ValueError(f"{name} must be a {sign} {kind}{bound}, got {value!r}")
 
 
-def top_k_indices(scores, k: int) -> list[int]:
-    """Indices of the k largest scores, ascending, ties broken by lower index."""
-    s = as_vector(scores)
-    if not 1 <= k <= s.size:
-        raise ValueError(f"k={k} out of range for {s.size} scores")
-    # Stable sort on the negated scores keeps the lower original index first
-    # among ties; the chosen set is then reported in ascending index order.
-    picked = np.argsort(-s, kind="stable")[:k]
-    return sorted(int(i) for i in picked)
+def top_k_indices(scores, k: int) -> np.ndarray:
+    """Indices of the k largest scores along the last axis, ascending, ties
+    broken by lower index."""
+    s = as_array(scores, "scores")
+    if s.ndim == 0 or not 1 <= k <= s.shape[-1]:
+        raise ValueError(f"k={k} out of range for scores of shape {s.shape}")
+    # a stable sort of the negated scores puts the lower index first among ties
+    return np.sort(np.argsort(-s, axis=-1, kind="stable")[..., :k], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -128,9 +105,14 @@ def svd(a) -> SvdFactors:
     No sign convention is imposed on the singular-vector pairs: every
     consumer (reconstructions, retained ranks, spectra) is invariant to
     flipping the sign of a matched column of U and V. Raises
-    :class:`NumericalError` when LAPACK fails to converge.
+    :class:`NumericalError` on a non-finite entry or when LAPACK fails to
+    converge.
     """
-    a = as_matrix(a)
+    a = np.ascontiguousarray(as_array(a, "matrix"))
+    if a.ndim != 2 or a.size == 0:
+        raise ShapeError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NumericalError("matrix contains non-finite entries")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:

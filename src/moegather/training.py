@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FORWARD_BLOCK, ClassifierModel, forward_batch, log_softmax, state_hash
+from .model import ClassifierModel, forward_batch, log_softmax, row_blocks, state_hash
 from .numerics import NumericalError, Rng, ShapeError, check_number
 
 GradientSet = dict[str, np.ndarray]
@@ -398,19 +398,17 @@ def forward_teacher(teacher: ClassifierModel, tokens: np.ndarray, rows: np.ndarr
     """The frozen teacher's noise-free logits of ``rows`` of ``tokens``; every
     other row is NaN, so a training step that reads one has a non-finite loss.
 
-    The n distinct rows go through the teacher in ⌈n/FORWARD_BLOCK⌉
-    near-equal chunks, split as ``forward_batch`` splits its blocks, so at
-    most ``FORWARD_BLOCK`` sequences of ``tokens`` are copied at a time. A
-    row's logits have the same bits in any forward of two or more sequences,
-    so each equals its value in a forward of any batch that holds it. A lone
-    sequence may differ in the last bit; a chunk is one only when n is 1.
+    The distinct rows go through the teacher in the chunks of ``row_blocks``,
+    as in ``forward_batch``, so at most ``FORWARD_BLOCK`` sequences of
+    ``tokens`` are copied at a time. A row's logits have the same bits in any
+    forward of two or more sequences, so each equals its value in a forward
+    of any batch that holds it; a chunk is one sequence only when one row is
+    distinct, and a lone sequence may differ in the last bit.
     """
     logits = np.full((len(tokens), teacher.arch.num_classes), np.nan)
     rows = np.unique(rows)
-    k = -(-len(rows) // FORWARD_BLOCK)
-    for i in range(k):
-        chunk = rows[len(rows) * i // k : len(rows) * (i + 1) // k]
-        logits[chunk] = forward_batch(teacher, tokens[chunk], rng=None)[0]
+    for block in row_blocks(len(rows)):
+        logits[rows[block]] = forward_batch(teacher, tokens[rows[block]], rng=None)[0]
     return logits
 
 

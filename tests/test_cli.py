@@ -372,6 +372,26 @@ def test_a_main_lane_failure_kills_the_busy_worker(tmp_path, monkeypatch, worker
     assert workers[0].proc.returncode == -signal.SIGKILL
 
 
+def test_a_second_lane_that_cannot_start_fails_dense_scratch(tmp_path, monkeypatch, capsys):
+    error = OSError("no process for the second lane")
+
+    def popen(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(pipeline_mod, "_lane_count", lambda: 2)
+    monkeypatch.setattr(pipeline_mod.subprocess, "Popen", popen)
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(config_from_dict({**TINY_CONFIG, "out_dir": str(tmp_path / "api")}))
+    assert info.value.stage == "dense-scratch" and info.value.cause is error
+    assert [p.name for p in (tmp_path / "api").iterdir()] == ["config.json"]
+
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(tmp_path / "cli")}))
+    assert cli.main(["pipeline", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: pipeline: stage=dense-scratch: no process for the second lane\n"
+    assert [p.name for p in (tmp_path / "cli").iterdir()] == ["config.json"]
+
+
 def test_a_worker_that_does_not_exit_in_time_is_killed(monkeypatch, workers):
     monkeypatch.setattr(pipeline_mod, "_WORKER_EXIT_S", 0.2)
     with pipeline_mod._Worker() as worker:

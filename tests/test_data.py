@@ -134,3 +134,17 @@ def test_an_unknown_split_is_a_value_error_before_calibration(monkeypatch, split
     monkeypatch.setattr(data, "_calibrate_mixture_scale", calibrate)
     with pytest.raises(ValueError, match="'train' or 'test'"):
         generate_dataset(spec, splits=splits)
+
+
+TINY_MIXTURE = {"kind": "gaussian_mixture", "num_classes": 3, "d_model": 6, "seq_len": 4,
+                "train_size": 50, "test_size": 20, "seed": 0}
+
+
+@pytest.mark.parametrize("overrides,message", [
+    # no multiple of 1/1500 lies in the band, so the bisection runs out
+    ({"probe_band": (0.5001, 0.5005)}, r"probe calibration failed: accuracy 0\.500 outside \(0\.5001, 0\.5005\)"),
+    ({"token_noise": 1e6}, r"mixture task cannot reach probe accuracy 0\.85 even at separation 64\.0"),
+], ids=["band-missed", "unreachable"])
+def test_a_task_the_calibration_cannot_fit_is_a_runtime_error(overrides, message):
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        generate_dataset(SyntheticTaskSpec(**TINY_MIXTURE, **overrides))

@@ -30,7 +30,7 @@ from moegather.model import (
     model_from_tensors,
     state_hash,
 )
-from moegather.numerics import Rng, svd
+from moegather.numerics import NumericalError, Rng, svd
 
 
 def make_ffn(rng, d=6, h=8):
@@ -360,6 +360,15 @@ class TestBuildStudent:
         dense = build_classifier(moe_arch().dense_twin(), Rng(7))
         with pytest.raises(StructureError):
             build_student(dense, GatherConfig(method="avg"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", ["sum", "avg", "topkg", "svdkg"])
+    def test_a_non_finite_expert_is_refused_by_every_method(self, method, bad):
+        teacher = build_classifier(moe_arch(), Rng(11))
+        teacher.blocks[0].stage.experts[2].w2[3, 1] = bad
+        cfg = GatherConfig(method, 0.75 if method == "svdkg" else None)
+        with pytest.raises(NumericalError, match="MoE stage has non-finite entries"):
+            build_student(teacher, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

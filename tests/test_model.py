@@ -21,6 +21,7 @@ from moegather.model import (
     log_softmax,
     model_from_tensors,
     router_probs,
+    row_blocks,
     state_hash,
     tensor_layout,
 )
@@ -769,6 +770,17 @@ class TestBlockedForward:
             assert set(blk) == {"stage"} and set(blk["stage"]) == routing
             for key in routing - {"kind"}:
                 assert np.array_equal(blk["stage"][key], oracle_blk["stage"][key])
+
+    def test_row_blocks_are_near_equal_slices_in_order(self):
+        for n in [*range(301), 4095, 4096, 4097, 20000]:
+            blocks = row_blocks(n)
+            assert [i for block in blocks for i in range(n)[block]] == list(range(n)), n
+            assert len(blocks) == -(-n // FORWARD_BLOCK), n
+            sizes = [block.stop - block.start for block in blocks]
+            assert not sizes or max(sizes) - min(sizes) <= 1, n
+            if len(blocks) >= 2:
+                # the blocked forward's bit identity needs two or more rows per block
+                assert min(sizes) >= FORWARD_BLOCK // 2, n
 
     def test_blocks_are_near_equal_and_in_row_order(self, monkeypatch):
         model = build_classifier(small_arch(), Rng(23))

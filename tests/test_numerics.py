@@ -8,8 +8,6 @@ from moegather.numerics import (
     Rng,
     ShapeError,
     SvdFactors,
-    as_matrix,
-    as_vector,
     svd,
     top_k_indices,
     truncate_svd,
@@ -140,14 +138,14 @@ class TestTruncateSvd:
 
 class TestTopK:
     def test_basic(self):
-        assert top_k_indices([1.0, 2.0, 3.0, 0.5], 2) == [1, 2]
+        assert top_k_indices([1.0, 2.0, 3.0, 0.5], 2).tolist() == [1, 2]
 
     def test_tie_breaks_to_lower_index(self):
-        assert top_k_indices([7.0, 7.0, 7.0], 2) == [0, 1]
+        assert top_k_indices([7.0, 7.0, 7.0], 2).tolist() == [0, 1]
 
     def test_matches_full_sort_oracle(self):
         scores = Rng(11).normal(size=64)
-        got = top_k_indices(scores, 16)
+        got = top_k_indices(scores, 16).tolist()
         expected = sorted(sorted(range(64), key=lambda i: -scores[i])[:16])
         assert got == expected
 
@@ -162,9 +160,18 @@ class TestTopK:
         rng = Rng(seed)
         n = int(rng.integers(1, 50))
         k = int(rng.integers(1, n + 1))
-        got = top_k_indices(rng.normal(size=n), k)
+        got = top_k_indices(rng.normal(size=n), k).tolist()
         assert got == sorted(set(got))
         assert len(got) == k
+
+    def test_selects_per_row_of_a_2d_array(self):
+        scores = Rng(12).normal(size=(5, 9))
+        scores[2] = 7.0  # an all-tie row keeps its lowest indices
+        got = top_k_indices(scores, 3)
+        assert got.shape == (5, 3) and got.dtype.kind == "i"
+        for row, picked in zip(scores, got):
+            assert picked.tolist() == top_k_indices(row, 3).tolist()
+        assert got[2].tolist() == [0, 1, 2]
 
 
 class TestRng:
@@ -208,10 +215,4 @@ class TestArrayInput:
 
     def test_as_matrix_needs_two_dimensions(self):
         with pytest.raises(ShapeError, match="2-D"):
-            as_matrix([1.0, 2.0])
-
-    def test_as_vector_needs_one_dimension_and_finite_entries(self):
-        with pytest.raises(ShapeError, match="1-D"):
-            as_vector([[1.0, 2.0]])
-        with pytest.raises(NumericalError, match="non-finite"):
-            as_vector([1.0, np.nan])
+            svd([1.0, 2.0])
