@@ -41,9 +41,8 @@ def flops_per_token(layer: FeedForward | MoELayer) -> int:
     and biases are excluded. The MoE cost is k experts plus the router."""
     if isinstance(layer, FeedForward):
         return 2 * FLOPS_PER_MAC * layer.d_model * layer.d_ff
-    dense_cost = 2 * FLOPS_PER_MAC * layer.d_model * layer.d_ff
     router_cost = FLOPS_PER_MAC * layer.d_model * layer.num_experts
-    return layer.router.top_k * dense_cost + router_cost
+    return layer.router.top_k * flops_per_token(layer.experts[0]) + router_cost
 
 
 @dataclass(frozen=True)

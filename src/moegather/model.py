@@ -460,9 +460,7 @@ def _stage_forward_dense(stage: FeedForward, x: np.ndarray, need_grad: bool) -> 
     pre = x @ stage.w1
     pre += stage.b1
     h_act, h_grad = _activate(stage.activation, pre, need_grad)
-    cache = {"kind": "dense"}
-    if need_grad:
-        cache.update(x=x, h_act=h_act, h_grad=h_grad)
+    cache = {"x": x, "h_act": h_act, "h_grad": h_grad} if need_grad else {}
     out = h_act @ stage.w2
     out += stage.b2
     return out, cache
@@ -497,7 +495,7 @@ def _stage_forward_moe(
     out = np.zeros_like(x)
     for j in range(k):
         out += gated[:, j]
-    cache = {"kind": "moe", "probs": probs, "sel": sel}
+    cache = {"probs": probs, "sel": sel}
     if need_grad:
         cache.update(x=x, experts=per_expert, order=order, bounds=bounds, gates=gates, y=y)
     return out, cache
@@ -522,14 +520,14 @@ def forward_batch(
     ``np.asarray`` turns into one, through the model.
 
     Returns (logits, cache). The cache always carries each block's routing
-    arrays under ``stage`` (``kind``, plus ``probs`` and ``sel`` for an MoE
-    stage) for the balance loss and load statistics, and the pooled features
-    under ``pooled``. With ``need_grad=True`` it also holds the layer-norm
-    statistics, the stage inputs, activations and their derivatives, so it
-    can feed ``backward_from_logits``; the default, forward-only pass keeps
-    none of them and is what scoring should use. The logits are
-    bit-identical either way. Router noise is drawn only when an rng is
-    supplied.
+    arrays under ``stage`` (``probs`` and ``sel`` for an MoE stage, none for
+    a dense one) for the balance loss and load statistics, and the pooled
+    features under ``pooled``. With ``need_grad=True`` it also holds the
+    layer-norm statistics, the stage inputs, activations and their
+    derivatives, so it can feed ``backward_from_logits``; the default,
+    forward-only pass keeps none of them and is what scoring should use. The
+    logits are bit-identical either way. Router noise is drawn only when an
+    rng is supplied.
 
     A forward-only, noise-free pass over more than ``FORWARD_BLOCK``
     sequences runs in the blocks of ``row_blocks``, its results concatenated.
@@ -546,17 +544,14 @@ def forward_batch(
         # The backward pass sums over all rows and the noise is drawn per call.
         return _forward(model, tokens, rng, need_grad)
     parts = [_forward(model, tokens[rows], None, False) for rows in row_blocks(b)]
-    blocks = []
-    for per_part in zip(*(cache["blocks"] for _, cache in parts)):
-        stage = dict(per_part[0]["stage"])
-        for key in ("probs", "sel"):
-            if key in stage:
-                stage[key] = np.concatenate([blk["stage"][key] for blk in per_part])
-        blocks.append({"stage": stage})
     cache = {
         "tokens": tokens,
         "need_grad": False,
-        "blocks": blocks,
+        # a forward-only stage cache holds row-indexed routing arrays only
+        "blocks": [
+            {"stage": {key: np.concatenate([blk["stage"][key] for blk in per_part]) for key in per_part[0]["stage"]}}
+            for per_part in zip(*(cache["blocks"] for _, cache in parts))
+        ],
         "pooled": np.concatenate([cache["pooled"] for _, cache in parts]),
     }
     return np.concatenate([logits for logits, _ in parts]), cache

@@ -6,7 +6,10 @@ gradient flows through the selection indices, only through the gate
 probabilities of the selected experts (and, separately, through every gate
 probability via the balance loss, which is a direct function of them).
 
-A training run draws its whole batch schedule before the first step.
+A training run reads once, from the model's architecture, whether it is an
+MoE: an MoE trains with router noise and the balance term whatever its
+objective, and a dense model with neither. It draws its whole batch schedule
+before the first step.
 Distillation reads the frozen teacher's logits from one array that
 :func:`forward_teacher` fills before training, so the teacher stays out of
 the training loop, and students given one array share the teacher's work.
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ClassifierModel, forward_batch, log_softmax, row_blocks, state_hash
+from .model import ClassifierModel, MoELayer, forward_batch, log_softmax, row_blocks, state_hash
 from .numerics import NumericalError, Rng, ShapeError, check_number
 
 GradientSet = dict[str, np.ndarray]
@@ -108,17 +111,12 @@ def _objective(logits: np.ndarray, labels: np.ndarray, teacher_logits: np.ndarra
 
 
 def _pooled_balance(cache: dict) -> tuple[float, np.ndarray, int]:
-    """Balance loss over all MoE invocations in the forward cache.
+    """Balance loss over the gate rows of every block in an MoE's forward
+    cache, pooled: every block holds the one MoE stage.
 
-    Returns (loss, pooled dispatch fractions m, number of pooled gate rows);
-    a model without an MoE stage gives (0.0, empty m, 0).
+    Returns (loss, pooled dispatch fractions m, number of pooled gate rows).
     """
-    gate_arrays = [
-        blk["stage"]["probs"] for blk in cache["blocks"] if blk["stage"]["kind"] == "moe"
-    ]
-    if not gate_arrays:
-        return 0.0, np.zeros(0), 0
-    pooled = np.concatenate(gate_arrays, axis=0)
+    pooled = np.concatenate([blk["stage"]["probs"] for blk in cache["blocks"]], axis=0)
     num_experts = pooled.shape[1]
     primary = np.argmax(pooled, axis=1)
     m = np.bincount(primary, minlength=num_experts) / pooled.shape[0]
@@ -140,7 +138,7 @@ def _ffn_backward(ffn, cache: dict, d_out: np.ndarray, grad: dict[int, np.ndarra
 
 def _stage_backward(stage, stage_cache: dict, d_out: np.ndarray, grad: dict[int, np.ndarray],
                     balance_dp: np.ndarray | None) -> np.ndarray:
-    if stage_cache["kind"] == "dense":
+    if not isinstance(stage, MoELayer):
         return _ffn_backward(stage, stage_cache, d_out, grad)
 
     x, probs, sel = stage_cache["x"], stage_cache["probs"], stage_cache["sel"]
@@ -262,7 +260,10 @@ def loss_and_grads(
     teacher's noise-free logits of the same rows (one row per sequence of
     ``tokens``) and ``alpha`` weighs the label loss against the
     distillation loss; the logits are constants, so no teacher tensor
-    enters the gradient set. Without them ``alpha`` is unused."""
+    enters the gradient set. Without them ``alpha`` is unused. A positive
+    ``balance_coeff`` adds the balance term, which only an MoE has."""
+    if balance_coeff > 0.0 and model.arch.stage != "moe":
+        raise ValueError(f"balance_coeff={balance_coeff} needs an MoE stage; this model's stage is dense")
     labels = np.asarray(labels)
     logits, cache = forward_batch(model, tokens, rng=rng, need_grad=True)
     main, distill_val, total, d_logits = _objective(logits, labels, teacher_logits, alpha)
@@ -270,8 +271,7 @@ def loss_and_grads(
     if balance_coeff > 0.0:
         balance, m, rows = _pooled_balance(cache)
         total += balance_coeff * balance
-        if rows:
-            balance_dp = balance_coeff * m.size * m / rows
+        balance_dp = balance_coeff * m.size * m / rows
 
     breakdown = LossBreakdown(main=main, distill=distill_val, balance=balance, total=total)
     return breakdown, backward_from_logits(model, cache, d_logits, balance_dp)
@@ -412,15 +412,17 @@ def forward_teacher(teacher: ClassifierModel, tokens: np.ndarray, rows: np.ndarr
     return logits
 
 
-def _run_training(model: ClassifierModel, cfg: TrainConfig, data, batches: np.ndarray, *,
-                  balance_coeff: float = 0.0, teacher_logits: np.ndarray | None = None) -> TrainResult:
-    """The one training loop: a minibatch Adam step per row of ``batches``,
-    with distillation against ``teacher_logits`` (one row per training
-    sequence, and ``cfg`` as the distillation settings) when they are given."""
-    steps = len(batches)
+def _run_training(model: ClassifierModel, cfg: TrainConfig, data, *,
+                  teacher_logits: np.ndarray | None = None) -> TrainResult:
+    """The one training loop: it draws its own ``batch_schedule`` and takes an
+    Adam step per batch, distilling against ``teacher_logits`` (one row per
+    training sequence, and ``cfg`` as the distillation settings) when they
+    are given. An MoE adds router noise, ``BALANCE_COEFF`` and the final balance."""
     train, test = data
-    rng = Rng(cfg.seed)
-    noise_rng = rng.derive("router-noise") if model.arch.stage == "moe" else None
+    batches = batch_schedule(cfg, len(train.labels))
+    steps = len(batches)
+    moe = model.arch.stage == "moe"
+    noise_rng = Rng(cfg.seed).derive("router-noise") if moe else None
     # a supervised run passes a TrainConfig, which has no alpha; without teacher logits none is read
     alpha = cfg.alpha if teacher_logits is not None else DistillConfig.alpha
     params = model.parameters()
@@ -435,7 +437,7 @@ def _run_training(model: ClassifierModel, cfg: TrainConfig, data, batches: np.nd
             train.labels[idx],
             teacher_logits=None if teacher_logits is None else teacher_logits[idx],
             alpha=alpha,
-            balance_coeff=balance_coeff,
+            balance_coeff=BALANCE_COEFF if moe else 0.0,
             rng=noise_rng,
         )
         if not np.isfinite(breakdown.total):
@@ -449,15 +451,13 @@ def _run_training(model: ClassifierModel, cfg: TrainConfig, data, batches: np.nd
         final_acc = log[-1]["heldout_acc"]  # the last step was scored; the model has not moved since
     else:
         final_acc = evaluate_accuracy(model, test.tokens, test.labels)
-    final_balance = _measure_balance(model, test.tokens) if model.arch.stage == "moe" else None
+    final_balance = _measure_balance(model, test.tokens) if moe else None
     return TrainResult(model=model, log=log, final_heldout_acc=final_acc, final_balance=final_balance)
 
 
 def train_classifier(model: ClassifierModel, cfg: TrainConfig, data) -> TrainResult:
-    """Supervised training on the task loss; MoE models add the balance
-    penalty and exploration noise, dense models train plain."""
-    balance = BALANCE_COEFF if model.arch.stage == "moe" else 0.0
-    return _run_training(model, cfg, data, batch_schedule(cfg, len(data[0].labels)), balance_coeff=balance)
+    """Supervised training on the task loss."""
+    return _run_training(model, cfg, data)
 
 
 def distill_student(student: ClassifierModel, teacher: ClassifierModel,
@@ -471,11 +471,9 @@ def distill_student(student: ClassifierModel, teacher: ClassifierModel,
     after training.
     """
     teacher_before = state_hash(teacher)
-    train = data[0]
-    batches = batch_schedule(cfg, len(train.labels))
     if teacher_logits is None:
-        teacher_logits = forward_teacher(teacher, train.tokens, batches)
-    result = _run_training(student, cfg, data, batches, teacher_logits=teacher_logits)
+        teacher_logits = forward_teacher(teacher, data[0].tokens, batch_schedule(cfg, len(data[0].labels)))
+    result = _run_training(student, cfg, data, teacher_logits=teacher_logits)
     if state_hash(teacher) != teacher_before:
         raise RuntimeError("teacher weights changed during distillation")
     return result

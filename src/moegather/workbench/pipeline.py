@@ -341,7 +341,7 @@ def run_pipeline(cfg: ExperimentConfig) -> dict:
             "config": cfg.to_dict(),
             "teacher": {
                 "accuracy": teacher_acc,
-                "final_balance": teacher_result.final_balance or 0.0,
+                "final_balance": teacher_result.final_balance,
                 "checkpoint": "teacher.ckpt",
                 "flops_per_token": flops_per_token(teacher.blocks[0].stage),
                 "parameters": count_parameters(teacher),

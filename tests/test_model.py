@@ -211,7 +211,7 @@ def mask_dispatch_forward(stage, x, rng, need_grad):
         out[hits] += g[:, None] * ye
         if need_grad:
             per_expert[e] = ffn_cache
-    cache = {"kind": "moe", "probs": probs, "sel": sel}
+    cache = {"probs": probs, "sel": sel}
     if need_grad:
         cache.update(x=x, experts=per_expert)
     return out, cache
@@ -270,7 +270,7 @@ class TestSortedDispatch:
 
 def balance_loss(probs):
     """Balance loss of a pool of (tokens, num_experts) gate rows, via the training kernel."""
-    return _pooled_balance({"blocks": [{"stage": {"kind": "moe", "probs": np.asarray(probs)}}]})[0]
+    return _pooled_balance({"blocks": [{"stage": {"probs": np.asarray(probs)}}]})[0]
 
 
 class TestBalanceLoss:
@@ -341,7 +341,7 @@ class TestClassifierForward:
         model.head_b[...] = np.array([1.0, -2.0, 3.0, 0.5])
         logits, cache = classifier_forward(model, Rng(1).normal(size=(3, 6)))
         assert np.allclose(logits, model.head_b, atol=1e-12)
-        assert all(blk["stage"] == {"kind": "dense"} for blk in cache["blocks"])  # no routing
+        assert all(blk["stage"] == {} for blk in cache["blocks"])  # no routing
 
     def test_parameter_sharing_aliases_one_stage(self):
         model = build_classifier(small_arch(), Rng(2))
@@ -713,7 +713,6 @@ class TestForwardOnly:
         assert not cache["need_grad"] and grad_cache["need_grad"]
         for blk, grad_blk in zip(cache["blocks"], grad_cache["blocks"]):
             st, grad_st = blk["stage"], grad_blk["stage"]
-            assert st["kind"] == grad_st["kind"] == stage
             if stage == "moe":
                 assert np.array_equal(st["probs"], grad_st["probs"])
                 assert np.array_equal(st["sel"], grad_st["sel"])
@@ -726,7 +725,7 @@ class TestForwardOnly:
         model = build_classifier(small_arch(stage=stage), Rng(13))
         _, cache = forward_batch(model, Rng(14).normal(size=(5, 3, 6)))
         _, grad_cache = forward_batch(model, Rng(14).normal(size=(5, 3, 6)), need_grad=True)
-        routing = {"kind", "probs", "sel"} if stage == "moe" else {"kind"}
+        routing = {"probs", "sel"} if stage == "moe" else set()
         for blk, grad_blk in zip(cache["blocks"], grad_cache["blocks"]):
             assert set(blk) == {"stage"}  # no layer-norm xhat / inv_std
             assert set(blk["stage"]) == routing  # no x, h_act, y or per-expert records
@@ -765,10 +764,10 @@ class TestBlockedForward:
         assert np.array_equal(cache["pooled"], oracle["pooled"])
         assert set(cache) == set(oracle) and cache["tokens"] is tokens
         assert not cache["need_grad"]
-        routing = {"kind", "probs", "sel"} if stage == "moe" else {"kind"}
+        routing = {"probs", "sel"} if stage == "moe" else set()
         for blk, oracle_blk in zip(cache["blocks"], oracle["blocks"], strict=True):
             assert set(blk) == {"stage"} and set(blk["stage"]) == routing
-            for key in routing - {"kind"}:
+            for key in routing:
                 assert np.array_equal(blk["stage"][key], oracle_blk["stage"][key])
 
     def test_row_blocks_are_near_equal_slices_in_order(self):

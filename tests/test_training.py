@@ -124,6 +124,12 @@ class TestTotalLoss:
         assert loss.distill > 0.0 and loss.balance == 0.0
         assert loss.total == alpha * loss.main + (1.0 - alpha) * loss.distill
 
+    def test_a_balance_term_on_a_dense_model_is_refused(self):
+        model = build_classifier(tiny_arch("dense"), Rng(18))
+        tokens = Rng(19).normal(size=(4, 4, 8))
+        with pytest.raises(ValueError, match="balance_coeff"):
+            loss_and_grads(model, tokens, np.array([0, 2, 1, 0]), balance_coeff=0.01)
+
 
 def _fd_check(model, grads, loss_fn, h=1e-5, tol=1e-4, stride=1):
     worst = 0.0
@@ -273,7 +279,7 @@ def mask_dispatch_forward(stage, x, rng):
         g = gates[hits][sel[hits] == e]
         out[hits] += g[:, None] * ye
         per_expert[e] = {**ffn_cache, "idx": hits, "y": ye, "gate": g}
-    return out, {"kind": "moe", "probs": probs, "sel": sel, "x": x, "experts": per_expert}
+    return out, {"probs": probs, "sel": sel, "x": x, "experts": per_expert}
 
 
 def mask_dispatch_backward(stage, stage_cache, d_out, grad, balance_dp):
@@ -368,7 +374,7 @@ class TestSortedDispatchBackward:
         real_backward = training._stage_backward
 
         def backward(stage, cache, *args):
-            oracle = mask_dispatch_backward if cache["kind"] == "moe" else real_backward
+            oracle = mask_dispatch_backward if isinstance(stage, MoELayer) else real_backward
             return oracle(stage, cache, *args)
 
         monkeypatch.setattr(model_mod, "_stage_forward_moe", lambda stage, x, rng, _: mask_dispatch_forward(stage, x, rng))
@@ -565,6 +571,22 @@ class TestTrainingLoops:
         assert state_hash(teacher) == before
         s2 = distill_student(build_classifier(arch.dense_twin(), Rng(4)), teacher, cfg, data)
         assert state_hash(s1.model) == state_hash(s2.model)
+
+    @pytest.mark.parametrize("stage", ["moe", "dense"])
+    def test_a_student_adds_the_balance_term_iff_it_is_an_moe(self, stage):
+        # the model decides, not the objective: an MoE student distils with
+        # the balance term, as an MoE teacher trains with it
+        arch = tiny_arch()
+        data = tiny_data()
+        student = build_classifier(arch if stage == "moe" else arch.dense_twin(), Rng(4))
+        cfg = DistillConfig(steps=4, batch_size=16, learning_rate=1e-2, seed=3, eval_every=0)
+        result = distill_student(student, build_classifier(arch, Rng(2)), cfg, data)
+        coeff = BALANCE_COEFF if stage == "moe" else 0.0
+        assert len(result.log) == cfg.steps
+        for row in result.log:
+            assert (row["balance"] > 0.0) == (stage == "moe") and row["distill"] > 0.0
+            assert row["total"] == cfg.alpha * row["main"] + (1.0 - cfg.alpha) * row["distill"] + coeff * row["balance"]
+        assert (result.final_balance is None) == (stage == "dense")
 
     def test_a_student_that_shares_a_teacher_array_is_caught(self):
         arch = tiny_arch()
