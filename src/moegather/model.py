@@ -23,7 +23,7 @@ sequences runs in the blocks of ``row_blocks`` and concatenates the
 logits, pooled features and routing arrays in row order. At the default
 shapes (seq_len 8, d_ff 128) each FFN intermediate of a 512-sequence pass is
 4 MB of float64, past a 2 MB per-core L2, while a 64-sequence block's is
-512 KB, so the three the value-only GELU allocates stay in cache. A row's
+512 KB, so the one array the value-only GELU allocates stays in cache. A row's
 logits have the same bits in any forward of two or more sequences, whichever
 rows share it (a lone sequence may differ in the last bit), and every block
 holds at least half of ``FORWARD_BLOCK``, so the blocked result equals the
@@ -55,13 +55,21 @@ operand order flips, it is one ``+`` or ``*``, which IEEE 754 makes
 commutative, and every reduction keeps its array and axes. So the results
 are bit-identical to the expressions, which ``tests/`` keeps as oracles.
 Layer norm allocates two full-size arrays (``xhat`` and ``y``), the GELU
-with its derivative five, and the feed-forward stage adds its bias to the
-product in place.
+with its derivative four (``x2``, ``z``, ``y`` and ``dy``), and the
+feed-forward stage adds its bias to the product in place.
 
-Every "same bits" here compares two computations on one BLAS kernel.
-Another kernel, such as OpenBLAS's under another ``OPENBLAS_CORETYPE``,
-moves results in their last bits, so ``tests/test_reference_run.py`` checks
-a tiny run against pinned numbers with a tolerance rather than by bytes.
+The GELU is the tanh-form approximation of Hendrycks and Gimpel (arXiv
+1606.08415), evaluated in its logistic form ``x * s`` with
+``s = 1 / (1 + exp(z))``, and ``z`` clamped at 700 before the ``exp`` so that
+no finite input overflows. One ``exp`` costs about half of one ``tanh``, and
+the tail below x ≈ -6.6, where ``1 + tanh`` cancels to 0, keeps its value.
+
+Every "same bits" here compares two computations on one BLAS kernel and one
+numpy SIMD level. Another kernel, such as OpenBLAS's under another
+``OPENBLAS_CORETYPE``, or another ``np.exp`` path, such as one that
+``NPY_DISABLE_CPU_FEATURES`` selects, moves results in their last bits, so
+``tests/test_reference_run.py`` checks a tiny run against pinned numbers with
+a tolerance rather than by bytes.
 """
 
 from __future__ import annotations
@@ -77,49 +85,60 @@ from .numerics import NumericalError, Rng, ShapeError, as_array, check_number, t
 LAYER_NORM_EPS = 1e-5
 FORWARD_BLOCK = 64  # most sequences per forward-only block; see the module docstring
 _LAYER_NORMS = ("ln1.gain", "ln1.bias", "ln2.gain", "ln2.bias")  # tensor names within a block, in order
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = np.sqrt(2.0 / np.pi)  # tanh form: y = 0.5 * x * (1 + tanh(C * (x + A * x**3)))
 _GELU_A = 0.044715
+# The same function in logistic form: y = x * s with s = 1 / (1 + exp(z)) and
+# z = K1 * x + K2 * x**3 = -2 * C * (x + A * x**3), so that
+# dy = s + y * (1 - s) * (D1 + D2 * x**2), with D1 + D2 * x**2 = -dz/dx.
+_GELU_K1 = -2.0 * _GELU_C
+_GELU_K2 = -2.0 * _GELU_C * _GELU_A
+_GELU_D1 = 2.0 * _GELU_C
+_GELU_D2 = 6.0 * _GELU_C * _GELU_A
+# z is clamped here before exp: exp(700) is finite, so no finite input
+# overflows or warns, and s there is already below 1e-304.
+_GELU_Z_MAX = 700.0
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    # Tanh-form GELU value, in the operation order of _gelu_with_grad.
-    inner = x * x
-    inner *= _GELU_A
-    inner += 1.0
-    t = _GELU_C * x
-    t *= inner
-    np.tanh(t, out=t)
-    t += 1.0
-    y = 0.5 * x
-    y *= t
+    # Logistic-form GELU value, in the operation order of _gelu_with_grad,
+    # written into one array: z, then s, then y = x * s.
+    y = x * x
+    y *= _GELU_K2
+    y += _GELU_K1
+    y *= x
+    np.minimum(y, _GELU_Z_MAX, out=y)
+    np.exp(y, out=y)
+    y += 1.0
+    np.divide(1.0, y, out=y)
+    y *= x
     return y
 
 
 def _gelu_with_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Tanh-form GELU; value and derivative share one tanh evaluation. Written
-    # in place, but every product and sum keeps the order of the expressions
-    #   y  = 0.5 * x * (1 + t)
-    #   dy = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3 * A * x * x)
-    # so the results are bit-identical to evaluating them directly. Once t is
-    # formed, ``inner`` holds 1 + t and ``t`` holds 1 - t * t.
+    # Logistic-form GELU; value and derivative share one exp evaluation.
+    # Written in place, but every product and sum keeps the order of the
+    # expressions
+    #   z  = min(x * (K1 + K2 * x * x), Z_MAX)
+    #   s  = 1 / (1 + exp(z))
+    #   y  = x * s
+    #   dy = s + y * (1 - s) * (D1 + D2 * x * x)
+    # so the results are bit-identical to evaluating them directly. Once s is
+    # formed, ``z`` holds it and ``x2`` holds D1 + D2 * x * x.
     x2 = x * x
-    inner = _GELU_A * x2
-    inner += 1.0
-    t = _GELU_C * x
-    t *= inner
-    np.tanh(t, out=t)
-    dy = np.add(t, 1.0, out=inner)
-    half_x = 0.5 * x
-    y = half_x * dy
-    dy *= 0.5
-    t *= t
-    np.subtract(1.0, t, out=t)
-    half_x *= t
-    half_x *= _GELU_C
-    x2 *= 3.0 * _GELU_A
-    x2 += 1.0
-    half_x *= x2
-    dy += half_x
+    z = _GELU_K2 * x2
+    z += _GELU_K1
+    z *= x
+    np.minimum(z, _GELU_Z_MAX, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+    y = x * z
+    dy = np.subtract(1.0, z)
+    dy *= y
+    x2 *= _GELU_D2
+    x2 += _GELU_D1
+    dy *= x2
+    dy += z
     return y, dy
 
 

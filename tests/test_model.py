@@ -589,6 +589,18 @@ def _gelu_with_grad_oracle(x):
     """The direct, out-of-place expressions the in-place kernel must reproduce."""
     c = np.sqrt(2.0 / np.pi)
     a = 0.044715
+    k1, k2 = -2.0 * c, -2.0 * c * a
+    x2 = x * x
+    s = 1.0 / (1.0 + np.exp(np.minimum(x * (k1 + k2 * x2), 700.0)))
+    y = x * s
+    dy = s + y * (1.0 - s) * (2.0 * c + 6.0 * c * a * x2)
+    return y, dy
+
+
+def _tanh_gelu_oracle(x):
+    """The same GELU in tanh form, as Hendrycks and Gimpel write it: an independent check of the logistic form."""
+    c = np.sqrt(2.0 / np.pi)
+    a = 0.044715
     x2 = x * x
     t = np.tanh(c * x * (1.0 + a * x2))
     y = 0.5 * x * (1.0 + t)
@@ -617,6 +629,41 @@ class TestActivations:
     def test_value_only_gelu_bit_identical_to_training_value(self):
         want, _ = _gelu_with_grad_oracle(self.GRID)
         assert np.array_equal(_bits(activation_value("gelu")(self.GRID)), _bits(want))
+
+    def test_logistic_form_agrees_with_tanh_form(self):
+        y, dy = _gelu_with_grad(self.GRID)
+        want_y, want_dy = _tanh_gelu_oracle(self.GRID)
+        assert np.abs(y - want_y).max() < 1e-13
+        assert np.abs(dy - want_dy).max() < 1e-13
+
+    def test_gelu_within_1e_12_relative_of_extended_precision(self):
+        # Below x ≈ -6.6 the tanh form's 1 + tanh cancels to exactly 0; the
+        # logistic form keeps the tail, down to where y leaves double range.
+        x = np.linspace(-30.0, 30.0, 200_001)
+        xl = x.astype(np.longdouble)
+        c = np.sqrt(np.longdouble(2) / np.arccos(np.longdouble(-1)))
+        want = xl / (1 + np.exp(-2 * c * (xl + np.longdouble(0.044715) * xl**3)))
+        y = activation_value("gelu")(x)
+        kept = np.abs(want) > 1e-300
+        assert kept.sum() > 0.8 * len(x)
+        assert (np.abs((y[kept] - want[kept]) / want[kept]) < 1e-12).all()
+
+    def test_gelu_derivative_matches_central_differences(self):
+        x, h = np.linspace(-30.0, 30.0, 6001), 1e-5
+        _, dy = _gelu_with_grad(x)
+        gelu = activation_value("gelu")
+        numeric = (gelu(x + h) - gelu(x - h)) / (2 * h)
+        assert np.allclose(dy, numeric, rtol=1e-8, atol=1e-8)
+
+    def test_gelu_of_extreme_inputs_is_finite_and_warns_nothing(self):
+        # tests run with RuntimeWarning as an error, so an overflow in exp fails here
+        x = np.linspace(-1e4, 1e4, 20_001)
+        y, dy = _gelu_with_grad(x)
+        assert np.isfinite(y).all() and np.isfinite(dy).all()
+        assert np.array_equal(_bits(activation_value("gelu")(x)), _bits(y))
+        past_clamp = x <= -22.0  # z = -2C(x + A x^3) reaches 797 at -22, past the clamp at 700
+        assert (y[past_clamp] <= 0).all() and (np.abs(y[past_clamp]) < 1e-300).all()
+        assert np.array_equal(y[x >= 22.0], x[x >= 22.0]) and (dy[x >= 22.0] == 1.0).all()
 
     def test_unknown_activation_rejected_by_both_tables(self):
         for lookup in (activation_value, activation_with_grad):
