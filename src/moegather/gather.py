@@ -15,8 +15,10 @@ the copies and the merged stage:
               reaching a fraction ``svd_ratio`` of the singular mass, then
               sum the truncated reconstructions
 
-Biases are averaged across experts by default; ``matched`` (top-k only)
-instead selects the first-layer bias entries belonging to the kept units.
+The second-layer bias is averaged across experts. So is the first-layer
+bias, except in Top-KG, where each kept unit brings its own entry along with
+its ``w1`` column and ``w2`` row; the student then does not depend on the
+order in which the teacher lists its experts.
 
 ``build_student`` also returns a flat :class:`GatherReport` of what the merge
 threw away; its docstring says what each field holds.
@@ -32,7 +34,6 @@ from .model import ClassifierModel, FeedForward, MoELayer, model_from_tensors
 from .numerics import NumericalError, SvdFactors, check_number, svd, top_k_indices, truncate_svd
 
 GATHER_METHODS = ("sum", "avg", "topkg", "svdkg")
-BIAS_POLICIES = ("average", "matched")
 
 
 class StructureError(ValueError):
@@ -41,7 +42,9 @@ class StructureError(ValueError):
 
 @dataclass
 class GatherConfig:
-    """How to collapse the MoE stage into a dense one.
+    """How to collapse the MoE stage into a dense one: the ``method``, and the
+    ``svd_ratio`` that only svdkg takes. Which biases each method keeps is
+    fixed; the module docstring says how.
 
     ``seed`` is only recorded as provenance: every tensor of the student comes
     from the teacher (matched layers copied, the stage merged), so the gathered
@@ -50,20 +53,16 @@ class GatherConfig:
 
     method: str
     svd_ratio: float | None = None
-    bias_policy: str = "average"
     seed: int = 0
 
     def __post_init__(self):
         if self.method not in GATHER_METHODS:
             raise ValueError(f"method must be one of {GATHER_METHODS}, got {self.method!r}")
-        if self.bias_policy not in BIAS_POLICIES:
-            raise ValueError(f"bias_policy must be one of {BIAS_POLICIES}, got {self.bias_policy!r}")
+        check_number("seed", self.seed, integer=True)
         if self.method == "svdkg":
             check_number("svd_ratio", self.svd_ratio, positive=True, at_most=1.0)
         elif self.svd_ratio is not None:
             raise ValueError(f"svd_ratio only applies to svdkg, not {self.method!r}")
-        if self.bias_policy == "matched" and self.method != "topkg":
-            raise ValueError("matched bias selection only makes sense with topkg")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -72,8 +71,8 @@ class GatherConfig:
 @dataclass
 class GatherReport:
     """What merging the teacher's shared MoE stage threw away: the settings
-    (``method``, ``svd_ratio``, ``bias_policy``) and lists of one entry per
-    expert, in the teacher's order:
+    (``method``, ``svd_ratio``) and lists of one entry per expert, in the
+    teacher's order:
 
     * ``ranks_w1``/``ranks_w2``: retained SVD rank (empty unless svdkg)
     * ``singular_values_w1``/``_w2``: full spectrum, descending (empty unless svdkg)
@@ -87,7 +86,6 @@ class GatherReport:
 
     method: str
     svd_ratio: float | None
-    bias_policy: str
     ranks_w1: list[int] = field(default_factory=list)
     ranks_w2: list[int] = field(default_factory=list)
     singular_values_w1: list[list[float]] = field(default_factory=list)
@@ -188,13 +186,12 @@ def _gather_stage(moe: MoELayer, cfg: GatherConfig) -> tuple[dict[str, np.ndarra
         kept1 = [e.w1 * m for e, m in zip(experts, masks)]
         kept2 = [e.w2 * m[:, None] for e, m in zip(experts, masks)]
         fields = {"selected_units": selected}
-        if cfg.bias_policy == "matched":
-            b1 = np.concatenate([e.b1[idx] for e, idx in zip(experts, selected)])
+        b1 = np.concatenate([e.b1[idx] for e, idx in zip(experts, selected)])
     else:
         w1, w2 = (gather_sum if cfg.method == "sum" else gather_avg)(experts)
         kept1, kept2, fields = [w1] * len(experts), [w2] * len(experts), {}
     report = GatherReport(
-        cfg.method, cfg.svd_ratio, cfg.bias_policy, **fields,
+        cfg.method, cfg.svd_ratio, **fields,
         residual_w1=[_relative_residual(e.w1, k) for e, k in zip(experts, kept1)],
         residual_w2=[_relative_residual(e.w2, k) for e, k in zip(experts, kept2)],
     )

@@ -199,9 +199,6 @@ class FeedForward:
     def d_ff(self) -> int:
         return self.w1.shape[1]
 
-    def copy(self) -> "FeedForward":
-        return FeedForward(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(), self.activation)
-
     def tensors(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 

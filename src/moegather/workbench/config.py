@@ -41,7 +41,6 @@ class ExperimentConfig:
     distill: DistillConfig
     gather_methods: list[str] = field(default_factory=lambda: list(GATHER_METHODS))
     svd_ratio: float = 0.75
-    bias_policy: str = "average"
     out_dir: str = "runs/out"
     seed: int = 0
 
@@ -70,7 +69,6 @@ class ExperimentConfig:
         return GatherConfig(
             method=method,
             svd_ratio=self.svd_ratio if method == "svdkg" else None,
-            bias_policy=self.bias_policy if method == "topkg" else "average",
             seed=derive_seed(self.seed, f"gather-{method}"),
         )
 
@@ -93,7 +91,6 @@ class ExperimentConfig:
             "gather": {
                 "methods": list(self.gather_methods),
                 "svd_ratio": self.svd_ratio,
-                "bias_policy": self.bias_policy,
             },
         }
 
@@ -158,7 +155,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if derived:  # even when set to its derived value: a config states each value once
         raise ConfigError(f"{derived[0]} is not a setting: seeds derive from the top-level seed, "
                           "the task's shapes from the model block, and the teacher is an MoE with GELU")
-    _check_known(own["gather"], ("methods", "svd_ratio", "bias_policy"), "gather.")
+    _check_known(own["gather"], ("methods", "svd_ratio"), "gather.")
     blocks = {name: {**DEFAULTS.get(name, {}), **profile.get(name, {}), **block} for name, block in own.items()}
     try:
         arch = Architecture.from_dict({**blocks["model"], "stage": "moe"})
@@ -190,7 +187,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             distill=distill,
             gather_methods=methods,
             svd_ratio=float(svd_ratio),
-            bias_policy=gather_d.get("bias_policy", ExperimentConfig.bias_policy),
             out_dir=out_dir,
             seed=seed,
         )

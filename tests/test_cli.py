@@ -11,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from test_checkpoint import rewrite
 
 from moegather import training
 from moegather.metrics import UndefinedMetricError, noise_scan
@@ -536,6 +537,32 @@ def test_a_repeated_gather_method_fails_at_load(tmp_path, capsys):
     assert cli.main(["pipeline", "--config", str(config)]) == 1
     assert capsys.readouterr().err == "error: config: gather method 'svdkg' is listed more than once\n"
     assert not out_dir.exists()
+
+
+def test_the_removed_bias_setting_fails_at_load(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    config = tmp_path / "c.json"
+    gather = {**TINY_CONFIG["gather"], "bias_policy": "average"}
+    config.write_text(json.dumps({**TINY_CONFIG, "out_dir": str(out_dir), "gather": gather}))
+    assert cli.main(["pipeline", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config: unknown setting 'gather.bias_policy'; expected one of ['methods', 'svd_ratio']\n")
+    assert not out_dir.exists()
+
+
+def test_an_init_checkpoint_recording_the_removed_bias_setting_still_distills(pipe, tmp_path, capsys):
+    # init checkpoints written while the bias was a setting record it twice in their metadata
+    def add_bias_setting(meta):
+        meta["gather"]["bias_policy"] = meta["gather"]["report"]["bias_policy"] = "average"
+
+    init = tmp_path / "gather_svdkg.init.ckpt"
+    init.write_bytes((pipe / "gather_svdkg.init.ckpt").read_bytes())
+    rewrite(init, add_bias_setting)
+    assert load_checkpoint(init)[1]["gather"]["bias_policy"] == "average"
+    config, out = tmp_path / "c.json", tmp_path / "gather_svdkg.ckpt"
+    config.write_text(json.dumps(TINY_CONFIG))
+    _run(["distill", "--config", config, "--student", init, "--teacher", pipe / "teacher.ckpt", "--out", out], capsys)
+    assert out.read_bytes() == (pipe / "gather_svdkg.ckpt").read_bytes()
 
 
 @pytest.mark.parametrize("block", ["teach", "distill"])

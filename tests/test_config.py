@@ -137,6 +137,14 @@ def test_a_repeated_gather_method_is_a_config_error(methods):
         config_from_dict({**raw, "gather": {**raw["gather"], "methods": methods}})
 
 
+@pytest.mark.parametrize("value", ["average", "matched"])
+def test_the_removed_bias_setting_is_a_config_error(value):
+    # Top-KG keeps each unit's own b1 entry, so no setting chooses the biases
+    raw = default_config().to_dict()
+    with pytest.raises(ConfigError, match="unknown setting 'gather.bias_policy'"):
+        config_from_dict({**raw, "gather": {**raw["gather"], "bias_policy": value}})
+
+
 @pytest.mark.parametrize("methods,message", [
     (["sum", "median"], "unknown gather method 'median'"),
     ([], "at least one gather method is required"),

@@ -46,12 +46,31 @@ def make_bank(rng, num_experts=4, d=6, h=8):
     return [make_ffn(rng, d, h) for _ in range(num_experts)]
 
 
+def copy_ffn(e):
+    return FeedForward(**{name: t.copy() for name, t in e.tensors().items()})
+
+
 def moe_arch(**kw):
     defaults = dict(
         d_model=6, d_ff=8, seq_len=3, num_classes=4, num_blocks=2, stage="moe", num_experts=4, top_k=2,
     )
     defaults.update(kw)
     return Architecture(**defaults)
+
+
+def expert_order_pair(arch, seed, perm):
+    """A teacher of ``arch`` whose experts have distinct nonzero b1
+    (``build_classifier`` starts every b1 at zero), and a copy that lists its
+    experts and the router's columns in the order ``perm``: the same function."""
+    teacher = build_classifier(arch, Rng(seed))
+    b1 = Rng(seed).derive("b1")
+    for e in teacher.blocks[0].stage.experts:
+        e.b1[...] = b1.normal(size=e.d_ff)
+    shuffled = model_from_tensors(arch, {name: t.copy() for name, t in teacher.tensors().items()})
+    stage = shuffled.blocks[0].stage
+    stage.experts = [stage.experts[i] for i in perm]
+    stage.router.weight = stage.router.weight[:, perm]
+    return teacher, shuffled
 
 
 class TestCopyMatched:
@@ -74,7 +93,7 @@ class TestBiasAndSimpleMerges:
     def test_average_bias_idempotent(self):
         rng = Rng(0)
         e = make_ffn(rng)
-        b1, b2 = average_bias([e, e.copy(), e.copy()])
+        b1, b2 = average_bias([e, copy_ffn(e), copy_ffn(e)])
         assert np.allclose(b1, e.b1) and np.allclose(b2, e.b2)
 
     def test_average_bias_arithmetic(self):
@@ -102,7 +121,7 @@ class TestBiasAndSimpleMerges:
     def test_replicated_experts(self):
         rng = Rng(3)
         e = make_ffn(rng)
-        bank = [e.copy() for _ in range(4)]
+        bank = [copy_ffn(e) for _ in range(4)]
         w1_sum, _ = gather_sum(bank)
         w1_avg, _ = gather_avg(bank)
         assert np.allclose(w1_sum, 4 * e.w1)
@@ -315,16 +334,17 @@ class TestBuildStudent:
         student, _ = build_student(teacher, GatherConfig(method="avg"))
         assert student.blocks[0].stage is student.blocks[1].stage
 
-    def test_matched_bias_policy_pairs_units(self):
-        teacher = build_classifier(moe_arch(), Rng(6))
-        cfg = GatherConfig(method="topkg", bias_policy="matched")
-        student, report = build_student(teacher, cfg)
-        experts = teacher.blocks[0].stage.experts
-        selected = report.selected_units
-        expected_b1 = np.concatenate([experts[e].b1[idx] for e, idx in enumerate(selected)])
-        assert np.array_equal(student.blocks[0].stage.b1, expected_b1)
-        expected_b2 = np.mean([e.b2 for e in experts], axis=0)
-        assert np.allclose(student.blocks[0].stage.b2, expected_b2)
+    def test_topkg_keeps_whole_units(self):
+        teacher, _ = expert_order_pair(moe_arch(), 6, range(4))
+        student, report = build_student(teacher, GatherConfig(method="topkg"))
+        experts, dense = teacher.blocks[0].stage.experts, student.blocks[0].stage
+        kept = [(e, u) for e, units in enumerate(report.selected_units) for u in units]
+        assert len(kept) == dense.d_ff
+        for j, (e, u) in enumerate(kept):  # unit j of the student is unit u of expert e
+            assert np.array_equal(dense.w1[:, j], experts[e].w1[:, u])
+            assert dense.b1[j] == experts[e].b1[u]
+            assert np.array_equal(dense.w2[j, :], experts[e].w2[u, :])
+        assert np.allclose(dense.b2, np.mean([e.b2 for e in experts], axis=0))
 
     @pytest.mark.parametrize("method", ["sum", "avg", "topkg", "svdkg"])
     def test_seed_does_not_change_the_student(self, method):
@@ -345,13 +365,12 @@ class TestBuildStudent:
             t[...] += 1.0  # mutate every student tensor, matched and gathered
         assert state_hash(teacher) == before
 
-    @pytest.mark.parametrize("method,ratio,bias_policy", [
-        ("sum", None, "average"), ("avg", None, "average"), ("topkg", None, "average"),
-        ("topkg", None, "matched"), ("svdkg", 0.75, "average"), ("svdkg", 1.0, "average"),
+    @pytest.mark.parametrize("method,ratio", [
+        ("sum", None), ("avg", None), ("topkg", None), ("svdkg", 0.75), ("svdkg", 1.0),
     ])
-    def test_student_shares_no_memory_with_the_teacher(self, method, ratio, bias_policy):
+    def test_student_shares_no_memory_with_the_teacher(self, method, ratio):
         teacher = build_classifier(moe_arch(), Rng(10))
-        student, _ = build_student(teacher, GatherConfig(method, ratio, bias_policy))
+        student, _ = build_student(teacher, GatherConfig(method, ratio))
         for name, s in student.tensors().items():
             for source, t in teacher.tensors().items():
                 assert not np.shares_memory(s, t), (name, source)
@@ -376,13 +395,13 @@ class TestBuildStudent:
         with pytest.raises(ValueError):
             GatherConfig(method="sum", svd_ratio=0.5)  # ratio forbidden
         with pytest.raises(ValueError):
-            GatherConfig(method="avg", bias_policy="matched")
-        with pytest.raises(ValueError):
             GatherConfig(method="nope")
 
-    def test_an_unknown_bias_policy_is_refused(self):
-        with pytest.raises(ValueError, match="bias_policy must be one of .*, got 'median'"):
-            GatherConfig(method="sum", bias_policy="median")
+    @pytest.mark.parametrize("seed", ["matched", -1, 2.5, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # a stale third positional argument, once the bias setting, lands in seed
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            GatherConfig("topkg", None, seed)
 
     @pytest.mark.parametrize("ratio", ["0.5", True, 0, 1.5, float("nan")])
     def test_svd_ratio_must_be_a_number_in_the_unit_interval(self, ratio):
@@ -397,9 +416,9 @@ class TestBuildStudent:
         d = report.to_dict()
         per_method = {"svdkg": ["ranks_w1", "ranks_w2", "singular_values_w1", "singular_values_w2"],
                       "topkg": ["selected_units"]}
-        assert set(d) == {"method", "svd_ratio", "bias_policy", "residual_w1", "residual_w2",
+        assert set(d) == {"method", "svd_ratio", "residual_w1", "residual_w2",
                           "rank_total_w1", "rank_total_w2", *per_method["svdkg"], *per_method["topkg"]}
-        assert (d["method"], d["svd_ratio"], d["bias_policy"]) == (method, ratio, "average")
+        assert (d["method"], d["svd_ratio"]) == (method, ratio)
         for key in (*per_method["svdkg"], *per_method["topkg"]):
             assert len(d[key]) == (4 if key in per_method.get(method, []) else 0), key
         assert len(d["residual_w1"]) == len(d["residual_w2"]) == 4
@@ -437,42 +456,36 @@ class TestGatherProperties:
         seed=st.integers(0, 2**32 - 1),
         num_experts=st.integers(1, 5),
         d_model=st.integers(1, 6),
-        d_ff=st.integers(1, 8),
+        units_per_expert=st.integers(1, 3),
         ratio=st.floats(0.05, 1.0),
         data=st.data(),
     )
-    def test_sum_avg_svdkg_student_permutation_invariant(self, seed, num_experts, d_model, d_ff, ratio, data):
+    def test_sum_avg_svdkg_student_permutation_invariant(self, seed, num_experts, d_model, units_per_expert,
+                                                         ratio, data):
+        # Top-KG too: d_ff is a multiple of the expert count, since otherwise its
+        # quota gives the first d_ff mod E experts one unit more, by design
         perm = data.draw(st.permutations(range(num_experts)))
-        arch = moe_arch(d_model=d_model, d_ff=d_ff, num_experts=num_experts, top_k=1)
-        teacher, shuffled = build_classifier(arch, Rng(seed)), build_classifier(arch, Rng(seed))
-        stage = shuffled.blocks[0].stage
-        stage.experts = [stage.experts[i] for i in perm]
-        stage.router.weight = stage.router.weight[:, perm]
+        arch = moe_arch(d_model=d_model, d_ff=units_per_expert * num_experts, num_experts=num_experts, top_k=1)
+        teacher, shuffled = expert_order_pair(arch, seed, perm)
         for cfg in (GatherConfig("sum"), GatherConfig("avg"), GatherConfig("svdkg", ratio)):
             a, b = build_student(teacher, cfg)[0].parameters(), build_student(shuffled, cfg)[0].parameters()
             assert max(np.abs(a[name] - b[name]).max() for name in a) < 1e-12, cfg.method
+        # Top-KG's student lists the same units in another order: compare what it computes
+        tokens = Rng(seed).derive("tokens").normal(size=(4, arch.seq_len, d_model))
+        a, b = (forward_batch(build_student(t, GatherConfig("topkg"))[0], tokens)[0] for t in (teacher, shuffled))
+        assert np.abs(a - b).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_topkg_permutation_equivariance_at_function_level(self, seed):
-        # permuting the expert bank permutes hidden units blockwise; the
-        # induced feed-forward map with matched b1 is unchanged
-        rng = Rng(seed)
-        bank = make_bank(rng, num_experts=4, d=5, h=8)
+        # permuting the expert bank permutes the student's hidden units
+        # blockwise, each with its own b1 entry; its feed-forward map is unchanged
         perm = list(Rng(seed + 200).permutation(4))
-        shuffled = [bank[i] for i in perm]
-
-        def assemble(experts):
-            w1, w2, sel = gather_topkg(experts)
-            b1 = np.concatenate([experts[e].b1[idx] for e, idx in enumerate(sel)])
-            return FeedForward(w1, b1, w2, np.mean([e.b2 for e in experts], axis=0))
-
-        f_orig = assemble(bank)
-        f_perm = assemble(shuffled)
-        for _ in range(5):
-            x = rng.normal(size=5)
-            y_orig = _stage_forward_dense(f_orig, x, need_grad=False)[0]
-            y_perm = _stage_forward_dense(f_perm, x, need_grad=False)[0]
-            assert np.abs(y_orig - y_perm).max() < 1e-10
+        teacher, shuffled = expert_order_pair(moe_arch(d_model=5), seed, perm)
+        f_orig, f_perm = (build_student(t, GatherConfig("topkg"))[0].blocks[0].stage for t in (teacher, shuffled))
+        x = Rng(seed).normal(size=(5, 5))
+        y_orig = _stage_forward_dense(f_orig, x, need_grad=False)[0]
+        y_perm = _stage_forward_dense(f_perm, x, need_grad=False)[0]
+        assert np.abs(y_orig - y_perm).max() < 1e-10
 
 
 class TestReportResiduals:

@@ -155,7 +155,7 @@ class TestMoeForward:
         rng = Rng(2)
         shared = make_ffn(rng)
         layer = MoELayer(
-            experts=[shared, shared.copy()],
+            experts=[shared, FeedForward(**{name: t.copy() for name, t in shared.tensors().items()})],
             router=Router(weight=rng.normal(size=(6, 2)), top_k=2),
         )
         x = rng.normal(size=6)
