@@ -272,10 +272,6 @@ class MoELayer:
     def d_model(self) -> int:
         return self.experts[0].d_model
 
-    @property
-    def d_ff(self) -> int:
-        return self.experts[0].d_ff
-
 
 @dataclass(frozen=True)
 class Architecture:

@@ -125,17 +125,16 @@ def truncate_svd(f: SvdFactors, ratio: float) -> SvdFactors:
     """Keep the smallest leading set of triplets whose singular mass reaches
     ``ratio`` of the total.
 
-    An all-zero spectrum keeps a single zero triplet, so shapes stay meaningful.
+    The general rule keeps a single zero triplet of an all-zero spectrum,
+    since its first cumulative mass already reaches the target 0, so shapes
+    stay meaningful.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
     cum = np.cumsum(f.S)
-    total = float(cum[-1])
-    if total == 0.0:
-        return SvdFactors(f.U[:, :1].copy(), f.S[:1].copy(), f.V[:, :1].copy())
-    # First index whose cumulative mass reaches the target; total is taken from
-    # the same cumulative sum so ratio=1.0 is exact in floating point.
-    k = int(np.searchsorted(cum, ratio * total, side="left")) + 1
+    # First index whose cumulative mass reaches the target; the total is taken
+    # from the same cumulative sum so ratio=1.0 is exact in floating point.
+    k = int(np.searchsorted(cum, ratio * float(cum[-1]), side="left")) + 1
     k = min(k, f.rank)
     return SvdFactors(f.U[:, :k].copy(), f.S[:k].copy(), f.V[:, :k].copy())
 

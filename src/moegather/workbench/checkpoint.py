@@ -11,9 +11,10 @@ Layout, all integers little-endian::
 The metadata block carries the architecture, the declared tensor names and
 shapes, and free-form provenance (task spec, training config, gather report).
 Loading reads the header first and reads no block larger than the file. It
-checks the declared tensors against the architecture's layout up to the
-first difference, then assembles the model from copies of the payload's
-slices. A save/load round trip is bit-identical.
+walks the declared tensors once: each is checked against the architecture's
+layout up to the first difference, and the pairs that walk accepts size the
+payload and slice it into copies, from which the model is assembled. A
+save/load round trip is bit-identical.
 """
 
 from __future__ import annotations
@@ -78,26 +79,6 @@ def save_checkpoint(model: ClassifierModel, meta: dict, path) -> None:
             fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
-def _declared_elements(declared: list, arch: Architecture) -> int:
-    """Compare the declared tensor list with ``tensor_layout(arch)`` entry by
-    entry, stopping at the first difference; return the values it declares."""
-    layout, total = tensor_layout(arch), 0
-    for entry in declared:
-        if not isinstance(entry, dict) or "name" not in entry or "shape" not in entry:
-            raise SchemaError("each tensor entry needs 'name' and 'shape'")
-        name, shape = entry["name"], entry["shape"]
-        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-            raise SchemaError(f"tensor {name!r} shape {shape!r} is not a list of non-negative integers")
-        expected = next(layout, "no further tensor")
-        if (name, tuple(shape)) != expected:
-            raise SchemaError(f"tensor {name!r} of shape {shape} is declared where the architecture implies {expected}")
-        total += math.prod(shape)
-    missing = next(layout, None)
-    if missing is not None:
-        raise SchemaError(f"the tensors end where the architecture implies {missing}")
-    return total
-
-
 def load_checkpoint(path) -> tuple[ClassifierModel, dict]:
     """Read a checkpoint back into a model and its metadata dict.
 
@@ -131,7 +112,22 @@ def load_checkpoint(path) -> tuple[ClassifierModel, dict]:
             raise SchemaError(f"bad architecture block: {exc}") from exc
         if not isinstance(meta["tensors"], list):
             raise SchemaError(f"'tensors' must be a list, got {type(meta['tensors']).__name__}")
-        expected_payload = 8 * _declared_elements(meta["tensors"], arch)
+        # check the declared tensors against the architecture's layout, entry by entry up to the first difference
+        layout, declared = tensor_layout(arch), []
+        for entry in meta["tensors"]:
+            if not isinstance(entry, dict) or "name" not in entry or "shape" not in entry:
+                raise SchemaError("each tensor entry needs 'name' and 'shape'")
+            name, shape = entry["name"], entry["shape"]
+            if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+                raise SchemaError(f"tensor {name!r} shape {shape!r} is not a list of non-negative integers")
+            expected = next(layout, "no further tensor")
+            if (name, tuple(shape)) != expected:
+                raise SchemaError(f"tensor {name!r} of shape {shape} is declared where the architecture implies {expected}")
+            declared.append(expected)
+        missing = next(layout, None)
+        if missing is not None:
+            raise SchemaError(f"the tensors end where the architecture implies {missing}")
+        expected_payload = 8 * sum(math.prod(shape) for _, shape in declared)
         payload_len = info.st_size - _HEADER.size - meta_len
         if payload_len < expected_payload:
             raise TruncatedPayloadError(f"payload is {payload_len} bytes but metadata declares {expected_payload}")
@@ -140,7 +136,7 @@ def load_checkpoint(path) -> tuple[ClassifierModel, dict]:
         payload = fh.read(expected_payload)
 
     tensors, offset = {}, 0
-    for name, shape in tensor_layout(arch):
+    for name, shape in declared:
         flat = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=offset)
         if not np.isfinite(flat).all():
             raise NonFiniteTensorError(f"tensor {name!r} holds NaN or infinite values")

@@ -159,7 +159,8 @@ class _MixtureSampler:
 
 def _calibrate_mixture_scale(sampler: _MixtureSampler, spec: SyntheticTaskSpec) -> float:
     """Bisect the mode separation until a pooled linear probe lands inside the
-    requested accuracy band. Deterministic: the calibration sample is drawn
+    requested accuracy band, in at most 29 probes after the one that checks
+    the upper end of the range. Deterministic: the calibration sample is drawn
     once from its seeded streams and kept as per-sequence means only, so each
     candidate scale is scored on ``scale * means + noise`` without its tokens."""
     lo_acc, hi_acc = spec.probe_band
@@ -177,7 +178,7 @@ def _calibrate_mixture_scale(sampler: _MixtureSampler, spec: SyntheticTaskSpec) 
         raise RuntimeError(
             f"mixture task cannot reach probe accuracy {lo_acc} even at separation {hi}"
         )
-    for _ in range(28):
+    for _ in range(29):
         mid = 0.5 * (lo + hi)
         acc = probe(mid)
         if lo_acc <= acc <= hi_acc:
@@ -186,11 +187,7 @@ def _calibrate_mixture_scale(sampler: _MixtureSampler, spec: SyntheticTaskSpec) 
             lo = mid
         else:
             hi = mid
-    final = 0.5 * (lo + hi)
-    acc = probe(final)
-    if not lo_acc <= acc <= hi_acc:
-        raise RuntimeError(f"probe calibration failed: accuracy {acc:.3f} outside {spec.probe_band}")
-    return final
+    raise RuntimeError(f"probe calibration failed: accuracy {acc:.3f} outside {spec.probe_band}")
 
 
 def generate_dataset(spec: SyntheticTaskSpec, splits: tuple[str, ...] = ("train", "test")) -> tuple[Dataset, ...]:

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +231,35 @@ def test_a_task_too_large_to_generate_is_a_memory_error_under_an_address_space_c
     else:
         assert run.returncode == 0, run.stderr
         assert json.loads(run.stdout)["n"] == 10
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo") or not hasattr(signal, "SIGALRM"), reason="needs FIFOs and SIGALRM")
+def test_a_fifo_or_device_is_refused_at_once(tmp_path, capsys):
+    fifo = tmp_path / "fifo.ckpt"
+    os.mkfifo(fifo)
+
+    def waited(signum, frame):
+        raise TimeoutError("the load waited for a writer")
+
+    previous = signal.signal(signal.SIGALRM, waited)
+    signal.alarm(10)  # a blocking open of a FIFO with no writer never returns
+    try:
+        for path in (fifo, Path(os.devnull)):
+            with pytest.raises(CheckpointError, match=re.escape(f"{path} is not a regular file")):
+                load_checkpoint(path)
+        assert cli.main(["eval", "--model", str(fifo)]) == 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert capsys.readouterr().err.startswith(f"error: checkpoint: {fifo} is not a regular file")
+
+
+def test_a_payload_short_of_the_declared_tensors(ckpt):
+    raw = ckpt.read_bytes()
+    declared = len(split_bytes(raw)[1])
+    ckpt.write_bytes(raw[:-8])
+    with pytest.raises(TruncatedPayloadError, match=f"payload is {declared - 8} bytes but metadata declares {declared}$"):
+        load_checkpoint(ckpt)
 
 
 def test_negative_shape(ckpt):

@@ -99,9 +99,19 @@ class TestTruncateSvd:
         assert out.rank == 1  # 5/10 >= 0.5
 
     def test_all_zero_spectrum_degenerate(self):
-        out = truncate_svd(self._factors([0.0, 0.0, 0.0]), 0.9)
+        rng = Rng(0)
+        f = SvdFactors(U=rng.normal(size=(5, 3)), S=np.zeros(3), V=rng.normal(size=(4, 3)))
+        before = [a.copy() for a in (f.U, f.S, f.V)]
+        out = truncate_svd(f, 0.9)
         assert out.rank == 1
         assert out.S[0] == 0.0
+        # the kept triplet is the first, and the result owns its arrays
+        np.testing.assert_array_equal(out.U, f.U[:, :1])
+        np.testing.assert_array_equal(out.V, f.V[:, :1])
+        for a in (out.U, out.S, out.V):
+            a[...] = 7.0
+        for a, b in zip((f.U, f.S, f.V), before):
+            assert a.tobytes() == b.tobytes()
 
     def test_ratio_domain(self):
         f = self._factors([1.0])

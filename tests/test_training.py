@@ -559,6 +559,23 @@ class TestTrainingLoops:
         assert collapsed_balance > 0.9 * arch.num_experts
         assert result.final_balance < collapsed_balance
 
+    @pytest.mark.parametrize("test_rows,moved,moves", [
+        (300, 255, True), (300, 256, False), (300, 299, False), (40, 39, True),
+    ])
+    def test_the_final_balance_reads_the_first_256_test_rows(self, test_rows, moved, moves):
+        # a split shorter than 256 rows is read whole
+        arch = tiny_arch()
+        train, test = tiny_data(n=4 * test_rows)
+        cfg = TrainConfig(steps=2, batch_size=16, learning_rate=1e-2, seed=1, eval_every=0)
+        shifted = test.tokens.copy()
+        shifted[moved] += 3.0
+        balances = [
+            train_teacher(arch, cfg, (train, Dataset(tokens=tokens, labels=test.labels))).final_balance
+            for tokens in (test.tokens, shifted)
+        ]
+        assert len(test.labels) == test_rows
+        assert (balances[0] != balances[1]) == moves
+
     def test_distillation_freezes_teacher_and_is_deterministic(self):
         arch = tiny_arch()
         data = tiny_data()
