@@ -55,14 +55,20 @@ operand order flips, it is one ``+`` or ``*``, which IEEE 754 makes
 commutative, and every reduction keeps its array and axes. So the results
 are bit-identical to the expressions, which ``tests/`` keeps as oracles.
 Layer norm allocates two full-size arrays (``xhat`` and ``y``), the GELU
-with its derivative four (``x2``, ``z``, ``y`` and ``dy``), and the
+with its derivative four (``x2``, ``s``, ``y`` and ``dy``), and the
 feed-forward stage adds its bias to the product in place.
 
-The GELU is the tanh-form approximation of Hendrycks and Gimpel (arXiv
+The GELU is the one activation, as in WideNet (arXiv 2107.11817), whose
+backbone the paper follows, so no model, architecture or checkpoint names
+it. It is the tanh-form approximation of Hendrycks and Gimpel (arXiv
 1606.08415), evaluated in its logistic form ``x * s`` with
 ``s = 1 / (1 + exp(z))``, and ``z`` clamped at 700 before the ``exp`` so that
 no finite input overflows. One ``exp`` costs about half of one ``tanh``, and
 the tail below x ≈ -6.6, where ``1 + tanh`` cancels to 0, keeps its value.
+``_gelu_gate`` forms ``s`` for both the value-only and the training kernel,
+so their values agree by construction. ``activation_with_grad`` is the one
+lookup left: a training pass reaches the GELU through it, so a profiler that
+wraps it times every training GELU.
 
 Every "same bits" here compares two computations on one BLAS kernel and one
 numpy SIMD level. Another kernel, such as OpenBLAS's under another
@@ -99,73 +105,58 @@ _GELU_D2 = 6.0 * _GELU_C * _GELU_A
 _GELU_Z_MAX = 700.0
 
 
+def _gelu_gate(x: np.ndarray, x2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # s = 1 / (1 + exp(min(x * (K1 + K2 * x2), Z_MAX))), written into ``out``
+    # in the operation order of that expression; ``out`` may be ``x2``.
+    np.multiply(x2, _GELU_K2, out=out)
+    out += _GELU_K1
+    out *= x
+    np.minimum(out, _GELU_Z_MAX, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out
+
+
 def _gelu(x: np.ndarray) -> np.ndarray:
-    # Logistic-form GELU value, in the operation order of _gelu_with_grad,
-    # written into one array: z, then s, then y = x * s.
+    # Logistic-form GELU value, written into one array: x * x, then s, then
+    # y = x * s, so its bits equal _gelu_with_grad's value.
     y = x * x
-    y *= _GELU_K2
-    y += _GELU_K1
-    y *= x
-    np.minimum(y, _GELU_Z_MAX, out=y)
-    np.exp(y, out=y)
-    y += 1.0
-    np.divide(1.0, y, out=y)
+    _gelu_gate(x, y, y)
     y *= x
     return y
 
 
 def _gelu_with_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Logistic-form GELU; value and derivative share one exp evaluation.
-    # Written in place, but every product and sum keeps the order of the
-    # expressions
-    #   z  = min(x * (K1 + K2 * x * x), Z_MAX)
-    #   s  = 1 / (1 + exp(z))
+    # Logistic-form GELU; value and derivative share one gate s. Written in
+    # place, but every product and sum keeps the order of the expressions
     #   y  = x * s
     #   dy = s + y * (1 - s) * (D1 + D2 * x * x)
     # so the results are bit-identical to evaluating them directly. Once s is
-    # formed, ``z`` holds it and ``x2`` holds D1 + D2 * x * x.
+    # formed, ``x2`` is reused to hold D1 + D2 * x * x.
     x2 = x * x
-    z = _GELU_K2 * x2
-    z += _GELU_K1
-    z *= x
-    np.minimum(z, _GELU_Z_MAX, out=z)
-    np.exp(z, out=z)
-    z += 1.0
-    np.divide(1.0, z, out=z)
-    y = x * z
-    dy = np.subtract(1.0, z)
+    s = _gelu_gate(x, x2, np.empty_like(x))
+    y = x * s
+    dy = np.subtract(1.0, s)
     dy *= y
     x2 *= _GELU_D2
     x2 += _GELU_D1
     dy *= x2
-    dy += z
+    dy += s
     return y, dy
 
 
-_ACTIVATIONS = {"gelu": _gelu}
-_ACTIVATIONS_WITH_GRAD = {"gelu": _gelu_with_grad}
-
-
-def _lookup(table: dict, name: str):
-    try:
-        return table[name]
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}; expected one of {sorted(table)}")
-
-
-def activation_value(name: str):
-    """Return f(x) -> value for the named activation."""
-    return _lookup(_ACTIVATIONS, name)
-
-
 def activation_with_grad(name: str):
-    """Return f(x) -> (value, derivative) for the named activation."""
-    return _lookup(_ACTIVATIONS_WITH_GRAD, name)
+    """Return f(x) -> (value, derivative) for the named activation; ``"gelu"``
+    is the only one. Kept for profilers; see the module docstring."""
+    if name != "gelu":
+        raise ValueError(f"unknown activation {name!r}; expected 'gelu'")
+    return _gelu_with_grad
 
 
 @dataclass
 class FeedForward:
-    """Two linear layers around a nonlinearity.
+    """Two linear layers around the GELU.
 
     Serves both as one expert inside an MoE layer and as the dense stage of a
     student model; the two roles share shapes by construction.
@@ -175,7 +166,6 @@ class FeedForward:
     b1: np.ndarray  # (d_ff,)
     w2: np.ndarray  # (d_ff, d_model)
     b2: np.ndarray  # (d_model,)
-    activation: str = "gelu"
 
     def __post_init__(self):
         self.w1, self.b1, self.w2, self.b2 = (
@@ -189,7 +179,6 @@ class FeedForward:
                 f"inconsistent feed-forward shapes: w1={self.w1.shape} b1={self.b1.shape} "
                 f"w2={self.w2.shape} b2={self.b2.shape}"
             )
-        activation_value(self.activation)
 
     @property
     def d_model(self) -> int:
@@ -282,7 +271,6 @@ class Architecture:
     seq_len: int
     num_classes: int
     num_blocks: int = 2
-    activation: str = "gelu"
     stage: str = "dense"  # "dense" | "moe"
     num_experts: int = 1
     top_k: int = 1
@@ -294,7 +282,6 @@ class Architecture:
             raise ValueError(f"stage must be 'dense' or 'moe', got {self.stage!r}")
         if self.stage == "moe" and not 1 <= self.top_k <= self.num_experts:
             raise ValueError(f"top_k={self.top_k} out of range for {self.num_experts} experts")
-        activation_value(self.activation)
 
     def dense_twin(self) -> "Architecture":
         """Same shapes with the MoE stage collapsed to a single dense stage."""
@@ -391,10 +378,7 @@ def model_from_tensors(arch: Architecture, tensors: dict[str, np.ndarray]) -> Cl
         if given != implied:
             raise ShapeError(f"tensor {name!r} has shape {given}, but the architecture implies {implied}")
     t = tensors
-    ffns = [
-        FeedForward(t[p + "w1"], t[p + "b1"], t[p + "w2"], t[p + "b2"], arch.activation)
-        for p in _expert_prefixes(arch)
-    ]
+    ffns = [FeedForward(t[p + "w1"], t[p + "b1"], t[p + "w2"], t[p + "b2"]) for p in _expert_prefixes(arch)]
     stage = ffns[0] if arch.stage == "dense" else MoELayer(ffns, Router(t["stage.router"], arch.top_k))
     blocks = [
         Block(*(t[f"block{i}.{name}"] for name in (*_LAYER_NORMS, "mixer")), stage)
@@ -461,17 +445,11 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return y, xhat, inv_std
 
 
-def _activate(name: str, pre: np.ndarray, need_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Activation values, and their derivative when a backward pass will need it."""
-    if need_grad:
-        return activation_with_grad(name)(pre)
-    return activation_value(name)(pre), None
-
-
 def _stage_forward_dense(stage: FeedForward, x: np.ndarray, need_grad: bool) -> tuple[np.ndarray, dict]:
     pre = x @ stage.w1
     pre += stage.b1
-    h_act, h_grad = _activate(stage.activation, pre, need_grad)
+    # a training pass reaches the GELU through the module's lookup; see the module docstring
+    h_act, h_grad = activation_with_grad("gelu")(pre) if need_grad else (_gelu(pre), None)
     cache = {"x": x, "h_act": h_act, "h_grad": h_grad} if need_grad else {}
     out = h_act @ stage.w2
     out += stage.b2

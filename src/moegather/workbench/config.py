@@ -9,7 +9,7 @@ defaults), then the named profile, then the config's own block. Two profiles
 ship with the package: ``vision`` (alpha 0.25, SVD ratio 0.75, the settings
 classes' defaults) and ``nlp`` (alpha 0.75, SVD ratio 0.25). Every seed
 derives from the top-level ``seed``, the task's shapes come from the
-``model`` block, and the teacher is an MoE with GELU (see ``DERIVED``).
+``model`` block, and the teacher is an MoE (see ``DERIVED``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class ConfigError(ValueError):
 
 
 # Per block, the fields that config_from_dict fills in and to_dict leaves out.
-DERIVED = {"model": ("stage", "activation"), "task": ("seed", "d_model", "seq_len", "num_classes"),
+DERIVED = {"model": ("stage",), "task": ("seed", "d_model", "seq_len", "num_classes"),
            "teach": ("seed",), "distill": ("seed",)}
 
 
@@ -47,6 +47,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.arch.stage != "moe":
             raise ConfigError("the teacher architecture must use an MoE stage")
+        if not self.out_dir:  # "" would write every run file, config.json too, into the working directory
+            raise ConfigError("out_dir must name a directory, got ''")
         for m in self.gather_methods:
             if m not in GATHER_METHODS:
                 raise ConfigError(f"unknown gather method {m!r}")
@@ -154,7 +156,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     derived = [f"{name}.{key}" for name, keys in DERIVED.items() for key in keys if key in own[name]]
     if derived:  # even when set to its derived value: a config states each value once
         raise ConfigError(f"{derived[0]} is not a setting: seeds derive from the top-level seed, "
-                          "the task's shapes from the model block, and the teacher is an MoE with GELU")
+                          "the task's shapes from the model block, and the teacher is an MoE")
     _check_known(own["gather"], ("methods", "svd_ratio"), "gather.")
     blocks = {name: {**DEFAULTS.get(name, {}), **profile.get(name, {}), **block} for name, block in own.items()}
     try:

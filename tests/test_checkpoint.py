@@ -95,10 +95,11 @@ def test_architecture_recording_parameter_sharing(ckpt):
         load_checkpoint(ckpt)
 
 
-def test_architecture_recording_relu(ckpt):
-    # checkpoints written while ReLU was an activation
-    rewrite(ckpt, lambda m: m["architecture"].update(activation="relu"))
-    with pytest.raises(SchemaError, match="bad architecture block: unknown activation 'relu'"):
+@pytest.mark.parametrize("name", ["relu", "gelu"])
+def test_architecture_recording_activation(ckpt, name):
+    # checkpoints written while the activation was a setting, ReLU or GELU, record it
+    rewrite(ckpt, lambda m: m["architecture"].update(activation=name))
+    with pytest.raises(SchemaError, match="bad architecture block: .*activation"):
         load_checkpoint(ckpt)
 
 

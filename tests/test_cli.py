@@ -21,7 +21,7 @@ from moegather.workbench import cli
 from moegather.workbench import pipeline as pipeline_mod
 from moegather.workbench import worker as worker_mod
 from moegather.workbench.checkpoint import _HEADER, MAGIC, load_checkpoint, save_checkpoint
-from moegather.workbench.config import DERIVED, config_from_dict
+from moegather.workbench.config import DERIVED, ConfigError, config_from_dict
 from moegather.workbench.data import SyntheticTaskSpec, generate_dataset
 from moegather.workbench.pipeline import PipelineError, run_pipeline
 
@@ -99,13 +99,31 @@ def test_stage_commands_reproduce_the_pipeline(pipe, tmp_path, capsys):
                  "--out", scan], capsys)["rows"] == 4
     header, *rows = csv.reader(scan.read_text().splitlines())
     assert header == _schema("csv_columns.json")["noise_scan"]
+    assert [[float(x) for x in row] for row in rows] == _noise_scan_rows(teacher, [0.25, 0.5, 0.75, 1.0], 64)
+
+
+def _noise_scan_rows(teacher, ratios, tokens):
+    """What noise-scan should write: the scan of ``teacher``'s stage at ``ratios``
+    over the first ``tokens`` token rows of its task's train split."""
     model, meta = load_checkpoint(teacher)
     task = SyntheticTaskSpec.from_dict(meta["task"])
-    tokens = generate_dataset(task)[0].tokens.reshape(-1, task.d_model)[:64]
-    want = noise_scan(model.blocks[0].stage, [0.25, 0.5, 0.75, 1.0], tokens)
-    assert [[float(x) for x in row] for row in rows] == [
-        [r.svd_ratio, r.mean_signal_norm, r.mean_noise_norm, r.noise_signal_ratio, r.mean_selected_gate] for r in want
-    ]
+    rows = generate_dataset(task)[0].tokens.reshape(-1, task.d_model)[:tokens]
+    return [[r.svd_ratio, r.mean_signal_norm, r.mean_noise_norm, r.noise_signal_ratio, r.mean_selected_gate]
+            for r in noise_scan(model.blocks[0].stage, ratios, rows)]
+
+
+def test_noise_scan_defaults_to_ten_ratios_over_256_token_rows(pipe, tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    assert _run(["noise-scan", "--teacher", pipe / "teacher.ckpt", "--out", scan], capsys)["rows"] == 10
+    _, *rows = csv.reader(scan.read_text().splitlines())
+    ratios = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    assert [[float(x) for x in row] for row in rows] == _noise_scan_rows(pipe / "teacher.ckpt", ratios, 256)
+
+
+def test_a_lambda_grid_holds_at_most_1000_ratios():
+    assert len(cli._parse_lambda_grid("0.001:1:0.001")) == 1000
+    with pytest.raises(ConfigError, match="at most 1000 ratios"):
+        cli._parse_lambda_grid("0.0005:1:0.0005")
 
 
 def _schema(name: str):
@@ -177,19 +195,20 @@ def test_noise_scan_refusals(pipe, tmp_path, capsys, checkpoint, argv, error):
 
 @pytest.mark.parametrize("command", ["eval", "flops", "noise-scan"])
 def test_a_checkpoint_recording_parameter_sharing_is_a_checkpoint_error(pipe, tmp_path, capsys, command):
-    # checkpoints written while parameter sharing was a setting record it in their architecture
+    # checkpoints written while parameter sharing, or the activation, was a setting record it in their architecture
     raw = (pipe / "teacher.ckpt").read_bytes()
     _, version, meta_len = _HEADER.unpack_from(raw)
-    meta = json.loads(raw[_HEADER.size : _HEADER.size + meta_len])
-    meta["architecture"]["parameter_sharing"] = True
-    blob = json.dumps(meta, sort_keys=True).encode()
-    old = tmp_path / "old.ckpt"
-    old.write_bytes(_HEADER.pack(MAGIC, version, len(blob)) + blob + raw[_HEADER.size + meta_len :])
-    args = {"eval": ["--model", old], "flops": ["--model", old],
-            "noise-scan": ["--teacher", old, "--out", tmp_path / "s.csv"]}[command]
-    assert cli.main([command, *map(str, args)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: checkpoint: bad architecture block: ") and "parameter_sharing" in err, err
+    for field, value in (("parameter_sharing", True), ("activation", "gelu")):
+        meta = json.loads(raw[_HEADER.size : _HEADER.size + meta_len])
+        meta["architecture"][field] = value
+        blob = json.dumps(meta, sort_keys=True).encode()
+        old = tmp_path / f"old-{field}.ckpt"
+        old.write_bytes(_HEADER.pack(MAGIC, version, len(blob)) + blob + raw[_HEADER.size + meta_len :])
+        args = {"eval": ["--model", old], "flops": ["--model", old],
+                "noise-scan": ["--teacher", old, "--out", tmp_path / "s.csv"]}[command]
+        assert cli.main([command, *map(str, args)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint: bad architecture block: ") and field in err, err
 
 
 def test_scoring_commands_match_the_pipeline(pipe, tmp_path, capsys):
@@ -626,6 +645,7 @@ WRONG_SHAPES = {  # test id: (config override, message)
        for block in ("model", "task", "teach", "distill", "gather")},
     "out_dir-5": ({"out_dir": 5}, "out_dir must be a string, got 5"),
     "out_dir-null": ({"out_dir": None}, "out_dir must be a string, got None"),
+    "out_dir-empty": ({"out_dir": ""}, "out_dir must name a directory, got ''"),
     "methods-string": ({"gather": {"methods": "svdkg"}}, "gather methods must be a list of method names, got 'svdkg'"),
 }
 
@@ -662,9 +682,9 @@ def test_retired_task_settings_are_config_errors(tmp_path, capsys, field, value)
 @pytest.mark.parametrize("block,field,value", [
     ("teach", "balance_coeff", 0.01), ("distill", "temperature", 1.0), ("model", "router_noise_std", 0.25),
     ("distill", "seed", -1), ("distill", "seed", 0), ("distill", "mode", "soft"), ("model", "parameter_sharing", True),
-    ("model", "activation", "relu"),
-    # values a run works out: seeds from `seed`, task shapes from the model block, a fixed stage and activation
-    ("model", "stage", "moe"), ("model", "stage", "dense"), ("model", "activation", "gelu"),
+    ("model", "activation", "relu"), ("model", "activation", "gelu"),
+    # values a run works out: seeds from `seed`, task shapes from the model block, a fixed stage
+    ("model", "stage", "moe"), ("model", "stage", "dense"),
     ("task", "seed", 2.5), ("task", "d_model", 8), ("task", "seq_len", 4.0), ("task", "num_classes", 3),
     ("teach", "seed", -1), ("teach", "seed", "x"),
     # misspelt or unknown settings; block None is the top level

@@ -52,6 +52,28 @@ def test_a_config_naming_only_its_seed_and_profile_is_the_default_config(profile
     assert config_from_dict({"seed": 5, "profile": profile}) == default_config(5, profile=profile)
 
 
+# The default experiment, as config.json records it: ROADMAP's seed-0 numbers come from these values
+DEFAULT_EXPERIMENT = {
+    "seed": 0,
+    "out_dir": "runs/out",
+    "model": {"d_model": 32, "d_ff": 128, "seq_len": 8, "num_classes": 8, "num_blocks": 2, "num_experts": 4,
+              "top_k": 2},
+    "task": {"kind": "gaussian_mixture", "train_size": 20000, "test_size": 2000, "modes_per_class": 4,
+             "mode_spread": 0.7, "token_noise": 1.0, "probe_band": [0.85, 0.95]},
+    "teach": {"steps": 1500, "batch_size": 64, "learning_rate": 0.003, "eval_every": 200},
+    "distill": {"steps": 700, "batch_size": 64, "learning_rate": 0.001, "eval_every": 200, "alpha": 0.25},
+    "gather": {"methods": ["sum", "avg", "topkg", "svdkg"], "svd_ratio": 0.75},
+}
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_the_default_experiment_is_pinned(profile):
+    want = json.loads(json.dumps(DEFAULT_EXPERIMENT))
+    if profile == "nlp":
+        want["distill"]["alpha"], want["gather"]["svd_ratio"] = 0.75, 0.25
+    assert default_config(0, profile=profile).to_dict() == want
+
+
 def test_a_config_nested_too_deeply_is_a_config_error():
     deep = []
     for _ in range(100_000):
@@ -94,6 +116,12 @@ def test_out_dir_may_be_a_path(tmp_path):
     cfg = default_config(0, out_dir=tmp_path / "out")
     assert cfg.out_dir == str(tmp_path / "out")
     assert cfg.to_dict() == default_config(0, out_dir=str(tmp_path / "out")).to_dict()
+
+
+def test_an_experiment_built_directly_needs_an_out_dir():
+    # "" would put every run file, config.json too, into the working directory
+    with pytest.raises(ConfigError, match="^out_dir must name a directory, got ''$"):
+        replace(default_config(0), out_dir="")
 
 
 @pytest.mark.parametrize("block,field,value", [

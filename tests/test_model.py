@@ -10,10 +10,10 @@ from moegather.model import (
     FeedForward,
     MoELayer,
     Router,
+    _gelu,
     _gelu_with_grad,
     _stage_forward_dense,
     _stage_forward_moe,
-    activation_value,
     activation_with_grad,
     build_classifier,
     forward_batch,
@@ -35,13 +35,12 @@ def ffn_forward(ffn, x):
     return _stage_forward_dense(ffn, np.asarray(x, dtype=np.float64), need_grad=False)[0]
 
 
-def make_ffn(rng, d=6, h=10, activation="gelu"):
+def make_ffn(rng, d=6, h=10):
     return FeedForward(
         w1=rng.normal(size=(d, h)),
         b1=rng.normal(size=h),
         w2=rng.normal(size=(h, d)),
         b2=rng.normal(size=d),
-        activation=activation,
     )
 
 
@@ -124,7 +123,7 @@ class TestFfnForward:
         hidden = []
         for j in range(7):
             pre = ffn.b1[j] + sum(x[i] * ffn.w1[i, j] for i in range(4))
-            hidden.append(float(activation_value("gelu")(np.array([pre]))[0]))
+            hidden.append(float(_gelu(np.array([pre]))[0]))
         expected = [ffn.b2[i] + sum(hidden[j] * ffn.w2[j, i] for j in range(7)) for i in range(4)]
         assert np.abs(ffn_forward(ffn, x) - np.array(expected)).max() < 1e-12
 
@@ -628,7 +627,7 @@ class TestActivations:
 
     def test_value_only_gelu_bit_identical_to_training_value(self):
         want, _ = _gelu_with_grad_oracle(self.GRID)
-        assert np.array_equal(_bits(activation_value("gelu")(self.GRID)), _bits(want))
+        assert np.array_equal(_bits(_gelu(self.GRID)), _bits(want))
 
     def test_logistic_form_agrees_with_tanh_form(self):
         y, dy = _gelu_with_grad(self.GRID)
@@ -643,7 +642,7 @@ class TestActivations:
         xl = x.astype(np.longdouble)
         c = np.sqrt(np.longdouble(2) / np.arccos(np.longdouble(-1)))
         want = xl / (1 + np.exp(-2 * c * (xl + np.longdouble(0.044715) * xl**3)))
-        y = activation_value("gelu")(x)
+        y = _gelu(x)
         kept = np.abs(want) > 1e-300
         assert kept.sum() > 0.8 * len(x)
         assert (np.abs((y[kept] - want[kept]) / want[kept]) < 1e-12).all()
@@ -651,8 +650,7 @@ class TestActivations:
     def test_gelu_derivative_matches_central_differences(self):
         x, h = np.linspace(-30.0, 30.0, 6001), 1e-5
         _, dy = _gelu_with_grad(x)
-        gelu = activation_value("gelu")
-        numeric = (gelu(x + h) - gelu(x - h)) / (2 * h)
+        numeric = (_gelu(x + h) - _gelu(x - h)) / (2 * h)
         assert np.allclose(dy, numeric, rtol=1e-8, atol=1e-8)
 
     def test_gelu_of_extreme_inputs_is_finite_and_warns_nothing(self):
@@ -660,16 +658,17 @@ class TestActivations:
         x = np.linspace(-1e4, 1e4, 20_001)
         y, dy = _gelu_with_grad(x)
         assert np.isfinite(y).all() and np.isfinite(dy).all()
-        assert np.array_equal(_bits(activation_value("gelu")(x)), _bits(y))
+        assert np.array_equal(_bits(_gelu(x)), _bits(y))
         past_clamp = x <= -22.0  # z = -2C(x + A x^3) reaches 797 at -22, past the clamp at 700
         assert (y[past_clamp] <= 0).all() and (np.abs(y[past_clamp]) < 1e-300).all()
         assert np.array_equal(y[x >= 22.0], x[x >= 22.0]) and (dy[x >= 22.0] == 1.0).all()
 
     def test_unknown_activation_rejected_by_both_tables(self):
-        for lookup in (activation_value, activation_with_grad):
-            for name in ("swish", "relu"):
-                with pytest.raises(ValueError, match="unknown activation"):
-                    lookup(name)
+        # the one lookup left, which a training pass reads; only the GELU is in it
+        assert activation_with_grad("gelu") is _gelu_with_grad
+        for name in ("swish", "relu"):
+            with pytest.raises(ValueError, match="unknown activation"):
+                activation_with_grad(name)
 
 
 def _layer_norm_oracle(x, gain, bias):
@@ -748,11 +747,9 @@ class TestLayerNorm:
 
 
 class TestForwardOnly:
-    @pytest.mark.parametrize(
-        "stage,activation", [("moe", "gelu"), ("dense", "gelu")]
-    )
-    def test_default_logits_bit_identical_to_need_grad(self, stage, activation):
-        model = build_classifier(small_arch(stage=stage, activation=activation), Rng(11))
+    @pytest.mark.parametrize("stage", ["moe", "dense"])
+    def test_default_logits_bit_identical_to_need_grad(self, stage):
+        model = build_classifier(small_arch(stage=stage), Rng(11))
         tokens = Rng(12).normal(size=(7, 3, 6))
         plain, cache = forward_batch(model, tokens)  # rng=None: router noise off
         with_grad, grad_cache = forward_batch(model, tokens, need_grad=True)

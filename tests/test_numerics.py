@@ -71,6 +71,20 @@ class TestSvd:
         assert (f.S[:2] > 0).all() and np.array_equal(f.S[2:], np.zeros(3))
         assert truncate_svd(f, 1.0).rank == 2
 
+    @pytest.mark.parametrize("shape", [(32, 128), (128, 32)])
+    def test_rank_tolerance_is_matrix_ranks(self, shape):
+        # singular values 1, 0.5 and 2 * min(m, n) * eps: the third lies below
+        # max(m, n) * eps, np.linalg.matrix_rank's tolerance, but above min(m, n) * eps
+        m, n = shape
+        for seed in range(5):
+            rng = Rng(seed)
+            u, _ = np.linalg.qr(rng.normal(size=(m, 3)))
+            v, _ = np.linalg.qr(rng.normal(size=(n, 3)))
+            a = (u * [1.0, 0.5, 2 * min(m, n) * np.finfo(np.float64).eps]) @ v.T
+            f = svd(a)
+            assert f.S[2] == 0.0
+            assert np.count_nonzero(f.S) == np.linalg.matrix_rank(a) == 2
+
     def test_rejects_non_finite(self):
         with pytest.raises(NumericalError):
             svd(np.array([[np.nan, 1.0], [0.0, 1.0]]))
