@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .model import ClassifierModel, FeedForward, MoELayer, model_from_tensors
-from .numerics import NumericalError, SvdFactors, check_number, svd, top_k_indices, truncate_svd
+from .numerics import NumericalError, SvdFactors, check_number, svd, top_k_indices, truncation_rank
 
 GATHER_METHODS = ("sum", "avg", "topkg", "svdkg")
 
@@ -140,17 +140,21 @@ def gather_topkg(experts: list[FeedForward]) -> tuple[np.ndarray, np.ndarray, li
     return w1, w2, selected
 
 
-def svdkg_merge(factors: list[SvdFactors], ratio: float) -> tuple[np.ndarray, list[SvdFactors], list[np.ndarray]]:
+def svdkg_merge(factors: list[SvdFactors], ratio: float) -> tuple[np.ndarray, list[int], list[np.ndarray]]:
     """Merge one weight-matrix role across experts by truncated SVD.
 
-    Each expert's decomposition is truncated to the smallest rank reaching
-    ``ratio`` of its singular mass; the merged matrix is the sum of the
-    truncated reconstructions.
-    Returns (merged, per-expert truncated factors, their reconstructions).
+    Each expert keeps its leading ``truncation_rank(S, ratio)`` triplets, the
+    smallest rank reaching ``ratio`` of its singular mass; the merged matrix
+    is the sum of the truncated reconstructions, each formed straight from
+    the leading columns of the full factors.
+    Returns (merged, per-expert retained ranks, their reconstructions).
     """
-    truncated = [truncate_svd(f, ratio) for f in factors]
-    recons = [f.reconstruct() for f in truncated]
-    return np.sum(recons, axis=0), truncated, recons
+    ranks = [truncation_rank(f.S, ratio) for f in factors]
+    recons = [(f.U[:, :k] * f.S[:k]) @ f.V[:, :k].T for f, k in zip(factors, ranks)]
+    merged = recons[0].copy()
+    for r in recons[1:]:
+        merged += r
+    return merged, ranks, recons
 
 
 def gather_svdkg(experts: list[FeedForward], ratio: float) -> tuple[np.ndarray, np.ndarray, list, list, dict]:
@@ -161,9 +165,9 @@ def gather_svdkg(experts: list[FeedForward], ratio: float) -> tuple[np.ndarray, 
     ``singular_values_*`` keyed by field name.
     """
     full1, full2 = [svd(e.w1) for e in experts], [svd(e.w2) for e in experts]
-    (w1, trunc1, kept1), (w2, trunc2, kept2) = svdkg_merge(full1, ratio), svdkg_merge(full2, ratio)
+    (w1, ranks1, kept1), (w2, ranks2, kept2) = svdkg_merge(full1, ratio), svdkg_merge(full2, ratio)
     spectra = {
-        "ranks_w1": [f.rank for f in trunc1], "ranks_w2": [f.rank for f in trunc2],
+        "ranks_w1": ranks1, "ranks_w2": ranks2,
         "singular_values_w1": [f.S.tolist() for f in full1], "singular_values_w2": [f.S.tolist() for f in full2],
     }
     return w1, w2, kept1, kept2, spectra

@@ -63,6 +63,11 @@ def noise_scan(moe: MoELayer, svd_ratios, tokens: np.ndarray) -> list[NoiseScanR
     1); noise is everything the SVD-gathered first layer adds on top: the
     truncated foreign experts plus the bias-averaging mismatch. Signal plus
     noise is the gathered layer's output.
+
+    The tokens are grouped by primary expert once, by a stable sort, so each
+    expert's signal is one product over a contiguous slice. The mean norms
+    are summed in that grouped order, not the sample's, and so match a
+    per-token mean up to rounding.
     """
     tokens = as_array(tokens, "tokens")
     if tokens.ndim != 2 or tokens.shape[1] != moe.d_model or len(tokens) == 0:
@@ -72,18 +77,24 @@ def noise_scan(moe: MoELayer, svd_ratios, tokens: np.ndarray) -> list[NoiseScanR
     probs = router_probs(tokens, moe.router)
     picks = np.argmax(probs, axis=1)
     gates = probs[np.arange(len(picks)), picks]
+    order = np.argsort(picks, kind="stable")
+    grouped = tokens[order]
+    # grouped[bounds[e]:bounds[e + 1]] are the tokens whose primary expert is e
+    bounds = np.searchsorted(picks[order], np.arange(moe.num_experts + 1))
     b1_avg, _ = average_bias(moe.experts)
+    signal = np.empty((len(tokens), moe.experts[0].d_ff))
     rows = []
     for ratio in ratios:
         w1_g, _, recon = svdkg_merge(factors, ratio)
-        merged = tokens @ w1_g + b1_avg
-        signal = np.empty_like(merged)
-        for e in np.unique(picks):
-            mine = picks == e
-            signal[mine] = tokens[mine] @ recon[e] + moe.experts[e].b1
-        noise = merged - signal
-        mean_signal = float(np.linalg.norm(signal, axis=1).mean())
-        mean_noise = float(np.linalg.norm(noise, axis=1).mean())
+        noise = grouped @ w1_g  # the gathered layer's output, less the signal below
+        noise += b1_avg
+        for e, expert in enumerate(moe.experts):
+            lo, hi = bounds[e], bounds[e + 1]
+            np.matmul(grouped[lo:hi], recon[e], out=signal[lo:hi])
+            signal[lo:hi] += expert.b1
+        noise -= signal
+        mean_signal = float(np.sqrt(np.einsum("ij,ij->i", signal, signal)).mean())
+        mean_noise = float(np.sqrt(np.einsum("ij,ij->i", noise, noise)).mean())
         rows.append(
             NoiseScanRow(
                 svd_ratio=ratio,

@@ -27,6 +27,7 @@ __all__ = [
     "as_array",
     "check_number",
     "svd",
+    "truncation_rank",
     "truncate_svd",
     "top_k_indices",
 ]
@@ -97,6 +98,11 @@ class SvdFactors:
 def svd(a) -> SvdFactors:
     """Thin SVD from LAPACK (``np.linalg.svd``), singular values descending.
 
+    A wide matrix (fewer rows than columns) is factored as its transpose,
+    with U and V swapped, because LAPACK is faster on the tall orientation:
+    ``svd(a)`` of a wide ``a`` holds the bits of ``svd(a.T)`` with its U and
+    V exchanged.
+
     Singular values at or below the numerical-rank tolerance of
     ``np.linalg.matrix_rank`` (largest value times max(m, n) times machine
     epsilon) are set to exact zero, so a rank-deficient matrix reports its
@@ -113,29 +119,38 @@ def svd(a) -> SvdFactors:
         raise ShapeError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NumericalError("matrix contains non-finite entries")
+    wide = a.shape[0] < a.shape[1]
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        u, s, vt = np.linalg.svd(a.T if wide else a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of a {a.shape[0]}x{a.shape[1]} matrix failed: {exc}") from exc
     s[s <= s[0] * max(a.shape) * np.finfo(np.float64).eps] = 0.0
-    return SvdFactors(U=u, S=s, V=vt.T)
+    return SvdFactors(U=vt.T, S=s, V=u) if wide else SvdFactors(U=u, S=s, V=vt.T)
 
 
-def truncate_svd(f: SvdFactors, ratio: float) -> SvdFactors:
-    """Keep the smallest leading set of triplets whose singular mass reaches
-    ``ratio`` of the total.
+def truncation_rank(s: np.ndarray, ratio: float) -> int:
+    """Size of the smallest leading set of the descending singular values
+    ``s`` whose mass reaches ``ratio`` of the total.
 
-    The general rule keeps a single zero triplet of an all-zero spectrum,
-    since its first cumulative mass already reaches the target 0, so shapes
-    stay meaningful.
+    An all-zero spectrum keeps one value, since its first cumulative mass
+    already reaches the target 0.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    cum = np.cumsum(f.S)
+    cum = np.cumsum(s)
     # First index whose cumulative mass reaches the target; the total is taken
     # from the same cumulative sum so ratio=1.0 is exact in floating point.
-    k = int(np.searchsorted(cum, ratio * float(cum[-1]), side="left")) + 1
-    k = min(k, f.rank)
+    return min(int(np.searchsorted(cum, ratio * float(cum[-1]), side="left")) + 1, s.size)
+
+
+def truncate_svd(f: SvdFactors, ratio: float) -> SvdFactors:
+    """Copies of the leading ``truncation_rank(f.S, ratio)`` triplets: the
+    smallest leading set whose singular mass reaches ``ratio`` of the total.
+
+    The general rule keeps a single zero triplet of an all-zero spectrum,
+    so shapes stay meaningful.
+    """
+    k = truncation_rank(f.S, ratio)
     return SvdFactors(f.U[:, :k].copy(), f.S[:k].copy(), f.V[:, :k].copy())
 
 

@@ -124,9 +124,8 @@ class _MixtureSampler:
         stream = rng.derive("tokens")
 
         def noise(k: int) -> np.ndarray:
-            out = stream.normal(size=(k, spec.seq_len, spec.d_model))
-            out *= spec.token_noise
-            return out
+            # drawn at its scale: 0 + s*z has the bits of (0 + 1*z)*s, with no second pass
+            return stream.normal(size=(k, spec.seq_len, spec.d_model), scale=spec.token_noise)
 
         return labels, modes, noise
 

@@ -6,7 +6,9 @@ Reads pickled ``(function, args)`` tasks from stdin until it closes; each
 ``function(*args)`` is a generator. For each task it writes one pickled
 ``(items, error)`` reply to stdout: the items the generator yielded, and the
 exception that ended it early, or None. Anything else written to stdout, by
-the worker or a library it calls, goes to stderr instead.
+the worker or a library it calls, goes to stderr instead. Once stdin closes,
+the worker flushes stdout and stderr and exits 0 at once, without the
+interpreter's teardown, which its parent would otherwise wait for.
 """
 
 from __future__ import annotations
@@ -46,3 +48,6 @@ if __name__ == "__main__":
     with os.fdopen(os.dup(1), "wb") as replies:
         os.dup2(2, 1)  # fd 1 now reaches stderr, so nothing printed can land in a reply
         serve(sys.stdin.buffer, replies)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)  # every reply is sent and every print flushed: skip the interpreter's teardown

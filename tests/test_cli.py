@@ -450,6 +450,26 @@ def test_what_the_worker_prints_reaches_stderr_and_not_its_replies(capfd):
     assert capfd.readouterr().err == "stray\nend\n"
 
 
+def test_the_worker_exits_0_with_nothing_on_stdout_when_its_stdin_closes_at_once():
+    with pipeline_mod._Worker() as worker:
+        worker._start()
+        worker.proc.stdin.close()
+        out = worker.proc.stdout.read()
+    assert (worker.proc.returncode, out) == (0, b"")
+
+
+def test_what_a_task_prints_reaches_stderr_before_the_worker_exits(capfd, monkeypatch):
+    # print leaves its text in the worker's buffered stdout, which reaches fd 2; the exit must flush it
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # buffered, as in a user's run
+    with pipeline_mod._Worker() as worker:
+        worker.submit(print, "marker")
+        worker.proc.stdin.close()
+        items, error = pickle.load(worker.proc.stdout)
+    assert worker.proc.returncode == 0
+    assert (items, type(error)) == ([], TypeError)  # print is no generator function
+    assert capfd.readouterr().err == "marker\n"
+
+
 # each stage of run_pipeline, the callee on pipeline_mod made to fail at its n-th call there, and the
 # files the stage writes for TINY_CONFIG
 STAGES = [

@@ -96,6 +96,17 @@ def test_pooled_sample_scores_as_its_assembled_tokens(overrides):
         assert got == want, scale
 
 
+@pytest.mark.parametrize("token_noise", [1.0, 0.37])
+def test_noise_drawn_at_its_scale_has_the_bits_of_a_scaled_unit_draw(token_noise):
+    # 0 + s*z equals (0 + 1*z)*s bit for bit, so drawing at the scale needs no second pass
+    spec = SyntheticTaskSpec(**{**SMALL, "token_noise": token_noise})
+    rng = Rng(spec.seed).derive("train")
+    *_, noise = data._MixtureSampler(spec)._draw(50, rng)
+    want = rng.derive("tokens").normal(size=(50, spec.seq_len, spec.d_model))
+    want *= token_noise
+    assert noise(50).tobytes() == want.tobytes()
+
+
 def test_calibration_keeps_no_full_size_copy_of_its_sample():
     # the tokens of the calibration sample are never made: its peak stays below their bytes
     spec = default_config(0).task

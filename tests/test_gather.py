@@ -30,7 +30,7 @@ from moegather.model import (
     model_from_tensors,
     state_hash,
 )
-from moegather.numerics import NumericalError, Rng, svd
+from moegather.numerics import NumericalError, Rng, svd, truncate_svd
 
 
 def make_ffn(rng, d=6, h=8):
@@ -280,6 +280,25 @@ class TestSvdKG:
                 total = s.sum()
                 assert s[:k].sum() >= ratio * total
                 assert k == 1 or s[: k - 1].sum() < ratio * total
+
+    @pytest.mark.parametrize("role", ["w1", "w2"])
+    def test_merge_keeps_truncate_svds_ranks_and_sum(self, role):
+        # the merge reads the full factors in place; truncate_svd's copies are the oracle
+        bank = make_bank(Rng(5), num_experts=4, d=6, h=9)
+        factors = [svd(getattr(e, role)) for e in bank]
+        for ratio in [0.05 * k for k in range(1, 21)]:
+            merged, ranks, recons = svdkg_merge(factors, ratio)
+            truncated = [truncate_svd(f, ratio) for f in factors]
+            assert ranks == [t.rank for t in truncated]
+            for got, t in zip(recons, truncated):
+                np.testing.assert_allclose(got, t.reconstruct(), rtol=1e-12, atol=1e-12)
+            want = np.sum([t.reconstruct() for t in truncated], axis=0)
+            np.testing.assert_allclose(merged, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.1, 1.5])
+    def test_merge_refuses_a_ratio_outside_the_unit_interval(self, ratio):
+        with pytest.raises(ValueError, match="ratio must lie in"):
+            svdkg_merge([svd(e.w1) for e in make_bank(Rng(5))], ratio)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_monotone_approach_to_full_merge(self, seed):

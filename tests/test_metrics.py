@@ -97,6 +97,30 @@ class TestNoiseScan:
                    row.noise_signal_ratio, row.mean_selected_gate)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
+    def _assert_matches_oracle(self, moe, ratios, tokens):
+        rows = noise_scan(moe, ratios, tokens)
+        for row, expected in zip(rows, noise_scan_oracle(moe, ratios, tokens), strict=True):
+            got = (row.svd_ratio, row.mean_signal_norm, row.mean_noise_norm,
+                   row.noise_signal_ratio, row.mean_selected_gate)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_matches_per_token_oracle_at_default_shapes(self):
+        # 4 experts, d_model 32, d_ff 128, and the CLI's default 256 tokens and 10 ratios
+        moe = build_classifier(default_config(0).arch, Rng(0)).blocks[0].stage
+        assert (moe.num_experts, moe.d_model, moe.experts[0].d_ff) == (4, 32, 128)
+        self._assert_matches_oracle(moe, [0.1 * k for k in range(1, 11)], Rng(1).normal(size=(256, 32)))
+
+    @pytest.mark.parametrize("idle, twin", [(1, 0), (3, 1)])
+    def test_matches_per_token_oracle_with_an_expert_never_picked(self, idle, twin):
+        # router column ``idle`` copies the lower column ``twin``, so every tie goes
+        # to ``twin`` and expert ``idle``'s group of tokens is empty
+        moe = make_moe(seed=4)
+        moe.router.weight[:, idle] = moe.router.weight[:, twin]
+        tokens = Rng(14).normal(size=(64, 8))
+        picks = np.argmax(router_probs(tokens, moe.router), axis=1)
+        assert idle not in picks and twin in picks
+        self._assert_matches_oracle(moe, [1.0, 0.1, 0.5, 0.75, 0.25], tokens)
+
     def test_noise_shrinks_to_bias_mismatch_only_for_one_expert(self):
         # with a single expert at ratio 1.0 the merge is that expert itself
         moe = make_moe(num_experts=1, top_k=1)

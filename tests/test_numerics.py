@@ -51,6 +51,27 @@ class TestSvd:
         norm_a = np.linalg.norm(a)
         assert np.linalg.norm(f.reconstruct() - a) <= 1e-8 * max(norm_a, 1e-30)
 
+    @pytest.mark.parametrize("shape", [(32, 128), (5, 9), (1, 4)])
+    def test_a_wide_matrix_gets_its_transposes_factors_swapped(self, shape):
+        # the wide orientation is factored as its transpose, so the bits agree exactly
+        for seed in range(3):
+            a = Rng(seed).normal(size=shape)
+            wide, tall = svd(a), svd(a.T)
+            assert wide.U.tobytes() == tall.V.tobytes() and wide.V.tobytes() == tall.U.tobytes()
+            assert wide.S.tobytes() == tall.S.tobytes()
+
+    @pytest.mark.parametrize("shape", [(32, 128), (128, 32)])
+    def test_both_orientations_reconstruct_and_stay_orthonormal(self, shape):
+        # the shapes of an expert's w1 and w2 at the default sizes
+        for seed in range(3):
+            a = Rng(seed).normal(size=shape)
+            f = svd(a)
+            r = min(shape)
+            assert f.U.shape == (shape[0], r) and f.V.shape == (shape[1], r)
+            assert np.abs(f.U.T @ f.U - np.eye(r)).max() < 1e-12
+            assert np.abs(f.V.T @ f.V - np.eye(r)).max() < 1e-12
+            assert np.linalg.norm(f.reconstruct() - a) < 1e-12 * np.linalg.norm(a)
+
     def test_zero_matrix(self):
         f = svd(np.zeros((3, 2)))
         assert np.array_equal(f.S, np.zeros(2))
