@@ -24,7 +24,7 @@ from .model import (
     build_classifier,
     router_probs,
 )
-from .numerics import Rng, SvdFactors, svd, top_k_indices, truncate_svd
+from .numerics import Rng, SvdFactors, svd, top_k_indices
 from .training import (
     DistillConfig,
     TrainConfig,
@@ -58,5 +58,4 @@ __all__ = [
     "svd",
     "top_k_indices",
     "train_classifier",
-    "truncate_svd",
 ]

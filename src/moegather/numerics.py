@@ -28,7 +28,6 @@ __all__ = [
     "check_number",
     "svd",
     "truncation_rank",
-    "truncate_svd",
     "top_k_indices",
 ]
 
@@ -88,7 +87,7 @@ class SvdFactors:
 
     @property
     def rank(self) -> int:
-        """Number of retained singular triplets."""
+        """``S.size``: every triplet held, exact zeros included."""
         return int(self.S.size)
 
     def reconstruct(self) -> np.ndarray:
@@ -105,8 +104,9 @@ def svd(a) -> SvdFactors:
 
     Singular values at or below the numerical-rank tolerance of
     ``np.linalg.matrix_rank`` (largest value times max(m, n) times machine
-    epsilon) are set to exact zero, so a rank-deficient matrix reports its
-    rank and truncation never keeps rounding noise.
+    epsilon) are set to exact zero, so truncation never keeps rounding noise.
+    The numerical rank is the count of nonzero values, which is also
+    ``truncation_rank(S, 1.0)`` unless all are zero; ``rank`` counts all.
 
     No sign convention is imposed on the singular-vector pairs: every
     consumer (reconstructions, retained ranks, spectra) is invariant to
@@ -141,17 +141,6 @@ def truncation_rank(s: np.ndarray, ratio: float) -> int:
     # First index whose cumulative mass reaches the target; the total is taken
     # from the same cumulative sum so ratio=1.0 is exact in floating point.
     return min(int(np.searchsorted(cum, ratio * float(cum[-1]), side="left")) + 1, s.size)
-
-
-def truncate_svd(f: SvdFactors, ratio: float) -> SvdFactors:
-    """Copies of the leading ``truncation_rank(f.S, ratio)`` triplets: the
-    smallest leading set whose singular mass reaches ``ratio`` of the total.
-
-    The general rule keeps a single zero triplet of an all-zero spectrum,
-    so shapes stay meaningful.
-    """
-    k = truncation_rank(f.S, ratio)
-    return SvdFactors(f.U[:, :k].copy(), f.S[:k].copy(), f.V[:, :k].copy())
 
 
 class Rng:

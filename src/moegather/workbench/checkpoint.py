@@ -36,27 +36,7 @@ _HEADER = struct.Struct("<4sIQ")
 
 
 class CheckpointError(Exception):
-    """Base class for malformed checkpoint files."""
-
-
-class BadMagicError(CheckpointError):
-    pass
-
-
-class VersionMismatchError(CheckpointError):
-    pass
-
-
-class TruncatedPayloadError(CheckpointError):
-    pass
-
-
-class SchemaError(CheckpointError):
-    """Metadata is inconsistent with itself or with the payload."""
-
-
-class NonFiniteTensorError(CheckpointError):
-    """The payload holds NaN or infinite values."""
+    """A malformed checkpoint file; the message names the fault."""
 
 
 def save_checkpoint(model: ClassifierModel, meta: dict, path) -> None:
@@ -82,8 +62,8 @@ def save_checkpoint(model: ClassifierModel, meta: dict, path) -> None:
 def load_checkpoint(path) -> tuple[ClassifierModel, dict]:
     """Read a checkpoint back into a model and its metadata dict.
 
-    Raises a :class:`CheckpointError` subclass on any integrity problem; no
-    partially filled model is ever returned.
+    Raises :class:`CheckpointError`, whose message names the fault, on any
+    integrity problem; no partially filled model is ever returned.
     """
     # non-blocking, so that a FIFO opens at once, to be refused below, instead of waiting for a writer
     with open(path, "rb", opener=lambda p, flags: os.open(p, flags | getattr(os, "O_NONBLOCK", 0))) as fh:
@@ -92,54 +72,54 @@ def load_checkpoint(path) -> tuple[ClassifierModel, dict]:
             raise CheckpointError(f"{path} is not a regular file")
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
-            raise TruncatedPayloadError(f"file is only {len(header)} bytes, shorter than the header")
+            raise CheckpointError(f"file is only {len(header)} bytes, shorter than the header")
         magic, version, meta_len = _HEADER.unpack(header)
         if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}; not a checkpoint file")
+            raise CheckpointError(f"bad magic {magic!r}; not a checkpoint file")
         if version != FORMAT_VERSION:
-            raise VersionMismatchError(f"format version {version} unsupported (expected {FORMAT_VERSION})")
+            raise CheckpointError(f"format version {version} unsupported (expected {FORMAT_VERSION})")
         if meta_len > info.st_size - _HEADER.size:
-            raise TruncatedPayloadError("metadata block extends past end of file")
+            raise CheckpointError("metadata block extends past end of file")
         try:
             meta = json.loads(fh.read(meta_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise SchemaError(f"metadata is not valid UTF-8 JSON: {exc}") from exc
+            raise CheckpointError(f"metadata is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(meta, dict) or "architecture" not in meta or "tensors" not in meta:
-            raise SchemaError("metadata must declare 'architecture' and 'tensors'")
+            raise CheckpointError("metadata must declare 'architecture' and 'tensors'")
         try:
             arch = Architecture.from_dict(meta["architecture"])
         except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad architecture block: {exc}") from exc
+            raise CheckpointError(f"bad architecture block: {exc}") from exc
         if not isinstance(meta["tensors"], list):
-            raise SchemaError(f"'tensors' must be a list, got {type(meta['tensors']).__name__}")
+            raise CheckpointError(f"'tensors' must be a list, got {type(meta['tensors']).__name__}")
         # check the declared tensors against the architecture's layout, entry by entry up to the first difference
         layout, declared = tensor_layout(arch), []
         for entry in meta["tensors"]:
             if not isinstance(entry, dict) or "name" not in entry or "shape" not in entry:
-                raise SchemaError("each tensor entry needs 'name' and 'shape'")
+                raise CheckpointError("each tensor entry needs 'name' and 'shape'")
             name, shape = entry["name"], entry["shape"]
             if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-                raise SchemaError(f"tensor {name!r} shape {shape!r} is not a list of non-negative integers")
+                raise CheckpointError(f"tensor {name!r} shape {shape!r} is not a list of non-negative integers")
             expected = next(layout, "no further tensor")
             if (name, tuple(shape)) != expected:
-                raise SchemaError(f"tensor {name!r} of shape {shape} is declared where the architecture implies {expected}")
+                raise CheckpointError(f"tensor {name!r} of shape {shape} is declared where the architecture implies {expected}")
             declared.append(expected)
         missing = next(layout, None)
         if missing is not None:
-            raise SchemaError(f"the tensors end where the architecture implies {missing}")
+            raise CheckpointError(f"the tensors end where the architecture implies {missing}")
         expected_payload = 8 * sum(math.prod(shape) for _, shape in declared)
         payload_len = info.st_size - _HEADER.size - meta_len
         if payload_len < expected_payload:
-            raise TruncatedPayloadError(f"payload is {payload_len} bytes but metadata declares {expected_payload}")
+            raise CheckpointError(f"payload is {payload_len} bytes but metadata declares {expected_payload}")
         if payload_len > expected_payload:
-            raise SchemaError(f"payload is {payload_len} bytes, longer than the declared {expected_payload}")
+            raise CheckpointError(f"payload is {payload_len} bytes, longer than the declared {expected_payload}")
         payload = fh.read(expected_payload)
 
     tensors, offset = {}, 0
     for name, shape in declared:
         flat = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=offset)
         if not np.isfinite(flat).all():
-            raise NonFiniteTensorError(f"tensor {name!r} holds NaN or infinite values")
+            raise CheckpointError(f"tensor {name!r} holds NaN or infinite values")
         tensors[name] = flat.reshape(shape).astype(np.float64)  # a copy: the model owns writable arrays
         offset += flat.nbytes
     user_meta = {k: v for k, v in meta.items() if k not in ("architecture", "tensors")}

@@ -36,7 +36,7 @@ from ..metrics import UndefinedMetricError, flops_per_token, moe_benefits, noise
 from ..model import ClassifierModel, MoELayer, count_parameters
 from ..numerics import NumericalError, ShapeError
 from ..training import evaluate_accuracy
-from .checkpoint import CheckpointError, SchemaError, load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import SyntheticTaskSpec, generate_dataset
 from .pipeline import (
@@ -63,7 +63,7 @@ def _task_from_meta(meta: dict, path) -> SyntheticTaskSpec:
     try:
         return SyntheticTaskSpec.from_dict(meta["task"])
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: bad task metadata: {exc}") from exc
+        raise CheckpointError(f"{path}: bad task metadata: {exc}") from exc
 
 
 def _load_for(cfg: ExperimentConfig, path) -> tuple[ClassifierModel, dict]:
@@ -151,18 +151,20 @@ def _parse_lambda_grid(text: str) -> list[float]:
 
 
 def _cmd_noise_scan(args) -> int:
+    # the arguments are checked before the teacher is loaded and its training split generated
+    ratios = _parse_lambda_grid(args.lambdas)
+    if args.tokens < 1:
+        raise ConfigError(f"--tokens must be at least 1, got {args.tokens}")
     teacher, meta = load_checkpoint(args.teacher)
     [(_, stage)] = teacher.stages()
     if not isinstance(stage, MoELayer):
         raise StructureError("model has no MoE stage")
     task = _task_from_meta(meta, args.teacher)
-    if args.tokens < 1:
-        raise ConfigError(f"--tokens must be at least 1, got {args.tokens}")
     [train] = generate_dataset(task, splits=("train",))
     tokens = train.tokens.reshape(-1, task.d_model)[: args.tokens]
     if len(tokens) < args.tokens:
         raise ConfigError(f"task provides only {len(tokens)} tokens, need {args.tokens}")
-    rows = noise_scan(stage, _parse_lambda_grid(args.lambdas), tokens)
+    rows = noise_scan(stage, ratios, tokens)
     write_noise_scan_csv(rows, args.out)
     print(json.dumps({"out": args.out, "rows": len(rows)}))
     return 0

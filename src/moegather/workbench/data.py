@@ -96,12 +96,6 @@ def _ridge_probe_accuracy(train_x: np.ndarray, train_labels: np.ndarray,
     return float((pred == test_labels).mean())
 
 
-def linear_probe_accuracy(train: Dataset, test: Dataset) -> float:
-    """Ridge-regression probe on mean-pooled tokens to one-hot targets; the
-    reference for how much of a task is linearly solvable."""
-    return _ridge_probe_accuracy(train.tokens.mean(axis=1), train.labels, test.tokens.mean(axis=1), test.labels)
-
-
 class _MixtureSampler:
     def __init__(self, spec: SyntheticTaskSpec):
         self.spec = spec

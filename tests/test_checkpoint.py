@@ -20,10 +20,6 @@ from moegather.workbench.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
     CheckpointError,
-    NonFiniteTensorError,
-    SchemaError,
-    TruncatedPayloadError,
-    VersionMismatchError,
     load_checkpoint,
     save_checkpoint,
 )
@@ -71,27 +67,27 @@ def test_round_trip_is_bit_identical(ckpt):
 
 def test_tensors_not_a_list(ckpt):
     rewrite(ckpt, lambda m: m.update(tensors=5))
-    with pytest.raises(SchemaError, match="'tensors' must be a list"):
+    with pytest.raises(CheckpointError, match="'tensors' must be a list"):
         load_checkpoint(ckpt)
 
 
 def test_negative_d_model(ckpt):
     rewrite(ckpt, lambda m: m["architecture"].update(d_model=-32))
-    with pytest.raises(SchemaError, match="d_model must be a positive integer"):
+    with pytest.raises(CheckpointError, match="d_model must be a positive integer"):
         load_checkpoint(ckpt)
 
 
 def test_retired_architecture_key(ckpt):
     # checkpoints that recorded the router noise scale as a setting
     rewrite(ckpt, lambda m: m["architecture"].update(router_noise_std=None))
-    with pytest.raises(SchemaError, match="bad architecture block: .*router_noise_std"):
+    with pytest.raises(CheckpointError, match="bad architecture block: .*router_noise_std"):
         load_checkpoint(ckpt)
 
 
 def test_architecture_recording_parameter_sharing(ckpt):
     # checkpoints written while sharing the feed-forward stage across blocks was a setting
     rewrite(ckpt, lambda m: m["architecture"].update(parameter_sharing=True))
-    with pytest.raises(SchemaError, match="bad architecture block: .*parameter_sharing"):
+    with pytest.raises(CheckpointError, match="bad architecture block: .*parameter_sharing"):
         load_checkpoint(ckpt)
 
 
@@ -99,14 +95,14 @@ def test_architecture_recording_parameter_sharing(ckpt):
 def test_architecture_recording_activation(ckpt, name):
     # checkpoints written while the activation was a setting, ReLU or GELU, record it
     rewrite(ckpt, lambda m: m["architecture"].update(activation=name))
-    with pytest.raises(SchemaError, match="bad architecture block: .*activation"):
+    with pytest.raises(CheckpointError, match="bad architecture block: .*activation"):
         load_checkpoint(ckpt)
 
 
 def test_oversized_architecture_rejected_before_allocation(ckpt):
     # shapes still match the payload; building this architecture would need terabytes
     rewrite(ckpt, lambda m: m["architecture"].update(d_model=10**6))
-    with pytest.raises(SchemaError, match="architecture implies"):
+    with pytest.raises(CheckpointError, match="architecture implies"):
         load_checkpoint(ckpt)
 
 
@@ -115,7 +111,7 @@ def test_an_architecture_of_two_to_the_forty_is_rejected_at_once(ckpt, field):
     # its layout is compared lazily, so the load stops at the first tensor it
     # does not declare instead of walking 2**40 blocks or experts
     rewrite(ckpt, lambda m: m["architecture"].update({field: 2**40}))
-    with pytest.raises(SchemaError, match="architecture implies"):
+    with pytest.raises(CheckpointError, match="architecture implies"):
         load_checkpoint(ckpt)
 
 
@@ -123,7 +119,7 @@ def test_metadata_longer_than_the_file(ckpt):
     meta, payload = split(ckpt)
     blob = json.dumps(meta).encode()
     ckpt.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, 2**62) + blob + payload)
-    with pytest.raises(TruncatedPayloadError, match="metadata block extends past end of file"):
+    with pytest.raises(CheckpointError, match="metadata block extends past end of file"):
         load_checkpoint(ckpt)
 
 
@@ -137,7 +133,7 @@ def test_reserved_metadata_keys_are_refused(tmp_path, key):
 
 def test_a_file_shorter_than_the_header(ckpt):
     ckpt.write_bytes(ckpt.read_bytes()[: _HEADER.size - 1])
-    with pytest.raises(TruncatedPayloadError, match=f"only {_HEADER.size - 1} bytes, shorter than the header"):
+    with pytest.raises(CheckpointError, match=f"only {_HEADER.size - 1} bytes, shorter than the header"):
         load_checkpoint(ckpt)
 
 
@@ -145,13 +141,21 @@ def test_another_format_version(ckpt):
     raw = ckpt.read_bytes()
     _, _, meta_len = _HEADER.unpack_from(raw)
     ckpt.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION + 1, meta_len) + raw[_HEADER.size :])
-    with pytest.raises(VersionMismatchError, match=f"format version {FORMAT_VERSION + 1} unsupported"):
+    with pytest.raises(CheckpointError, match=f"format version {FORMAT_VERSION + 1} unsupported"):
         load_checkpoint(ckpt)
+
+
+def test_a_file_with_another_magic(ckpt, capsys):
+    ckpt.write_bytes(b"XXXX" + ckpt.read_bytes()[4:])
+    with pytest.raises(CheckpointError, match=re.escape("bad magic b'XXXX'; not a checkpoint file")):
+        load_checkpoint(ckpt)
+    assert cli.main(["eval", "--model", str(ckpt)]) == 1
+    assert capsys.readouterr().err == "error: checkpoint: bad magic b'XXXX'; not a checkpoint file\n"
 
 
 def test_a_payload_longer_than_declared(ckpt):
     rewrite(ckpt, payload=split(ckpt)[1] + bytes(8))
-    with pytest.raises(SchemaError, match="longer than the declared"):
+    with pytest.raises(CheckpointError, match="longer than the declared"):
         load_checkpoint(ckpt)
 
 
@@ -160,7 +164,7 @@ def test_metadata_nested_too_deeply(ckpt, capsys):
     deep = b"[" * 100_000 + b"]" * 100_000
     blob = json.dumps(meta).encode()[:-1] + b', "deep": ' + deep + b"}"
     ckpt.write_bytes(_HEADER.pack(MAGIC, FORMAT_VERSION, len(blob)) + blob + payload)
-    with pytest.raises(SchemaError, match="metadata is not valid UTF-8 JSON: maximum recursion depth"):
+    with pytest.raises(CheckpointError, match="metadata is not valid UTF-8 JSON: maximum recursion depth"):
         load_checkpoint(ckpt)
     for command in ("eval", "flops"):
         assert cli.main([command, "--model", str(ckpt)]) == 1
@@ -259,7 +263,7 @@ def test_a_payload_short_of_the_declared_tensors(ckpt):
     raw = ckpt.read_bytes()
     declared = len(split_bytes(raw)[1])
     ckpt.write_bytes(raw[:-8])
-    with pytest.raises(TruncatedPayloadError, match=f"payload is {declared - 8} bytes but metadata declares {declared}$"):
+    with pytest.raises(CheckpointError, match=f"payload is {declared - 8} bytes but metadata declares {declared}$"):
         load_checkpoint(ckpt)
 
 
@@ -268,7 +272,7 @@ def test_negative_shape(ckpt):
         meta["tensors"][0]["shape"] = [-4, 4]
 
     rewrite(ckpt, negate)
-    with pytest.raises(SchemaError, match="not a list of non-negative integers"):
+    with pytest.raises(CheckpointError, match="not a list of non-negative integers"):
         load_checkpoint(ckpt)
 
 
@@ -278,7 +282,7 @@ def test_non_integer_shape(ckpt, shape):
         meta["tensors"][0]["shape"] = shape
 
     rewrite(ckpt, set_shape)
-    with pytest.raises(SchemaError, match="non-negative integers"):
+    with pytest.raises(CheckpointError, match="non-negative integers"):
         load_checkpoint(ckpt)
 
 
@@ -287,9 +291,8 @@ def test_non_finite_payload(ckpt, bad):
     payload = bytearray(split(ckpt)[1])
     payload[8:16] = np.array([bad], dtype="<f8").tobytes()  # second embed entry
     rewrite(ckpt, payload=bytes(payload))
-    with pytest.raises(NonFiniteTensorError, match="'embed'"):
+    with pytest.raises(CheckpointError, match="'embed'"):
         load_checkpoint(ckpt)
-    assert issubclass(NonFiniteTensorError, CheckpointError)
 
 
 @pytest.mark.parametrize("field,value", [("num_blocks", 0), ("top_k", 0), ("d_ff", 2.5), ("seq_len", None)])

@@ -193,6 +193,22 @@ def test_noise_scan_refusals(pipe, tmp_path, capsys, checkpoint, argv, error):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["--lambdas", "0.5:0.1:0.1"], "error: config: lambda grid '0.5:0.1:0.1' must satisfy 0 < start <= stop <= 1, step > 0"),
+    (["--tokens", "0"], "error: config: --tokens must be at least 1, got 0"),
+], ids=["lambda-grid", "tokens"])
+def test_noise_scan_checks_its_arguments_before_loading_the_teacher(tmp_path, monkeypatch, capsys, argv, error):
+    def fail(*args, **kwargs):
+        raise AssertionError("noise-scan did work before checking its arguments")
+
+    monkeypatch.setattr(cli, "load_checkpoint", fail)
+    monkeypatch.setattr(cli, "generate_dataset", fail)
+    out = tmp_path / "scan.csv"
+    assert cli.main(["noise-scan", "--teacher", str(tmp_path / "t.ckpt"), *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == error + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "flops", "noise-scan"])
 def test_a_checkpoint_recording_parameter_sharing_is_a_checkpoint_error(pipe, tmp_path, capsys, command):
     # checkpoints written while parameter sharing, or the activation, was a setting record it in their architecture

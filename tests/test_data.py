@@ -20,6 +20,12 @@ def reference_draw(spec, n, rng):
     return labels, modes, noise
 
 
+def linear_probe_accuracy(train, test):
+    """The calibration's ridge probe on each split's mean-pooled tokens: the
+    per-token reference for the probe on pooled statistics."""
+    return data._ridge_probe_accuracy(train.tokens.mean(axis=1), train.labels, test.tokens.mean(axis=1), test.labels)
+
+
 def reference_sample(spec, n, scale, rng):
     labels, modes, noise = reference_draw(spec, n, rng)
     return Dataset(tokens=scale * data._MixtureSampler(spec).means[labels[:, None], modes] + noise, labels=labels)
@@ -34,7 +40,7 @@ def reference_mixture(spec):
     lo_acc, hi_acc = spec.probe_band
 
     def probe(scale):
-        return data.linear_probe_accuracy(
+        return linear_probe_accuracy(
             reference_sample(spec, data._CALIBRATION_TRAIN, scale, cal_rng.derive("train")),
             reference_sample(spec, data._CALIBRATION_EVAL, scale, cal_rng.derive("eval")))
 
@@ -92,7 +98,7 @@ def test_pooled_sample_scores_as_its_assembled_tokens(overrides):
     for scale in np.geomspace(0.05, 8.0, 15):
         got = data._ridge_probe_accuracy(scale * train_means + train_noise, train_labels,
                                          scale * test_means + test_noise, test_labels)
-        want = data.linear_probe_accuracy(*(reference_sample(spec, n, scale, rng) for n, rng in zip(sizes, rngs)))
+        want = linear_probe_accuracy(*(reference_sample(spec, n, scale, rng) for n, rng in zip(sizes, rngs)))
         assert got == want, scale
 
 
@@ -105,6 +111,14 @@ def test_noise_drawn_at_its_scale_has_the_bits_of_a_scaled_unit_draw(token_noise
     want = rng.derive("tokens").normal(size=(50, spec.seq_len, spec.d_model))
     want *= token_noise
     assert noise(50).tobytes() == want.tobytes()
+
+
+def test_the_calibration_pools_3000_training_and_1500_held_out_sequences(monkeypatch):
+    # the per-probe reference reads the same constants, so the sizes are pinned here as literals
+    sizes, real = [], data._MixtureSampler.pooled
+    monkeypatch.setattr(data._MixtureSampler, "pooled", lambda self, n, rng: sizes.append(n) or real(self, n, rng))
+    generate_dataset(SyntheticTaskSpec(**SMALL))
+    assert sizes == [3000, 1500]
 
 
 def test_calibration_keeps_no_full_size_copy_of_its_sample():

@@ -30,7 +30,7 @@ from moegather.model import (
     model_from_tensors,
     state_hash,
 )
-from moegather.numerics import NumericalError, Rng, svd, truncate_svd
+from moegather.numerics import NumericalError, Rng, SvdFactors, svd, truncation_rank
 
 
 def make_ffn(rng, d=6, h=8):
@@ -283,12 +283,13 @@ class TestSvdKG:
 
     @pytest.mark.parametrize("role", ["w1", "w2"])
     def test_merge_keeps_truncate_svds_ranks_and_sum(self, role):
-        # the merge reads the full factors in place; truncate_svd's copies are the oracle
+        # the merge reads the full factors in place; copies of the leading triplets are the oracle
         bank = make_bank(Rng(5), num_experts=4, d=6, h=9)
         factors = [svd(getattr(e, role)) for e in bank]
         for ratio in [0.05 * k for k in range(1, 21)]:
             merged, ranks, recons = svdkg_merge(factors, ratio)
-            truncated = [truncate_svd(f, ratio) for f in factors]
+            ks = [truncation_rank(f.S, ratio) for f in factors]
+            truncated = [SvdFactors(f.U[:, :k].copy(), f.S[:k].copy(), f.V[:, :k].copy()) for f, k in zip(factors, ks)]
             assert ranks == [t.rank for t in truncated]
             for got, t in zip(recons, truncated):
                 np.testing.assert_allclose(got, t.reconstruct(), rtol=1e-12, atol=1e-12)
