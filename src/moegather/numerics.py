@@ -3,15 +3,19 @@
 Everything operates on float64 numpy arrays with row-major semantics.
 All functions are pure; :class:`Rng` is the only stateful object and each
 logical consumer (init, batch order, router noise, ...) should own its own
-stream rather than share one. :func:`check_number` is the one range check
-of every numeric setting in the package, :func:`as_array` the one
-conversion of array input to float64, and :func:`top_k_indices` the one
-top-k (the router's experts, Top-KG's units). Callers own the finiteness of
-arrays; only :func:`svd`, whose LAPACK call would fail, refuses a non-finite one.
+stream rather than share one. :func:`svd` remembers the read-only factors
+of the 32 most recently used distinct matrices, keyed by shape and exact
+bytes, so what it returns still depends on its input's content alone.
+:func:`check_number` is the one range check of every numeric setting in
+the package, :func:`as_array` the one conversion of array input to float64,
+and :func:`top_k_indices` the one top-k (the router's experts, Top-KG's
+units). Callers own the finiteness of arrays; only :func:`svd`, whose LAPACK
+call would fail, refuses a non-finite one.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import numbers
@@ -94,6 +98,10 @@ class SvdFactors:
         return (self.U * self.S) @ self.V.T
 
 
+# four default teachers' 8 expert matrices: at most 2.4 MB of keys and factors
+_SVD_MEMO_ENTRIES = 32
+
+
 def svd(a) -> SvdFactors:
     """Thin SVD from LAPACK (``np.linalg.svd``), singular values descending.
 
@@ -108,6 +116,13 @@ def svd(a) -> SvdFactors:
     The numerical rank is the count of nonzero values, which is also
     ``truncation_rank(S, 1.0)`` unless all are zero; ``rank`` counts all.
 
+    The factors of the 32 (``_SVD_MEMO_ENTRIES``) most recently used
+    distinct matrices are remembered, keyed by the matrix's shape and exact
+    bytes: equal content returns the same factors without a LAPACK call, and
+    a matrix changed in place, even by one bit, is factored afresh. Callers
+    share the returned arrays, so U, S and V are read-only. A failed
+    factorization is not remembered.
+
     No sign convention is imposed on the singular-vector pairs: every
     consumer (reconstructions, retained ranks, spectra) is invariant to
     flipping the sign of a matched column of U and V. Raises
@@ -119,13 +134,23 @@ def svd(a) -> SvdFactors:
         raise ShapeError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NumericalError("matrix contains non-finite entries")
-    wide = a.shape[0] < a.shape[1]
+    return _factor(a.shape, a.tobytes())
+
+
+@functools.lru_cache(maxsize=_SVD_MEMO_ENTRIES)
+def _factor(shape: tuple[int, int], data: bytes) -> SvdFactors:
+    """:func:`svd`'s LAPACK work on the finite float64 matrix ``data`` of ``shape``."""
+    a = np.frombuffer(data).reshape(shape)
+    wide = shape[0] < shape[1]
     try:
         u, s, vt = np.linalg.svd(a.T if wide else a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD of a {a.shape[0]}x{a.shape[1]} matrix failed: {exc}") from exc
-    s[s <= s[0] * max(a.shape) * np.finfo(np.float64).eps] = 0.0
-    return SvdFactors(U=vt.T, S=s, V=u) if wide else SvdFactors(U=u, S=s, V=vt.T)
+        raise NumericalError(f"SVD of a {shape[0]}x{shape[1]} matrix failed: {exc}") from exc
+    s[s <= s[0] * max(shape) * np.finfo(np.float64).eps] = 0.0
+    f = SvdFactors(U=vt.T, S=s, V=u) if wide else SvdFactors(U=u, S=s, V=vt.T)
+    for t in (f.U, f.S, f.V):
+        t.flags.writeable = False
+    return f
 
 
 def truncation_rank(s: np.ndarray, ratio: float) -> int:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moegather import numerics
 from moegather.gather import (
     GatherConfig,
     StructureError,
@@ -30,7 +32,9 @@ from moegather.model import (
     model_from_tensors,
     state_hash,
 )
+from moegather.metrics import noise_scan
 from moegather.numerics import NumericalError, Rng, SvdFactors, svd, truncation_rank
+from moegather.workbench.config import default_config
 
 
 def make_ffn(rng, d=6, h=8):
@@ -545,3 +549,30 @@ class TestReportResiduals:
     def test_an_all_zero_expert_has_zero_residual(self, method):
         _, _, report = self.gathered(method, zero_expert=True)
         assert report.residual_w1[0] == 0.0 and report.residual_w2[0] == 0.0
+
+
+class TestRatioSweep:
+    def test_each_expert_matrix_is_factored_once(self, monkeypatch):
+        # the benchmark's gather unit: SVD-KG at four ratios, then noise_scan
+        calls, lapack = [], np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lapack(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        arch = default_config(0).arch
+        teacher = build_classifier(arch, Rng(0))
+        for ratio in (0.25, 0.5, 0.75, 1.0):
+            build_student(teacher, GatherConfig("svdkg", ratio))
+        noise_scan(teacher.blocks[0].stage, [0.1 * k for k in range(1, 11)], Rng(1).normal(size=(64, arch.d_model)))
+        assert len(calls) == 2 * arch.num_experts == 8
+
+        # an in-place update, as optimizer_step makes, is one new matrix to factor
+        teacher.blocks[0].stage.experts[1].w1 -= 1e-3
+        student, report = build_student(teacher, GatherConfig("svdkg", 0.5))
+        assert len(calls) == 2 * arch.num_experts + 1
+        numerics._factor.cache_clear()
+        cold, cold_report = build_student(copy.deepcopy(teacher), GatherConfig("svdkg", 0.5))
+        assert state_hash(student) == state_hash(cold)
+        assert report.to_dict() == cold_report.to_dict()

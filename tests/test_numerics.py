@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from moegather import numerics
 from moegather.metrics import noise_scan
 from moegather.model import Architecture, build_classifier, forward_batch, router_probs
 from moegather.numerics import (
@@ -114,6 +115,71 @@ class TestSvd:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             svd(np.zeros((0, 3)))
+
+
+def factor_bytes(f):
+    return f.U.tobytes(), f.S.tobytes(), f.V.tobytes()
+
+
+class TestSvdMemo:
+    """``svd`` remembers factors by the matrix's shape and bytes; every test
+    starts with an empty memo (``tests/conftest.py``)."""
+
+    @pytest.mark.parametrize("shape", [(32, 128), (128, 32), (5, 3)])
+    def test_equal_bytes_return_a_cold_calls_factors(self, shape):
+        a = Rng(21).normal(size=shape)
+        warm = [svd(a), svd(a.copy()), svd(a.tolist()), svd(np.asfortranarray(a))]
+        assert numerics._factor.cache_info().misses == 1
+        numerics._factor.cache_clear()
+        cold = factor_bytes(svd(a.copy()))
+        assert all(factor_bytes(f) == cold for f in warm)
+
+    def test_an_in_place_update_gets_the_new_matrixs_factors(self):
+        w = Rng(22).normal(size=(32, 128))
+        before = factor_bytes(svd(w))
+        w -= 1e-3  # what optimizer_step does to a weight
+        after = svd(w)
+        assert factor_bytes(after) != before
+        np.testing.assert_allclose(after.reconstruct(), w, rtol=0, atol=1e-12)
+        numerics._factor.cache_clear()
+        assert factor_bytes(svd(w)) == factor_bytes(after)
+
+    @pytest.mark.parametrize("shape", [(32, 128), (128, 32)])
+    @pytest.mark.parametrize("name", ["U", "S", "V"])
+    def test_factors_are_read_only(self, shape, name):
+        f = svd(Rng(23).normal(size=shape))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(f, name)[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(f, name)[...] *= 2.0
+
+    def test_a_failed_factorization_is_not_remembered(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        a = Rng(24).normal(size=(6, 4))
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalError, match="6x4 matrix failed"):
+            svd(a)
+        monkeypatch.undo()
+        f = svd(a)
+        assert numerics._factor.cache_info().currsize == 1
+        np.testing.assert_allclose(f.reconstruct(), a, rtol=0, atol=1e-12)
+
+    def test_a_non_finite_matrix_never_reaches_the_memo(self):
+        with pytest.raises(NumericalError):
+            svd(np.array([[np.inf, 1.0], [0.0, 1.0]]))
+        info = numerics._factor.cache_info()
+        assert info.hits == info.misses == info.currsize == 0
+
+    def test_the_memo_holds_at_most_its_bound(self):
+        bound = numerics._SVD_MEMO_ENTRIES
+        assert numerics._factor.cache_info().maxsize == bound == 32
+        rng = Rng(25)
+        for _ in range(bound + 5):
+            svd(rng.normal(size=(4, 3)))
+            assert numerics._factor.cache_info().currsize <= bound
+        assert numerics._factor.cache_info().currsize == bound
 
 
 class TestTruncateSvd:
