@@ -165,7 +165,8 @@ def gather_svdkg(experts: list[FeedForward], ratio: float) -> tuple[np.ndarray, 
     ``singular_values_*`` keyed by field name.
 
     The factors do not depend on ``ratio``, and :func:`svd` remembers them
-    by content, so a sweep over ratios factors each matrix once.
+    by content, so a sweep over ratios factors each matrix once, unless the
+    matrix is too large for the memo (as at default shapes it is not).
     """
     full1, full2 = [svd(e.w1) for e in experts], [svd(e.w2) for e in experts]
     (w1, ranks1, kept1), (w2, ranks2, kept2) = svdkg_merge(full1, ratio), svdkg_merge(full2, ratio)

@@ -4,8 +4,8 @@ Everything operates on float64 numpy arrays with row-major semantics.
 All functions are pure; :class:`Rng` is the only stateful object and each
 logical consumer (init, batch order, router noise, ...) should own its own
 stream rather than share one. :func:`svd` remembers the read-only factors
-of the 32 most recently used distinct matrices, keyed by shape and exact
-bytes, so what it returns still depends on its input's content alone.
+of the 16 most recently used distinct small matrices, keyed by shape and
+exact bytes, so what it returns still depends on its input's content alone.
 :func:`check_number` is the one range check of every numeric setting in
 the package, :func:`as_array` the one conversion of array input to float64,
 and :func:`top_k_indices` the one top-k (the router's experts, Top-KG's
@@ -98,8 +98,13 @@ class SvdFactors:
         return (self.U * self.S) @ self.V.T
 
 
-# four default teachers' 8 expert matrices: at most 2.4 MB of keys and factors
-_SVD_MEMO_ENTRIES = 32
+# The memo of svd holds at most 16 matrices, two default teachers' 8 expert
+# matrices and the most that any benchmark workload factors in one process,
+# and only those whose copy and factors take at most 1/16 of 2 MiB (128 KiB),
+# so it never keeps more than 2 MiB of them. A default 32x128 expert matrix
+# takes 72 KiB.
+_SVD_MEMO_ENTRIES = 16
+_SVD_MEMO_BYTES = 2 * 2**20
 
 
 def svd(a) -> SvdFactors:
@@ -116,12 +121,13 @@ def svd(a) -> SvdFactors:
     The numerical rank is the count of nonzero values, which is also
     ``truncation_rank(S, 1.0)`` unless all are zero; ``rank`` counts all.
 
-    The factors of the 32 (``_SVD_MEMO_ENTRIES``) most recently used
+    The factors of the 16 (``_SVD_MEMO_ENTRIES``) most recently used
     distinct matrices are remembered, keyed by the matrix's shape and exact
     bytes: equal content returns the same factors without a LAPACK call, and
-    a matrix changed in place, even by one bit, is factored afresh. Callers
-    share the returned arrays, so U, S and V are read-only. A failed
-    factorization is not remembered.
+    a matrix changed in place, even by one bit, is factored afresh. A matrix
+    whose copy and factors would take more than 1/16 of ``_SVD_MEMO_BYTES``
+    (2 MiB) is factored without the memo. The factors may be shared, so U,
+    S and V are read-only. A failed factorization is not remembered.
 
     No sign convention is imposed on the singular-vector pairs: every
     consumer (reconstructions, retained ranks, spectra) is invariant to
@@ -134,19 +140,47 @@ def svd(a) -> SvdFactors:
         raise ShapeError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NumericalError("matrix contains non-finite entries")
-    return _factor(a.shape, a.tobytes())
+    m, n = a.shape
+    k = min(m, n)
+    # the bytes of the copy and of U (m x k), S (k) and V (n x k)
+    if 8 * (m * n + k * (m + n + 1)) > _SVD_MEMO_BYTES // _SVD_MEMO_ENTRIES:
+        return _factor(a)
+    return _memo(_Content(a))
+
+
+class _Content:
+    """A private copy of a matrix as a key of :func:`svd`'s memo: keys are
+    equal when shapes and bytes are. The hash is the XOR of the 64-bit words,
+    which any one changed bit changes, at a fraction of the cost of hashing
+    the bytes; keys that collide are still told apart by their bytes."""
+
+    __slots__ = ("shape", "data", "_hash")
+
+    def __init__(self, a: np.ndarray):
+        self.shape, self.data = a.shape, a.tobytes()
+        self._hash = hash((a.shape, int(np.bitwise_xor.reduce(a.view(np.uint64), axis=None))))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self.shape == other.shape and self.data == other.data
 
 
 @functools.lru_cache(maxsize=_SVD_MEMO_ENTRIES)
-def _factor(shape: tuple[int, int], data: bytes) -> SvdFactors:
-    """:func:`svd`'s LAPACK work on the finite float64 matrix ``data`` of ``shape``."""
-    a = np.frombuffer(data).reshape(shape)
-    wide = shape[0] < shape[1]
+def _memo(key: _Content) -> SvdFactors:
+    return _factor(np.frombuffer(key.data).reshape(key.shape))
+
+
+def _factor(a: np.ndarray) -> SvdFactors:
+    """:func:`svd`'s LAPACK work on the finite float64 matrix ``a``."""
+    m, n = a.shape
+    wide = m < n
     try:
         u, s, vt = np.linalg.svd(a.T if wide else a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD of a {shape[0]}x{shape[1]} matrix failed: {exc}") from exc
-    s[s <= s[0] * max(shape) * np.finfo(np.float64).eps] = 0.0
+        raise NumericalError(f"SVD of a {m}x{n} matrix failed: {exc}") from exc
+    s[s <= s[0] * max(m, n) * np.finfo(np.float64).eps] = 0.0
     f = SvdFactors(U=vt.T, S=s, V=u) if wide else SvdFactors(U=u, S=s, V=vt.T)
     for t in (f.U, f.S, f.V):
         t.flags.writeable = False

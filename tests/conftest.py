@@ -14,4 +14,4 @@ import pytest  # noqa: E402
 def cold_svd_memo():
     """Every test starts with an empty ``svd`` memo, so what a test sees of
     LAPACK never depends on which tests ran before it."""
-    numerics._factor.cache_clear()
+    numerics._memo.cache_clear()

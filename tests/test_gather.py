@@ -1,5 +1,8 @@
 import copy
+import gc
 import itertools
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -572,7 +575,27 @@ class TestRatioSweep:
         teacher.blocks[0].stage.experts[1].w1 -= 1e-3
         student, report = build_student(teacher, GatherConfig("svdkg", 0.5))
         assert len(calls) == 2 * arch.num_experts + 1
-        numerics._factor.cache_clear()
+        numerics._memo.cache_clear()
         cold, cold_report = build_student(copy.deepcopy(teacher), GatherConfig("svdkg", 0.5))
         assert state_hash(student) == state_hash(cold)
         assert report.to_dict() == cold_report.to_dict()
+
+    @pytest.mark.parametrize("d_model, d_ff, teachers", [(32, 128, 3), (64, 512, 1)])
+    def test_memory_held_after_a_sweep_stays_under_the_memo_cap(self, d_model, d_ff, teachers):
+        # three default teachers hold more matrices than the memo keeps; a
+        # 64x512 matrix takes more than the memo keeps for one entry
+        arch = replace(default_config(0).arch, d_model=d_model, d_ff=d_ff)
+        models = [build_classifier(arch, Rng(seed)) for seed in range(teachers)]
+        tokens = Rng(1).normal(size=(64, d_model))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for teacher in models:
+                for ratio in (0.25, 0.5, 0.75, 1.0):
+                    build_student(teacher, GatherConfig("svdkg", ratio))
+                noise_scan(teacher.blocks[0].stage, [0.5, 1.0], tokens)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= numerics._SVD_MEMO_BYTES

@@ -129,8 +129,8 @@ class TestSvdMemo:
     def test_equal_bytes_return_a_cold_calls_factors(self, shape):
         a = Rng(21).normal(size=shape)
         warm = [svd(a), svd(a.copy()), svd(a.tolist()), svd(np.asfortranarray(a))]
-        assert numerics._factor.cache_info().misses == 1
-        numerics._factor.cache_clear()
+        assert numerics._memo.cache_info().misses == 1
+        numerics._memo.cache_clear()
         cold = factor_bytes(svd(a.copy()))
         assert all(factor_bytes(f) == cold for f in warm)
 
@@ -141,8 +141,16 @@ class TestSvdMemo:
         after = svd(w)
         assert factor_bytes(after) != before
         np.testing.assert_allclose(after.reconstruct(), w, rtol=0, atol=1e-12)
-        numerics._factor.cache_clear()
+        numerics._memo.cache_clear()
         assert factor_bytes(svd(w)) == factor_bytes(after)
+
+    def test_an_in_place_update_that_keeps_the_hash_gets_the_new_matrixs_factors(self):
+        w = Rng(28).normal(size=(32, 128))
+        before = factor_bytes(svd(w))
+        w[[0, 1]] = w[[1, 0]]  # the same 64-bit words, so the same hash
+        after = svd(w)
+        assert factor_bytes(after) != before
+        np.testing.assert_allclose(after.reconstruct(), w, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(32, 128), (128, 32)])
     @pytest.mark.parametrize("name", ["U", "S", "V"])
@@ -163,23 +171,45 @@ class TestSvdMemo:
             svd(a)
         monkeypatch.undo()
         f = svd(a)
-        assert numerics._factor.cache_info().currsize == 1
+        assert numerics._memo.cache_info().currsize == 1
         np.testing.assert_allclose(f.reconstruct(), a, rtol=0, atol=1e-12)
 
     def test_a_non_finite_matrix_never_reaches_the_memo(self):
         with pytest.raises(NumericalError):
             svd(np.array([[np.inf, 1.0], [0.0, 1.0]]))
-        info = numerics._factor.cache_info()
+        info = numerics._memo.cache_info()
         assert info.hits == info.misses == info.currsize == 0
 
     def test_the_memo_holds_at_most_its_bound(self):
         bound = numerics._SVD_MEMO_ENTRIES
-        assert numerics._factor.cache_info().maxsize == bound == 32
+        assert numerics._memo.cache_info().maxsize == bound
         rng = Rng(25)
         for _ in range(bound + 5):
             svd(rng.normal(size=(4, 3)))
-            assert numerics._factor.cache_info().currsize <= bound
-        assert numerics._factor.cache_info().currsize == bound
+            assert numerics._memo.cache_info().currsize <= bound
+        assert numerics._memo.cache_info().currsize == bound
+
+    @pytest.mark.parametrize("shape, kept", [((48, 128), True), ((128, 48), True),
+                                             ((48, 160), False), ((64, 512), False)])
+    def test_a_matrix_is_kept_only_if_its_copy_and_factors_fit_the_byte_cap(self, shape, kept):
+        a = Rng(26).normal(size=shape)
+        f = svd(a)
+        size = a.nbytes + f.U.nbytes + f.S.nbytes + f.V.nbytes
+        assert (size <= numerics._SVD_MEMO_BYTES // numerics._SVD_MEMO_ENTRIES) == kept
+        assert numerics._memo.cache_info().currsize == int(kept)
+        assert not (f.U.flags.writeable or f.S.flags.writeable or f.V.flags.writeable)
+        np.testing.assert_allclose(f.reconstruct(), a, rtol=0, atol=1e-12)
+
+    def test_keys_with_one_hash_keep_their_own_factors(self):
+        a = Rng(27).normal(size=(4, 3))
+        b = a[[1, 0, 2, 3]]  # rows swapped: the same 64-bit words, so the same hash
+        assert hash(numerics._Content(a)) == hash(numerics._Content(b))
+        fa, fb = svd(a), svd(b)
+        info = numerics._memo.cache_info()
+        assert info.misses == info.currsize == 2
+        np.testing.assert_allclose(fa.reconstruct(), a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fb.reconstruct(), b, rtol=0, atol=1e-12)
+        assert factor_bytes(svd(b.copy())) == factor_bytes(fb)
 
 
 class TestTruncateSvd:
