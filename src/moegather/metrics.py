@@ -68,6 +68,10 @@ def noise_scan(moe: MoELayer, svd_ratios, tokens: np.ndarray) -> list[NoiseScanR
     expert's signal is one product over a contiguous slice. The mean norms
     are summed in that grouped order, not the sample's, and so match a
     per-token mean up to rounding.
+
+    Where the mean signal norm is 0, as for experts whose ``w1`` and ``b1``
+    are all zero, the ratio is undefined and the row reports a
+    ``noise_signal_ratio`` of 0.0.
     """
     tokens = as_array(tokens, "tokens")
     if tokens.ndim != 2 or tokens.shape[1] != moe.d_model or len(tokens) == 0:

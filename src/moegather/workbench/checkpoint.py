@@ -6,15 +6,22 @@ Layout, all integers little-endian::
     bytes 4..7   format version (uint32)
     bytes 8..15  metadata length in bytes (uint64)
     ...          metadata, UTF-8 JSON
-    ...          payload: declared tensors as float64, row-major, in order
+    ...          payload: the architecture's tensors as float64, row-major, in order
 
-The metadata block carries the architecture, the declared tensor names and
-shapes, and free-form provenance (task spec, training config, gather report).
+The metadata block carries the architecture and free-form provenance (task
+spec, training config, gather report). The architecture implies every
+tensor's name and shape (``model.tensor_layout``), so the file states them
+nowhere else. The payload holds, in order: ``embed``; each block's
+``ln1.gain``, ``ln1.bias``, ``ln2.gain`` and ``ln2.bias``; the router of an
+MoE; each feed-forward network's ``w1``, ``b1``, ``w2`` and ``b2`` (one per
+expert, or the dense stage's one); ``head.w`` and ``head.b``; each block's
+mixer.
+
 Loading reads the header first and reads no block larger than the file. It
-walks the declared tensors once: each is checked against the architecture's
-layout up to the first difference, and the pairs that walk accepts size the
-payload and slice it into copies, from which the model is assembled. A
-save/load round trip is bit-identical.
+walks the architecture's layout once and stops as soon as the tensors outgrow
+the payload; the payload must then end where they do, and it is sliced into
+copies, from which the model is assembled. A save/load round trip is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 from ..model import Architecture, ClassifierModel, model_from_tensors, tensor_layout
 
 MAGIC = b"ONES"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER = struct.Struct("<4sIQ")
 
 
@@ -40,22 +47,15 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(model: ClassifierModel, meta: dict, path) -> None:
-    """Serialize the model plus caller metadata. Caller keys must not collide
-    with the reserved 'architecture'/'tensors' entries."""
-    reserved = {"architecture", "tensors"} & set(meta)
-    if reserved:
-        raise ValueError(f"metadata keys {sorted(reserved)} are reserved")
-    entries = model.tensors()
-    header_meta = {
-        "architecture": model.arch.to_dict(),
-        "tensors": [{"name": name, "shape": list(t.shape)} for name, t in entries.items()],
-        **meta,
-    }
-    blob = json.dumps(header_meta, sort_keys=True).encode("utf-8")
+    """Serialize the model plus caller metadata. 'architecture' is the one
+    reserved key; a caller's metadata must not use it."""
+    if "architecture" in meta:
+        raise ValueError("metadata keys ['architecture'] are reserved")
+    blob = json.dumps({"architecture": model.arch.to_dict(), **meta}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        for tensor in entries.values():
+        for tensor in model.tensors().values():
             fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
@@ -84,46 +84,31 @@ def load_checkpoint(path) -> tuple[ClassifierModel, dict]:
             meta = json.loads(fh.read(meta_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointError(f"metadata is not valid UTF-8 JSON: {exc}") from exc
-        if not isinstance(meta, dict) or "architecture" not in meta or "tensors" not in meta:
-            raise CheckpointError("metadata must declare 'architecture' and 'tensors'")
+        if not isinstance(meta, dict) or "architecture" not in meta:
+            raise CheckpointError("metadata must declare 'architecture'")
         try:
             arch = Architecture.from_dict(meta["architecture"])
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"bad architecture block: {exc}") from exc
-        if not isinstance(meta["tensors"], list):
-            raise CheckpointError(f"'tensors' must be a list, got {type(meta['tensors']).__name__}")
-        # check the declared tensors against the architecture's layout, entry by entry up to the first difference
-        layout, declared = tensor_layout(arch), []
-        for entry in meta["tensors"]:
-            if not isinstance(entry, dict) or "name" not in entry or "shape" not in entry:
-                raise CheckpointError("each tensor entry needs 'name' and 'shape'")
-            name, shape = entry["name"], entry["shape"]
-            if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-                raise CheckpointError(f"tensor {name!r} shape {shape!r} is not a list of non-negative integers")
-            expected = next(layout, "no further tensor")
-            if (name, tuple(shape)) != expected:
-                raise CheckpointError(f"tensor {name!r} of shape {shape} is declared where the architecture implies {expected}")
-            declared.append(expected)
-        missing = next(layout, None)
-        if missing is not None:
-            raise CheckpointError(f"the tensors end where the architecture implies {missing}")
-        expected_payload = 8 * sum(math.prod(shape) for _, shape in declared)
-        payload_len = info.st_size - _HEADER.size - meta_len
-        if payload_len < expected_payload:
-            raise CheckpointError(f"payload is {payload_len} bytes but metadata declares {expected_payload}")
-        if payload_len > expected_payload:
-            raise CheckpointError(f"payload is {payload_len} bytes, longer than the declared {expected_payload}")
-        payload = fh.read(expected_payload)
+        # walk the layout only as far as the payload reaches, so a huge architecture fails without allocating
+        payload_len, layout, size = info.st_size - _HEADER.size - meta_len, [], 0
+        for name, shape in tensor_layout(arch):
+            size += 8 * math.prod(shape)
+            if size > payload_len:
+                raise CheckpointError(f"payload is {payload_len} bytes but the architecture implies at least {size}")
+            layout.append((name, shape))
+        if payload_len > size:
+            raise CheckpointError(f"payload is {payload_len} bytes, longer than the {size} the architecture implies")
+        payload = fh.read(size)
 
     tensors, offset = {}, 0
-    for name, shape in declared:
+    for name, shape in layout:
         flat = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=offset)
         if not np.isfinite(flat).all():
             raise CheckpointError(f"tensor {name!r} holds NaN or infinite values")
         tensors[name] = flat.reshape(shape).astype(np.float64)  # a copy: the model owns writable arrays
         offset += flat.nbytes
-    user_meta = {k: v for k, v in meta.items() if k not in ("architecture", "tensors")}
-    return model_from_tensors(arch, tensors), user_meta
+    return model_from_tensors(arch, tensors), {k: v for k, v in meta.items() if k != "architecture"}
 
 
 def file_sha256(path) -> str:

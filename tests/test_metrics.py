@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,19 @@ class TestNoiseScan:
         moe = make_moe(num_experts=1, top_k=1)
         row, = noise_scan(moe, [1.0], Rng(1).normal(size=(16, 8)))
         assert row.mean_noise_norm < 1e-10 and row.mean_selected_gate == 1.0
+
+    def test_a_zero_signal_reports_a_ratio_of_zero(self):
+        # every expert's w1 and b1 are zero, so signal and noise are both 0 and their ratio is undefined
+        moe = make_moe(seed=5)
+        for expert in moe.experts:
+            expert.w1[:] = 0.0
+            expert.b1[:] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = noise_scan(moe, [1.0, 0.1, 0.5], Rng(15).normal(size=(32, 8)))
+        assert [r.svd_ratio for r in rows] == [0.1, 0.5, 1.0]
+        for row in rows:
+            assert (row.mean_signal_norm, row.mean_noise_norm, row.noise_signal_ratio) == (0.0, 0.0, 0.0)
 
     def test_rejects_wrong_token_width(self):
         with pytest.raises(ValueError):

@@ -267,6 +267,14 @@ class TestTopK:
     def test_tie_breaks_to_lower_index(self):
         assert top_k_indices([7.0, 7.0, 7.0], 2).tolist() == [0, 1]
 
+    @pytest.mark.parametrize("k", [128, 170, 256])
+    def test_tie_breaks_to_lower_index_in_a_long_row(self, k):
+        # at this length numpy's default (unstable) argsort picks other ties than the lowest-index ones
+        scores = np.zeros(512)
+        scores[::3] = 1.0
+        expected = sorted(sorted(range(512), key=lambda i: (-scores[i], i))[:k])
+        assert top_k_indices(scores, k).tolist() == expected
+
     def test_matches_full_sort_oracle(self):
         scores = Rng(11).normal(size=64)
         got = top_k_indices(scores, 16).tolist()
