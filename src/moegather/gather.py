@@ -64,9 +64,6 @@ class GatherConfig:
         elif self.svd_ratio is not None:
             raise ValueError(f"svd_ratio only applies to svdkg, not {self.method!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class GatherReport:

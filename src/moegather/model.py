@@ -81,7 +81,7 @@ a tolerance rather than by bytes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -286,13 +286,6 @@ class Architecture:
     def dense_twin(self) -> "Architecture":
         """Same shapes with the MoE stage collapsed to a single dense stage."""
         return replace(self, stage="dense", num_experts=1, top_k=1)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "Architecture":
-        return Architecture(**d)
 
 
 @dataclass

@@ -32,6 +32,7 @@ import math
 import os
 import stat
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -51,7 +52,7 @@ def save_checkpoint(model: ClassifierModel, meta: dict, path) -> None:
     reserved key; a caller's metadata must not use it."""
     if "architecture" in meta:
         raise ValueError("metadata keys ['architecture'] are reserved")
-    blob = json.dumps({"architecture": model.arch.to_dict(), **meta}, sort_keys=True).encode("utf-8")
+    blob = json.dumps({"architecture": asdict(model.arch), **meta}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(blob)))
         fh.write(blob)
@@ -87,7 +88,7 @@ def load_checkpoint(path) -> tuple[ClassifierModel, dict]:
         if not isinstance(meta, dict) or "architecture" not in meta:
             raise CheckpointError("metadata must declare 'architecture'")
         try:
-            arch = Architecture.from_dict(meta["architecture"])
+            arch = Architecture(**meta["architecture"])
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"bad architecture block: {exc}") from exc
         # walk the layout only as far as the payload reaches, so a huge architecture fails without allocating

@@ -61,7 +61,7 @@ def _task_from_meta(meta: dict, path) -> SyntheticTaskSpec:
     if "task" not in meta:
         raise ConfigError(f"{path}: checkpoint metadata has no task description")
     try:
-        return SyntheticTaskSpec.from_dict(meta["task"])
+        return SyntheticTaskSpec(**meta["task"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad task metadata: {exc}") from exc
 
@@ -160,7 +160,7 @@ def _cmd_noise_scan(args) -> int:
     if not isinstance(stage, MoELayer):
         raise StructureError("model has no MoE stage")
     task = _task_from_meta(meta, args.teacher)
-    [train] = generate_dataset(task, splits=("train",))
+    [train] = generate_dataset(task, splits=("train",), rows=-(-args.tokens // task.seq_len))
     tokens = train.tokens.reshape(-1, task.d_model)[: args.tokens]
     if len(tokens) < args.tokens:
         raise ConfigError(f"task provides only {len(tokens)} tokens, need {args.tokens}")
@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise-scan", help="gathering-noise sweep over the SVD ratio")
     p.add_argument("--teacher", required=True)
     p.add_argument("--lambdas", default="0.1:1.0:0.1", help="grid as start:stop:step")
-    p.add_argument("--tokens", type=int, default=256)
+    p.add_argument("--tokens", type=int, default=256,
+                   help="token rows from the start of the task's training split")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_noise_scan)
 

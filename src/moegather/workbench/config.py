@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from ..gather import GATHER_METHODS, GatherConfig
 from ..model import Architecture
@@ -84,8 +84,8 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """The config as a user writes it, without the ``DERIVED`` values."""
-        blocks = {"model": self.arch.to_dict(), "task": self.task.to_dict(),
-                  "teach": vars(self.teach), "distill": vars(self.distill)}
+        blocks = {"model": asdict(self.arch), "task": self.task.to_dict(),
+                  "teach": asdict(self.teach), "distill": asdict(self.distill)}
         return {
             "seed": self.seed,
             "out_dir": self.out_dir,
@@ -160,13 +160,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _check_known(own["gather"], ("methods", "svd_ratio"), "gather.")
     blocks = {name: {**DEFAULTS.get(name, {}), **profile.get(name, {}), **block} for name, block in own.items()}
     try:
-        arch = Architecture.from_dict({**blocks["model"], "stage": "moe"})
+        arch = Architecture(**{**blocks["model"], "stage": "moe"})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad model block: {exc}") from exc
 
     shapes = {"d_model": arch.d_model, "seq_len": arch.seq_len, "num_classes": arch.num_classes}
     try:
-        task = SyntheticTaskSpec.from_dict({**blocks["task"], **shapes, "seed": derive_seed(seed, "task")})
+        task = SyntheticTaskSpec(**{**blocks["task"], **shapes, "seed": derive_seed(seed, "task")})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad task block: {exc}") from exc
 

@@ -39,6 +39,7 @@ class SyntheticTaskSpec:
     probe_band: tuple[float, float] = (0.85, 0.95)
 
     def __post_init__(self):
+        object.__setattr__(self, "probe_band", tuple(self.probe_band))  # JSON holds it as a list
         if self.kind not in TASK_KINDS:
             raise ValueError(f"kind must be one of {TASK_KINDS}, got {self.kind!r}")
         for name in ("num_classes", "d_model", "seq_len", "train_size", "test_size", "modes_per_class"):
@@ -55,13 +56,6 @@ class SyntheticTaskSpec:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "probe_band": list(self.probe_band)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "SyntheticTaskSpec":
-        d = dict(d)
-        if "probe_band" in d:
-            d["probe_band"] = tuple(d["probe_band"])
-        return SyntheticTaskSpec(**d)
 
 
 @dataclass
@@ -107,14 +101,15 @@ class _MixtureSampler:
         raw = centers + spec.mode_spread * satellites
         self.means = raw / np.linalg.norm(raw, axis=2, keepdims=True)
 
-    def _draw(self, n: int, rng: Rng):
-        """A sample's labels, each token's satellite mode of its sequence's
-        class, and ``noise(k)``: the next ``k`` sequences' noise, times
-        ``token_noise``, from one stream, so draws in blocks give the values of
-        one draw."""
+    def _draw(self, n: int, rng: Rng, rows: int):
+        """The first ``rows`` sequences of a sample of ``n``: their labels, cut
+        from a permutation of all ``n``; each token's satellite mode of its
+        sequence's class; and ``noise(k)``: the next ``k`` sequences' noise,
+        times ``token_noise``. Each stream draws in order, so draws in blocks,
+        or of fewer rows, give the values of one whole draw."""
         spec = self.spec
-        labels = _balanced_labels(n, spec.num_classes, rng.derive("labels"))
-        modes = rng.derive("modes").integers(0, spec.modes_per_class, size=(n, spec.seq_len))
+        labels = _balanced_labels(n, spec.num_classes, rng.derive("labels"))[:rows]
+        modes = rng.derive("modes").integers(0, spec.modes_per_class, size=(rows, spec.seq_len))
         stream = rng.derive("tokens")
 
         def noise(k: int) -> np.ndarray:
@@ -123,16 +118,17 @@ class _MixtureSampler:
 
         return labels, modes, noise
 
-    def sample(self, n: int, rng: Rng, scale: float) -> Dataset:
-        """Tokens ``scale * mean + noise``: the noise is drawn whole and becomes
-        the tokens, and the scaled means are added into it a block of
-        sequences at a time, so no other full-size array is made."""
-        labels, modes, noise = self._draw(n, rng)
-        tokens = noise(n)
+    def sample(self, n: int, rng: Rng, scale: float, rows: int) -> Dataset:
+        """The first ``rows`` sequences of a sample of ``n``, with tokens
+        ``scale * mean + noise``: the noise is drawn whole and becomes the
+        tokens, and the scaled means are added into it a block of sequences at
+        a time, so no other full-size array is made."""
+        labels, modes, noise = self._draw(n, rng, rows)
+        tokens = noise(rows)
         table = scale * self.means
-        for start in range(0, n, _ASSEMBLY_BLOCK):
-            rows = slice(start, start + _ASSEMBLY_BLOCK)
-            np.add(table[labels[rows, None], modes[rows]], tokens[rows], out=tokens[rows])
+        for start in range(0, rows, _ASSEMBLY_BLOCK):
+            block = slice(start, start + _ASSEMBLY_BLOCK)
+            np.add(table[labels[block, None], modes[block]], tokens[block], out=tokens[block])
         return Dataset(tokens=tokens, labels=labels)
 
     def pooled(self, n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,7 +137,7 @@ class _MixtureSampler:
         and the mean of its noise. Its mean-pooled tokens at any scale are
         ``scale * means + noise`` up to rounding. Made a block of sequences at
         a time, so no full-size array is made."""
-        labels, modes, noise = self._draw(n, rng)
+        labels, modes, noise = self._draw(n, rng, n)
         mode_means, noise_means = np.empty((n, self.spec.d_model)), np.empty((n, self.spec.d_model))
         for start in range(0, n, _ASSEMBLY_BLOCK):
             rows = slice(start, start + _ASSEMBLY_BLOCK)
@@ -183,15 +179,21 @@ def _calibrate_mixture_scale(sampler: _MixtureSampler, spec: SyntheticTaskSpec) 
     raise RuntimeError(f"probe calibration failed: accuracy {acc:.3f} outside {spec.probe_band}")
 
 
-def generate_dataset(spec: SyntheticTaskSpec, splits: tuple[str, ...] = ("train", "test")) -> tuple[Dataset, ...]:
+def generate_dataset(spec: SyntheticTaskSpec, splits: tuple[str, ...] = ("train", "test"),
+                     rows: int | None = None) -> tuple[Dataset, ...]:
     """Deterministic splits of the task, in the order ``splits`` names them
     ("train", "test" or both); the two draw from disjoint derived streams, so
     they never share a sample, and each has the same bytes whichever others
-    are made with it."""
+    are made with it. With ``rows``, each split holds only its first ``rows``
+    sequences (all, if it has fewer), with the bytes they have in the whole
+    split, and the rest are never drawn."""
     sizes = {"train": spec.train_size, "test": spec.test_size}
     if not set(splits) <= sizes.keys():
         raise ValueError(f"splits must each be 'train' or 'test', got {list(splits)!r}")
+    if rows is not None:
+        check_number("rows", rows, integer=True, positive=True)
     sampler = _MixtureSampler(spec)
     scale = _calibrate_mixture_scale(sampler, spec)
     rng = Rng(spec.seed)
-    return tuple(sampler.sample(sizes[name], rng.derive(name), scale) for name in splits)
+    return tuple(sampler.sample(sizes[name], rng.derive(name), scale, min(sizes[name], rows or sizes[name]))
+                 for name in splits)

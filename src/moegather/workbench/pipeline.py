@@ -145,7 +145,7 @@ def save_trained(result: TrainResult, tc: TrainConfig, meta: dict, path) -> None
     """Write half of teach, dense-scratch and distill: save the trained
     model's checkpoint at ``path`` with ``meta`` plus the training settings,
     and its log next to it as ``<stem>.log.csv``."""
-    save_checkpoint(result.model, {**meta, "training": vars(tc).copy()}, path)
+    save_checkpoint(result.model, {**meta, "training": asdict(tc)}, path)
     _write_csv("training_log", result.log, Path(path).with_suffix(".log.csv"))
 
 
@@ -155,7 +155,7 @@ def gather_stage(teacher: ClassifierModel, gcfg: GatherConfig, meta: dict, path)
     report's JSON: ``path`` less ``.ckpt``, then ``.init``, plus ``.report.json``."""
     report_path = Path(str(path).removesuffix(".ckpt").removesuffix(".init") + ".report.json")
     student, report = build_student(teacher, gcfg)
-    save_checkpoint(student, {**meta, "gather": {**gcfg.to_dict(), "report": report.to_dict()}}, path)
+    save_checkpoint(student, {**meta, "gather": {**asdict(gcfg), "report": report.to_dict()}}, path)
     report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return student, report_path
 

@@ -50,12 +50,17 @@ MUTANTS = [
     Mutant("training.py", "ADAM_EPS = 1e-8", "ADAM_EPS = 1e-7", ("tests/test_training.py",)),
     Mutant("workbench/data.py", "_PROBE_RIDGE = 1e-3", "_PROBE_RIDGE = 1e-2", ("tests/test_data.py",)),
     Mutant("workbench/data.py", "for _ in range(29):", "for _ in range(20):", ("tests/test_data.py",)),
+    Mutant("workbench/data.py", '"probe_band", tuple(self.probe_band))', '"probe_band", self.probe_band)',
+           ("tests/test_data.py",)),
+    Mutant("workbench/data.py", 'rng.derive("labels"))[:rows]', 'rng.derive("labels"))', ("tests/test_data.py",)),
     Mutant("workbench/worker.py", "os._exit(0)", "os._exit(3)", ("tests/test_cli.py",)),
     Mutant("workbench/pipeline.py", "steps=cfg.teach.steps + cfg.distill.steps", "steps=cfg.teach.steps",
            ("tests/test_cli.py",)),
     Mutant("workbench/pipeline.py", "_WORKER_EXIT_S = 10.0", "_WORKER_EXIT_S = 0.5",
            survives="an idle worker exits in milliseconds, so only a slow machine waits for this timeout"),
     Mutant("workbench/cli.py", '"--tokens", type=int, default=256', '"--tokens", type=int, default=128',
+           ("tests/test_cli.py",)),
+    Mutant("workbench/cli.py", "rows=-(-args.tokens // task.seq_len)", "rows=args.tokens // task.seq_len",
            ("tests/test_cli.py",)),
     Mutant("workbench/checkpoint.py", "if not np.isfinite(flat).all():", "if False:", ("tests/test_checkpoint.py",)),
     Mutant("workbench/checkpoint.py", "if size > payload_len:", "if size > payload_len + 8:",

@@ -142,7 +142,7 @@ def test_another_format_version(ckpt):
 def test_a_file_in_the_version_1_format_is_refused(ckpt, capsys):
     # version 1 also listed each tensor's name and shape, which the architecture implies
     meta, payload = split(ckpt)
-    layout = tensor_layout(Architecture.from_dict(meta["architecture"]))
+    layout = tensor_layout(Architecture(**meta["architecture"]))
     blob = json.dumps({**meta, "tensors": [{"name": n, "shape": list(s)} for n, s in layout]}, sort_keys=True).encode()
     ckpt.write_bytes(_HEADER.pack(MAGIC, 1, len(blob)) + blob + payload)
     with pytest.raises(CheckpointError, match=re.escape("format version 1 unsupported (expected 2)")):

@@ -5,6 +5,7 @@ import os
 import pickle
 import shlex
 import signal
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -106,7 +107,7 @@ def _noise_scan_rows(teacher, ratios, tokens):
     """What noise-scan should write: the scan of ``teacher``'s stage at ``ratios``
     over the first ``tokens`` token rows of its task's train split."""
     model, meta = load_checkpoint(teacher)
-    task = SyntheticTaskSpec.from_dict(meta["task"])
+    task = SyntheticTaskSpec(**meta["task"])
     rows = generate_dataset(task)[0].tokens.reshape(-1, task.d_model)[:tokens]
     return [[r.svd_ratio, r.mean_signal_norm, r.mean_noise_norm, r.noise_signal_ratio, r.mean_selected_gate]
             for r in noise_scan(model.blocks[0].stage, ratios, rows)]
@@ -118,6 +119,20 @@ def test_noise_scan_defaults_to_ten_ratios_over_256_token_rows(pipe, tmp_path, c
     _, *rows = csv.reader(scan.read_text().splitlines())
     ratios = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
     assert [[float(x) for x in row] for row in rows] == _noise_scan_rows(pipe / "teacher.ckpt", ratios, 256)
+
+
+@pytest.mark.parametrize("tokens,rows", [(64, 16), (65, 17)])
+def test_noise_scan_draws_the_sequences_that_hold_its_tokens(pipe, tmp_path, capsys, monkeypatch, tokens, rows):
+    assert TINY_CONFIG["model"]["seq_len"] == 4
+    asked, real = [], cli.generate_dataset
+    monkeypatch.setattr(cli, "generate_dataset",
+                        lambda *args, **kwargs: asked.append(kwargs["rows"]) or real(*args, **kwargs))
+    scan = tmp_path / "scan.csv"
+    _run(["noise-scan", "--teacher", pipe / "teacher.ckpt", "--lambdas", "0.5:1.0:0.5", "--tokens", tokens,
+          "--out", scan], capsys)
+    assert asked == [rows]
+    _, *got = csv.reader(scan.read_text().splitlines())
+    assert [[float(x) for x in row] for row in got] == _noise_scan_rows(pipe / "teacher.ckpt", [0.5, 1.0], tokens)
 
 
 def test_a_lambda_grid_holds_at_most_1000_ratios():
@@ -155,12 +170,14 @@ def test_checkpoint_task_must_match_the_config(pipe, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["eval", "noise-scan"])
-@pytest.mark.parametrize("bad_task", ["unknown-key", "retired-key", "not-an-object"])
+@pytest.mark.parametrize("bad_task", ["unknown-key", "retired-key", "not-an-object", "pairs"])
 def test_bad_task_metadata_is_a_checkpoint_error(pipe, tmp_path, capsys, command, bad_task):
     model, meta = load_checkpoint(pipe / "teacher.ckpt")
-    # a retired key is one that checkpoints of an earlier task kind recorded
-    extra = {"unknown-key": {"colour": "red"}, "retired-key": {"parity_bits": 2}}
-    meta["task"] = {**meta["task"], **extra[bad_task]} if bad_task in extra else 5
+    task = meta["task"]
+    # a retired key is one that checkpoints of an earlier task kind recorded; the
+    # task's fields as a list of [key, value] pairs are no JSON object either
+    meta["task"] = {"unknown-key": {**task, "colour": "red"}, "retired-key": {**task, "parity_bits": 2},
+                    "not-an-object": 5, "pairs": [[k, v] for k, v in task.items()]}[bad_task]
     bad = tmp_path / "bad.ckpt"
     save_checkpoint(model, meta, bad)
     argv = {"eval": ["eval", "--model", bad], "noise-scan": ["noise-scan", "--teacher", bad, "--out", tmp_path / "s.csv"]}
@@ -302,6 +319,18 @@ def test_two_lanes_write_the_bytes_of_one(tmp_path, monkeypatch, workers):
     run_pipeline(config_from_dict({**raw, "out_dir": str(tmp_path / "one")}))
     assert len(workers) == 1
     _assert_same_files(tmp_path / "two", tmp_path / "one")
+
+
+def test_a_task_rebuilt_from_its_dict_runs_on_two_lanes_as_on_one(pipe, tmp_path, monkeypatch, workers):
+    # the worker keeps its dataset in a cache keyed by the task, so the rebuilt task must hash
+    cfg = config_from_dict(TINY_CONFIG)
+    cfg = replace(cfg, task=SyntheticTaskSpec(**cfg.task.to_dict()), out_dir=str(tmp_path / "two"))
+    run_pipeline(cfg)
+    _assert_no_worker_left(workers)
+    _one_lane(monkeypatch)
+    run_pipeline(replace(cfg, out_dir=str(tmp_path / "one")))
+    _assert_same_files(tmp_path / "two", tmp_path / "one")
+    _assert_same_files(tmp_path / "two", pipe)
 
 
 @pytest.mark.parametrize("lanes", [1, 2])

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -69,7 +70,7 @@ def reference_mixture(spec):
     default_config(1).task.to_dict(),
 ])
 def test_mixture_matches_the_per_probe_reference(overrides):
-    spec = SyntheticTaskSpec.from_dict({**SMALL, **overrides})
+    spec = SyntheticTaskSpec(**{**SMALL, **overrides})
     scale, *want = reference_mixture(spec)
     assert data._calibrate_mixture_scale(data._MixtureSampler(spec), spec) == scale
     for got, ref in zip(generate_dataset(spec), want):
@@ -107,7 +108,7 @@ def test_noise_drawn_at_its_scale_has_the_bits_of_a_scaled_unit_draw(token_noise
     # 0 + s*z equals (0 + 1*z)*s bit for bit, so drawing at the scale needs no second pass
     spec = SyntheticTaskSpec(**{**SMALL, "token_noise": token_noise})
     rng = Rng(spec.seed).derive("train")
-    *_, noise = data._MixtureSampler(spec)._draw(50, rng)
+    *_, noise = data._MixtureSampler(spec)._draw(50, rng, 50)
     want = rng.derive("tokens").normal(size=(50, spec.seq_len, spec.d_model))
     want *= token_noise
     assert noise(50).tobytes() == want.tobytes()
@@ -159,6 +160,40 @@ def test_an_unknown_split_is_a_value_error_before_calibration(monkeypatch, split
     monkeypatch.setattr(data, "_calibrate_mixture_scale", calibrate)
     with pytest.raises(ValueError, match="'train' or 'test'"):
         generate_dataset(spec, splits=splits)
+
+
+@pytest.mark.parametrize("rows", [0, -1, True, 2.5], ids=repr)
+def test_a_bad_row_count_is_a_value_error_before_calibration(monkeypatch, rows):
+    monkeypatch.setattr(data, "_calibrate_mixture_scale", lambda *args: pytest.fail("calibration ran"))
+    with pytest.raises(ValueError, match=f"^rows must be a positive integer, got {rows!r}$"):
+        generate_dataset(SyntheticTaskSpec(**SMALL), rows=rows)
+
+
+# an odd seq_len, and splits that straddle an assembly block
+PREFIX_TASK = SyntheticTaskSpec(**{**SMALL, "seq_len": 3, "train_size": data._ASSEMBLY_BLOCK + 40,
+                                   "test_size": data._ASSEMBLY_BLOCK + 2})
+
+
+@pytest.fixture(scope="module")
+def whole_splits():
+    return generate_dataset(PREFIX_TASK)
+
+
+@pytest.mark.parametrize("rows", [1, 33, data._ASSEMBLY_BLOCK - 1, data._ASSEMBLY_BLOCK + 1,
+                                  PREFIX_TASK.test_size, PREFIX_TASK.train_size, PREFIX_TASK.train_size + 1])
+def test_a_prefix_has_the_bytes_of_the_whole_splits_first_rows(whole_splits, rows):
+    for got, whole in zip(generate_dataset(PREFIX_TASK, rows=rows), whole_splits, strict=True):
+        assert len(got) == min(rows, len(whole))
+        assert got.tokens.tobytes() == whole.tokens[:rows].tobytes()
+        assert np.array_equal(got.labels, whole.labels[:rows])
+
+
+@pytest.mark.parametrize("probe_band", [(0.85, 0.95), [0.7, 0.75]], ids=["tuple", "list"])
+def test_a_spec_rebuilt_from_its_dict_equals_and_hashes_as_itself(probe_band):
+    spec = SyntheticTaskSpec(**{**SMALL, "probe_band": probe_band})
+    assert spec.probe_band == tuple(probe_band)
+    for rebuilt in (SyntheticTaskSpec(**spec.to_dict()), SyntheticTaskSpec(**json.loads(json.dumps(spec.to_dict())))):
+        assert rebuilt == spec and hash(rebuilt) == hash(spec)
 
 
 TINY_MIXTURE = {"kind": "gaussian_mixture", "num_classes": 3, "d_model": 6, "seq_len": 4,
