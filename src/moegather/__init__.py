@@ -20,7 +20,6 @@ from .model import (
     ClassifierModel,
     FeedForward,
     MoELayer,
-    Router,
     build_classifier,
     router_probs,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "GatherReport",
     "MoELayer",
     "Rng",
-    "Router",
     "SvdFactors",
     "TrainConfig",
     "build_classifier",

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gather import average_bias, svdkg_merge
-from .model import FeedForward, MoELayer, router_probs
+from .model import FeedForward, MoELayer, dispatch, router_probs
 from .numerics import ShapeError, as_array, svd
 
 # Multiply-accumulate counted as two floating point operations.
@@ -42,7 +42,7 @@ def flops_per_token(layer: FeedForward | MoELayer) -> int:
     if isinstance(layer, FeedForward):
         return 2 * FLOPS_PER_MAC * layer.d_model * layer.d_ff
     router_cost = FLOPS_PER_MAC * layer.d_model * layer.num_experts
-    return layer.router.top_k * flops_per_token(layer.experts[0]) + router_cost
+    return layer.top_k * flops_per_token(layer.experts[0]) + router_cost
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,10 @@ def noise_scan(moe: MoELayer, svd_ratios, tokens: np.ndarray) -> list[NoiseScanR
     truncated foreign experts plus the bias-averaging mismatch. Signal plus
     noise is the gathered layer's output.
 
-    The tokens are grouped by primary expert once, by a stable sort, so each
-    expert's signal is one product over a contiguous slice. The mean norms
-    are summed in that grouped order, not the sample's, and so match a
-    per-token mean up to rounding.
+    The tokens are grouped by primary expert once, by the forward pass's
+    ``dispatch`` with k = 1, so each expert's signal is one product over a
+    contiguous slice. The mean norms are summed in that grouped order, not
+    the sample's, and so match a per-token mean up to rounding.
 
     Where the mean signal norm is 0, as for experts whose ``w1`` and ``b1``
     are all zero, the ratio is undefined and the row reports a
@@ -78,13 +78,8 @@ def noise_scan(moe: MoELayer, svd_ratios, tokens: np.ndarray) -> list[NoiseScanR
         raise ShapeError(f"tokens must be (n, {moe.d_model}) with n >= 1, got shape {tokens.shape}")
     ratios = sorted(float(r) for r in svd_ratios)
     factors = [svd(e.w1) for e in moe.experts]
-    probs = router_probs(tokens, moe.router)
-    picks = np.argmax(probs, axis=1)
-    gates = probs[np.arange(len(picks)), picks]
-    order = np.argsort(picks, kind="stable")
-    grouped = tokens[order]
-    # grouped[bounds[e]:bounds[e + 1]] are the tokens whose primary expert is e
-    bounds = np.searchsorted(picks[order], np.arange(moe.num_experts + 1))
+    _, gates, order, bounds = dispatch(router_probs(tokens, moe), 1)
+    grouped = tokens[order]  # grouped[bounds[e]:bounds[e + 1]] are the tokens whose primary expert is e
     b1_avg, _ = average_bias(moe.experts)
     signal = np.empty((len(tokens), moe.experts[0].d_ff))
     rows = []

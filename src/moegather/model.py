@@ -7,8 +7,9 @@ Every block shares one feed-forward stage, as in WideNet. It is either a
 single dense :class:`FeedForward` or an :class:`MoELayer` that routes every
 token to its top-k experts.
 
-``forward_batch`` is the one forward implementation and ``router_probs`` the
-one router gate, for any number of token rows. ``log_softmax`` is the one
+``forward_batch`` is the one forward implementation, ``router_probs`` the
+one router gate and ``dispatch`` the one choice and grouping of experts, for
+any number of token rows. ``log_softmax`` is the one
 softmax: the gate exponentiates it, and both training losses in
 :mod:`moegather.training` read it. The forward pass is
 forward-only by default: scoring, the frozen teacher's logits and the balance
@@ -30,8 +31,9 @@ holds at least half of ``FORWARD_BLOCK``, so the blocked result equals the
 unblocked one. A training step stays one pass, because its backward sums
 over all rows, and so does a noisy pass, because the noise is drawn per call.
 
-An MoE stage dispatches its tokens with one stable sort. A token's k
-selected experts, in ascending order, fill its k slots, and slot (t, j) is
+An MoE stage dispatches its tokens with one stable sort, in ``dispatch``,
+which ``metrics.noise_scan`` also calls to group its tokens by primary
+expert. A token's k selected experts, in ascending order, fill its k slots, and slot (t, j) is
 row t*k + j of the flattened selection. A stable argsort of the flattened
 expert ids groups the slots by expert, with ascending tokens inside each
 group, and ``searchsorted`` gives each group's bounds. The stage gathers the
@@ -192,27 +194,6 @@ class FeedForward:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
 
-@dataclass
-class Router:
-    """Linear gate over experts. Training adds Gaussian exploration noise of
-    std 1/num_experts to its logits (see ``router_probs``)."""
-
-    weight: np.ndarray  # (d_model, num_experts)
-    top_k: int
-
-    def __post_init__(self):
-        self.weight = as_array(self.weight, "router weight")
-        if self.weight.ndim != 2:
-            raise ShapeError("router weight must be 2-D")
-        check_number("top_k", self.top_k, integer=True, positive=True)
-        if self.top_k > self.num_experts:
-            raise ValueError(f"top_k={self.top_k} out of range for {self.num_experts} experts")
-
-    @property
-    def num_experts(self) -> int:
-        return self.weight.shape[1]
-
-
 def log_softmax(z: np.ndarray) -> np.ndarray:
     """Log-softmax over the last axis."""
     shifted = z - z.max(axis=-1, keepdims=True)
@@ -220,26 +201,44 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def router_probs(x: np.ndarray, router: Router, rng: Rng | None = None) -> np.ndarray:
-    """Gate probabilities for a (..., d_model) array of token rows. Noise of
-    std 1/num_experts is drawn iff an rng is supplied (evaluation passes
-    rng=None)."""
+def router_probs(x: np.ndarray, stage: MoELayer, rng: Rng | None = None) -> np.ndarray:
+    """Gate probabilities of an MoE stage for a (..., d_model) array of token
+    rows. Noise of std 1/num_experts is drawn iff an rng is supplied
+    (evaluation passes rng=None)."""
     x = as_array(x, "token rows")
-    if x.shape[-1] != router.weight.shape[0]:
-        raise ShapeError(f"token width {x.shape[-1]} != router input {router.weight.shape[0]}")
-    logits = x @ router.weight
+    if x.shape[-1] != stage.router.shape[0]:
+        raise ShapeError(f"token width {x.shape[-1]} != router input {stage.router.shape[0]}")
+    logits = x @ stage.router
     if not np.isfinite(logits).all():
         raise NumericalError("router logits are non-finite: the input holds or overflows to inf/NaN")
     if rng is not None:
-        logits = logits + rng.normal(size=logits.shape, scale=1.0 / router.num_experts)
+        logits = logits + rng.normal(size=logits.shape, scale=1.0 / stage.num_experts)
     probs = log_softmax(logits)
     return np.exp(probs, out=probs)
 
 
+def dispatch(probs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Route each row of an (n, num_experts) gate table to its k most probable
+    experts; see the module docstring. Returns ``sel``, each row's experts in
+    ascending order (ties to the lower expert); ``gates``, ``probs`` at
+    ``sel``; ``order``, the slots t*k + j grouped by expert with ascending
+    tokens inside each group; and ``bounds``, so that
+    ``order[bounds[e]:bounds[e + 1]]`` are expert e's slots."""
+    sel = top_k_indices(probs, k)
+    gates = probs[np.arange(len(probs))[:, None], sel]
+    order = np.argsort(sel.ravel(), kind="stable")
+    bounds = np.searchsorted(sel.ravel()[order], np.arange(probs.shape[1] + 1))
+    return sel, gates, order, bounds
+
+
 @dataclass
 class MoELayer:
+    """Experts behind a linear top-k gate. Training adds Gaussian exploration
+    noise of std 1/num_experts to the gate's logits (see ``router_probs``)."""
+
     experts: list[FeedForward]
-    router: Router
+    router: np.ndarray  # (d_model, num_experts) gate weight
+    top_k: int
 
     def __post_init__(self):
         if not self.experts:
@@ -248,10 +247,14 @@ class MoELayer:
         for i, e in enumerate(self.experts):
             if (e.d_model, e.d_ff) != (d, h):
                 raise ShapeError(f"expert {i} shape {(e.d_model, e.d_ff)} != expert 0 shape {(d, h)}")
-        if self.router.num_experts != len(self.experts):
-            raise ShapeError(
-                f"router width {self.router.num_experts} != expert count {len(self.experts)}"
-            )
+        self.router = as_array(self.router, "router weight")
+        if self.router.ndim != 2:
+            raise ShapeError("router weight must be 2-D")
+        if self.router.shape[1] != self.num_experts:
+            raise ShapeError(f"router width {self.router.shape[1]} != expert count {self.num_experts}")
+        check_number("top_k", self.top_k, integer=True, positive=True)
+        if self.top_k > self.num_experts:
+            raise ValueError(f"top_k={self.top_k} out of range for {self.num_experts} experts")
 
     @property
     def num_experts(self) -> int:
@@ -315,7 +318,7 @@ class ClassifierModel:
         arrays = [
             self.embed,
             *(t for b in self.blocks for t in (b.ln1_gain, b.ln1_bias, b.ln2_gain, b.ln2_bias)),  # _LAYER_NORMS order
-            *([stage.router.weight] if moe else []),
+            *([stage.router] if moe else []),
             *(t for ffn in (stage.experts if moe else [stage]) for t in ffn.tensors().values()),
             self.head_w,
             self.head_b,
@@ -372,7 +375,7 @@ def model_from_tensors(arch: Architecture, tensors: dict[str, np.ndarray]) -> Cl
             raise ShapeError(f"tensor {name!r} has shape {given}, but the architecture implies {implied}")
     t = tensors
     ffns = [FeedForward(t[p + "w1"], t[p + "b1"], t[p + "w2"], t[p + "b2"]) for p in _expert_prefixes(arch)]
-    stage = ffns[0] if arch.stage == "dense" else MoELayer(ffns, Router(t["stage.router"], arch.top_k))
+    stage = ffns[0] if arch.stage == "dense" else MoELayer(ffns, t["stage.router"], arch.top_k)
     blocks = [
         Block(*(t[f"block{i}.{name}"] for name in (*_LAYER_NORMS, "mixer")), stage)
         for i in range(arch.num_blocks)
@@ -452,14 +455,9 @@ def _stage_forward_dense(stage: FeedForward, x: np.ndarray, need_grad: bool) -> 
 def _stage_forward_moe(
     stage: MoELayer, x: np.ndarray, rng: Rng | None, need_grad: bool
 ) -> tuple[np.ndarray, dict]:
-    n, k = len(x), stage.router.top_k
-    probs = router_probs(x, stage.router, rng)
-    sel = top_k_indices(probs, k)
-    gates = probs[np.arange(n)[:, None], sel]
-    # Slots (token t, rank j) flattened to t*k + j, grouped by expert with
-    # ascending tokens inside each group; see the module docstring.
-    order = np.argsort(sel.ravel(), kind="stable")
-    bounds = np.searchsorted(sel.ravel()[order], np.arange(stage.num_experts + 1))
+    n, k = len(x), stage.top_k
+    probs = router_probs(x, stage, rng)
+    sel, gates, order, bounds = dispatch(probs, k)
     xs = x[order // k]
     ys = np.empty_like(xs) if need_grad else xs  # forward-only: outputs replace their inputs
     per_expert: dict[int, dict] = {}

@@ -8,9 +8,10 @@ of the 16 most recently used distinct small matrices, keyed by shape and
 exact bytes, so what it returns still depends on its input's content alone.
 :func:`check_number` is the one range check of every numeric setting in
 the package, :func:`as_array` the one conversion of array input to float64,
-and :func:`top_k_indices` the one top-k (the router's experts, Top-KG's
-units). Callers own the finiteness of arrays; only :func:`svd`, whose LAPACK
-call would fail, refuses a non-finite one.
+and :func:`top_k_indices` the one top-k (through ``model.dispatch``, the
+router's experts and ``noise_scan``'s primary expert; Top-KG's units).
+Callers own the finiteness of arrays; only :func:`svd`, whose LAPACK call
+would fail, refuses a non-finite one.
 """
 
 from __future__ import annotations

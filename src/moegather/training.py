@@ -165,8 +165,8 @@ def _stage_backward(stage, stage_cache: dict, d_out: np.ndarray, grad: dict[int,
         d_x += d_slots[:, j]
     # softmax backward: additive routing noise is a constant shift
     d_logits = probs * (d_probs - (d_probs * probs).sum(axis=1, keepdims=True))
-    grad[id(stage.router.weight)] += x.T @ d_logits
-    d_x += d_logits @ stage.router.weight.T
+    grad[id(stage.router)] += x.T @ d_logits
+    d_x += d_logits @ stage.router.T
     return d_x
 
 

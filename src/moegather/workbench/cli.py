@@ -160,10 +160,10 @@ def _cmd_noise_scan(args) -> int:
     if not isinstance(stage, MoELayer):
         raise StructureError("model has no MoE stage")
     task = _task_from_meta(meta, args.teacher)
+    if args.tokens > task.train_size * task.seq_len:  # refused before the task is calibrated or drawn
+        raise ConfigError(f"task provides only {task.train_size * task.seq_len} tokens, need {args.tokens}")
     [train] = generate_dataset(task, splits=("train",), rows=-(-args.tokens // task.seq_len))
     tokens = train.tokens.reshape(-1, task.d_model)[: args.tokens]
-    if len(tokens) < args.tokens:
-        raise ConfigError(f"task provides only {len(tokens)} tokens, need {args.tokens}")
     rows = noise_scan(stage, ratios, tokens)
     write_noise_scan_csv(rows, args.out)
     print(json.dumps({"out": args.out, "rows": len(rows)}))

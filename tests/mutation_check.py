@@ -67,6 +67,9 @@ MUTANTS = [
            ("tests/test_checkpoint.py",)),
     Mutant("workbench/checkpoint.py", "if payload_len > size:", "if False:", ("tests/test_checkpoint.py",)),
     Mutant("workbench/checkpoint.py", "FORMAT_VERSION = 2", "FORMAT_VERSION = 1", ("tests/test_checkpoint.py",)),
+    Mutant("model.py", 'np.argsort(sel.ravel(), kind="stable")', "np.argsort(sel.ravel())", ("tests/test_model.py",)),
+    Mutant("model.py", "if self.top_k > self.num_experts:", "if False:", ("tests/test_model.py",)),
+    Mutant("workbench/cli.py", "if args.tokens > task.train_size * task.seq_len:", "if False:", ("tests/test_cli.py",)),
 ]
 
 

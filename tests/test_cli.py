@@ -203,7 +203,11 @@ TINY_TOKENS = TINY_CONFIG["task"]["train_size"] * TINY_CONFIG["model"]["seq_len"
     ("teacher.ckpt", ["--tokens", str(TINY_TOKENS + 1)],
      f"error: config: task provides only {TINY_TOKENS} tokens, need {TINY_TOKENS + 1}"),
 ], ids=["lambda-grid", "dense-checkpoint", "too-many-tokens"])
-def test_noise_scan_refusals(pipe, tmp_path, capsys, checkpoint, argv, error):
+def test_noise_scan_refusals(pipe, tmp_path, monkeypatch, capsys, checkpoint, argv, error):
+    def fail(*args, **kwargs):
+        raise AssertionError("noise-scan drew the task before refusing its arguments")
+
+    monkeypatch.setattr(cli, "generate_dataset", fail)  # every refusal comes before the draw
     out = tmp_path / "scan.csv"
     assert cli.main(["noise-scan", "--teacher", str(pipe / checkpoint), *argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == error + "\n"

@@ -27,7 +27,6 @@ from moegather.model import (
     Architecture,
     FeedForward,
     MoELayer,
-    Router,
     _stage_forward_dense,
     build_classifier,
     count_parameters,
@@ -76,7 +75,7 @@ def expert_order_pair(arch, seed, perm):
     shuffled = model_from_tensors(arch, {name: t.copy() for name, t in teacher.tensors().items()})
     stage = shuffled.blocks[0].stage
     stage.experts = [stage.experts[i] for i in perm]
-    stage.router.weight = stage.router.weight[:, perm]
+    stage.router = stage.router[:, perm]
     return teacher, shuffled
 
 

@@ -11,7 +11,7 @@ from moegather.metrics import (
     moe_benefits,
     noise_scan,
 )
-from moegather.model import FeedForward, MoELayer, Router, build_classifier, router_probs
+from moegather.model import FeedForward, MoELayer, build_classifier, router_probs
 from moegather.numerics import Rng, ShapeError, svd
 from moegather.workbench.config import default_config
 
@@ -22,7 +22,7 @@ def make_moe(seed=0, d=8, h=12, num_experts=4, top_k=2):
         FeedForward(rng.normal(size=(d, h)), rng.normal(size=h), rng.normal(size=(h, d)), rng.normal(size=d))
         for _ in range(num_experts)
     ]
-    return MoELayer(experts=experts, router=Router(weight=rng.normal(size=(d, num_experts)), top_k=top_k))
+    return MoELayer(experts=experts, router=rng.normal(size=(d, num_experts)), top_k=top_k)
 
 
 class TestMoeBenefits:
@@ -68,7 +68,7 @@ def noise_scan_oracle(moe, ratios, tokens):
     gates = []
     picks = []
     for x in tokens:
-        probs = router_probs(x, moe.router)
+        probs = router_probs(x, moe)
         picks.append(int(np.argmax(probs)))
         gates.append(float(probs[picks[-1]]))
     rows = []
@@ -117,9 +117,9 @@ class TestNoiseScan:
         # router column ``idle`` copies the lower column ``twin``, so every tie goes
         # to ``twin`` and expert ``idle``'s group of tokens is empty
         moe = make_moe(seed=4)
-        moe.router.weight[:, idle] = moe.router.weight[:, twin]
+        moe.router[:, idle] = moe.router[:, twin]
         tokens = Rng(14).normal(size=(64, 8))
-        picks = np.argmax(router_probs(tokens, moe.router), axis=1)
+        picks = np.argmax(router_probs(tokens, moe), axis=1)
         assert idle not in picks and twin in picks
         self._assert_matches_oracle(moe, [1.0, 0.1, 0.5, 0.75, 0.25], tokens)
 

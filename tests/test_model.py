@@ -9,13 +9,13 @@ from moegather.model import (
     Architecture,
     FeedForward,
     MoELayer,
-    Router,
     _gelu,
     _gelu_with_grad,
     _stage_forward_dense,
     _stage_forward_moe,
     activation_with_grad,
     build_classifier,
+    dispatch,
     forward_batch,
     layer_norm,
     log_softmax,
@@ -44,28 +44,39 @@ def make_ffn(rng, d=6, h=10):
     )
 
 
+def zero_experts(d, num_experts):
+    """``num_experts`` experts of width ``d`` whose tensors are all zero."""
+    return [FeedForward(np.zeros((d, 1)), np.zeros(1), np.zeros((1, d)), np.zeros(d)) for _ in range(num_experts)]
+
+
+def gate(weight, top_k=1):
+    """An MoE stage of zero experts around a router weight; the gate reads
+    the weight and the expert count alone."""
+    return MoELayer(zero_experts(*np.shape(weight)), weight, top_k)
+
+
 class TestRouterProbs:
     def test_zero_weights_uniform(self):
-        r = Router(weight=np.zeros((5, 4)), top_k=2)
+        r = gate(np.zeros((5, 4)), top_k=2)
         p = router_probs(Rng(0).normal(size=5), r)
         assert np.allclose(p, 0.25)
 
     def test_single_expert(self):
-        r = Router(weight=np.zeros((3, 1)), top_k=1)
+        r = gate(np.zeros((3, 1)), top_k=1)
         assert router_probs(np.ones(3), r)[0] == 1.0
 
     def test_matches_scalar_softmax_oracle(self):
         rng = Rng(3)
-        r = Router(weight=rng.normal(size=(6, 4)), top_k=2)
+        r = gate(rng.normal(size=(6, 4)), top_k=2)
         x = rng.normal(size=6)
-        logits = [sum(x[i] * r.weight[i, j] for i in range(6)) for j in range(4)]
+        logits = [sum(x[i] * r.router[i, j] for i in range(6)) for j in range(4)]
         exps = [np.exp(v) for v in logits]
         expected = np.array([e / sum(exps) for e in exps])
         assert np.abs(router_probs(x, r) - expected).max() < 1e-12
 
     def test_noise_changes_probs_only_when_enabled(self):
         rng = Rng(3)
-        r = Router(weight=rng.normal(size=(6, 4)), top_k=2)
+        r = gate(rng.normal(size=(6, 4)), top_k=2)
         x = rng.normal(size=6)
         with_noise = router_probs(x, r, Rng(1))
         without = router_probs(x, r, None)
@@ -74,20 +85,20 @@ class TestRouterProbs:
     def test_probs_sum_to_one(self):
         rng = Rng(9)
         for _ in range(20):
-            r = Router(weight=rng.normal(size=(4, 6)), top_k=1)
+            r = gate(rng.normal(size=(4, 6)), top_k=1)
             p = router_probs(rng.normal(size=4), r, rng)
             assert abs(p.sum() - 1.0) < 1e-6
             assert (p > 0).all() and (p < 1).all()
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_input_rejected(self):
-        r = Router(weight=np.zeros((2, 2)), top_k=1)
+        r = gate(np.zeros((2, 2)), top_k=1)
         with pytest.raises(NumericalError):
             router_probs(np.array([np.inf, 0.0]), r)
 
     def test_rows_match_one_token_at_a_time(self):
         rng = Rng(4)
-        r = Router(weight=rng.normal(size=(6, 4)), top_k=2)
+        r = gate(rng.normal(size=(6, 4)), top_k=2)
         xs = rng.normal(size=(2, 5, 6))
         batched = router_probs(xs, r)
         assert batched.shape == (2, 5, 4)
@@ -99,14 +110,14 @@ class TestRouterProbs:
         # fixes the noise stream, so it must stay (rows, num_experts), and
         # its std is 1/num_experts
         rng = Rng(5)
-        r = Router(weight=rng.normal(size=(6, 4)), top_k=2)
+        r = gate(rng.normal(size=(6, 4)), top_k=2)
         xs = rng.normal(size=(7, 6))
-        logits = xs @ r.weight + Rng(8).normal(size=(7, 4), scale=0.25)
+        logits = xs @ r.router + Rng(8).normal(size=(7, 4), scale=0.25)
         want = np.exp(log_softmax(logits))
         assert np.array_equal(router_probs(xs, r, Rng(8)), want)
 
     def test_width_mismatch_rejected(self):
-        r = Router(weight=np.zeros((3, 2)), top_k=1)
+        r = gate(np.zeros((3, 2)), top_k=1)
         with pytest.raises(ShapeError):
             router_probs(np.ones((4, 2)), r)
 
@@ -130,8 +141,7 @@ class TestFfnForward:
 
 def make_moe(rng, d=6, h=10, num_experts=4, top_k=2):
     experts = [make_ffn(rng, d, h) for _ in range(num_experts)]
-    router = Router(weight=rng.normal(size=(d, num_experts)), top_k=top_k)
-    return MoELayer(experts=experts, router=router)
+    return MoELayer(experts=experts, router=rng.normal(size=(d, num_experts)), top_k=top_k)
 
 
 def moe_forward(layer, x):
@@ -155,7 +165,8 @@ class TestMoeForward:
         shared = make_ffn(rng)
         layer = MoELayer(
             experts=[shared, FeedForward(**{name: t.copy() for name, t in shared.tensors().items()})],
-            router=Router(weight=rng.normal(size=(6, 2)), top_k=2),
+            router=rng.normal(size=(6, 2)),
+            top_k=2,
         )
         x = rng.normal(size=6)
         y, _, _ = moe_forward(layer, x)
@@ -166,7 +177,7 @@ class TestMoeForward:
         layer = make_moe(rng, num_experts=4, top_k=1)
         x = rng.normal(size=6)
         y, _, selected = moe_forward(layer, x)
-        probs = router_probs(x, layer.router)
+        probs = router_probs(x, layer)
         best = int(np.argmax(probs))
         all_outputs = [ffn_forward(e, x) for e in layer.experts]
         assert selected == (best,)
@@ -177,7 +188,7 @@ class TestMoeForward:
         layer = make_moe(rng, num_experts=4, top_k=4)
         x = rng.normal(size=6)
         y, _, _ = moe_forward(layer, x)
-        probs = router_probs(x, layer.router)
+        probs = router_probs(x, layer)
         dense = sum(probs[i] * ffn_forward(e, x) for i, e in enumerate(layer.experts))
         assert np.abs(y - dense).max() < 1e-10
 
@@ -196,8 +207,8 @@ def mask_dispatch_forward(stage, x, rng, need_grad):
     Each expert finds its tokens with a mask, runs them, and adds its gated
     output into place. Returns (out, cache); with ``need_grad`` the cache holds
     each expert's FFN cache."""
-    probs = router_probs(x, stage.router, rng)
-    sel = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, : stage.router.top_k], axis=1)
+    probs = router_probs(x, stage, rng)
+    sel = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, : stage.top_k], axis=1)
     gates = np.take_along_axis(probs, sel, axis=1)
     out = np.zeros_like(x)
     per_expert = {}
@@ -219,6 +230,24 @@ def mask_dispatch_forward(stage, x, rng, need_grad):
 class TestSortedDispatch:
     """``_stage_forward_moe`` groups the (token, expert) slots by expert with
     one stable sort; the mask dispatch above is its byte-for-byte oracle."""
+
+    def test_dispatch_on_a_hand_built_table(self):
+        # 64 rows over 4 experts in four patterns; expert 2 is never picked,
+        # and patterns 0 and 3 tie experts for a place
+        patterns = [[0.3, 0.3, 0.1, 0.3], [0.1, 0.2, 0.0, 0.7], [0.6, 0.1, 0.0, 0.3], [0.25, 0.25, 0.0, 0.5]]
+        picks = [(0, 1), (1, 3), (0, 3), (0, 3)]  # by hand: ties to the lower expert, ascending
+        probs = np.array([patterns[t % 4] for t in range(64)])
+        sel, gates, order, bounds = dispatch(probs, 2)
+        assert sel.tolist() == [list(picks[t % 4]) for t in range(64)]
+        assert (np.diff(sel, axis=1) > 0).all()
+        assert gates.tobytes() == np.array([[probs[t, e] for e in picks[t % 4]] for t in range(64)]).tobytes()
+        # slot t*2 + j, expert by expert, ascending tokens inside each group
+        slots = [2 * t + j for e in range(4) for t in range(64) for j in range(2) if picks[t % 4][j] == e]
+        assert order.tolist() == slots
+        counts = [sum(e in picks[t % 4] for t in range(64)) for e in range(4)]
+        assert bounds.tolist() == [0, *np.cumsum(counts).tolist()] and bounds[2] == bounds[3]
+        # k = 1 picks the argmax, whose ties also go to the lower expert
+        assert dispatch(probs, 1)[0][:, 0].tolist() == np.argmax(probs, axis=1).tolist()
 
     @staticmethod
     def assert_same_as_oracle(layer, x, noise_seed=None, need_grad=False):
@@ -252,7 +281,7 @@ class TestSortedDispatch:
     def test_an_expert_without_tokens(self, top_k):
         rng = Rng(50 + top_k)
         layer = make_moe(rng, d=32, h=128, num_experts=4, top_k=top_k)
-        layer.router.weight[:, 1] = -10.0  # never picked for positive inputs
+        layer.router[:, 1] = -10.0  # never picked for positive inputs
         x = np.abs(rng.normal(size=(64, 32)))
         cache = self.assert_same_as_oracle(layer, x, need_grad=True)
         assert not (cache["sel"] == 1).any() and 1 not in cache["experts"]
@@ -261,7 +290,7 @@ class TestSortedDispatch:
     def test_every_token_to_one_expert(self, n):
         # a zero router ties every gate; the stable sort then picks expert 0
         layer = make_moe(Rng(60), d=32, h=128, num_experts=4, top_k=1)
-        layer.router.weight[...] = 0.0
+        layer.router[...] = 0.0
         x = Rng(61).normal(size=(n, 32))
         cache = self.assert_same_as_oracle(layer, x, need_grad=True)
         assert (cache["sel"] == 0).all() and list(cache["experts"]) == [0]
@@ -302,7 +331,8 @@ class TestBalanceLoss:
         perm = [2, 0, 3, 1]
         permuted_layer = MoELayer(
             experts=[layer.experts[i] for i in perm],
-            router=Router(weight=layer.router.weight[:, perm], top_k=2),
+            router=layer.router[:, perm],
+            top_k=2,
         )
         pools = [_stage_forward_moe(moe, xs, None, False)[1]["probs"] for moe in (layer, permuted_layer)]
         assert abs(balance_loss(pools[0]) - balance_loss(pools[1])) < 1e-12
@@ -431,7 +461,7 @@ def _scalar_forward(model, tokens):
             tok = normed2[t]
             if arch.stage == "moe":
                 logits = [
-                    sum(tok[i] * blk.stage.router.weight[i, e] for i in range(d))
+                    sum(tok[i] * blk.stage.router[i, e] for i in range(d))
                     for e in range(arch.num_experts)
                 ]
                 mx = max(logits)
@@ -503,7 +533,7 @@ class TestModelPlumbing:
         with pytest.raises(ShapeError):
             FeedForward(np.zeros((3, 4)), np.zeros(5), np.zeros((4, 3)), np.zeros(3))
         with pytest.raises(ValueError):
-            Router(weight=np.zeros((3, 2)), top_k=3)
+            gate(np.zeros((3, 2)), top_k=3)
         with pytest.raises(ValueError):
             Architecture(d_model=4, d_ff=4, seq_len=2, num_classes=2, stage="bogus")
 
@@ -516,7 +546,7 @@ class TestModelPlumbing:
         rng = Rng(0)
         bank = [make_ffn(rng, d, h) for d, h in experts]
         with pytest.raises(ShapeError, match=match):
-            MoELayer(bank, Router(weight=np.zeros((6, router_width)), top_k=1))
+            MoELayer(bank, np.zeros((6, router_width)), 1)
 
     def test_moe_architecture_top_k_at_most_num_experts(self):
         with pytest.raises(ValueError, match="top_k=3 out of range for 2 experts"):
@@ -525,19 +555,19 @@ class TestModelPlumbing:
     @pytest.mark.parametrize("top_k", [1.5, 2.0, "2", True, None, 0, -1])
     def test_router_top_k_must_be_a_positive_integer(self, top_k):
         with pytest.raises(ValueError, match="top_k must be a positive integer"):
-            Router(weight=np.zeros((3, 2)), top_k=top_k)
+            gate(np.zeros((3, 2)), top_k=top_k)
 
     def test_router_takes_a_nested_list_weight(self):
         weight = Rng(0).normal(size=(3, 2))
-        assert Router(weight, top_k=1).weight is weight  # a float64 array is used as it is
-        from_list = Router(weight=weight.tolist(), top_k=1)
-        assert from_list.weight.dtype == np.float64 and from_list.weight.tobytes() == weight.tobytes()
+        assert gate(weight).router is weight  # a float64 array is used as it is
+        from_list = gate(weight.tolist())
+        assert from_list.router.dtype == np.float64 and from_list.router.tobytes() == weight.tobytes()
         assert from_list.num_experts == 2
         with pytest.raises(ShapeError, match="2-D"):
-            Router(weight=[1.0, 2.0], top_k=1)
+            MoELayer(zero_experts(3, 2), [1.0, 2.0], 1)
         for bad in ([[1.0, 2.0], [3.0]], {}):  # ragged, and no numbers at all
             with pytest.raises(ShapeError, match="rectangular array of numbers"):
-                Router(weight=bad, top_k=1)
+                MoELayer(zero_experts(3, 2), bad, 1)
 
     def test_feed_forward_takes_nested_lists(self):
         rng = Rng(0)

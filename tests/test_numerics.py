@@ -331,7 +331,7 @@ def _moe_model():
 # each entry point given one array argument, which it must convert to float64
 ARRAY_ENTRY_POINTS = {
     "forward_batch": lambda data: forward_batch(_moe_model(), [data]),
-    "router_probs": lambda data: router_probs(data, _moe_model().blocks[0].stage.router),
+    "router_probs": lambda data: router_probs(data, _moe_model().blocks[0].stage),
     "noise_scan": lambda data: noise_scan(_moe_model().blocks[0].stage, [0.5], data),
     "svd": svd,
     "top_k_indices": lambda data: top_k_indices(data, 1),

@@ -10,7 +10,6 @@ from moegather.model import (
     Architecture,
     FeedForward,
     MoELayer,
-    Router,
     _stage_forward_dense,
     _stage_forward_moe,
     build_classifier,
@@ -266,8 +265,8 @@ def mask_dispatch_forward(stage, x, rng):
     """Oracle: the per-expert mask dispatch that the sorted dispatch replaced,
     with its backward cache (per expert: rows ``idx``, output ``y``, gate and
     FFN cache)."""
-    probs = router_probs(x, stage.router, rng)
-    sel = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, : stage.router.top_k], axis=1)
+    probs = router_probs(x, stage, rng)
+    sel = np.sort(np.argsort(-probs, axis=1, kind="stable")[:, : stage.top_k], axis=1)
     gates = np.take_along_axis(probs, sel, axis=1)
     out = np.zeros_like(x)
     per_expert = {}
@@ -296,8 +295,8 @@ def mask_dispatch_backward(stage, stage_cache, d_out, grad, balance_dp):
         d_probs[idx, e] += np.einsum("nd,nd->n", d_ye_path, ec["y"])
         d_x[idx] += training._ffn_backward(stage.experts[e], ec, d_ye_path * ec["gate"][:, None], grad)
     d_logits = probs * (d_probs - (d_probs * probs).sum(axis=1, keepdims=True))
-    grad[id(stage.router.weight)] += x.T @ d_logits
-    d_x += d_logits @ stage.router.weight.T
+    grad[id(stage.router)] += x.T @ d_logits
+    d_x += d_logits @ stage.router.T
     return d_x
 
 
@@ -305,13 +304,13 @@ def default_shape_moe(rng, top_k, num_experts=4, d=32, h=128):
     def ffn():
         return FeedForward(rng.normal(size=(d, h), scale=0.2), rng.normal(size=h), rng.normal(size=(h, d), scale=0.1),
                            rng.normal(size=d))
-    return MoELayer([ffn() for _ in range(num_experts)], Router(rng.normal(size=(d, num_experts)), top_k))
+    return MoELayer([ffn() for _ in range(num_experts)], rng.normal(size=(d, num_experts)), top_k)
 
 
 def stage_grads(layer, x, d_out, balance_dp, seed, forward, backward):
     """Stage output, input gradient and every stage parameter gradient of one
     forward and backward with router noise from ``Rng(seed)``."""
-    grad = {id(layer.router.weight): np.zeros_like(layer.router.weight)}
+    grad = {id(layer.router): np.zeros_like(layer.router)}
     for expert in layer.experts:
         grad.update({id(t): np.zeros_like(t) for t in expert.tensors().values()})
     rng = Rng(seed)
@@ -348,14 +347,14 @@ class TestSortedDispatchBackward:
     def test_an_expert_without_tokens(self, top_k):
         rng = Rng(80 + top_k)
         layer = default_shape_moe(rng, top_k)
-        layer.router.weight[:, 2] = -10.0  # never picked for positive inputs
+        layer.router[:, 2] = -10.0  # never picked for positive inputs
         x = np.abs(rng.normal(size=(64, 32)))
         assert not (_stage_forward_moe(layer, x, Rng(0), False)[1]["sel"] == 2).any()
         self.assert_same_as_oracle(layer, x)
 
     def test_every_token_to_one_expert(self):
         layer = default_shape_moe(Rng(90), top_k=1)
-        layer.router.weight[...] = 0.0
+        layer.router[...] = 0.0
         x = Rng(91).normal(size=(64, 32))
         assert (_stage_forward_moe(layer, x, None, False)[1]["sel"] == 0).all()
         self.assert_same_as_oracle(layer, x)
@@ -550,11 +549,11 @@ class TestTrainingLoops:
 
         collapsed = build_classifier(arch, Rng(3))
         for _, stage in collapsed.stages():
-            stage.router.weight[...] = 0.0
+            stage.router[...] = 0.0
         for blk in collapsed.blocks:
             blk.ln2_bias[...] = 1.0  # nonzero stage inputs
         for _, stage in collapsed.stages():
-            stage.router.weight[:, 0] = 25.0
+            stage.router[:, 0] = 25.0
         collapsed_balance = _measure_balance(collapsed, data[1].tokens)
         assert collapsed_balance > 0.9 * arch.num_experts
         assert result.final_balance < collapsed_balance
